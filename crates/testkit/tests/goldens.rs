@@ -31,6 +31,24 @@ fn paper_demo_campaign_tables_golden() {
     check_golden("campaign-demo-tables", &rendering).unwrap_or_else(|e| panic!("{e}"));
 }
 
+/// Pin the paper's full campaign at the default seed: the markdown
+/// report (Tables 3 and 4, measurement quality, stable telemetry), the
+/// telemetry event log and the counter/gauge CSV (every `scan.*`,
+/// `middlebox.verdict` and fetch counter).
+#[test]
+fn standard_campaign_golden() {
+    use filterwatch_telemetry::render;
+
+    let report = Campaign::standard(DEFAULT_SEED).run();
+    let rendering = format!(
+        "# standard campaign (seed {DEFAULT_SEED})\n\n## report\n{}\n## events\n{}\n## metrics\n{}",
+        report.to_markdown(),
+        render::events_log(&report.telemetry),
+        render::metrics_csv(&report.telemetry)
+    );
+    check_golden("campaign-standard", &rendering).unwrap_or_else(|e| panic!("{e}"));
+}
+
 /// Pin the `explain` surface: provenance summary, the tree profile,
 /// and the full causal chain for a deterministic subset of tested URLs
 /// (first, middle, last — covering different verdicts without pinning
