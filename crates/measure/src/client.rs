@@ -29,6 +29,11 @@ impl FetchTrace {
         self.final_outcome().response()
     }
 
+    /// The final response's body bytes (empty when none arrived).
+    fn final_body(&self) -> &[u8] {
+        self.final_response().map_or(&[], |r| &r.body)
+    }
+
     /// All text a block-page classifier should see: every hop's URL,
     /// banner and body.
     pub fn text(&self) -> String {
@@ -463,16 +468,18 @@ impl MeasurementClient {
                     _ => {
                         // No explicit denial: compare content. A strong
                         // divergence between the two copies is covert
-                        // in-path tampering.
-                        let field_body = trace
-                            .final_response()
-                            .map(|r| r.body_text())
-                            .unwrap_or_default();
-                        let lab_body = lab_trace
-                            .final_response()
-                            .map(|r| r.body_text())
-                            .unwrap_or_default();
-                        let similarity = body_similarity(&field_body, &lab_body);
+                        // in-path tampering. Byte-identical copies have
+                        // identical token sets (similarity exactly 1.0),
+                        // so they skip the tokenizer.
+                        let (field_body, lab_body) = (trace.final_body(), lab_trace.final_body());
+                        let similarity = if field_body == lab_body {
+                            1.0
+                        } else {
+                            body_similarity(
+                                &String::from_utf8_lossy(field_body),
+                                &String::from_utf8_lossy(lab_body),
+                            )
+                        };
                         if similarity < MODIFIED_THRESHOLD {
                             Verdict::Modified { similarity }
                         } else {
@@ -667,6 +674,35 @@ mod tests {
         // The untouched site still reads accessible through the same path.
         let ok = client.test_url(&net, &Url::parse("http://www.fine.org/").unwrap());
         assert!(ok.verdict.is_accessible(), "{:?}", ok.verdict);
+    }
+
+    /// An observation whose single hop answered 200 with `body`.
+    fn reached(body: &str) -> Observation {
+        let url = Url::parse("http://www.fine.org/").unwrap();
+        Observation::Reached {
+            status: 200,
+            trace: FetchTrace {
+                hops: vec![(url, FetchOutcome::Ok(Response::html(body)))],
+            },
+        }
+    }
+
+    #[test]
+    fn compare_reads_markup_and_case_noise_as_accessible() {
+        let (_, client) = world();
+        let lab = reached("<html><body><p>the quick brown fox</p></body></html>");
+        // Byte-identical copies.
+        assert_eq!(client.compare(&lab.clone(), &lab), Verdict::Accessible);
+        // Same words under different markup and case: the bytes differ,
+        // so the similarity path decides, and finds the same text.
+        let restyled = reached("<div><span>THE</span> Quick   brown FOX</div>");
+        assert_eq!(client.compare(&restyled, &lab), Verdict::Accessible);
+        // Different words still read as modified.
+        let rewritten = reached("<p>a state notice replaced this page</p>");
+        assert!(matches!(
+            client.compare(&rewritten, &lab),
+            Verdict::Modified { .. }
+        ));
     }
 
     #[test]

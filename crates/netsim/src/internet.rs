@@ -127,6 +127,12 @@ impl Host {
     pub fn open_ports(&self) -> Vec<u16> {
         self.services.keys().copied().collect()
     }
+
+    /// Whether a service is bound to `port`. A connection to any other
+    /// port fails, so a crawler only needs to probe ports that serve.
+    pub fn serves(&self, port: u16) -> bool {
+        self.services.contains_key(&port)
+    }
 }
 
 /// The simulated Internet. See the [crate docs](crate) for an overview.
@@ -453,6 +459,14 @@ impl Internet {
     /// All hosts in address order.
     pub fn hosts(&self) -> impl Iterator<Item = &Host> {
         self.hosts.values()
+    }
+
+    /// The hosts inside `cidr`, in address order. Cost grows with the
+    /// hosts found, not with the size of the prefix.
+    pub fn hosts_in(&self, cidr: Cidr) -> impl Iterator<Item = &Host> {
+        self.hosts
+            .range(cidr.first()..=cidr.last())
+            .map(|(_, host)| host)
     }
 
     /// Number of hosts.
@@ -1283,6 +1297,29 @@ mod tests {
         let out = net.probe(ip, 8080, &req);
         assert!(out.is_ok());
         assert_eq!(net.probe(ip, 80, &req), FetchOutcome::ConnectFailed);
+        assert!(net.host(ip).unwrap().serves(8080));
+        assert!(!net.host(ip).unwrap().serves(80));
+    }
+
+    #[test]
+    fn hosts_in_walks_one_prefix_in_address_order() {
+        let (mut net, lab, isp) = world();
+        let isp_prefix = net.network(isp).cidrs[0];
+        let picks: Vec<IpAddr> = [9, 2, 5]
+            .iter()
+            .map(|&n| isp_prefix.iter().nth(n).unwrap())
+            .collect();
+        for &ip in &picks {
+            net.add_host(ip, isp, &[]);
+        }
+        let lab_ip = net.alloc_ip(lab).unwrap();
+        net.add_host(lab_ip, lab, &[]);
+        let found: Vec<IpAddr> = net.hosts_in(isp_prefix).map(|h| h.ip).collect();
+        assert_eq!(found, vec![picks[1], picks[2], picks[0]]);
+        let lab_prefix = net.network(lab).cidrs[0];
+        assert_eq!(net.hosts_in(lab_prefix).count(), 1);
+        let empty = Cidr::new(IpAddr::from_octets(10, 0, 0, 0), 24);
+        assert_eq!(net.hosts_in(empty).count(), 0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use dns::Dns;
 pub use event::{EventId, EventQueue};
 pub use fault::{Fault, FaultProfile, FaultProfileError, OutageWindow};
 pub use flowlog::{FlowDisposition, FlowRecord};
-pub use internet::{FetchPath, Internet, Network, NetworkId, NetworkSpec};
+pub use internet::{FetchPath, Host, Internet, Network, NetworkId, NetworkSpec};
 pub use ip::{Cidr, IpAddr};
 pub use kernel::{EventKind, EventRecord, FlowId};
 pub use middlebox::{Flapping, FlowCtx, Middlebox, Verdict};

@@ -2,6 +2,7 @@
 
 use filterwatch_pattern::{Automaton, CompiledPatternSet, Pattern, PatternSet};
 use proptest::prelude::*;
+use proptest::test_runner::Config;
 
 /// Escape every metacharacter so arbitrary text becomes a literal pattern.
 fn escape(text: &str) -> String {
@@ -126,42 +127,6 @@ proptest! {
         }
     }
 
-    /// A compiled pattern set answers exactly like the uncompiled one —
-    /// literal tiers and wildcard fallback tier combined — for a mix of
-    /// literal, alternation and wildcard patterns in both case modes.
-    #[test]
-    fn compiled_set_equals_pattern_set(
-        literals in proptest::collection::vec("[a-zA-Z0-9 ]{0,6}", 0..5),
-        wild_a in "[a-z]{1,4}", wild_b in "[a-z]{1,4}",
-        text in "\\PC{0,60}",
-        case_sensitive in proptest::collection::vec(any::<bool>(), 5),
-    ) {
-        let mut set = PatternSet::new();
-        for (i, lit) in literals.iter().enumerate() {
-            let escaped: String = lit.chars().flat_map(|c| {
-                if matches!(c, '*' | '?' | '[' | ']' | '^' | '$' | '|' | '\\') {
-                    vec!['\\', c]
-                } else {
-                    vec![c]
-                }
-            }).collect();
-            let p = if case_sensitive[i % case_sensitive.len()] {
-                Pattern::parse_case_sensitive(&escaped).unwrap()
-            } else {
-                Pattern::parse(&escaped).unwrap()
-            };
-            set.insert(format!("lit{i}"), p);
-        }
-        set.insert_parsed("wild", &format!("{wild_a}*{wild_b}")).unwrap();
-        set.insert_parsed("alt", &format!("{wild_a}|{wild_b}?")).unwrap();
-
-        let compiled = CompiledPatternSet::compile(set.clone());
-        let naive: Vec<&str> = set.matches(&text).iter().map(|m| m.name).collect();
-        let fast: Vec<&str> = compiled.matches(&text).iter().map(|m| m.name).collect();
-        prop_assert_eq!(naive, fast);
-        prop_assert_eq!(set.matching_names(&text), compiled.matching_names(&text));
-    }
-
     /// A `?` consumes exactly one character.
     #[test]
     fn question_consumes_one(c in proptest::char::any(), rest in "[a-z]{1,5}") {
@@ -173,5 +138,82 @@ proptest! {
         if text2.chars().count() != text.chars().count() {
             prop_assert!(!p.is_match(&text2));
         }
+    }
+}
+
+/// Flip the ASCII case of each character of `s` where `flips` says so.
+fn recase(s: &str, flips: &[bool]) -> String {
+    s.chars()
+        .zip(flips.iter().cycle())
+        .map(|(c, &flip)| if flip { c.to_ascii_uppercase() } else { c })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(Config::with_cases(256))]
+
+    /// A compiled pattern set answers exactly like the uncompiled one —
+    /// literal tiers and the literal-gated fallback tier combined — for
+    /// literal, alternation, `?`, class, anchored and wildcard patterns
+    /// in both case modes, including a branch with no literal. Half the
+    /// texts plant every wildcard literal, in random case and either
+    /// order, among non-ASCII filler, so the gate is exercised on texts
+    /// where the fallback patterns really match.
+    #[test]
+    fn compiled_set_equals_pattern_set(
+        literals in proptest::collection::vec("[a-zA-Z0-9 ]{0,6}", 0..5),
+        wild_a in "[a-z]{1,4}", wild_b in "[a-z]{1,4}", wild_c in "[a-z0-9]{1,3}",
+        random_text in "\\PC{0,60}",
+        plant in any::<bool>(),
+        swap in any::<bool>(),
+        flips in proptest::collection::vec(any::<bool>(), 7),
+        fillers in proptest::collection::vec("[0-9x é✗ßÄΩ中-]{0,6}", 4),
+        case_sensitive in proptest::collection::vec(any::<bool>(), 5),
+    ) {
+        let mut set = PatternSet::new();
+        for (i, lit) in literals.iter().enumerate() {
+            let p = if case_sensitive[i % case_sensitive.len()] {
+                Pattern::parse_case_sensitive(&escape(lit)).unwrap()
+            } else {
+                Pattern::parse(&escape(lit)).unwrap()
+            };
+            set.insert(format!("lit{i}"), p);
+        }
+        // Case-sensitive patterns spell their literals in the planted
+        // case; case-insensitive ones in lowercase or uppercase.
+        let cased = [
+            recase(&wild_a, &flips),
+            recase(&wild_b, &flips[2..]),
+            recase(&wild_c, &flips[4..]),
+        ];
+        let upper_a = wild_a.to_ascii_uppercase();
+        let exact = |src: String| Pattern::parse_case_sensitive(&src).unwrap();
+        set.insert_parsed("wild", &format!("{wild_a}*{wild_b}")).unwrap();
+        set.insert("wild-cs", exact(format!("{}*{}", cased[0], cased[1])));
+        set.insert_parsed("alt", &format!("{wild_a}|{wild_b}?")).unwrap();
+        set.insert_parsed("class", &format!("{upper_a}*[0-9x]{wild_b}")).unwrap();
+        set.insert("class-cs", exact(format!("{}*[!a-z]{}", cased[1], cased[2])));
+        set.insert_parsed("anchored", &format!("^{upper_a}*{wild_c}|{wild_a}$")).unwrap();
+        set.insert_parsed("open", &format!("{wild_a}*{wild_b}|?[0-9]")).unwrap();
+
+        let text = if plant {
+            let mut parts = cased.clone();
+            if swap {
+                parts.reverse();
+            }
+            format!(
+                "{}{}{}{}{}{}{}",
+                fillers[0], parts[0], fillers[1], parts[1], fillers[2], parts[2], fillers[3]
+            )
+        } else {
+            random_text
+        };
+
+        let compiled = CompiledPatternSet::compile(set.clone());
+        prop_assert_eq!(compiled.fallback_len(), 7);
+        let naive: Vec<&str> = set.matches(&text).iter().map(|m| m.name).collect();
+        let fast: Vec<&str> = compiled.matches(&text).iter().map(|m| m.name).collect();
+        prop_assert_eq!(naive, fast, "text {:?}", text);
+        prop_assert_eq!(set.matching_names(&text), compiled.matching_names(&text));
     }
 }

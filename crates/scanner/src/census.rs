@@ -15,10 +15,9 @@
 //! measures the cost of bad enrichment.
 
 use filterwatch_geodb::{AsnDb, GeoDb};
-use filterwatch_http::{Request, Url};
 use filterwatch_netsim::{Internet, IpAddr};
 
-use crate::engine::DEFAULT_PROBES;
+use crate::engine::{live_hosts, owned_probes, probe_host, snippet, DEFAULT_PROBES};
 use crate::index::ScanIndex;
 use crate::record::ScanRecord;
 
@@ -47,37 +46,25 @@ impl CensusSweep {
     /// A sweep with the standard probe set.
     pub fn new() -> Self {
         CensusSweep {
-            probes: DEFAULT_PROBES
-                .iter()
-                .map(|&(port, path)| (port, path.to_string()))
-                .collect(),
+            probes: owned_probes(DEFAULT_PROBES),
         }
     }
 
-    /// Run the sweep.
+    /// Run the sweep: the same host-first walk as
+    /// [`ScanEngine::scan`](crate::ScanEngine::scan), keeping only the
+    /// raw bytes of each answer.
     pub fn run(&self, net: &Internet) -> Vec<CensusRecord> {
         let mut out = Vec::new();
-        for &(cidr, _) in net.registry().prefixes() {
-            for ip in cidr.iter() {
-                for (port, path) in &self.probes {
-                    let url = Url::http_at(&ip.to_string(), *port, path);
-                    let Some(resp) = net.probe(ip, *port, &Request::get(url)).into_response()
-                    else {
-                        continue;
-                    };
-                    if resp.status.code() == 404 {
-                        continue;
-                    }
-                    let body = resp.body_text();
-                    out.push(CensusRecord {
-                        ip,
-                        port: *port,
-                        path: path.clone(),
-                        banner: resp.banner(),
-                        body_snippet: body.chars().take(400).collect(),
-                    });
-                }
-            }
+        for (_, host) in live_hosts(net) {
+            probe_host(net, host, &self.probes, |port, path, resp| {
+                out.push(CensusRecord {
+                    ip: host.ip,
+                    port,
+                    path: path.to_string(),
+                    banner: resp.banner(),
+                    body_snippet: snippet(&resp),
+                });
+            });
         }
         out.sort_by(|a, b| (a.ip, a.port, &a.path).cmp(&(b.ip, b.port, &b.path)));
         out

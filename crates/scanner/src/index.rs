@@ -348,6 +348,9 @@ impl ScanIndex {
             retired += self.retire_endpoint(key, &mut touched);
         }
         let added = adds.len();
+        // Grow the parallel arenas once for the whole delta rather than
+        // by repeated doubling.
+        self.reserve(added);
         for record in adds {
             let key = (record.ip, record.port, record.path.clone());
             retired += self.retire_endpoint(&key, &mut touched);

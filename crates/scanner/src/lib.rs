@@ -9,10 +9,11 @@
 //!
 //! This crate is the Shodan analog for the simulated Internet:
 //!
-//! * [`ScanEngine`] — a parallel banner-grab crawler that walks every
-//!   allocated prefix, probing the HTTP ports (and the `/webadmin/` path
-//!   on 8080, as crawlers that follow links would record) and capturing
-//!   status line + headers + a body snippet per responsive endpoint;
+//! * [`ScanEngine`] — a parallel banner-grab crawler that walks the
+//!   hosts of every allocated prefix, probing the HTTP ports they bind
+//!   (and the `/webadmin/` path on 8080, as crawlers that follow links
+//!   would record) and capturing status line + headers + a body snippet
+//!   per responsive endpoint;
 //! * [`ScanIndex`] — the resulting keyword-searchable index: sharded
 //!   ([`shard`]), interned ([`intern`]), bitset-posted ([`bitset`]),
 //!   incrementally ingestable via [`ScanIndex::apply_delta`], with
