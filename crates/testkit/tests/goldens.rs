@@ -130,3 +130,221 @@ fn resumed_demo_campaign_golden() {
     assert_eq!(report.identify_table(), uninterrupted.identify_table());
     assert_eq!(report.confirm_table(), uninterrupted.confirm_table());
 }
+
+/// FNV-1a 64-bit over a whole log, so long logs are pinned by digest.
+fn fnv1a64(text: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in text.as_bytes() {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Append one pinned log: its line count, the FNV-1a digest of the
+/// whole text, and its first and last 20 lines (every line when it has
+/// at most 40).
+fn pin_log(out: &mut String, name: &str, text: &str) {
+    let lines: Vec<&str> = text.lines().collect();
+    out.push_str(&format!(
+        "\n## {name}\nlines: {}\nfnv1a: {:016x}\n",
+        lines.len(),
+        fnv1a64(text)
+    ));
+    let (head, tail) = if lines.len() <= 40 {
+        (&lines[..], &lines[lines.len()..])
+    } else {
+        (&lines[..20], &lines[lines.len() - 20..])
+    };
+    for line in head {
+        out.push_str(line);
+        out.push('\n');
+    }
+    if !tail.is_empty() {
+        out.push_str("...\n");
+    }
+    for line in tail {
+        out.push_str(line);
+        out.push('\n');
+    }
+}
+
+/// Pin every wire format the workspace writes: checkpoint, trace,
+/// telemetry event, flow-log, kernel event-log, scan dump, interner,
+/// shard-epoch and measurement-quality lines from real runs, plus one
+/// hand-built value of every token enum variant (clean runs never emit
+/// `outage:`, `truncated`, `breaker-skip:` or `dnsfail:injected`).
+#[test]
+fn wire_formats_golden() {
+    use filterwatch_measure::verdict::VerdictLabel;
+    use filterwatch_measure::ResilienceConfig;
+    use filterwatch_netsim::{EventKind, FaultProfile, FlowDisposition};
+    use filterwatch_orchestrator::{
+        run_paper_campaign, CampaignDescriptor, CampaignKind, StageState,
+    };
+    use filterwatch_scanner::ScanEngine;
+    use filterwatch_testkit::runner::{
+        baseline_stage, identify_stage, retest_stage, submit_stage, sweep_stage, RunConfig,
+        WAIT_DAYS,
+    };
+    use filterwatch_trace::step::ALL_STEPS;
+    use filterwatch_trace::TraceMode;
+
+    let mut out = format!("# wire formats (seed {DEFAULT_SEED})\n");
+
+    let (_, checkpoints) =
+        run_paper_campaign(CampaignDescriptor::new(CampaignKind::Demo, DEFAULT_SEED))
+            .expect("orchestrated demo campaign");
+    pin_log(
+        &mut out,
+        "checkpoints (demo)",
+        &(checkpoints.join("\n") + "\n"),
+    );
+
+    let traced = Campaign::demo(DEFAULT_SEED)
+        .with_trace(TraceMode::Full)
+        .run();
+    pin_log(
+        &mut out,
+        "trace log (demo, full)",
+        &filterwatch_trace::to_log(&traced.trace),
+    );
+    pin_log(
+        &mut out,
+        "telemetry event dump (demo, full trace)",
+        &filterwatch_telemetry::event::to_dump(&traced.telemetry.events),
+    );
+
+    // The generated campaign for plan seed 1, driven stage by stage so
+    // the world (and its flow and kernel event logs) stays in reach.
+    let plan = plan_for_seed(1);
+    let config = RunConfig::for_plan(&plan);
+    let mut gw = filterwatch_testkit::build_world(&plan);
+    gw.net.set_flow_log(true);
+    gw.net.set_event_log(true);
+    identify_stage(&gw);
+    sweep_stage(&gw, &config);
+    for i in 0..gw.plan.deployments.len() {
+        let mut case = baseline_stage(&mut gw, i);
+        submit_stage(&mut gw, &mut case);
+        gw.net.advance_days(WAIT_DAYS);
+        retest_stage(&gw, &config, case);
+    }
+    let flows: String = gw
+        .net
+        .flow_log()
+        .iter()
+        .map(|r| r.to_line() + "\n")
+        .collect();
+    pin_log(&mut out, "flow log (plan seed 1)", &flows);
+    let events: String = gw
+        .net
+        .event_log()
+        .iter()
+        .map(|r| r.to_line() + "\n")
+        .collect();
+    pin_log(&mut out, "kernel event log (plan seed 1)", &events);
+
+    let world = filterwatch_core::World::paper(DEFAULT_SEED);
+    let index = ScanEngine::new().scan(&world.net);
+    pin_log(&mut out, "scan dump (paper world)", &index.to_dump());
+    pin_log(
+        &mut out,
+        "interner (paper world)",
+        &(index.interner().to_line() + "\n"),
+    );
+    let epochs: String = index
+        .shard_epochs()
+        .iter()
+        .map(|e| e.to_line() + "\n")
+        .collect();
+    pin_log(&mut out, "shard epochs (paper world)", &epochs);
+
+    let chaos = Campaign::demo(DEFAULT_SEED)
+        .with_resilience(ResilienceConfig::chaos())
+        .with_field_faults(FaultProfile::chaotic(0.2).expect("valid rate"))
+        .run();
+    pin_log(
+        &mut out,
+        "measurement quality (chaos demo, 20% faults)",
+        &(chaos.quality.to_line() + "\n"),
+    );
+
+    let dispositions = [
+        FlowDisposition::Origin(200),
+        FlowDisposition::Intercepted {
+            middlebox: "smartfilter@etisalat".into(),
+            status: 403,
+        },
+        FlowDisposition::DroppedBy("netsweeper".into()),
+        FlowDisposition::ResetBy("bluecoat".into()),
+        FlowDisposition::PathFault("timeout"),
+        FlowDisposition::PathFault("reset"),
+        FlowDisposition::DnsFailure,
+        FlowDisposition::InjectedDnsFailure,
+        FlowDisposition::ConnectFailed,
+        FlowDisposition::Outage {
+            resumes_at_secs: 172_861,
+        },
+        FlowDisposition::Truncated,
+        FlowDisposition::BreakerSkip("field@yemennet".into()),
+    ];
+    let tokens: String = dispositions.iter().map(|d| d.to_token() + "\n").collect();
+    pin_log(&mut out, "flow dispositions", &tokens);
+    let stages = [
+        StageState::Identify,
+        StageState::Baseline { case: 0 },
+        StageState::Submit { case: 1 },
+        StageState::Wait {
+            case: 2,
+            deadline_secs: 3_456_000,
+        },
+        StageState::Retest { case: 3 },
+        StageState::Characterize,
+        StageState::Done,
+    ];
+    let tokens: String = stages.iter().map(|s| s.to_line() + "\n").collect();
+    pin_log(&mut out, "stage states", &tokens);
+    let tokens: String = ALL_STEPS
+        .iter()
+        .map(|s| s.to_token().to_string() + "\n")
+        .collect();
+    pin_log(&mut out, "step kinds", &tokens);
+    let kinds = [
+        EventKind::Dns,
+        EventKind::Fault,
+        EventKind::MbHop,
+        EventKind::Origin,
+        EventKind::Response,
+    ];
+    let tokens: String = kinds
+        .iter()
+        .map(|k| k.to_token().to_string() + "\n")
+        .collect();
+    pin_log(&mut out, "kernel event kinds", &tokens);
+    let kinds = [
+        CampaignKind::Standard,
+        CampaignKind::Demo,
+        CampaignKind::Generated,
+    ];
+    let tokens: String = kinds
+        .iter()
+        .map(|k| k.to_token().to_string() + "\n")
+        .collect();
+    pin_log(&mut out, "campaign kinds", &tokens);
+    let labels = [
+        VerdictLabel::Accessible,
+        VerdictLabel::Blocked,
+        VerdictLabel::Modified,
+        VerdictLabel::Inaccessible,
+        VerdictLabel::Unavailable,
+        VerdictLabel::Inconclusive,
+    ];
+    let tokens: String = labels
+        .iter()
+        .map(|l| l.as_str().to_string() + "\n")
+        .collect();
+    pin_log(&mut out, "verdict labels", &tokens);
+
+    check_golden("wire-formats", &out).unwrap_or_else(|e| panic!("{e}"));
+}
