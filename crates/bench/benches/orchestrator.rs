@@ -3,7 +3,7 @@
 //! The crash-recovery guarantee is only free if the machinery behind
 //! it is: these rungs compare N demo campaigns run back-to-back
 //! through the plain linear loop against the same N run concurrently
-//! under the checkpointing scheduler (timer wheel, watchdog polling,
+//! under the checkpointing scheduler (deadline queue, watchdog polling,
 //! a checkpoint line per stage transition), and price the checkpoint
 //! round-trip and a full kill-and-resume on its own.
 
@@ -14,6 +14,7 @@ use filterwatch_orchestrator::{
     resume_paper_campaign, CampaignCheckpoint, CampaignDescriptor, CampaignKind, CrashPlan,
     Orchestrator, Outcome, PaperDriver,
 };
+use filterwatch_telemetry::wire::Wire;
 
 const CAMPAIGNS: u64 = 4;
 

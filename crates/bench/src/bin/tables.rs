@@ -32,6 +32,7 @@ use filterwatch_core::report::TextTable;
 use filterwatch_core::{World, DEFAULT_SEED};
 use filterwatch_products::ProductKind;
 use filterwatch_scanner::keywords::KEYWORD_TABLE;
+use filterwatch_telemetry::wire::Wire;
 use filterwatch_urllists::Category;
 
 fn main() {
@@ -483,8 +484,8 @@ fn explain(seed: u64, target: Option<&str>) {
 /// under the checkpointing scheduler and print, per campaign, the
 /// identify/confirm tables, the checkpoint log (each line is a valid
 /// `resume` input), and the stable telemetry report — whose `sched` /
-/// `sched.wait` spans show the scheduler parking each campaign on the
-/// timer wheel through the vendor review window.
+/// `sched.wait` spans show the scheduler parking each campaign on its
+/// deadline queue through the vendor review window.
 fn orchestrate(seed: u64) {
     use filterwatch_orchestrator::{
         CampaignDescriptor, CampaignKind, CampaignStatus, Orchestrator, Outcome, PaperDriver,

@@ -112,7 +112,7 @@ impl Campaign {
 
     /// Run the whole campaign: the thin linear composition of
     /// [`CampaignRun`]'s stage methods. The orchestrator drives the
-    /// same methods with `Wait` deadlines serviced by a timer wheel and
+    /// same methods with `Wait` deadlines serviced by a deadline queue and
     /// a checkpoint written at every stage boundary.
     pub fn run(self) -> CampaignReport {
         let mut run = CampaignRun::begin(self);

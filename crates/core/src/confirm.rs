@@ -91,7 +91,7 @@ impl CaseStudyResult {
 /// [`retest_case`] carry it through the submit → wait → retest
 /// protocol. [`run_case_study`] is the thin linear composition; the
 /// orchestrator drives the same functions with the wait serviced by a
-/// timer wheel instead of an inline clock advance, and a checkpoint
+/// deadline queue instead of an inline clock advance, and a checkpoint
 /// written at every boundary.
 pub struct CaseInProgress {
     /// The spec being executed.
@@ -230,7 +230,7 @@ pub fn submit_case(world: &mut World, case: &mut CaseInProgress) {
 /// Wait stage, announce half: record the wait in the trace and return
 /// the absolute virtual-clock deadline (in seconds) at which the retest
 /// may begin. The caller owns the clock advance — inline for the linear
-/// driver, a timer-wheel wakeup for the orchestrator — so both reach
+/// driver, a deadline-queue wakeup for the orchestrator — so both reach
 /// the deadline by the same arithmetic.
 pub fn announce_wait(world: &World, case: &CaseInProgress) -> u64 {
     let tracer = world.net.tracer().clone();

@@ -201,21 +201,12 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
         "d2-map-order",
         "Hash-container iteration order reaching rendered output",
     ),
-    ("w1-wire-pair", "Emit/parse wire-format pair mismatch"),
-    (
-        "a1-deprecated",
-        "Call into the registered deprecated-API set",
-    ),
     ("p1-panic", "Panic-prone call in library code"),
     ("h1-hot-alloc", "Allocation inside a loop on a hot path"),
     ("t1-sim-time", "Virtual-time hygiene violation"),
     (
         "c1-spawn-merge",
         "Spawn without a call-graph path to an ordered-merge helper",
-    ),
-    (
-        "e1-enum-closure",
-        "Registered enum not exhaustively handled at a consumer site",
     ),
 ];
 

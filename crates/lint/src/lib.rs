@@ -1,9 +1,9 @@
 //! # filterwatch-lint
 //!
-//! A determinism & wire-format static analysis pass for the whole
-//! workspace. Every claim the reproduction makes — the paper-count
-//! tables, the metamorphic/differential batteries, the serial==
-//! parallel proofs — rests on byte-identical, seed-stable output;
+//! A determinism static analysis pass for the whole workspace. Every
+//! claim the reproduction makes — the paper-count tables, the
+//! metamorphic/differential batteries, the serial==parallel proofs —
+//! rests on byte-identical, seed-stable output;
 //! this crate catches the *classes* of nondeterminism at build time
 //! that dynamic testing only catches on the seeds it happens to run.
 //!
@@ -13,7 +13,7 @@
 //! layer — a module/use-path resolver ([`resolve`]), a resolved
 //! cross-crate call graph ([`callgraph`]), and per-function effect
 //! summaries propagated to fixpoint ([`summary`]) that the newer rule
-//! families (h1, t1, c1, e1) and the d2 render-reachability check
+//! families (h1, t1, c1) and the d2 render-reachability check
 //! consume. Exposed as a library and as the `filterwatch-lint` binary:
 //!
 //! ```text
@@ -208,15 +208,6 @@ fn f() { let _ = std::env::var(UPDATE_ENV); }
     }
 
     #[test]
-    fn deprecated_api_is_type_scoped() {
-        let bad = "fn f(r: &ScanRecord) -> String { r.text() }";
-        assert!(lint_src(bad).iter().any(|d| d.rule == "a1-deprecated"));
-        // `.text()` without any ScanRecord mention: a different type.
-        let ok = "fn f(t: &FetchTrace) -> String { t.text() }";
-        assert!(lint_src(ok).iter().all(|d| d.rule != "a1-deprecated"));
-    }
-
-    #[test]
     fn panic_hygiene_spares_tests_and_bins() {
         let lib = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
         assert!(lint_src(lib).iter().any(|d| d.rule == "p1-panic"));
@@ -240,42 +231,6 @@ fn f() { let _ = std::env::var(UPDATE_ENV); }
         let diags = lint_src("fn f(x: Option<u32>) -> u32 { x.unwrap() }");
         let d = diags.iter().find(|d| d.rule == "p1-panic").unwrap();
         assert_eq!(d.severity, Severity::Warning);
-    }
-
-    #[test]
-    fn wire_pair_cross_file() {
-        // Emit and parse in *different* files, with a one-sided token.
-        let emit = r#"
-impl FlowDisposition {
-    pub fn to_token(&self) -> String {
-        match self {
-            FlowDisposition::Origin(s) => format!("origin:{s}"),
-            FlowDisposition::Quarantined => "quarantined".to_string(),
-        }
-    }
-}
-"#;
-        let parse = r#"
-impl FlowDisposition {
-    pub fn parse_token(token: &str) -> Result<Self, String> {
-        if let Some(s) = token.strip_prefix("origin:") {
-            return Ok(FlowDisposition::Origin(s.parse().unwrap()));
-        }
-        Err(format!("unknown disposition token {token:?}"))
-    }
-}
-"#;
-        let diags = lint_files(
-            &[
-                ("crates/a/src/emit.rs".to_string(), emit.to_string()),
-                ("crates/a/src/parse.rs".to_string(), parse.to_string()),
-            ],
-            &Config::workspace_default(),
-        );
-        assert!(diags
-            .iter()
-            .any(|d| d.rule == "w1-wire-pair" && d.kind == "emit-without-parse:quarantined"));
-        assert!(!diags.iter().any(|d| d.kind == "emit-without-parse:origin"));
     }
 
     #[test]
@@ -394,69 +349,5 @@ impl FlowDisposition {
                    // filterwatch-lint: allow(c1-spawn-merge): single worker\n\
                    scope.spawn(|| work(xs));\n}\n";
         assert!(lint_src(sup).iter().all(|d| d.rule != "c1-spawn-merge"));
-    }
-
-    #[test]
-    fn enum_closure_catches_missing_variant() {
-        let bad = "pub enum EventKind { Dns, Fault }\n\
-                   impl EventKind {\n\
-                   pub fn to_token(&self) -> &str {\n\
-                   match self { EventKind::Dns => \"dns\", EventKind::Fault => \"fault\" } }\n\
-                   pub fn parse_token(t: &str) -> Option<EventKind> {\n\
-                   match t { \"dns\" => Some(EventKind::Dns), _ => None } }\n\
-                   }\n";
-        let diags = lint_src(bad);
-        assert!(diags.iter().any(|d| d.rule == "e1-enum-closure"
-            && d.kind == "missing-variant:EventKind::Fault"
-            && d.function.as_deref() == Some("EventKind::parse_token")));
-        // All variants mentioned (any handling shape): clean.
-        let ok = "pub enum EventKind { Dns, Fault }\n\
-                  impl EventKind {\n\
-                  pub fn to_token(&self) -> &str {\n\
-                  match self { EventKind::Dns => \"dns\", EventKind::Fault => \"fault\" } }\n\
-                  pub fn parse_token(t: &str) -> Option<EventKind> {\n\
-                  match t { \"dns\" => Some(EventKind::Dns), \"fault\" => Some(EventKind::Fault), _ => None } }\n\
-                  }\n";
-        assert!(lint_src(ok).iter().all(|d| d.rule != "e1-enum-closure"));
-        // No declaration in the scan set: skipped entirely.
-        let no_decl = "impl EventKind {\n\
-                       pub fn parse_token(t: &str) -> Option<EventKind> { None }\n\
-                       }\n";
-        assert!(lint_src(no_decl)
-            .iter()
-            .all(|d| d.rule != "e1-enum-closure"));
-    }
-
-    #[test]
-    fn enum_closure_suppression() {
-        let sup = "pub enum EventKind { Dns, Fault }\n\
-                   impl EventKind {\n\
-                   // filterwatch-lint: allow(e1-enum-closure): variants handled by table lookup\n\
-                   pub fn to_token(&self) -> &str { lookup(self) }\n\
-                   // filterwatch-lint: allow(e1-enum-closure): variants handled by table lookup\n\
-                   pub fn parse_token(t: &str) -> Option<EventKind> { rlookup(t) }\n\
-                   }\n";
-        assert!(lint_src(sup).iter().all(|d| d.rule != "e1-enum-closure"));
-        let file_wide = "// filterwatch-lint: allow-file(e1-enum-closure): demo module\n\
-                         pub enum EventKind { Dns, Fault }\n\
-                         impl EventKind {\n\
-                         pub fn to_token(&self) -> &str { lookup(self) }\n\
-                         pub fn parse_token(t: &str) -> Option<EventKind> { rlookup(t) }\n\
-                         }\n";
-        assert!(lint_src(file_wide)
-            .iter()
-            .all(|d| d.rule != "e1-enum-closure"));
-    }
-
-    #[test]
-    fn wire_pair_missing_parse_fn_entirely() {
-        let emit = "impl UrlVerdict { pub fn to_line(&self) -> String { out } }";
-        let diags = lint_files(
-            &[("crates/a/src/v.rs".to_string(), emit.to_string())],
-            &Config::workspace_default(),
-        );
-        assert!(diags
-            .iter()
-            .any(|d| d.rule == "w1-wire-pair" && d.kind.starts_with("missing-parse:")));
     }
 }

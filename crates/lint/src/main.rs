@@ -37,7 +37,7 @@ enum Format {
 }
 
 const USAGE: &str = "\
-filterwatch-lint — determinism & wire-format static analysis
+filterwatch-lint — determinism static analysis
 
 USAGE: filterwatch-lint [OPTIONS]
 

@@ -2,7 +2,7 @@
 //!
 //! Rules need just enough structure to be precise: which function a
 //! token belongs to (for baselining and dataflow-lite), which impl
-//! block a function sits in (for wire-format pairing), which regions
+//! block a function sits in (for qualified names), which regions
 //! are test code (excluded from most rules), and which lines carry
 //! suppression directives.
 

@@ -75,7 +75,7 @@ pub fn check(m: &FileModel, cfg: &Config, out: &mut Vec<Diagnostic>) {
                         message: format!(
                             "`SimTime` arithmetic with `-` in `{}` outside the kernel's \
                              sanctioned paths; virtual time must only move forward — use \
-                             abs_diff/plus_* or move the logic into netsim::kernel/timer",
+                             abs_diff/plus_* or move the logic into netsim::kernel",
                             f.qualified()
                         ),
                     });

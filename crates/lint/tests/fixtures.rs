@@ -12,14 +12,6 @@ const UPDATE_ENV: &str = "FILTERWATCH_UPDATE_GOLDENS";
 
 /// `(fixture stem, expected (rule, kind) multiset)`.
 const FIXTURES: &[(&str, &[(&str, &str)])] = &[
-    (
-        "a1_deprecated",
-        &[("a1-deprecated", "deprecated:ScanRecord::text")],
-    ),
-    (
-        "a1_from_records",
-        &[("a1-deprecated", "deprecated:ScanIndex::from_records")],
-    ),
     ("d1_env_read", &[("d1-env-read", "env:FILTERWATCH_VERBOSE")]),
     (
         "d1_thread_spawn",
@@ -46,44 +38,6 @@ const FIXTURES: &[(&str, &[(&str, &str)])] = &[
         ],
     ),
     (
-        "w1_wire_missing_arm",
-        &[
-            (
-                "e1-enum-closure",
-                "missing-variant:FlowDisposition::Quarantined",
-            ),
-            ("w1-wire-pair", "emit-without-parse:quarantined"),
-        ],
-    ),
-    (
-        "w1_trace_missing_arm",
-        &[
-            ("e1-enum-closure", "missing-variant:StepKind::Quarantine"),
-            ("w1-wire-pair", "emit-without-parse:quarantine"),
-        ],
-    ),
-    (
-        "w1_ckpt_missing_arm",
-        &[
-            ("e1-enum-closure", "missing-variant:StageState::Quarantined"),
-            ("w1-wire-pair", "emit-without-parse:quarantined"),
-        ],
-    ),
-    (
-        "w1_interner_missing_arm",
-        &[("w1-wire-pair", "emit-without-parse:interner-v2")],
-    ),
-    (
-        "w1_event_missing_arm",
-        &[
-            ("e1-enum-closure", "missing-variant:EventKind::Suspend"),
-            ("w1-wire-pair", "emit-without-parse:suspend"),
-        ],
-    ),
-    // New semantic families — appended after the w1 fixtures so the
-    // wire-pair findings keep their historical attribution (w1 blames
-    // the first site in model order).
-    (
         "h1_hot_alloc",
         &[
             ("h1-hot-alloc", "alloc:format!"),
@@ -100,18 +54,6 @@ const FIXTURES: &[(&str, &[(&str, &str)])] = &[
     (
         "c1_unmerged_spawn",
         &[("c1-spawn-merge", "spawn-no-merge-path")],
-    ),
-    (
-        "e1_event_missing_arm",
-        &[("e1-enum-closure", "missing-variant:EventKind::Fault")],
-    ),
-    (
-        "e1_step_missing_arm",
-        &[("e1-enum-closure", "missing-variant:StepKind::Retry")],
-    ),
-    (
-        "e1_ckpt_missing_arm",
-        &[("e1-enum-closure", "missing-variant:StageState::Retest")],
     ),
 ];
 

@@ -274,12 +274,7 @@ fn sarif_output_matches_2_1_0_shape() {
             .expect("rule shortDescription.text");
         assert!(!text.is_empty());
     }
-    for family in [
-        "h1-hot-alloc",
-        "t1-sim-time",
-        "c1-spawn-merge",
-        "e1-enum-closure",
-    ] {
+    for family in ["h1-hot-alloc", "t1-sim-time", "c1-spawn-merge"] {
         assert!(
             rule_ids.contains(&family),
             "missing rule metadata: {family}"

@@ -35,7 +35,7 @@ fn workspace_matches_baseline_exactly() {
 
 #[test]
 fn workspace_has_no_error_severity_findings() {
-    // Errors (wall clocks, entropy, wire-pair breaks) must be fixed,
+    // Errors (wall clocks, entropy, unmerged spawns) must be fixed,
     // not baselined: the baseline currently accepts only warnings and
     // info, and this test keeps it that way.
     let errors: Vec<String> = workspace_diags()

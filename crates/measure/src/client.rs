@@ -317,7 +317,7 @@ impl MeasurementClient {
                 StepKind::Verdict,
                 net.now().secs(),
                 &[
-                    ("verdict", verdict.label()),
+                    ("verdict", verdict.kind().to_token()),
                     ("product", verdict.blocked_by().unwrap_or("-")),
                 ],
             );
@@ -391,7 +391,7 @@ impl MeasurementClient {
                 ScopeId::NONE
             };
             let v = self.test_url_trial(net, url);
-            tracer.close(scope, net.now().secs(), &[("verdict", v.label())]);
+            tracer.close(scope, net.now().secs(), &[("verdict", v.kind().to_token())]);
             match verdicts.iter_mut().find(|(seen, _)| Self::agree(seen, &v)) {
                 Some((_, count)) => *count += 1,
                 None => verdicts.push((v, 1)),
@@ -408,7 +408,7 @@ impl MeasurementClient {
                 StepKind::Quorum,
                 net.now().secs(),
                 &[
-                    ("best", best.label()),
+                    ("best", best.kind().to_token()),
                     ("count", &count.to_string()),
                     ("trials", &quorum.trials.to_string()),
                     ("need", &quorum.quorum.to_string()),
@@ -422,7 +422,7 @@ impl MeasurementClient {
                 reason: format!(
                     "no quorum: best {count}/{} trials agreed on {} (need {})",
                     quorum.trials,
-                    best.label(),
+                    best.kind().to_token(),
                     quorum.quorum
                 ),
             }
@@ -436,7 +436,7 @@ impl MeasurementClient {
     fn agree(a: &Verdict, b: &Verdict) -> bool {
         match (a, b) {
             (Verdict::Blocked(x), Verdict::Blocked(y)) => x.product == y.product,
-            _ => a.label() == b.label(),
+            _ => a.kind() == b.kind(),
         }
     }
 
@@ -778,7 +778,12 @@ mod tests {
         // failure trips the field breaker. The verdict is an honest
         // Inaccessible (lab reached it, field never did).
         let v1 = client.test_url(&net, &Url::parse("http://www.fine.org/").unwrap());
-        assert_eq!(v1.verdict.label(), "inaccessible", "{:?}", v1.verdict);
+        assert_eq!(
+            v1.verdict.kind().to_token(),
+            "inaccessible",
+            "{:?}",
+            v1.verdict
+        );
 
         // Second URL: the breaker is open, all trials are skipped, and
         // the verdict is Inconclusive — not a false Accessible.

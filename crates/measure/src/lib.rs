@@ -34,4 +34,4 @@ pub use resilience::{
 };
 pub use similarity::body_similarity;
 pub use stats::{to_csv, RunSummary};
-pub use verdict::{UrlVerdict, Verdict};
+pub use verdict::{UrlVerdict, Verdict, VerdictLabel, VerdictLine};

@@ -28,6 +28,7 @@ use std::sync::Mutex;
 
 use filterwatch_netsim::rng::mix;
 use filterwatch_netsim::SimTime;
+use filterwatch_telemetry::wire::{field, keyed, split, Wire, WireError};
 
 /// Whether a failed fetch is worth retrying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,9 +354,14 @@ impl MeasurementQuality {
             self.inconclusive as f64 / self.verdicts as f64
         }
     }
+}
 
-    /// One-line rendering for logs and reports.
-    pub fn to_line(&self) -> String {
+/// One line for logs, reports and checkpoints. The trailing percentage
+/// is derived from the counters, so parsing validates its shape but
+/// recomputes rather than trusts it — campaign checkpoints embed these
+/// lines and must parse back to the exact counters.
+impl Wire for MeasurementQuality {
+    fn to_line(&self) -> String {
         format!(
             "attempts={} retries={} breaker_trips={} breaker_skips={} quorum_trials={} inconclusive={}/{} ({:.1}%)",
             self.fetch_attempts,
@@ -369,47 +375,24 @@ impl MeasurementQuality {
         )
     }
 
-    /// Invert [`MeasurementQuality::to_line`]. The trailing percentage
-    /// is derived from the counters, so it is validated for shape but
-    /// recomputed rather than trusted — campaign checkpoints embed
-    /// these lines and must parse back to the exact counters.
-    pub fn parse_line(line: &str) -> Result<MeasurementQuality, String> {
-        let mut q = MeasurementQuality::default();
-        let mut seen = 0u32;
-        for field in line.split_ascii_whitespace() {
-            if field.starts_with('(') {
-                if !field.ends_with("%)") {
-                    return Err(format!("bad rate field {field:?} in {line:?}"));
-                }
-                continue;
-            }
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("bad field {field:?} in {line:?}"))?;
-            let parse = |v: &str| -> Result<u64, String> {
-                v.parse().map_err(|e| format!("bad {key} in {line:?}: {e}"))
-            };
-            match key {
-                "attempts" => q.fetch_attempts = parse(value)?,
-                "retries" => q.retries = parse(value)?,
-                "breaker_trips" => q.breaker_trips = parse(value)?,
-                "breaker_skips" => q.breaker_skips = parse(value)?,
-                "quorum_trials" => q.quorum_trials = parse(value)?,
-                "inconclusive" => {
-                    let (inc, total) = value
-                        .split_once('/')
-                        .ok_or_else(|| format!("bad inconclusive field in {line:?}"))?;
-                    q.inconclusive = parse(inc)?;
-                    q.verdicts = parse(total)?;
-                }
-                other => return Err(format!("unknown quality field {other:?} in {line:?}")),
-            }
-            seen += 1;
+    fn parse_line(line: &str) -> Result<MeasurementQuality, WireError> {
+        let [attempts, retries, trips, skips, trials, inconclusive, rate] = split(line, ' ')?;
+        let count = |key, text| field(key, keyed(key, '=', text)?);
+        let (inconclusive, verdicts) = keyed("inconclusive", '=', inconclusive)?
+            .split_once('/')
+            .ok_or_else(|| WireError::new("inconclusive", "expected <n>/<total>"))?;
+        if !(rate.starts_with('(') && rate.ends_with("%)")) {
+            return Err(WireError::new("rate", format!("{rate:?} is not (<pct>%)")));
         }
-        if seen != 6 {
-            return Err(format!("expected 6 quality fields, got {seen} in {line:?}"));
-        }
-        Ok(q)
+        Ok(MeasurementQuality {
+            fetch_attempts: count("attempts", attempts)?,
+            retries: count("retries", retries)?,
+            breaker_trips: count("breaker_trips", trips)?,
+            breaker_skips: count("breaker_skips", skips)?,
+            quorum_trials: count("quorum_trials", trials)?,
+            inconclusive: field("inconclusive", inconclusive)?,
+            verdicts: field("inconclusive", verdicts)?,
+        })
     }
 }
 

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::verdict::{UrlVerdict, Verdict};
+use filterwatch_telemetry::render::csv_escape;
 
 /// Aggregate view of one measurement run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -69,52 +70,27 @@ impl RunSummary {
             self.blocked as f64 / self.tested as f64
         }
     }
-
-    /// One-line rendering for logs.
-    pub fn to_line(&self) -> String {
-        format!(
-            "tested={} accessible={} blocked={} modified={} inaccessible={} unavailable={} inconclusive={} products={:?}",
-            self.tested, self.accessible, self.blocked, self.modified, self.inaccessible, self.unavailable, self.inconclusive, self.by_product
-        )
-    }
 }
 
 /// Export verdicts as CSV (`url,verdict,product,detail`). Fields are
 /// quoted when they contain commas or quotes.
 pub fn to_csv(verdicts: &[UrlVerdict]) -> String {
-    fn field(text: &str) -> String {
-        if text.contains(',') || text.contains('"') || text.contains('\n') {
-            format!("\"{}\"", text.replace('"', "\"\""))
-        } else {
-            text.to_string()
-        }
-    }
     let mut out = String::from("url,verdict,product,detail\n");
     for v in verdicts {
-        let (label, product, detail) = match &v.verdict {
-            Verdict::Accessible => ("accessible", String::new(), String::new()),
-            Verdict::Blocked(m) => (
-                "blocked",
-                m.product.clone().unwrap_or_default(),
-                m.evidence.clone(),
-            ),
-            Verdict::Modified { similarity } => (
-                "modified",
-                String::new(),
-                format!("similarity={similarity:.2}"),
-            ),
-            Verdict::Inaccessible { field_error } => {
-                ("inaccessible", String::new(), field_error.clone())
-            }
-            Verdict::Unavailable { lab_error } => ("unavailable", String::new(), lab_error.clone()),
-            Verdict::Inconclusive { reason } => ("inconclusive", String::new(), reason.clone()),
+        let detail = match &v.verdict {
+            Verdict::Accessible => String::new(),
+            Verdict::Blocked(m) => m.evidence.clone(),
+            Verdict::Modified { similarity } => format!("similarity={similarity:.2}"),
+            Verdict::Inaccessible { field_error } => field_error.clone(),
+            Verdict::Unavailable { lab_error } => lab_error.clone(),
+            Verdict::Inconclusive { reason } => reason.clone(),
         };
         out.push_str(&format!(
             "{},{},{},{}\n",
-            field(&v.url),
-            label,
-            field(&product),
-            field(&detail)
+            csv_escape(&v.url),
+            v.verdict.kind().to_token(),
+            csv_escape(v.verdict.blocked_by().unwrap_or_default()),
+            csv_escape(&detail)
         ));
     }
     out
@@ -178,8 +154,6 @@ mod tests {
         assert_eq!(s.by_product["netsweeper"], 1);
         assert_eq!(s.by_product["(unattributed)"], 1);
         assert!((s.block_rate() - 2.0 / 6.0).abs() < 1e-9);
-        assert!(s.to_line().contains("blocked=2"));
-        assert!(s.to_line().contains("inconclusive=1"));
     }
 
     #[test]

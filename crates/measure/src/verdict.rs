@@ -1,6 +1,7 @@
 //! Per-URL accessibility verdicts.
 
 use crate::blockpage::BlockMatch;
+use filterwatch_telemetry::wire::{escape, optional, split, unescape, Wire, WireError, ABSENT};
 
 /// The comparison of a field observation against the lab control.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,15 +53,16 @@ impl Verdict {
         }
     }
 
-    /// Short label for report tables.
-    pub fn label(&self) -> &'static str {
+    /// The verdict's kind; its token is the short label report tables
+    /// and verdict lines carry.
+    pub fn kind(&self) -> VerdictLabel {
         match self {
-            Verdict::Accessible => "accessible",
-            Verdict::Blocked(_) => "blocked",
-            Verdict::Modified { .. } => "modified",
-            Verdict::Inaccessible { .. } => "inaccessible",
-            Verdict::Unavailable { .. } => "unavailable",
-            Verdict::Inconclusive { .. } => "inconclusive",
+            Verdict::Accessible => VerdictLabel::Accessible,
+            Verdict::Blocked(_) => VerdictLabel::Blocked,
+            Verdict::Modified { .. } => VerdictLabel::Modified,
+            Verdict::Inaccessible { .. } => VerdictLabel::Inaccessible,
+            Verdict::Unavailable { .. } => VerdictLabel::Unavailable,
+            Verdict::Inconclusive { .. } => VerdictLabel::Inconclusive,
         }
     }
 
@@ -78,7 +80,7 @@ impl std::fmt::Display for Verdict {
                 "blocked ({})",
                 m.product.as_deref().unwrap_or("unattributed")
             ),
-            other => f.write_str(other.label()),
+            other => f.write_str(other.kind().to_token()),
         }
     }
 }
@@ -87,50 +89,30 @@ impl std::fmt::Display for Verdict {
 ///
 /// Verdict lines drop the payload (evidence, similarity, reasons), so
 /// parsing a line back recovers the label, not the full [`Verdict`].
-/// This enum is the parse-side counterpart of [`Verdict::label`]: one
-/// variant per label, so adding a verdict kind without a parse arm is
-/// caught by the `w1-wire-pair` lint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerdictLabel {
-    /// `accessible`
+    /// [`Verdict::Accessible`]
     Accessible,
-    /// `blocked`
+    /// [`Verdict::Blocked`]
     Blocked,
-    /// `modified`
+    /// [`Verdict::Modified`]
     Modified,
-    /// `inaccessible`
+    /// [`Verdict::Inaccessible`]
     Inaccessible,
-    /// `unavailable`
+    /// [`Verdict::Unavailable`]
     Unavailable,
-    /// `inconclusive`
+    /// [`Verdict::Inconclusive`]
     Inconclusive,
 }
 
-impl VerdictLabel {
-    /// Parse a wire label produced by [`Verdict::label`].
-    pub fn parse_label(label: &str) -> Result<VerdictLabel, String> {
-        match label {
-            "accessible" => Ok(VerdictLabel::Accessible),
-            "blocked" => Ok(VerdictLabel::Blocked),
-            "modified" => Ok(VerdictLabel::Modified),
-            "inaccessible" => Ok(VerdictLabel::Inaccessible),
-            "unavailable" => Ok(VerdictLabel::Unavailable),
-            "inconclusive" => Ok(VerdictLabel::Inconclusive),
-            other => Err(format!("unknown verdict label {other:?}")),
-        }
-    }
-
-    /// The wire label, identical to [`Verdict::label`] for the
-    /// corresponding variant.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            VerdictLabel::Accessible => "accessible",
-            VerdictLabel::Blocked => "blocked",
-            VerdictLabel::Modified => "modified",
-            VerdictLabel::Inaccessible => "inaccessible",
-            VerdictLabel::Unavailable => "unavailable",
-            VerdictLabel::Inconclusive => "inconclusive",
-        }
+filterwatch_telemetry::wire_enum! {
+    VerdictLabel: "label" {
+        Accessible => "accessible",
+        Blocked => "blocked",
+        Modified => "modified",
+        Inaccessible => "inaccessible",
+        Unavailable => "unavailable",
+        Inconclusive => "inconclusive",
     }
 }
 
@@ -143,10 +125,13 @@ pub struct UrlVerdict {
     pub verdict: Verdict,
 }
 
-/// One [`UrlVerdict::to_line`] line read back from a report: the
-/// fields the wire format actually carries.
+/// The fields of a [`UrlVerdict`] a verdict line carries: the URL, the
+/// verdict label, and the attributed product (`-` when none).
+/// Error/reason strings are deliberately excluded — they may carry
+/// timing-dependent detail — so differential runners and metamorphic
+/// invariants can byte-compare verdict sweeps across configurations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedVerdictLine {
+pub struct VerdictLine {
     /// The tested URL (as text).
     pub url: String,
     /// The verdict label.
@@ -156,37 +141,36 @@ pub struct ParsedVerdictLine {
 }
 
 impl UrlVerdict {
-    /// One stable tab-separated line: URL, verdict label, and the
-    /// attributed product (`-` when none). Error/reason strings are
-    /// deliberately excluded — they may carry timing-dependent detail —
-    /// so differential runners and metamorphic invariants can byte-
-    /// compare verdict sweeps across configurations.
-    pub fn to_line(&self) -> String {
+    /// The wire fields of this verdict.
+    pub fn line(&self) -> VerdictLine {
+        VerdictLine {
+            url: self.url.clone(),
+            label: self.verdict.kind(),
+            product: self.verdict.blocked_by().map(str::to_string),
+        }
+    }
+}
+
+/// Tab-separated: URL, label, product.
+impl Wire for VerdictLine {
+    fn to_line(&self) -> String {
+        let product = match &self.product {
+            Some(p) => escape(p),
+            None => ABSENT.to_string(),
+        };
         format!(
-            "{}\t{}\t{}",
-            self.url,
-            self.verdict.label(),
-            self.verdict.blocked_by().unwrap_or("-")
+            "{}\t{}\t{product}",
+            escape(&self.url),
+            self.label.to_token()
         )
     }
 
-    /// Parse a [`UrlVerdict::to_line`] line back into its wire fields.
-    pub fn parse_line(line: &str) -> Result<ParsedVerdictLine, String> {
-        let mut fields = line.split('\t');
-        let (Some(url), Some(label), Some(product), None) =
-            (fields.next(), fields.next(), fields.next(), fields.next())
-        else {
-            return Err(format!(
-                "verdict line needs 3 tab-separated fields: {line:?}"
-            ));
-        };
-        Ok(ParsedVerdictLine {
-            url: url.to_string(),
-            label: VerdictLabel::parse_label(label)?,
-            product: match product {
-                "-" => None,
-                p => Some(p.to_string()),
-            },
+    fn parse_line(line: &str) -> Result<VerdictLine, WireError> {
+        let [url, label, product] = split(line, '\t')?;
+        Ok(VerdictLine {
+            url: unescape("url", url)?,
+            label: VerdictLabel::parse_token(label)?,
+            product: optional(product, |p| unescape("product", p))?,
         })
     }
 }
@@ -213,7 +197,7 @@ mod tests {
         let m = Verdict::Modified { similarity: 0.3 };
         assert!(m.is_modified());
         assert!(!m.is_blocked());
-        assert_eq!(m.label(), "modified");
+        assert_eq!(m.kind(), VerdictLabel::Modified);
     }
 
     #[test]
@@ -241,7 +225,10 @@ mod tests {
                 evidence: "sig".into(),
             }),
         };
-        assert_eq!(blocked.to_line(), "http://a.example/\tblocked\tnetsweeper");
+        assert_eq!(
+            blocked.line().to_line(),
+            "http://a.example/\tblocked\tnetsweeper"
+        );
         let inconclusive = UrlVerdict {
             url: "http://b.example/".into(),
             verdict: Verdict::Inconclusive {
@@ -249,7 +236,10 @@ mod tests {
             },
         };
         // The reason (timing detail) must not leak into the line.
-        assert_eq!(inconclusive.to_line(), "http://b.example/\tinconclusive\t-");
+        assert_eq!(
+            inconclusive.line().to_line(),
+            "http://b.example/\tinconclusive\t-"
+        );
     }
 
     #[test]
@@ -290,19 +280,19 @@ mod tests {
             },
         ];
         for uv in cases {
-            let parsed = UrlVerdict::parse_line(&uv.to_line()).unwrap();
+            let parsed = VerdictLine::parse_line(&uv.line().to_line()).unwrap();
             assert_eq!(parsed.url, uv.url);
-            assert_eq!(parsed.label.as_str(), uv.verdict.label());
+            assert_eq!(parsed.label, uv.verdict.kind());
             assert_eq!(parsed.product.as_deref(), uv.verdict.blocked_by());
         }
     }
 
     #[test]
     fn parse_line_rejects_malformed_input() {
-        assert!(UrlVerdict::parse_line("only-two\tfields").is_err());
-        assert!(UrlVerdict::parse_line("u\tblocked\tx\textra").is_err());
-        assert!(UrlVerdict::parse_line("u\tbogus-label\t-").is_err());
-        assert!(VerdictLabel::parse_label("Accessible").is_err());
+        assert!(VerdictLine::parse_line("only-two\tfields").is_err());
+        assert!(VerdictLine::parse_line("u\tblocked\tx\textra").is_err());
+        assert!(VerdictLine::parse_line("u\tbogus-label\t-").is_err());
+        assert!(VerdictLabel::parse_token("Accessible").is_err());
     }
 
     #[test]
@@ -313,8 +303,22 @@ mod tests {
         assert!(v.is_inconclusive());
         assert!(!v.is_blocked());
         assert!(!v.is_accessible());
-        assert_eq!(v.label(), "inconclusive");
+        assert_eq!(v.kind(), VerdictLabel::Inconclusive);
         assert_eq!(v.to_string(), "inconclusive");
         assert!(!Verdict::Accessible.is_inconclusive());
+    }
+
+    #[test]
+    fn urls_with_tabs_round_trip() {
+        // A URL may legally carry a tab; the line escapes it instead of
+        // growing a fourth field.
+        let url = filterwatch_http::Url::parse("http://a.example/x\ty").unwrap();
+        let uv = UrlVerdict {
+            url: url.to_string(),
+            verdict: Verdict::Accessible,
+        };
+        let line = uv.line().to_line();
+        assert_eq!(line, "http://a.example/x\\ty\taccessible\t-");
+        assert_eq!(VerdictLine::parse_line(&line), Ok(uv.line()));
     }
 }

@@ -16,13 +16,13 @@
 //! ```
 //!
 //! Dispositions are single colon-joined tokens (`origin:200`,
-//! `dropped:<name>`, `pathfault:timeout`, `dnsfail`, …); free-text
-//! fields use the same `\\`/`\t`/`\n` escaping as the telemetry event
-//! log.
+//! `dropped:<name>`, `pathfault:timeout`, `dnsfail`, …) headed by a
+//! [`DispositionHead`] token; free-text fields use the shared
+//! [`wire`](filterwatch_telemetry::wire) escaping.
 
 use crate::ip::IpAddr;
 use crate::time::SimTime;
-use filterwatch_telemetry::event::{escape, unescape};
+use filterwatch_telemetry::wire::{escape, field, split, unescape, Wire, WireError};
 
 /// How a logged flow ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,74 +70,136 @@ impl FlowDisposition {
         )
     }
 
-    /// Encode as a single stable token.
-    pub fn to_token(&self) -> String {
+    /// The head token's table entry.
+    pub fn head(&self) -> DispositionHead {
         match self {
-            FlowDisposition::Origin(status) => format!("origin:{status}"),
-            FlowDisposition::Intercepted { middlebox, status } => {
-                format!("intercepted:{}:{status}", escape(middlebox))
+            FlowDisposition::Origin(_) => DispositionHead::Origin,
+            FlowDisposition::Intercepted { .. } => DispositionHead::Intercepted,
+            FlowDisposition::DroppedBy(_) => DispositionHead::Dropped,
+            FlowDisposition::ResetBy(_) => DispositionHead::Reset,
+            FlowDisposition::PathFault(_) => DispositionHead::PathFault,
+            FlowDisposition::DnsFailure | FlowDisposition::InjectedDnsFailure => {
+                DispositionHead::DnsFail
             }
-            FlowDisposition::DroppedBy(name) => format!("dropped:{}", escape(name)),
-            FlowDisposition::ResetBy(name) => format!("reset:{}", escape(name)),
-            FlowDisposition::PathFault(kind) => format!("pathfault:{kind}"),
-            FlowDisposition::DnsFailure => "dnsfail".to_string(),
-            FlowDisposition::InjectedDnsFailure => "dnsfail:injected".to_string(),
-            FlowDisposition::ConnectFailed => "connectfail".to_string(),
-            FlowDisposition::Outage { resumes_at_secs } => format!("outage:{resumes_at_secs}"),
-            FlowDisposition::Truncated => "truncated".to_string(),
-            FlowDisposition::BreakerSkip(vantage) => format!("breaker-skip:{}", escape(vantage)),
+            FlowDisposition::ConnectFailed => DispositionHead::ConnectFail,
+            FlowDisposition::Outage { .. } => DispositionHead::Outage,
+            FlowDisposition::Truncated => DispositionHead::Truncated,
+            FlowDisposition::BreakerSkip(_) => DispositionHead::BreakerSkip,
+        }
+    }
+
+    /// Encode as a single stable token: the head, then `:payload` for
+    /// the variants that carry one.
+    pub fn to_token(&self) -> String {
+        let head = self.head().to_token();
+        match self {
+            FlowDisposition::Origin(status) => format!("{head}:{status}"),
+            FlowDisposition::Intercepted { middlebox, status } => {
+                format!("{head}:{}:{status}", escape(middlebox))
+            }
+            FlowDisposition::DroppedBy(name)
+            | FlowDisposition::ResetBy(name)
+            | FlowDisposition::BreakerSkip(name) => format!("{head}:{}", escape(name)),
+            FlowDisposition::PathFault(kind) => format!("{head}:{kind}"),
+            FlowDisposition::InjectedDnsFailure => format!("{head}:injected"),
+            FlowDisposition::Outage { resumes_at_secs } => format!("{head}:{resumes_at_secs}"),
+            FlowDisposition::DnsFailure
+            | FlowDisposition::ConnectFailed
+            | FlowDisposition::Truncated => head.to_string(),
         }
     }
 
     /// Parse a token produced by [`FlowDisposition::to_token`].
-    pub fn parse_token(token: &str) -> Result<Self, String> {
-        let unescape_name = |name: &str| {
-            unescape(name).ok_or_else(|| format!("bad escape in middlebox name {name:?}"))
+    pub fn parse_token(token: &str) -> Result<Self, WireError> {
+        let (head, payload) = match token.split_once(':') {
+            Some((head, payload)) => (head, Some(payload)),
+            None => (token, None),
         };
-        if let Some(status) = token.strip_prefix("origin:") {
-            let status = status
-                .parse()
-                .map_err(|e| format!("bad status in {token:?}: {e}"))?;
-            return Ok(FlowDisposition::Origin(status));
-        }
-        if let Some(rest) = token.strip_prefix("intercepted:") {
-            // The status is the last colon field, so middlebox names may
-            // themselves contain colons.
-            let (middlebox, status) = rest
-                .rsplit_once(':')
-                .ok_or_else(|| format!("missing status in {token:?}"))?;
-            let status = status
-                .parse()
-                .map_err(|e| format!("bad status in {token:?}: {e}"))?;
-            return Ok(FlowDisposition::Intercepted {
-                middlebox: unescape_name(middlebox)?,
-                status,
-            });
-        }
-        if let Some(name) = token.strip_prefix("dropped:") {
-            return Ok(FlowDisposition::DroppedBy(unescape_name(name)?));
-        }
-        if let Some(name) = token.strip_prefix("reset:") {
-            return Ok(FlowDisposition::ResetBy(unescape_name(name)?));
-        }
-        if let Some(secs) = token.strip_prefix("outage:") {
-            let resumes_at_secs = secs
-                .parse()
-                .map_err(|e| format!("bad resume time in {token:?}: {e}"))?;
-            return Ok(FlowDisposition::Outage { resumes_at_secs });
-        }
-        if let Some(vantage) = token.strip_prefix("breaker-skip:") {
-            return Ok(FlowDisposition::BreakerSkip(unescape_name(vantage)?));
-        }
-        match token {
-            "pathfault:timeout" => Ok(FlowDisposition::PathFault("timeout")),
-            "pathfault:reset" => Ok(FlowDisposition::PathFault("reset")),
-            "dnsfail" => Ok(FlowDisposition::DnsFailure),
-            "dnsfail:injected" => Ok(FlowDisposition::InjectedDnsFailure),
-            "connectfail" => Ok(FlowDisposition::ConnectFailed),
-            "truncated" => Ok(FlowDisposition::Truncated),
-            _ => Err(format!("unknown disposition token {token:?}")),
-        }
+        let need = || payload.ok_or_else(|| WireError::new("disposition", "missing payload"));
+        let bare = |d: FlowDisposition| match payload {
+            None => Ok(d),
+            Some(p) => Err(WireError::new("disposition", format!("unexpected {p:?}"))),
+        };
+        Ok(match DispositionHead::parse_token(head)? {
+            DispositionHead::Origin => FlowDisposition::Origin(field("status", need()?)?),
+            DispositionHead::Intercepted => {
+                // The status is the last colon field, so middlebox names
+                // may themselves contain colons.
+                let (middlebox, status) = need()?
+                    .rsplit_once(':')
+                    .ok_or_else(|| WireError::new("status", "missing"))?;
+                FlowDisposition::Intercepted {
+                    middlebox: unescape("middlebox", middlebox)?,
+                    status: field("status", status)?,
+                }
+            }
+            DispositionHead::Dropped => FlowDisposition::DroppedBy(unescape("middlebox", need()?)?),
+            DispositionHead::Reset => FlowDisposition::ResetBy(unescape("middlebox", need()?)?),
+            DispositionHead::PathFault => FlowDisposition::PathFault(match need()? {
+                "timeout" => "timeout",
+                "reset" => "reset",
+                other => {
+                    return Err(WireError::new(
+                        "disposition",
+                        format!("bad fault {other:?}"),
+                    ))
+                }
+            }),
+            DispositionHead::DnsFail if payload == Some("injected") => {
+                FlowDisposition::InjectedDnsFailure
+            }
+            DispositionHead::DnsFail => bare(FlowDisposition::DnsFailure)?,
+            DispositionHead::ConnectFail => bare(FlowDisposition::ConnectFailed)?,
+            DispositionHead::Outage => FlowDisposition::Outage {
+                resumes_at_secs: field("resumes_at", need()?)?,
+            },
+            DispositionHead::Truncated => bare(FlowDisposition::Truncated)?,
+            DispositionHead::BreakerSkip => {
+                FlowDisposition::BreakerSkip(unescape("vantage", need()?)?)
+            }
+        })
+    }
+}
+
+/// The head of a [`FlowDisposition`] token: one per kind of ending.
+/// [`FlowDisposition::head`] maps variants onto it and
+/// [`FlowDisposition::parse_token`] matches on it exhaustively.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DispositionHead {
+    /// Origin answered; payload: status.
+    Origin,
+    /// A middlebox answered; payload: middlebox name and status.
+    Intercepted,
+    /// A middlebox dropped the flow; payload: middlebox name.
+    Dropped,
+    /// A middlebox reset the flow; payload: middlebox name.
+    Reset,
+    /// The access path failed; payload: the fault kind.
+    PathFault,
+    /// DNS failed; an `injected` payload marks a transient fault.
+    DnsFail,
+    /// Nothing listened at the destination.
+    ConnectFail,
+    /// Inside an outage window; payload: when it closes.
+    Outage,
+    /// The response was cut short.
+    Truncated,
+    /// A circuit breaker skipped the fetch; payload: vantage.
+    BreakerSkip,
+}
+
+filterwatch_telemetry::wire_enum! {
+    DispositionHead: "disposition" {
+        Origin => "origin",
+        Intercepted => "intercepted",
+        Dropped => "dropped",
+        Reset => "reset",
+        PathFault => "pathfault",
+        DnsFail => "dnsfail",
+        ConnectFail => "connectfail",
+        Outage => "outage",
+        Truncated => "truncated",
+        BreakerSkip => "breaker-skip",
     }
 }
 
@@ -156,10 +218,9 @@ pub struct FlowRecord {
     pub disposition: FlowDisposition,
 }
 
-impl FlowRecord {
-    /// Render as a stable, machine-parseable log line (tab-separated:
-    /// time, client, network, URL, disposition token).
-    pub fn to_line(&self) -> String {
+/// Tab-separated: time, client, network, URL, disposition token.
+impl Wire for FlowRecord {
+    fn to_line(&self) -> String {
         format!(
             "{}\t{}\t{}\t{}\t{}",
             self.at,
@@ -170,22 +231,13 @@ impl FlowRecord {
         )
     }
 
-    /// Parse a line produced by [`FlowRecord::to_line`].
-    pub fn parse_line(line: &str) -> Result<Self, String> {
-        let fields: Vec<&str> = line.split('\t').collect();
-        let [at, client, network, url, token] = fields.as_slice() else {
-            return Err(format!(
-                "expected 5 tab-separated fields, got {}: {line:?}",
-                fields.len()
-            ));
-        };
+    fn parse_line(line: &str) -> Result<Self, WireError> {
+        let [at, client, network, url, token] = split(line, '\t')?;
         Ok(FlowRecord {
-            at: at.parse()?,
-            client: client
-                .parse()
-                .map_err(|e| format!("bad client address {client:?}: {e}"))?,
-            network: unescape(network).ok_or_else(|| format!("bad escape in {network:?}"))?,
-            url: unescape(url).ok_or_else(|| format!("bad escape in {url:?}"))?,
+            at: field("at", at)?,
+            client: field("client", client)?,
+            network: unescape("network", network)?,
+            url: unescape("url", url)?,
             disposition: FlowDisposition::parse_token(token)?,
         })
     }

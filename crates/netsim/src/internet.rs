@@ -266,17 +266,8 @@ impl Internet {
         if self.telemetry.is_enabled() {
             self.telemetry.counter_add("fetch.total", &net.name, 1);
             let kind = match &disposition {
-                FlowDisposition::Origin(_) => "origin",
-                FlowDisposition::Intercepted { .. } => "intercepted",
-                FlowDisposition::DroppedBy(_) => "dropped",
-                FlowDisposition::ResetBy(_) => "reset",
-                FlowDisposition::PathFault(_) => "pathfault",
-                FlowDisposition::DnsFailure => "dnsfail",
                 FlowDisposition::InjectedDnsFailure => "dnsfail-injected",
-                FlowDisposition::ConnectFailed => "connectfail",
-                FlowDisposition::Outage { .. } => "outage",
-                FlowDisposition::Truncated => "truncated",
-                FlowDisposition::BreakerSkip(_) => "breaker-skip",
+                other => other.head().to_token(),
             };
             self.telemetry.counter_add("fetch.disposition", kind, 1);
             match &disposition {
@@ -1199,6 +1190,7 @@ mod tests {
     use super::*;
     use crate::service::StaticSite;
     use filterwatch_http::Status;
+    use filterwatch_telemetry::wire::Wire;
 
     /// Build a two-network world: a clean lab and a filtered ISP.
     fn world() -> (Internet, NetworkId, NetworkId) {

@@ -17,7 +17,7 @@
 //! are a closed token pair (enforced by the w1 wire-pair lint).
 
 use filterwatch_http::{Request, Response};
-use filterwatch_telemetry::event::{escape, unescape};
+use filterwatch_telemetry::wire::{escape, field, split, unescape, Wire, WireError};
 
 use crate::event::EventQueue;
 use crate::internet::NetworkId;
@@ -75,6 +75,10 @@ impl SimEvent {
     }
 
     /// The event-log kind of this event.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub(crate) fn kind(&self) -> EventKind {
         match self {
             SimEvent::Dns(_) => EventKind::Dns,
@@ -101,28 +105,13 @@ pub enum EventKind {
     Response,
 }
 
-impl EventKind {
-    /// Encode as a single stable token.
-    pub fn to_token(&self) -> &'static str {
-        match self {
-            EventKind::Dns => "dns",
-            EventKind::Fault => "fault",
-            EventKind::MbHop => "mb-hop",
-            EventKind::Origin => "origin",
-            EventKind::Response => "response",
-        }
-    }
-
-    /// Parse a token produced by [`EventKind::to_token`].
-    pub fn parse_token(token: &str) -> Result<Self, String> {
-        match token {
-            "dns" => Ok(EventKind::Dns),
-            "fault" => Ok(EventKind::Fault),
-            "mb-hop" => Ok(EventKind::MbHop),
-            "origin" => Ok(EventKind::Origin),
-            "response" => Ok(EventKind::Response),
-            _ => Err(format!("unknown event kind token {token:?}")),
-        }
+filterwatch_telemetry::wire_enum! {
+    EventKind: "kind" {
+        Dns => "dns",
+        Fault => "fault",
+        MbHop => "mb-hop",
+        Origin => "origin",
+        Response => "response",
     }
 }
 
@@ -150,10 +139,9 @@ pub struct EventRecord {
     pub detail: String,
 }
 
-impl EventRecord {
-    /// Render as a stable, machine-parseable log line (tab-separated:
-    /// time, seq, kind token, flow tag, detail).
-    pub fn to_line(&self) -> String {
+/// Tab-separated: time, seq, kind token, flow tag, detail.
+impl Wire for EventRecord {
+    fn to_line(&self) -> String {
         format!(
             "{}\t{}\t{}\t{}\t{}",
             self.at,
@@ -164,25 +152,14 @@ impl EventRecord {
         )
     }
 
-    /// Parse a line produced by [`EventRecord::to_line`].
-    pub fn parse_line(line: &str) -> Result<Self, String> {
-        let fields: Vec<&str> = line.split('\t').collect();
-        let [at, seq, kind, flow, detail] = fields.as_slice() else {
-            return Err(format!(
-                "expected 5 tab-separated fields, got {}: {line:?}",
-                fields.len()
-            ));
-        };
+    fn parse_line(line: &str) -> Result<Self, WireError> {
+        let [at, seq, kind, flow, detail] = split(line, '\t')?;
         Ok(EventRecord {
-            at: at.parse()?,
-            seq: seq
-                .parse()
-                .map_err(|e| format!("bad event seq {seq:?}: {e}"))?,
+            at: field("at", at)?,
+            seq: field("seq", seq)?,
             kind: EventKind::parse_token(kind)?,
-            flow: flow
-                .parse()
-                .map_err(|e| format!("bad flow tag {flow:?}: {e}"))?,
-            detail: unescape(detail).ok_or_else(|| format!("bad escape in {detail:?}"))?,
+            flow: field("flow", flow)?,
+            detail: unescape("detail", detail)?,
         })
     }
 }
@@ -345,13 +322,7 @@ mod tests {
 
     #[test]
     fn event_kind_tokens_round_trip() {
-        for kind in [
-            EventKind::Dns,
-            EventKind::Fault,
-            EventKind::MbHop,
-            EventKind::Origin,
-            EventKind::Response,
-        ] {
+        for &kind in EventKind::ALL {
             assert_eq!(EventKind::parse_token(kind.to_token()).unwrap(), kind);
             assert_eq!(kind.to_string(), kind.to_token());
         }

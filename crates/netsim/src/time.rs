@@ -95,7 +95,10 @@ impl std::str::FromStr for SimTime {
         if h >= 24 || m >= 60 || sec >= 60 {
             return Err(format!("clock fields out of range in {s:?}"));
         }
-        Ok(SimTime::from_days(day).plus_secs(h * 3600 + m * 60 + sec))
+        day.checked_mul(SECS_PER_DAY)
+            .and_then(|secs| secs.checked_add(h * 3600 + m * 60 + sec))
+            .map(SimTime)
+            .ok_or_else(|| format!("day out of range in {s:?}"))
     }
 }
 
@@ -139,6 +142,10 @@ mod tests {
         assert!("day 1 25:00:00".parse::<SimTime>().is_err());
         assert!("day 1 01:02".parse::<SimTime>().is_err());
         assert!("day 1 01:02:03:04".parse::<SimTime>().is_err());
+        // Out of range, not an overflow panic.
+        assert!("day 999999999999999999 00:00:00"
+            .parse::<SimTime>()
+            .is_err());
     }
 
     #[test]

@@ -4,31 +4,12 @@ use filterwatch_http::{Request, Response, Url};
 use filterwatch_netsim::middlebox::Chain;
 use filterwatch_netsim::service::StaticSite;
 use filterwatch_netsim::{
-    Cidr, Dns, Fault, FaultProfile, FlowCtx, FlowDisposition, FlowRecord, Internet, IpAddr,
-    Middlebox, NetworkSpec, SimTime, Verdict,
+    Cidr, Dns, Fault, FaultProfile, FlowCtx, FlowRecord, Internet, IpAddr, Middlebox, NetworkSpec,
+    SimTime, Verdict,
 };
+use filterwatch_telemetry::wire::Wire;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Any flow disposition, middlebox names included.
-fn any_disposition() -> impl Strategy<Value = FlowDisposition> {
-    let name = "[a-z][a-z0-9:._-]{0,12}";
-    prop_oneof![
-        (100u16..600).prop_map(FlowDisposition::Origin),
-        (name, 100u16..600)
-            .prop_map(|(middlebox, status)| FlowDisposition::Intercepted { middlebox, status }),
-        name.prop_map(FlowDisposition::DroppedBy),
-        name.prop_map(FlowDisposition::ResetBy),
-        Just(FlowDisposition::PathFault("timeout")),
-        Just(FlowDisposition::PathFault("reset")),
-        Just(FlowDisposition::DnsFailure),
-        Just(FlowDisposition::InjectedDnsFailure),
-        Just(FlowDisposition::ConnectFailed),
-        any::<u64>().prop_map(|resumes_at_secs| FlowDisposition::Outage { resumes_at_secs }),
-        Just(FlowDisposition::Truncated),
-        name.prop_map(FlowDisposition::BreakerSkip),
-    ]
-}
 
 /// A middlebox that tags responses with its index; optionally the one
 /// that blocks.
@@ -102,30 +83,6 @@ proptest! {
             prop_assert_eq!(dns.resolve(name), Some(IpAddr(i as u32 + 1)));
         }
         prop_assert_eq!(dns.resolve("definitely-not-registered.example"), None);
-    }
-
-    /// Flow-log lines are stable and lossless: `parse_line(to_line(r))`
-    /// is the identity, including tabs and backslashes in free text.
-    #[test]
-    fn flow_record_line_round_trips(
-        d in 0u64..10_000,
-        s in 0u64..86_400,
-        client in any::<u32>(),
-        network in "[a-z][a-z \t\\\\.-]{0,16}",
-        path in "(/[a-z0-9]{0,6}){0,3}",
-        disposition in any_disposition(),
-    ) {
-        let record = FlowRecord {
-            at: SimTime::from_days(d).plus_secs(s),
-            client: IpAddr(client),
-            network,
-            url: format!("http://site.xx{path}"),
-            disposition,
-        };
-        let line = record.to_line();
-        prop_assert_eq!(line.split('\t').count(), 5, "{}", line);
-        let reparsed = FlowRecord::parse_line(&line).unwrap();
-        prop_assert_eq!(reparsed, record);
     }
 
     /// SimTime display → parse is the identity.

@@ -13,6 +13,9 @@
 
 use filterwatch_core::confirm::CaseStudyResult;
 use filterwatch_measure::MeasurementQuality;
+use filterwatch_telemetry::wire::{
+    decode_list, encode_list, field, keyed, optional, split, Wire, WireError, ABSENT,
+};
 
 use crate::stage::{CampaignDescriptor, StageState};
 
@@ -70,93 +73,55 @@ impl CaseCkpt {
             quality: result.quality,
         }
     }
+}
 
-    /// Render as one checkpoint field (no tabs; sub-fields are
-    /// space-separated, with the quality line trailing after `q:`).
-    pub fn to_field(&self) -> String {
+/// One checkpoint field: space-separated `key:value` sub-fields, `attr:`
+/// a list field (`-` when empty), and the quality line trailing after
+/// `q:`.
+impl Wire for CaseCkpt {
+    fn to_line(&self) -> String {
         format!(
             "case:{} acc:{} ok:{} blk:{} hold:{} inc:{} conf:{} attr:{} q:{}",
             self.index,
             self.accessible_before
-                .map(|n| n.to_string())
-                .unwrap_or_else(|| "-".to_string()),
+                .map_or_else(|| ABSENT.to_string(), |n| n.to_string()),
             self.submissions_accepted,
             self.submitted_blocked,
             self.holdout_blocked,
             self.retest_inconclusive,
             if self.confirmed { "yes" } else { "no" },
             if self.attributed.is_empty() {
-                "-".to_string()
+                ABSENT.to_string()
             } else {
-                self.attributed.join(",")
+                encode_list(&self.attributed)
             },
             self.quality.to_line(),
         )
     }
 
-    /// Invert [`CaseCkpt::to_field`].
-    pub fn parse_field(field: &str) -> Result<CaseCkpt, String> {
-        let (head, quality_line) = field
+    fn parse_line(line: &str) -> Result<CaseCkpt, WireError> {
+        let (head, quality) = line
             .split_once(" q:")
-            .ok_or_else(|| format!("missing quality in case field {field:?}"))?;
-        let quality = MeasurementQuality::parse_line(quality_line)?;
-        let mut index = None;
-        let mut accessible_before = None;
-        let mut submissions_accepted = None;
-        let mut submitted_blocked = None;
-        let mut holdout_blocked = None;
-        let mut retest_inconclusive = None;
-        let mut confirmed = None;
-        let mut attributed = None;
-        for part in head.split_ascii_whitespace() {
-            let (key, value) = part
-                .split_once(':')
-                .ok_or_else(|| format!("bad sub-field {part:?} in case field"))?;
-            let parse_n = |v: &str| -> Result<usize, String> {
-                v.parse()
-                    .map_err(|e| format!("bad {key} in {field:?}: {e}"))
-            };
-            match key {
-                "case" => index = Some(parse_n(value)?),
-                "acc" => {
-                    accessible_before = Some(if value == "-" {
-                        None
-                    } else {
-                        Some(parse_n(value)?)
-                    })
-                }
-                "ok" => submissions_accepted = Some(parse_n(value)?),
-                "blk" => submitted_blocked = Some(parse_n(value)?),
-                "hold" => holdout_blocked = Some(parse_n(value)?),
-                "inc" => retest_inconclusive = Some(parse_n(value)?),
-                "conf" => {
-                    confirmed = Some(match value {
-                        "yes" => true,
-                        "no" => false,
-                        other => return Err(format!("bad conf value {other:?}")),
-                    })
-                }
-                "attr" => {
-                    attributed = Some(if value == "-" {
-                        Vec::new()
-                    } else {
-                        value.split(',').map(str::to_string).collect()
-                    })
-                }
-                other => return Err(format!("unknown case sub-field {other:?}")),
-            }
-        }
-        let missing = |what: &str| format!("missing {what} in case field {field:?}");
+            .ok_or_else(|| WireError::new("q", "missing quality line"))?;
+        let [index, acc, ok, blk, hold, inc, conf, attr] = split(head, ' ')?;
+        let count = |key, text| field(key, keyed(key, ':', text)?);
         Ok(CaseCkpt {
-            index: index.ok_or_else(|| missing("case"))?,
-            accessible_before: accessible_before.ok_or_else(|| missing("acc"))?,
-            submissions_accepted: submissions_accepted.ok_or_else(|| missing("ok"))?,
-            submitted_blocked: submitted_blocked.ok_or_else(|| missing("blk"))?,
-            holdout_blocked: holdout_blocked.ok_or_else(|| missing("hold"))?,
-            retest_inconclusive: retest_inconclusive.ok_or_else(|| missing("inc"))?,
-            confirmed: confirmed.ok_or_else(|| missing("conf"))?,
-            attributed: attributed.ok_or_else(|| missing("attr"))?,
-            quality,
+            index: count("case", index)?,
+            accessible_before: optional(keyed("acc", ':', acc)?, |n| field("acc", n))?,
+            submissions_accepted: count("ok", ok)?,
+            submitted_blocked: count("blk", blk)?,
+            holdout_blocked: count("hold", hold)?,
+            retest_inconclusive: count("inc", inc)?,
+            confirmed: match keyed("conf", ':', conf)? {
+                "yes" => true,
+                "no" => false,
+                other => return Err(WireError::new("conf", format!("{other:?} is not yes/no"))),
+            },
+            attributed: match keyed("attr", ':', attr)? {
+                ABSENT => Vec::new(),
+                list => decode_list("attr", list)?,
+            },
+            quality: MeasurementQuality::parse_line(quality)?,
         })
     }
 }
@@ -176,74 +141,67 @@ pub struct CampaignCheckpoint {
     pub cases: Vec<CaseCkpt>,
 }
 
-impl CampaignCheckpoint {
-    /// Render as one tab-separated line ending in a self-integrity
-    /// digest.
-    pub fn to_line(&self) -> String {
-        let mut line = String::from(VERSION);
-        line.push('\t');
-        line.push_str(&format!("campaign:{}", self.descriptor.to_line()));
-        line.push('\t');
-        line.push_str(&format!("stage:{}", self.stage.to_line()));
-        line.push('\t');
-        line.push_str(&format!("clock:{}", self.clock_secs));
+/// One tab-separated line ending in a self-integrity digest.
+impl Wire for CampaignCheckpoint {
+    fn to_line(&self) -> String {
+        let mut line = format!(
+            "{VERSION}\tcampaign:{}\tstage:{}\tclock:{}",
+            self.descriptor.to_line(),
+            self.stage.to_line(),
+            self.clock_secs
+        );
         for case in &self.cases {
             line.push('\t');
-            line.push_str(&case.to_field());
+            line.push_str(&case.to_line());
         }
         let digest = fnv1a64(line.as_bytes());
-        line.push('\t');
-        line.push_str(&format!("digest:{digest:016x}"));
+        line.push_str(&format!("\tdigest:{digest:016x}"));
         line
     }
 
-    /// Invert [`CampaignCheckpoint::to_line`], validating the digest.
-    pub fn parse_line(line: &str) -> Result<CampaignCheckpoint, String> {
-        let (body, digest_field) = line
+    /// Checks the digest before anything else, so a truncated or
+    /// corrupted line fails on the `digest` field.
+    fn parse_line(line: &str) -> Result<CampaignCheckpoint, WireError> {
+        let (body, digest) = line
             .rsplit_once('\t')
-            .ok_or_else(|| format!("checkpoint line has no fields: {line:?}"))?;
-        let hex = digest_field
-            .strip_prefix("digest:")
-            .ok_or_else(|| format!("checkpoint line missing digest: {line:?}"))?;
-        let want = u64::from_str_radix(hex, 16).map_err(|e| format!("bad digest: {e}"))?;
+            .ok_or_else(|| WireError::new("digest", "line has no fields"))?;
+        let hex = keyed("digest", ':', digest)?;
+        let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+        if hex.len() != 16 || !hex.bytes().all(lower_hex) {
+            return Err(WireError::new(
+                "digest",
+                format!("{hex:?} is not 16 lowercase hex digits"),
+            ));
+        }
+        let want = u64::from_str_radix(hex, 16)
+            .map_err(|e| WireError::new("digest", format!("{hex:?}: {e}")))?;
         let got = fnv1a64(body.as_bytes());
         if got != want {
-            return Err(format!(
-                "checkpoint digest mismatch: line says {want:016x}, content hashes to {got:016x}"
+            return Err(WireError::new(
+                "digest",
+                format!("mismatch: line says {want:016x}, content hashes to {got:016x}"),
             ));
         }
         let mut fields = body.split('\t');
-        match fields.next() {
-            Some(v) if v == VERSION => {}
-            other => return Err(format!("unsupported checkpoint version {other:?}")),
+        let mut next = || fields.next().unwrap_or_default();
+        let version = next();
+        if version != VERSION {
+            return Err(WireError::new(
+                "version",
+                format!("unsupported checkpoint version {version:?}"),
+            ));
         }
-        let descriptor = fields
-            .next()
-            .and_then(|f| f.strip_prefix("campaign:"))
-            .ok_or_else(|| "missing campaign field".to_string())
-            .and_then(CampaignDescriptor::parse_line)?;
-        let stage = fields
-            .next()
-            .and_then(|f| f.strip_prefix("stage:"))
-            .ok_or_else(|| "missing stage field".to_string())
-            .and_then(StageState::parse_line)?;
-        let clock_secs = fields
-            .next()
-            .and_then(|f| f.strip_prefix("clock:"))
-            .ok_or_else(|| "missing clock field".to_string())?
-            .parse()
-            .map_err(|e| format!("bad clock: {e}"))?;
-        let mut cases = Vec::new();
-        for field in fields {
-            cases.push(CaseCkpt::parse_field(field)?);
-        }
-        for (i, case) in cases.iter().enumerate() {
-            if case.index != i {
-                return Err(format!(
-                    "case fields out of order: position {i} holds case {}",
-                    case.index
-                ));
-            }
+        let descriptor = CampaignDescriptor::parse_line(keyed("campaign", ':', next())?)?;
+        let stage = StageState::parse_line(keyed("stage", ':', next())?)?;
+        let clock_secs = field("clock", keyed("clock", ':', next())?)?;
+        let cases = fields
+            .map(CaseCkpt::parse_line)
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some((i, case)) = cases.iter().enumerate().find(|(i, c)| c.index != *i) {
+            return Err(WireError::new(
+                "case",
+                format!("out of order: position {i} holds case {}", case.index),
+            ));
         }
         Ok(CampaignCheckpoint {
             descriptor,
@@ -285,18 +243,15 @@ mod tests {
     fn case_fields_round_trip() {
         for index in 0..4 {
             let case = sample_case(index);
-            assert_eq!(CaseCkpt::parse_field(&case.to_field()), Ok(case));
+            assert_eq!(CaseCkpt::parse_line(&case.to_line()), Ok(case));
         }
         let empty_attr = CaseCkpt {
             attributed: Vec::new(),
             ..sample_case(0)
         };
-        assert_eq!(
-            CaseCkpt::parse_field(&empty_attr.to_field()),
-            Ok(empty_attr)
-        );
-        assert!(CaseCkpt::parse_field("").is_err());
-        assert!(CaseCkpt::parse_field("case:0 acc:-").is_err());
+        assert_eq!(CaseCkpt::parse_line(&empty_attr.to_line()), Ok(empty_attr));
+        assert!(CaseCkpt::parse_line("").is_err());
+        assert!(CaseCkpt::parse_line("case:0 acc:-").is_err());
     }
 
     #[test]
@@ -324,9 +279,9 @@ mod tests {
         };
         let line = ckpt.to_line();
         let tampered = line.replace("clock:0", "clock:1");
-        assert!(CampaignCheckpoint::parse_line(&tampered)
-            .unwrap_err()
-            .contains("digest mismatch"));
+        let err = CampaignCheckpoint::parse_line(&tampered).unwrap_err();
+        assert_eq!(err.field, "digest");
+        assert!(err.reason.contains("mismatch"), "{err}");
         assert!(CampaignCheckpoint::parse_line("").is_err());
         assert!(CampaignCheckpoint::parse_line("ckpt:v1").is_err());
         // Truncation drops the digest field.
@@ -342,8 +297,8 @@ mod tests {
             clock_secs: 100,
             cases: vec![sample_case(1)],
         };
-        assert!(CampaignCheckpoint::parse_line(&good.to_line())
-            .unwrap_err()
-            .contains("out of order"));
+        let err = CampaignCheckpoint::parse_line(&good.to_line()).unwrap_err();
+        assert_eq!(err.field, "case");
+        assert!(err.reason.contains("out of order"), "{err}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`StageDriver`] owns one campaign's world and knows how to execute
 //! each [`StageState`]; the orchestrator owns the transitions, the
-//! timer wheel and the checkpoints. [`PaperDriver`] adapts the core
+//! deadline queue and the checkpoints. [`PaperDriver`] adapts the core
 //! crate's [`CampaignRun`] (the paper's standard/demo campaigns);
 //! the testkit provides its own driver over generated worlds; and
 //! [`StallingDriver`] wraps any driver with deterministic stall
@@ -11,6 +11,7 @@
 
 use filterwatch_core::campaign::{Campaign, CampaignReport, CampaignRun};
 use filterwatch_measure::ResilienceConfig;
+use filterwatch_telemetry::wire::Wire;
 use filterwatch_telemetry::SpanId;
 use filterwatch_trace::{StepKind, TraceMode};
 
@@ -43,7 +44,7 @@ pub trait StageDriver {
     fn now_secs(&self) -> u64;
 
     /// Execute one stage. `Wait` and `Done` are never passed here —
-    /// the scheduler services waits from the timer wheel.
+    /// the scheduler services waits from its deadline queue.
     fn execute(&mut self, stage: &StageState) -> StepOutcome;
 
     /// Announce the wait after `case`'s submission and return the
@@ -67,7 +68,7 @@ pub trait StageDriver {
     /// will continue from `stage`.
     fn on_resume(&mut self, _stage: &StageState) {}
 
-    /// Observer hook: the timer wheel fired `case`'s wait deadline.
+    /// Observer hook: the scheduler fired `case`'s wait deadline.
     fn on_timer_fire(&mut self, _case: usize, _deadline_secs: u64) {}
 }
 
@@ -135,6 +136,10 @@ impl StageDriver for PaperDriver {
         self.run.now_secs()
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn execute(&mut self, stage: &StageState) -> StepOutcome {
         match *stage {
             StageState::Identify => self.run.identify(),

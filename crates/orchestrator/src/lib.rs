@@ -13,10 +13,10 @@
 //! ```
 //!
 //! — driven by a virtual-time scheduler ([`Orchestrator`]) that runs
-//! many campaigns concurrently, parking `Wait` stages on a
-//! [`TimerWheel`](filterwatch_netsim::TimerWheel) instead of blocking.
-//! Every stage transition writes a [`CampaignCheckpoint`] line in the
-//! workspace's `to_line`/`parse_line` wire discipline; a campaign
+//! many campaigns concurrently, parking `Wait` stages on a deadline
+//! [`EventQueue`](filterwatch_netsim::EventQueue) instead of blocking.
+//! Every stage transition writes a [`CampaignCheckpoint`] line through
+//! the workspace's one [`Wire`] codec; a campaign
 //! killed at any boundary restores via [`replay`] to byte-identical
 //! identify/confirm tables. Supervision handles the unreliable-vantage
 //! reality: [`CrashPlan`] injects deterministic crashes for the
@@ -36,9 +36,10 @@ pub use checkpoint::{CampaignCheckpoint, CaseCkpt};
 pub use driver::{PaperDriver, StageDriver, StallPlan, StallingDriver, StepOutcome};
 pub use resume::{replay, ResumeError};
 pub use scheduler::{CampaignStatus, CrashPlan, Orchestrator, Outcome, WatchdogConfig};
-pub use stage::{CampaignDescriptor, CampaignKind, StageState};
+pub use stage::{CampaignDescriptor, CampaignKind, StageHead, StageState};
 
 use filterwatch_core::campaign::CampaignReport;
+use filterwatch_telemetry::wire::{Wire, WireError};
 
 /// Run one paper campaign (standard or demo) under the orchestrator,
 /// uninterrupted, returning its report plus every checkpoint line the
@@ -73,13 +74,14 @@ pub fn run_paper_campaign(
 /// byte-identical to the uninterrupted run's.
 pub fn resume_paper_campaign(checkpoint_line: &str) -> Result<CampaignReport, ResumeError> {
     let ckpt = CampaignCheckpoint::parse_line(checkpoint_line).map_err(ResumeError::Parse)?;
-    let mut driver = PaperDriver::new(ckpt.descriptor.clone()).map_err(ResumeError::Parse)?;
+    let mut driver = PaperDriver::new(ckpt.descriptor.clone())
+        .map_err(|e| ResumeError::Parse(WireError::new("campaign", e)))?;
     let stage = replay(&mut driver, &ckpt)?;
     let mut orch = Orchestrator::with_stages(vec![(driver, stage)]);
     match orch.run() {
         Outcome::Complete => {}
         Outcome::Crashed { at_checkpoint } => {
-            return Err(ResumeError::Parse(format!(
+            return Err(ResumeError::Drift(format!(
                 "unexpected crash at checkpoint {at_checkpoint} with no crash plan"
             )))
         }

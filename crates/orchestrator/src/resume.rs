@@ -17,12 +17,14 @@
 use crate::checkpoint::CampaignCheckpoint;
 use crate::driver::{StageDriver, StepOutcome};
 use crate::stage::StageState;
+use filterwatch_telemetry::wire::{Wire, WireError};
 
 /// Why a resume failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResumeError {
-    /// The checkpoint line did not parse (bad digest, unknown stage…).
-    Parse(String),
+    /// The checkpoint line did not parse; the error names the field
+    /// (`digest` for a truncated or corrupted line).
+    Parse(WireError),
     /// Replay disagreed with the checkpoint's recorded state: the code
     /// changed since the checkpoint was written, or the checkpoint was
     /// corrupted in a way the digest cannot see (it protects the line,
@@ -92,7 +94,7 @@ pub fn replay<D: StageDriver>(
             match stage {
                 StageState::Wait { case, .. } => {
                     // Mid-replay wait: announce, then advance inline —
-                    // the same arithmetic the timer wheel performs.
+                    // the same arithmetic the scheduler performs when it fires the deadline.
                     let deadline = driver.wait_deadline_secs(case);
                     driver.advance_to_secs(deadline);
                     driver.on_timer_fire(case, deadline);
@@ -123,8 +125,8 @@ pub fn replay<D: StageDriver>(
             return Err(ResumeError::Drift(format!(
                 "case {} replayed as {:?} but checkpoint recorded {:?}",
                 recorded.index,
-                replayed.to_field(),
-                recorded.to_field()
+                replayed.to_line(),
+                recorded.to_line()
             )));
         }
     }

@@ -5,9 +5,10 @@
 //! pending wait deadline inside it. The orchestrator only ever holds a
 //! campaign *between* stages, so a [`StageState`] plus the campaign's
 //! [`CampaignDescriptor`] (which world to rebuild) is exactly what a
-//! checkpoint needs to carry. Both render in the workspace's
-//! `to_line`/`parse_line` wire discipline and are registered as
-//! w1 wire pairs in `filterwatch-lint`.
+//! checkpoint needs to carry. Both implement the shared
+//! [`Wire`] line codec.
+
+use filterwatch_telemetry::wire::{field, Wire, WireError};
 
 /// Which campaign a descriptor rebuilds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,24 +22,11 @@ pub enum CampaignKind {
     Generated,
 }
 
-impl CampaignKind {
-    /// Stable wire token.
-    pub fn to_token(&self) -> &'static str {
-        match self {
-            CampaignKind::Standard => "standard",
-            CampaignKind::Demo => "demo",
-            CampaignKind::Generated => "generated",
-        }
-    }
-
-    /// Invert [`CampaignKind::to_token`].
-    pub fn parse_token(token: &str) -> Result<CampaignKind, String> {
-        match token {
-            "standard" => Ok(CampaignKind::Standard),
-            "demo" => Ok(CampaignKind::Demo),
-            "generated" => Ok(CampaignKind::Generated),
-            other => Err(format!("unknown campaign kind {other:?}")),
-        }
+filterwatch_telemetry::wire_enum! {
+    CampaignKind: "campaign" {
+        Standard => "standard",
+        Demo => "demo",
+        Generated => "generated",
     }
 }
 
@@ -81,10 +69,11 @@ impl CampaignDescriptor {
         self.trace = true;
         self
     }
+}
 
-    /// Stable one-line rendering: `kind:seed` plus optional `:chaos`
-    /// and `:trace` flags.
-    pub fn to_line(&self) -> String {
+/// `kind:seed` plus optional `:chaos` and `:trace` flags.
+impl Wire for CampaignDescriptor {
+    fn to_line(&self) -> String {
         let mut line = format!("{}:{}", self.kind.to_token(), self.seed);
         if self.chaos {
             line.push_str(":chaos");
@@ -95,21 +84,21 @@ impl CampaignDescriptor {
         line
     }
 
-    /// Invert [`CampaignDescriptor::to_line`].
-    pub fn parse_line(line: &str) -> Result<CampaignDescriptor, String> {
+    fn parse_line(line: &str) -> Result<CampaignDescriptor, WireError> {
         let mut parts = line.split(':');
         let kind = CampaignKind::parse_token(parts.next().unwrap_or_default())?;
-        let seed = parts
-            .next()
-            .ok_or_else(|| format!("missing seed in {line:?}"))?
-            .parse()
-            .map_err(|e| format!("bad seed in {line:?}: {e}"))?;
+        let seed = field("seed", parts.next().unwrap_or_default())?;
         let mut descriptor = CampaignDescriptor::new(kind, seed);
         for flag in parts {
             match flag {
                 "chaos" => descriptor.chaos = true,
                 "trace" => descriptor.trace = true,
-                other => return Err(format!("unknown descriptor flag {other:?} in {line:?}")),
+                other => {
+                    return Err(WireError::new(
+                        "campaign",
+                        format!("unknown flag {other:?}"),
+                    ))
+                }
             }
         }
         Ok(descriptor)
@@ -118,7 +107,7 @@ impl CampaignDescriptor {
 
 /// Where a campaign stands in the methodology. The per-case stages
 /// carry the case-study cursor; `Wait` additionally carries the
-/// absolute virtual-clock deadline the timer wheel fires at.
+/// absolute virtual-clock deadline the scheduler fires it at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageState {
     /// Stage 1: identify installations across the simulated Internet.
@@ -151,58 +140,100 @@ pub enum StageState {
     Done,
 }
 
-impl StageState {
-    /// Stable one-line rendering: the stage token, the case cursor for
-    /// per-case stages, and the deadline for `Wait`.
-    pub fn to_line(&self) -> String {
+/// The head token of a [`StageState`] line, one per variant.
+/// [`StageState::head`] maps onto it and `parse_line` matches on it
+/// exhaustively.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageHead {
+    /// [`StageState::Identify`]
+    Identify,
+    /// [`StageState::Baseline`]
+    Baseline,
+    /// [`StageState::Submit`]
+    Submit,
+    /// [`StageState::Wait`]
+    Wait,
+    /// [`StageState::Retest`]
+    Retest,
+    /// [`StageState::Characterize`]
+    Characterize,
+    /// [`StageState::Done`]
+    Done,
+}
+
+filterwatch_telemetry::wire_enum! {
+    StageHead: "stage" {
+        Identify => "identify",
+        Baseline => "baseline",
+        Submit => "submit",
+        Wait => "wait",
+        Retest => "retest",
+        Characterize => "characterize",
+        Done => "done",
+    }
+}
+
+/// The stage's head token, then the case cursor for per-case stages
+/// and the deadline for `Wait`, colon-separated.
+impl Wire for StageState {
+    fn to_line(&self) -> String {
+        let head = self.head().to_token();
         match self {
-            StageState::Identify => "identify".to_string(),
-            StageState::Baseline { case } => format!("baseline:{case}"),
-            StageState::Submit { case } => format!("submit:{case}"),
+            StageState::Identify | StageState::Characterize | StageState::Done => head.to_string(),
+            StageState::Baseline { case }
+            | StageState::Submit { case }
+            | StageState::Retest { case } => format!("{head}:{case}"),
             StageState::Wait {
                 case,
                 deadline_secs,
-            } => format!("wait:{case}:{deadline_secs}"),
-            StageState::Retest { case } => format!("retest:{case}"),
-            StageState::Characterize => "characterize".to_string(),
-            StageState::Done => "done".to_string(),
+            } => format!("{head}:{case}:{deadline_secs}"),
         }
     }
 
-    /// Invert [`StageState::to_line`].
-    pub fn parse_line(line: &str) -> Result<StageState, String> {
+    fn parse_line(line: &str) -> Result<StageState, WireError> {
         let mut parts = line.split(':');
-        let head = parts.next().unwrap_or_default();
-        let mut case_of = |what: &str| -> Result<usize, String> {
-            parts
-                .next()
-                .ok_or_else(|| format!("missing {what} in {line:?}"))?
-                .parse()
-                .map_err(|e| format!("bad {what} in {line:?}: {e}"))
-        };
+        let head = StageHead::parse_token(parts.next().unwrap_or_default())?;
+        let mut next = || parts.next().unwrap_or_default();
         let stage = match head {
-            "identify" => StageState::Identify,
-            "baseline" => StageState::Baseline {
-                case: case_of("case index")?,
+            StageHead::Identify => StageState::Identify,
+            StageHead::Baseline => StageState::Baseline {
+                case: field("case", next())?,
             },
-            "submit" => StageState::Submit {
-                case: case_of("case index")?,
+            StageHead::Submit => StageState::Submit {
+                case: field("case", next())?,
             },
-            "wait" => StageState::Wait {
-                case: case_of("case index")?,
-                deadline_secs: case_of("deadline secs")? as u64,
+            StageHead::Wait => StageState::Wait {
+                case: field("case", next())?,
+                deadline_secs: field("deadline", next())?,
             },
-            "retest" => StageState::Retest {
-                case: case_of("case index")?,
+            StageHead::Retest => StageState::Retest {
+                case: field("case", next())?,
             },
-            "characterize" => StageState::Characterize,
-            "done" => StageState::Done,
-            other => return Err(format!("unknown stage token {other:?}")),
+            StageHead::Characterize => StageState::Characterize,
+            StageHead::Done => StageState::Done,
         };
         if parts.next().is_some() {
-            return Err(format!("trailing fields in stage line {line:?}"));
+            return Err(WireError::new(
+                "stage",
+                format!("trailing fields in {line:?}"),
+            ));
         }
         Ok(stage)
+    }
+}
+
+impl StageState {
+    /// This stage's head token.
+    pub fn head(&self) -> StageHead {
+        match self {
+            StageState::Identify => StageHead::Identify,
+            StageState::Baseline { .. } => StageHead::Baseline,
+            StageState::Submit { .. } => StageHead::Submit,
+            StageState::Wait { .. } => StageHead::Wait,
+            StageState::Retest { .. } => StageHead::Retest,
+            StageState::Characterize => StageHead::Characterize,
+            StageState::Done => StageHead::Done,
+        }
     }
 
     /// The case-study cursor, for the per-case stages.

@@ -10,9 +10,10 @@
 use filterwatch_core::campaign::Campaign;
 use filterwatch_orchestrator::{
     resume_paper_campaign, run_paper_campaign, CampaignCheckpoint, CampaignDescriptor,
-    CampaignKind, CampaignStatus, CrashPlan, Orchestrator, Outcome, PaperDriver, StageState,
-    StallPlan, StallingDriver, WatchdogConfig,
+    CampaignKind, CampaignStatus, CrashPlan, Orchestrator, Outcome, PaperDriver, ResumeError,
+    StageState, StallPlan, StallingDriver, WatchdogConfig,
 };
+use filterwatch_telemetry::wire::Wire;
 use filterwatch_trace::{render_profile, ProvenanceIndex, StepKind};
 
 /// The workspace's default world seed.
@@ -168,6 +169,29 @@ fn tampered_checkpoint_never_resumes() {
     let line = &checkpoints[3];
     let tampered = line.replace("clock:", "clock:9");
     assert!(resume_paper_campaign(&tampered).is_err());
+}
+
+/// A checkpoint line truncated anywhere, or with any one bit flipped,
+/// fails to resume with a parse error that names the `digest` field.
+#[test]
+fn damaged_checkpoints_fail_on_the_digest_field() {
+    let (_, checkpoints) = run_paper_campaign(demo_descriptor(SEED)).expect("uninterrupted run");
+    let line = checkpoints
+        .iter()
+        .max_by_key(|l| l.len())
+        .expect("the run wrote checkpoints");
+    let mut damaged: Vec<String> = (0..line.len()).map(|end| line[..end].to_string()).collect();
+    for pos in 0..line.len() {
+        let mut bytes = line.clone().into_bytes();
+        bytes[pos] ^= 1;
+        damaged.push(String::from_utf8(bytes).expect("ASCII stays UTF-8"));
+    }
+    for bad in &damaged {
+        match resume_paper_campaign(bad) {
+            Err(ResumeError::Parse(e)) => assert_eq!(e.field, "digest", "{bad:?}: {e}"),
+            other => panic!("{bad:?} resumed as {:?}", other.err()),
+        }
+    }
 }
 
 #[test]

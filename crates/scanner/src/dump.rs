@@ -13,6 +13,9 @@
 use std::collections::BTreeMap;
 
 use filterwatch_netsim::SimTime;
+use filterwatch_telemetry::wire::{
+    decode_list, encode_list, escape, field, optional, split, unescape, Wire, WireError, ABSENT,
+};
 
 use crate::index::ScanIndex;
 use crate::record::ScanRecord;
@@ -20,39 +23,46 @@ use crate::record::ScanRecord;
 /// Format marker written as the first line of every dump.
 const MAGIC: &str = "filterwatch-scan-dump v1";
 
-/// Escape tabs/newlines/backslashes so any banner fits on one line.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
+/// One dump line, tab-separated: ip, port, path, country, asn,
+/// hostnames (a list field), capture second, banner and body snippet.
+/// An absent country or asn is written as `-`.
+impl Wire for ScanRecord {
+    fn to_line(&self) -> String {
+        format!(
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            self.ip,
+            self.port,
+            escape(&self.path),
+            self.country
+                .as_deref()
+                .map_or_else(|| ABSENT.to_string(), escape),
+            self.asn
+                .map_or_else(|| ABSENT.to_string(), |a| a.to_string()),
+            encode_list(&self.hostnames),
+            self.captured_at.secs(),
+            escape(&self.banner),
+            escape(&self.body_snippet),
+        )
     }
-    out
-}
 
-fn unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('t') => out.push('\t'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('\\') => out.push('\\'),
-                Some(other) => out.push(other),
-                None => break,
-            }
-        } else {
-            out.push(c);
-        }
+    fn parse_line(line: &str) -> Result<ScanRecord, WireError> {
+        let [ip, port, path, country, asn, hostnames, captured, banner, body] = split(line, '\t')?;
+        Ok(ScanRecord {
+            ip: field("ip", ip)?,
+            port: field("port", port)?,
+            path: unescape("path", path)?,
+            country: optional(country, |c| unescape("country", c))?,
+            asn: optional(asn, |a| field("asn", a))?,
+            hostnames: if hostnames.is_empty() {
+                Vec::new()
+            } else {
+                decode_list("hostnames", hostnames)?
+            },
+            captured_at: SimTime::from_secs(field("captured_at", captured)?),
+            banner: unescape("banner", banner)?,
+            body_snippet: unescape("body_snippet", body)?,
+        })
     }
-    out
 }
 
 impl ScanIndex {
@@ -64,71 +74,26 @@ impl ScanIndex {
         out.push_str(MAGIC);
         out.push('\n');
         for r in self.live_records() {
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                r.ip,
-                r.port,
-                escape(&r.path),
-                r.country.as_deref().unwrap_or("-"),
-                r.asn.map(|a| a.to_string()).unwrap_or_else(|| "-".into()),
-                escape(&r.hostnames.join(",")),
-                r.captured_at.secs(),
-                escape(&r.banner),
-                escape(&r.body_snippet),
-            ));
+            out.push_str(&r.to_line());
+            out.push('\n');
         }
         out
     }
 
-    /// Parse a dump back into an index.
-    pub fn from_dump(text: &str) -> Result<ScanIndex, String> {
+    /// Parse a dump back into an index. Errors name the failing line.
+    pub fn from_dump(text: &str) -> Result<ScanIndex, WireError> {
         let mut lines = text.lines();
-        match lines.next() {
-            Some(line) if line == MAGIC => {}
-            other => return Err(format!("bad dump header: {other:?}")),
+        if lines.next() != Some(MAGIC) {
+            return Err(WireError::new("header", format!("expected {MAGIC:?}")));
         }
         let mut records = Vec::new();
         for (lineno, line) in lines.enumerate() {
             if line.is_empty() {
                 continue;
             }
-            let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != 9 {
-                return Err(format!(
-                    "line {}: expected 9 fields, got {}",
-                    lineno + 2,
-                    fields.len()
-                ));
-            }
-            records.push(ScanRecord {
-                ip: fields[0]
-                    .parse()
-                    .map_err(|e| format!("line {}: {e}", lineno + 2))?,
-                port: fields[1]
-                    .parse()
-                    .map_err(|_| format!("line {}: bad port", lineno + 2))?,
-                path: unescape(fields[2]),
-                country: (fields[3] != "-").then(|| fields[3].to_string()),
-                asn: (fields[4] != "-")
-                    .then(|| fields[4].parse())
-                    .transpose()
-                    .map_err(|_| format!("line {}: bad asn", lineno + 2))?,
-                hostnames: {
-                    let h = unescape(fields[5]);
-                    if h.is_empty() {
-                        Vec::new()
-                    } else {
-                        h.split(',').map(String::from).collect()
-                    }
-                },
-                captured_at: SimTime::from_secs(
-                    fields[6]
-                        .parse()
-                        .map_err(|_| format!("line {}: bad timestamp", lineno + 2))?,
-                ),
-                banner: unescape(fields[7]),
-                body_snippet: unescape(fields[8]),
-            });
+            records.push(ScanRecord::parse_line(line).map_err(|e| {
+                WireError::new(e.field, format!("line {}: {}", lineno + 2, e.reason))
+            })?);
         }
         Ok(ScanIndex::build(records))
     }
@@ -235,8 +200,39 @@ mod tests {
 
     #[test]
     fn escaping_round_trips() {
-        for s in ["plain", "tab\there", "nl\nhere", "bs\\here", "\r\n\t\\"] {
-            assert_eq!(unescape(&escape(s)), s);
+        for s in [
+            "plain",
+            "tab\there",
+            "nl\nhere",
+            "bs\\here",
+            "\r\n\t\\",
+            "a,b",
+        ] {
+            let mut r = rec("5.0.0.1", 80, s);
+            r.path = s.into();
+            r.body_snippet = s.into();
+            assert_eq!(ScanRecord::parse_line(&r.to_line()), Ok(r));
         }
+    }
+
+    #[test]
+    fn hostnames_with_commas_round_trip() {
+        let mut r = rec("5.0.0.1", 80, "banner");
+        r.hostnames = vec!["a,b.example".into(), "c.example".into()];
+        let index = ScanIndex::build(vec![r.clone()]);
+        let restored = ScanIndex::from_dump(&index.to_dump()).unwrap();
+        assert_eq!(restored.records(), &[r][..]);
+    }
+
+    #[test]
+    fn dump_rejects_unknown_and_dangling_escapes() {
+        let line = rec("5.0.0.1", 80, "banner").to_line();
+        let unknown = line.replace("banner", "ban\\qner");
+        let err = ScanIndex::from_dump(&format!("{MAGIC}\n{unknown}\n")).unwrap_err();
+        assert_eq!(err.field, "banner");
+        assert!(err.reason.starts_with("line 2:"), "{err}");
+        let dangling = line.replace("banner", "banner\\");
+        let err = ScanIndex::from_dump(&format!("{MAGIC}\n{dangling}\n")).unwrap_err();
+        assert_eq!(err.field, "banner");
     }
 }

@@ -239,16 +239,6 @@ impl ScanIndex {
         index
     }
 
-    /// Build an index from crawler records.
-    #[deprecated(
-        since = "0.2.0",
-        note = "one-shot flat constructor; use `ScanIndex::build` / \
-                `ScanIndex::build_with` (sharded, delta-ingestable)"
-    )]
-    pub fn from_records(records: Vec<ScanRecord>) -> Self {
-        Self::build(records)
-    }
-
     /// Append one record: cache its corpus text, post it into its
     /// shard, index its endpoint. Returns the arena id.
     fn ingest(&mut self, record: ScanRecord) -> usize {
@@ -849,6 +839,7 @@ mod tests {
     use super::*;
     use crate::keywords::KEYWORD_TABLE;
     use filterwatch_netsim::SimTime;
+    use filterwatch_telemetry::wire::Wire;
 
     fn rec(ip: &str, port: u16, banner: &str, host: &str, country: &str) -> ScanRecord {
         ScanRecord {
@@ -1015,17 +1006,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_matches_build() {
-        let records = vec![rec("5.0.0.1", 80, "Server: ProxySG", "gw.example.sy", "SY")];
-        let old = ScanIndex::from_records(records.clone());
-        let new = ScanIndex::build(records);
-        assert_eq!(old.records(), new.records());
-        assert_eq!(old.corpus(), new.corpus());
-        assert_eq!(old.stats(), new.stats());
-    }
-
-    #[test]
     fn shard_count_does_not_change_results() {
         let records = crate::synth::synth_records(200, 13);
         let pairs: Vec<(&str, &str)> = crate::synth::SYNTH_COUNTRIES.to_vec();
@@ -1165,7 +1145,7 @@ mod tests {
         assert!(idx.posting_bytes() > 0);
         for e in &epochs {
             let line = e.to_line();
-            assert_eq!(crate::shard::ShardEpoch::parse_line(&line), Some(*e));
+            assert_eq!(crate::shard::ShardEpoch::parse_line(&line), Ok(*e));
         }
     }
 }

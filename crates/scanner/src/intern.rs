@@ -11,6 +11,8 @@
 //! `HashMap`, whose iteration order is seeded per-process and would
 //! trip the determinism lint if it ever leaked into a render path).
 
+use filterwatch_telemetry::wire::{decode_list, encode_list, field, tagged, Wire, WireError};
+
 /// Dense id for an interned string. Ids are assigned in insertion
 /// order starting at 0 and are stable for the life of the interner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -37,6 +39,8 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Insertion-ordered string interner with open-addressing lookup.
+/// Two interners are equal when they assign the same ids to the same
+/// strings; the slot table is derived from that.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     /// Arena: id → string, in insertion order.
@@ -140,67 +144,46 @@ impl Interner {
         }
         self.slots = slots;
     }
+}
 
-    /// Render the interner as one wire line:
-    /// `interner: <count> <label,label,...>` with labels in id order
-    /// (insertion order), tab-escaped. The id-order listing *is* the
-    /// id assignment, so `parse_line` reconstructs identical symbols.
-    pub fn to_line(&self) -> String {
-        let labels: Vec<String> = self.arena.iter().map(|s| escape(s)).collect();
-        format!("interner: {} {}", self.arena.len(), labels.join(","))
+impl PartialEq for Interner {
+    fn eq(&self, other: &Interner) -> bool {
+        self.arena == other.arena
+    }
+}
+
+impl Eq for Interner {}
+
+/// `interner: <count> <label,label,...>` with labels in id order
+/// (insertion order) as a list field. The id-order listing *is* the id
+/// assignment, so `parse_line` reconstructs identical symbols.
+impl Wire for Interner {
+    fn to_line(&self) -> String {
+        format!(
+            "interner: {} {}",
+            self.arena.len(),
+            encode_list(&self.arena)
+        )
     }
 
-    /// Parse a line produced by [`Interner::to_line`].
-    pub fn parse_line(line: &str) -> Option<Interner> {
-        let rest = line.strip_prefix("interner: ")?;
-        let (count, labels) = match rest.split_once(' ') {
-            Some((c, l)) => (c, l),
-            None => (rest, ""),
-        };
-        let count: usize = count.parse().ok()?;
+    fn parse_line(line: &str) -> Result<Interner, WireError> {
+        let rest = tagged("interner", "interner: ", line)?;
+        let (count, labels) = rest.split_once(' ').unwrap_or((rest, ""));
+        let count: usize = field("count", count)?;
         let mut interner = Interner::new();
         if count > 0 {
-            for label in labels.split(',') {
-                interner.intern(&unescape(label)?);
+            for label in decode_list("labels", labels)? {
+                interner.intern(&label);
             }
         }
-        (interner.len() == count).then_some(interner)
-    }
-}
-
-/// Escape `,` / `\` / control characters for the one-line wire form.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            ',' => out.push_str("\\c"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
+        if interner.len() != count {
+            return Err(WireError::new(
+                "labels",
+                format!("{} distinct labels, count says {count}", interner.len()),
+            ));
         }
+        Ok(interner)
     }
-    out
-}
-
-/// Inverse of [`escape`]; `None` on a dangling or unknown escape.
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            'c' => out.push(','),
-            'n' => out.push('\n'),
-            't' => out.push('\t'),
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -267,9 +250,12 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed() {
-        assert!(Interner::parse_line("not-a-line").is_none());
-        assert!(Interner::parse_line("interner: x a,b").is_none());
-        assert!(Interner::parse_line("interner: 3 a,b").is_none());
-        assert!(Interner::parse_line("interner: 1 bad\\q").is_none());
+        assert!(Interner::parse_line("not-a-line").is_err());
+        assert_eq!(
+            Interner::parse_line("interner: x a,b").unwrap_err().field,
+            "count"
+        );
+        assert!(Interner::parse_line("interner: 3 a,b").is_err());
+        assert!(Interner::parse_line("interner: 1 bad\\q").is_err());
     }
 }

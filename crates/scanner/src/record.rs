@@ -45,16 +45,6 @@ impl ScanRecord {
             self.body_snippet
         )
     }
-
-    /// The searchable text of the record, rebuilt on every call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh String per call; use the corpus cached at \
-                index build time (`ScanIndex::corpus_of` / `ScanIndex::corpus`)"
-    )]
-    pub fn text(&self) -> String {
-        self.searchable_text()
-    }
 }
 
 impl std::fmt::Display for ScanRecord {
@@ -95,13 +85,6 @@ mod tests {
         assert!(text.contains("8080/webadmin/"));
         assert!(text.contains("netsweeper/5.1"));
         assert!(text.contains("gw.isp.qa"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_text_matches_searchable_text() {
-        let r = record();
-        assert_eq!(r.text(), r.searchable_text());
     }
 
     #[test]

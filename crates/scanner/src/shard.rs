@@ -14,6 +14,7 @@
 
 use crate::bitset::DenseBitSet;
 use crate::intern::Sym;
+use filterwatch_telemetry::wire::{field, split, tagged, Wire, WireError};
 use std::collections::BTreeMap;
 
 /// How to shard a [`crate::ScanIndex`](crate::ScanIndex).
@@ -45,28 +46,22 @@ pub struct ShardEpoch {
     pub tombstones: usize,
 }
 
-impl ShardEpoch {
-    /// Render the one-line wire form.
-    pub fn to_line(&self) -> String {
+impl Wire for ShardEpoch {
+    fn to_line(&self) -> String {
         format!(
             "shard-epoch: {} {} {} {}",
             self.shard, self.epoch, self.live, self.tombstones
         )
     }
 
-    /// Parse a line produced by [`ShardEpoch::to_line`].
-    pub fn parse_line(line: &str) -> Option<ShardEpoch> {
-        let rest = line.strip_prefix("shard-epoch: ")?;
-        let mut fields = rest.split_whitespace();
-        let shard = fields.next()?.parse().ok()?;
-        let epoch = fields.next()?.parse().ok()?;
-        let live = fields.next()?.parse().ok()?;
-        let tombstones = fields.next()?.parse().ok()?;
-        fields.next().is_none().then_some(ShardEpoch {
-            shard,
-            epoch,
-            live,
-            tombstones,
+    fn parse_line(line: &str) -> Result<ShardEpoch, WireError> {
+        let rest = tagged("shard-epoch", "shard-epoch: ", line)?;
+        let [shard, epoch, live, tombstones] = split(rest, ' ')?;
+        Ok(ShardEpoch {
+            shard: field("shard", shard)?,
+            epoch: field("epoch", epoch)?,
+            live: field("live", live)?,
+            tombstones: field("tombstones", tombstones)?,
         })
     }
 }
@@ -213,15 +208,20 @@ mod tests {
         };
         let line = e.to_line();
         assert_eq!(line, "shard-epoch: 7 42 1003 12");
-        assert_eq!(ShardEpoch::parse_line(&line), Some(e));
+        assert_eq!(ShardEpoch::parse_line(&line), Ok(e));
     }
 
     #[test]
     fn shard_epoch_parse_rejects_malformed() {
-        assert!(ShardEpoch::parse_line("shard: 1 2 3 4").is_none());
-        assert!(ShardEpoch::parse_line("shard-epoch: 1 2 3").is_none());
-        assert!(ShardEpoch::parse_line("shard-epoch: 1 2 3 4 5").is_none());
-        assert!(ShardEpoch::parse_line("shard-epoch: a 2 3 4").is_none());
+        assert!(ShardEpoch::parse_line("shard: 1 2 3 4").is_err());
+        assert!(ShardEpoch::parse_line("shard-epoch: 1 2 3").is_err());
+        assert!(ShardEpoch::parse_line("shard-epoch: 1 2 3 4 5").is_err());
+        assert_eq!(
+            ShardEpoch::parse_line("shard-epoch: a 2 3 4")
+                .unwrap_err()
+                .field,
+            "shard"
+        );
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Property-based tests for the scan index, its dump format and diffs.
+//! Property-based tests for the scan index and snapshot diffs. The
+//! dump format is checked by the shared wire harness in
+//! `filterwatch-testkit`.
 
 use filterwatch_netsim::{IpAddr, SimTime};
 use filterwatch_scanner::{diff, keywords, ScanIndex, ScanRecord, ShardConfig};
@@ -56,14 +58,6 @@ fn any_record() -> impl Strategy<Value = ScanRecord> {
 }
 
 proptest! {
-    /// Dump → restore is the identity for any record set.
-    #[test]
-    fn dump_round_trip(records in proptest::collection::vec(any_record(), 0..20)) {
-        let index = ScanIndex::build(records);
-        let restored = ScanIndex::from_dump(&index.to_dump()).unwrap();
-        prop_assert_eq!(index.records(), restored.records());
-    }
-
     /// Self-diff is always empty; diff against empty lists everything.
     #[test]
     fn diff_identities(records in proptest::collection::vec(any_record(), 0..15)) {
@@ -102,12 +96,6 @@ proptest! {
         let with_country = records.iter().filter(|r| r.country.is_some()).count();
         prop_assert_eq!(by_country_total, with_country);
         prop_assert!(stats.addresses <= stats.records.max(1));
-    }
-
-    /// The dump parser never panics on arbitrary text.
-    #[test]
-    fn dump_parser_total(text in "\\PC{0,300}") {
-        let _ = ScanIndex::from_dump(&text);
     }
 
     /// The posting-list country search equals the brute-force

@@ -7,10 +7,12 @@
 //! ```
 //!
 //! `kind` and keys are restricted to `[a-z0-9_.-]`; values may contain
-//! anything, with `\\`, tab and newline escaped (`\\\\`, `\\t`, `\\n`)
-//! — the same discipline as the scanner's dump format. `parse_line`
-//! inverts `to_line` exactly, and [`to_dump`]/[`from_dump`] wrap a whole
-//! log with a versioned header for persistence.
+//! anything, escaped by the shared [`wire`](crate::wire) codec, whose
+//! `key=value` tail trace events use too. `parse_line` inverts
+//! `to_line` exactly, and [`to_dump`]/[`from_dump`] wrap a whole log
+//! with a versioned header for persistence.
+
+use crate::wire::{field, parse_kv, push_kv, tagged, valid_key, Wire, WireError};
 
 /// One structured event at a virtual-clock instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,54 +29,12 @@ pub struct Event {
 /// Magic first line of an event-log dump.
 pub const MAGIC: &str = "filterwatch-telemetry-events v1";
 
-fn valid_token(s: &str) -> bool {
-    !s.is_empty()
-        && s.bytes().all(|b| {
-            b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'_' | b'.' | b'-')
-        })
-}
-
-/// Escape a value for one tab-separated field.
-pub fn escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Invert [`escape`]. Returns `None` on a dangling or unknown escape.
-pub fn unescape(value: &str) -> Option<String> {
-    let mut out = String::with_capacity(value.len());
-    let mut chars = value.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 impl Event {
     /// Build an event, validating the kind and keys.
     pub fn new(at_secs: u64, kind: &str, fields: &[(&str, &str)]) -> Self {
-        assert!(valid_token(kind), "invalid event kind {kind:?}");
+        assert!(valid_key(kind), "invalid event kind {kind:?}");
         for (k, _) in fields {
-            assert!(valid_token(k), "invalid event key {k:?}");
+            assert!(valid_key(k), "invalid event key {k:?}");
         }
         Event {
             at_secs,
@@ -86,55 +46,37 @@ impl Event {
         }
     }
 
-    /// Encode as one stable line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        let mut line = format!("v{}\t{}", self.at_secs, self.kind);
-        for (k, v) in &self.fields {
-            line.push('\t');
-            line.push_str(k);
-            line.push('=');
-            line.push_str(&escape(v));
-        }
-        line
-    }
-
-    /// Parse a line produced by [`Event::to_line`].
-    pub fn parse_line(line: &str) -> Result<Event, String> {
-        let mut parts = line.split('\t');
-        let at = parts.next().ok_or("empty line")?;
-        let secs: u64 = at
-            .strip_prefix('v')
-            .ok_or_else(|| format!("timestamp must start with 'v': {at:?}"))?
-            .parse()
-            .map_err(|e| format!("bad timestamp {at:?}: {e}"))?;
-        let kind = parts.next().ok_or("missing event kind")?;
-        if !valid_token(kind) {
-            return Err(format!("invalid event kind {kind:?}"));
-        }
-        let mut fields = Vec::new();
-        for part in parts {
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("field without '=': {part:?}"))?;
-            if !valid_token(k) {
-                return Err(format!("invalid event key {k:?}"));
-            }
-            let v = unescape(v).ok_or_else(|| format!("bad escape in value {v:?}"))?;
-            fields.push((k.to_string(), v));
-        }
-        Ok(Event {
-            at_secs: secs,
-            kind: kind.to_string(),
-            fields,
-        })
-    }
-
     /// Value of the first field named `key`, if present.
     pub fn field(&self, key: &str) -> Option<&str> {
         self.fields
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+}
+
+impl Wire for Event {
+    fn to_line(&self) -> String {
+        let mut line = format!("v{}\t{}", self.at_secs, self.kind);
+        push_kv(&mut line, &self.fields);
+        line
+    }
+
+    fn parse_line(line: &str) -> Result<Event, WireError> {
+        let mut parts = line.split('\t');
+        let at_secs = field("at", tagged("at", "v", parts.next().unwrap_or_default())?)?;
+        let kind = parts.next().unwrap_or_default();
+        if !valid_key(kind) {
+            return Err(WireError::new(
+                "kind",
+                format!("invalid event kind {kind:?}"),
+            ));
+        }
+        Ok(Event {
+            at_secs,
+            kind: kind.to_string(),
+            fields: parse_kv(parts)?,
+        })
     }
 }
 
@@ -150,11 +92,10 @@ pub fn to_dump(events: &[Event]) -> String {
 }
 
 /// Parse a dump produced by [`to_dump`].
-pub fn from_dump(dump: &str) -> Result<Vec<Event>, String> {
+pub fn from_dump(dump: &str) -> Result<Vec<Event>, WireError> {
     let mut lines = dump.lines();
-    match lines.next() {
-        Some(MAGIC) => {}
-        other => return Err(format!("bad event dump header: {other:?}")),
+    if lines.next() != Some(MAGIC) {
+        return Err(WireError::new("header", format!("expected {MAGIC:?}")));
     }
     lines.map(Event::parse_line).collect()
 }

@@ -16,6 +16,10 @@
 //!   stable single-line TSV/KV encoding that parses back losslessly,
 //!   dump/restore included. No serde, no external dependencies.
 //!
+//! The crate also owns the workspace's one wire codec ([`wire`]): the
+//! escaping table, [`WireError`], the [`Wire`] line trait and the
+//! [`wire_enum!`] token tables every other crate's line formats use.
+//!
 //! Everything hangs off a [`TelemetryHandle`]. A disabled handle is a
 //! `None` internally: every call is a branch on a null pointer and
 //! nothing is recorded, so instrumentation can stay unconditionally in
@@ -44,6 +48,7 @@ pub mod event;
 pub mod metrics;
 pub mod render;
 pub mod span;
+pub mod wire;
 
 mod collector;
 
@@ -51,6 +56,7 @@ pub use collector::{Snapshot, TelemetryHandle};
 pub use event::Event;
 pub use metrics::{CounterEntry, GaugeEntry, HistogramSnapshot};
 pub use span::{SpanId, SpanRecord};
+pub use wire::{Wire, WireError};
 
 /// Canonical stage names used for spans across the pipeline.
 pub mod stage {
@@ -66,7 +72,7 @@ pub mod stage {
     pub const CHARACTERIZE: &str = "characterize";
     /// An end-to-end campaign run.
     pub const CAMPAIGN: &str = "campaign";
-    /// A campaign parked on the orchestrator's timer wheel between
+    /// A campaign parked on the orchestrator's deadline queue between
     /// submit and retest (spans the virtual wait).
     pub const SCHED_WAIT: &str = "sched.wait";
     /// Orchestrator supervision: checkpoint writes, restores, timer

@@ -7,6 +7,7 @@
 use crate::collector::Snapshot;
 use crate::format_vtime;
 use crate::metrics::render_key;
+use crate::wire::Wire;
 
 /// Render rows as a column-aligned text table with a dashed header rule.
 fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -43,7 +44,8 @@ fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-fn csv_escape(cell: &str) -> String {
+/// Quote one CSV cell when it holds a comma, quote or newline.
+pub fn csv_escape(cell: &str) -> String {
     if cell.contains([',', '"', '\n']) {
         format!("\"{}\"", cell.replace('"', "\"\""))
     } else {

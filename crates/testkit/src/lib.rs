@@ -25,7 +25,9 @@
 //! - [`golden`] — checked-in snapshots with
 //!   `FILTERWATCH_UPDATE_GOLDENS=1` regeneration;
 //! - [`differential`] — the multi-seed differential runner with greedy
-//!   failure minimization.
+//!   failure minimization;
+//! - [`wire`] — the one round-trip and totality harness every wire
+//!   format is checked with.
 //!
 //! Everything is a pure function of the seed: two runs of any testkit
 //! entry point at the same seed produce byte-identical output.
@@ -38,6 +40,7 @@ pub mod orchestrate;
 pub mod plan;
 pub mod runner;
 pub mod strategies;
+pub mod wire;
 pub mod worldgen;
 
 pub use corpus::{synth_corpus, synth_corpus_index};

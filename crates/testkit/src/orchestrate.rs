@@ -20,6 +20,8 @@ use filterwatch_orchestrator::{
     Orchestrator, Outcome, ResumeError, StageDriver, StageState, StepOutcome,
 };
 
+use filterwatch_telemetry::wire::{Wire, WireError};
+
 use crate::runner::{
     baseline_stage, identify_stage, retest_stage, submit_stage, sweep_stage, CaseInFlight,
     CaseOutcome, GeneratedReport, RunConfig, WAIT_DAYS,
@@ -190,13 +192,14 @@ pub fn run_generated_campaign(
 /// byte-identical to the uninterrupted run's.
 pub fn resume_generated_campaign(checkpoint_line: &str) -> Result<GeneratedReport, ResumeError> {
     let ckpt = CampaignCheckpoint::parse_line(checkpoint_line).map_err(ResumeError::Parse)?;
-    let mut driver = GeneratedDriver::new(ckpt.descriptor.clone()).map_err(ResumeError::Parse)?;
+    let mut driver = GeneratedDriver::new(ckpt.descriptor.clone())
+        .map_err(|e| ResumeError::Parse(WireError::new("campaign", e)))?;
     let stage = replay(&mut driver, &ckpt)?;
     let mut orch = Orchestrator::with_stages(vec![(driver, stage)]);
     match orch.run() {
         Outcome::Complete => {}
         Outcome::Crashed { at_checkpoint } => {
-            return Err(ResumeError::Parse(format!(
+            return Err(ResumeError::Drift(format!(
                 "unexpected crash at checkpoint {at_checkpoint} with no crash plan"
             )))
         }

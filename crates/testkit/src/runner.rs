@@ -12,6 +12,7 @@ use filterwatch_measure::ResilienceConfig;
 use filterwatch_netsim::FetchPath;
 use filterwatch_products::{ProductKind, SubmitterProfile};
 use filterwatch_scanner::ScanEngine;
+use filterwatch_telemetry::wire::Wire;
 use filterwatch_telemetry::TelemetryHandle;
 use filterwatch_trace::{build_forest, render_forest, TraceHandle};
 use filterwatch_urllists::TestList;
@@ -177,7 +178,7 @@ pub fn sweep_stage(gw: &GeneratedWorld, config: &RunConfig) -> Vec<String> {
         for test_url in &list.urls {
             let url = filterwatch_http::Url::parse(&test_url.url).expect("list URL");
             let v = client.test_url(&gw.net, &url);
-            list_lines.push(format!("dep{dep} {}", v.to_line()));
+            list_lines.push(format!("dep{dep} {}", v.line().to_line()));
         }
     }
     list_lines
@@ -238,7 +239,7 @@ pub fn retest_stage(gw: &GeneratedWorld, config: &RunConfig, case: CaseInFlight)
             } else {
                 "heldout"
             },
-            v.to_line()
+            v.line().to_line()
         ));
     }
     let submitted_blocked = blocked[..spec.n_submit].iter().filter(|&&b| b).count();

@@ -16,6 +16,7 @@ use filterwatch_orchestrator::{
     CampaignCheckpoint, CampaignDescriptor, CampaignKind, CrashPlan, Orchestrator, Outcome,
     ResumeError,
 };
+use filterwatch_telemetry::wire::Wire;
 use filterwatch_testkit::{
     plan_for_seed, resume_generated_campaign, run_campaign, run_campaign_with,
     run_generated_campaign, seeds_from_env, GeneratedDriver, RunConfig,

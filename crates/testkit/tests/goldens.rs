@@ -9,6 +9,7 @@
 
 use filterwatch_core::campaign::Campaign;
 use filterwatch_core::DEFAULT_SEED;
+use filterwatch_telemetry::wire::Wire;
 use filterwatch_testkit::{check_golden, plan_for_seed, run_campaign};
 
 #[test]
@@ -176,8 +177,7 @@ fn pin_log(out: &mut String, name: &str, text: &str) {
 /// `outage:`, `truncated`, `breaker-skip:` or `dnsfail:injected`).
 #[test]
 fn wire_formats_golden() {
-    use filterwatch_measure::verdict::VerdictLabel;
-    use filterwatch_measure::ResilienceConfig;
+    use filterwatch_measure::{ResilienceConfig, VerdictLabel};
     use filterwatch_netsim::{EventKind, FaultProfile, FlowDisposition};
     use filterwatch_orchestrator::{
         run_paper_campaign, CampaignDescriptor, CampaignKind, StageState,
@@ -187,8 +187,7 @@ fn wire_formats_golden() {
         baseline_stage, identify_stage, retest_stage, submit_stage, sweep_stage, RunConfig,
         WAIT_DAYS,
     };
-    use filterwatch_trace::step::ALL_STEPS;
-    use filterwatch_trace::TraceMode;
+    use filterwatch_trace::{StepKind, TraceMode};
 
     let mut out = format!("# wire formats (seed {DEFAULT_SEED})\n");
 
@@ -305,46 +304,25 @@ fn wire_formats_golden() {
     ];
     let tokens: String = stages.iter().map(|s| s.to_line() + "\n").collect();
     pin_log(&mut out, "stage states", &tokens);
-    let tokens: String = ALL_STEPS
-        .iter()
-        .map(|s| s.to_token().to_string() + "\n")
-        .collect();
-    pin_log(&mut out, "step kinds", &tokens);
-    let kinds = [
-        EventKind::Dns,
-        EventKind::Fault,
-        EventKind::MbHop,
-        EventKind::Origin,
-        EventKind::Response,
-    ];
-    let tokens: String = kinds
-        .iter()
-        .map(|k| k.to_token().to_string() + "\n")
-        .collect();
-    pin_log(&mut out, "kernel event kinds", &tokens);
-    let kinds = [
-        CampaignKind::Standard,
-        CampaignKind::Demo,
-        CampaignKind::Generated,
-    ];
-    let tokens: String = kinds
-        .iter()
-        .map(|k| k.to_token().to_string() + "\n")
-        .collect();
-    pin_log(&mut out, "campaign kinds", &tokens);
-    let labels = [
-        VerdictLabel::Accessible,
-        VerdictLabel::Blocked,
-        VerdictLabel::Modified,
-        VerdictLabel::Inaccessible,
-        VerdictLabel::Unavailable,
-        VerdictLabel::Inconclusive,
-    ];
-    let tokens: String = labels
-        .iter()
-        .map(|l| l.as_str().to_string() + "\n")
-        .collect();
-    pin_log(&mut out, "verdict labels", &tokens);
+    let lines = |tokens: Vec<&str>| -> String { tokens.iter().map(|t| format!("{t}\n")).collect() };
+    let steps = lines(StepKind::ALL.iter().map(StepKind::to_token).collect());
+    pin_log(&mut out, "step kinds", &steps);
+    let kinds = lines(EventKind::ALL.iter().map(EventKind::to_token).collect());
+    pin_log(&mut out, "kernel event kinds", &kinds);
+    let kinds = lines(
+        CampaignKind::ALL
+            .iter()
+            .map(CampaignKind::to_token)
+            .collect(),
+    );
+    pin_log(&mut out, "campaign kinds", &kinds);
+    let labels = lines(
+        VerdictLabel::ALL
+            .iter()
+            .map(VerdictLabel::to_token)
+            .collect(),
+    );
+    pin_log(&mut out, "verdict labels", &labels);
 
     check_golden("wire-formats", &out).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -7,15 +7,16 @@
 //! ```
 //!
 //! Spans and point events share the representation: a point is a span
-//! whose start and end coincide and which never has children. Keys are
-//! restricted to `[a-z0-9_.-]`; values use the telemetry event log's
-//! escaping (`\\`, `\t`, `\n`, `\r`), so any URL or error string is
-//! safe. `parse_line` inverts `to_line` exactly — the pair is
-//! registered in the w1-wire-pair lint.
+//! whose start and end coincide and which never has children. The
+//! `key=value` tail is the telemetry event log's, from the shared
+//! [`wire`](filterwatch_telemetry::wire) codec, so any URL or error
+//! string is safe. `parse_line` inverts `to_line` exactly.
 
 use crate::ids::{SpanId, TraceId};
 use crate::step::StepKind;
-use filterwatch_telemetry::event::{escape, unescape};
+use filterwatch_telemetry::wire::{
+    field, optional, parse_kv, push_kv, tagged, Wire, WireError, ABSENT,
+};
 
 /// One causal step: a closed span or a point event on the virtual clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,13 +37,6 @@ pub struct TraceEvent {
     pub fields: Vec<(String, String)>,
 }
 
-fn valid_key(s: &str) -> bool {
-    !s.is_empty()
-        && s.bytes().all(|b| {
-            b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'_' | b'.' | b'-')
-        })
-}
-
 impl TraceEvent {
     /// Virtual duration in seconds (0 for point events).
     pub fn duration_secs(&self) -> u64 {
@@ -56,12 +50,13 @@ impl TraceEvent {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
+}
 
-    /// Encode as one stable line (no trailing newline).
-    pub fn to_line(&self) -> String {
+impl Wire for TraceEvent {
+    fn to_line(&self) -> String {
         let parent = match self.parent {
             Some(p) => p.to_string(),
-            None => "-".to_string(),
+            None => ABSENT.to_string(),
         };
         let mut line = format!(
             "{}\t{}\t{}\tv{}\tv{}\t{}",
@@ -72,48 +67,22 @@ impl TraceEvent {
             self.end_secs,
             self.step.to_token()
         );
-        for (k, v) in &self.fields {
-            line.push('\t');
-            line.push_str(k);
-            line.push('=');
-            line.push_str(&escape(v));
-        }
+        push_kv(&mut line, &self.fields);
         line
     }
 
-    /// Parse a line produced by [`TraceEvent::to_line`].
-    pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
+    fn parse_line(line: &str) -> Result<TraceEvent, WireError> {
         let mut parts = line.split('\t');
-        let trace = TraceId::parse(parts.next().ok_or("empty trace line")?)?;
-        let span = SpanId::parse(parts.next().ok_or("missing span id")?)?;
-        let parent = match parts.next().ok_or("missing parent id")? {
-            "-" => None,
-            p => Some(SpanId::parse(p)?),
-        };
-        let mut vtime = |what: &str| -> Result<u64, String> {
-            let t = parts.next().ok_or(format!("missing {what} time"))?;
-            t.strip_prefix('v')
-                .ok_or_else(|| format!("{what} time must start with 'v': {t:?}"))?
-                .parse()
-                .map_err(|e| format!("bad {what} time {t:?}: {e}"))
-        };
-        let at_secs = vtime("start")?;
-        let end_secs = vtime("end")?;
+        let mut next = || parts.next().unwrap_or_default();
+        let trace = TraceId::parse(next())?;
+        let span = SpanId::parse(next())?;
+        let parent = optional(next(), SpanId::parse)?;
+        let at_secs = field("start", tagged("start", "v", next())?)?;
+        let end_secs = field("end", tagged("end", "v", next())?)?;
         if end_secs < at_secs {
-            return Err(format!("span ends before it starts: {line:?}"));
+            return Err(WireError::new("end", "span ends before it starts"));
         }
-        let step = StepKind::parse_token(parts.next().ok_or("missing step token")?)?;
-        let mut fields = Vec::new();
-        for part in parts {
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("field without '=': {part:?}"))?;
-            if !valid_key(k) {
-                return Err(format!("invalid field key {k:?}"));
-            }
-            let v = unescape(v).ok_or_else(|| format!("bad escape in value {v:?}"))?;
-            fields.push((k.to_string(), v));
-        }
+        let step = StepKind::parse_token(next())?;
         Ok(TraceEvent {
             trace,
             span,
@@ -121,7 +90,7 @@ impl TraceEvent {
             at_secs,
             end_secs,
             step,
-            fields,
+            fields: parse_kv(parts)?,
         })
     }
 }
@@ -137,7 +106,7 @@ pub fn to_log(events: &[TraceEvent]) -> String {
 }
 
 /// Parse a log produced by [`to_log`] (blank lines ignored).
-pub fn from_log(log: &str) -> Result<Vec<TraceEvent>, String> {
+pub fn from_log(log: &str) -> Result<Vec<TraceEvent>, WireError> {
     log.lines()
         .filter(|l| !l.is_empty())
         .map(TraceEvent::parse_line)

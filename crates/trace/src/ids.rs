@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use filterwatch_telemetry::wire::{field, tagged, WireError};
+
 /// 64-bit trace identifier, rendered as `t` + 16 lowercase hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
@@ -35,16 +37,17 @@ impl TraceId {
     }
 
     /// Parse the `t<16 hex>` wire form.
-    pub fn parse(s: &str) -> Result<TraceId, String> {
-        let hex = s
-            .strip_prefix('t')
-            .ok_or_else(|| format!("trace id must start with 't': {s:?}"))?;
+    pub fn parse(s: &str) -> Result<TraceId, WireError> {
+        let hex = tagged("trace", "t", s)?;
         if hex.len() != 16 {
-            return Err(format!("trace id must be 16 hex digits: {s:?}"));
+            return Err(WireError::new(
+                "trace",
+                format!("{s:?} is not 16 hex digits"),
+            ));
         }
         u64::from_str_radix(hex, 16)
             .map(TraceId)
-            .map_err(|e| format!("bad trace id {s:?}: {e}"))
+            .map_err(|e| WireError::new("trace", format!("{s:?}: {e}")))
     }
 }
 
@@ -62,13 +65,8 @@ pub struct SpanId(pub u32);
 
 impl SpanId {
     /// Parse the `s<n>` wire form.
-    pub fn parse(s: &str) -> Result<SpanId, String> {
-        let n = s
-            .strip_prefix('s')
-            .ok_or_else(|| format!("span id must start with 's': {s:?}"))?;
-        n.parse()
-            .map(SpanId)
-            .map_err(|e| format!("bad span id {s:?}: {e}"))
+    pub fn parse(s: &str) -> Result<SpanId, WireError> {
+        field("span", tagged("span", "s", s)?).map(SpanId)
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Every trace event names one [`StepKind`]; free-form data (URLs,
 //! vantage names, verdict labels) lives in the event's key/value
-//! fields, never in the token itself. Keeping the vocabulary closed is
-//! what lets the w1-wire-pair lint prove `to_token`/`parse_token`
-//! cover the same set.
+//! fields, never in the token itself. The token table is generated
+//! from one list, so `to_token` and `parse_token` cover the same set by
+//! construction.
 
 /// One kind of step in a causal chain, from campaign root down to a
 /// single middlebox hop.
@@ -55,97 +55,39 @@ pub enum StepKind {
     /// A campaign restored from a checkpoint; opened as a span so
     /// verdicts produced after the restore carry it in their ancestry.
     Resume,
-    /// A timer-wheel deadline firing (the scheduler waking a campaign
-    /// parked in its `Wait` stage).
+    /// A `Wait` deadline firing (the scheduler waking a campaign parked
+    /// in its `Wait` stage).
     SchedTimer,
 }
 
-/// All step kinds, in wire-token order (handy for tests and strategies).
-pub const ALL_STEPS: &[StepKind] = &[
-    StepKind::Campaign,
-    StepKind::Stage,
-    StepKind::Case,
-    StepKind::Submit,
-    StepKind::Wait,
-    StepKind::UrlTest,
-    StepKind::Trial,
-    StepKind::Fetch,
-    StepKind::Redirect,
-    StepKind::Retry,
-    StepKind::Dns,
-    StepKind::PathFault,
-    StepKind::MbHop,
-    StepKind::OriginReply,
-    StepKind::BreakerOpen,
-    StepKind::FpMatch,
-    StepKind::Candidate,
-    StepKind::Quorum,
-    StepKind::Verdict,
-    StepKind::Checkpoint,
-    StepKind::Resume,
-    StepKind::SchedTimer,
-];
+filterwatch_telemetry::wire_enum! {
+    StepKind: "step" {
+        Campaign => "campaign",
+        Stage => "stage",
+        Case => "case",
+        Submit => "submit",
+        Wait => "wait",
+        UrlTest => "url-test",
+        Trial => "trial",
+        Fetch => "fetch",
+        Redirect => "redirect",
+        Retry => "retry",
+        Dns => "dns",
+        PathFault => "path-fault",
+        MbHop => "mb-hop",
+        OriginReply => "origin-reply",
+        BreakerOpen => "breaker-open",
+        FpMatch => "fp-match",
+        Candidate => "candidate",
+        Quorum => "quorum",
+        Verdict => "verdict",
+        Checkpoint => "checkpoint",
+        Resume => "resume",
+        SchedTimer => "sched-timer",
+    }
+}
 
 impl StepKind {
-    /// Stable wire token. Registered against [`StepKind::parse_token`]
-    /// in the w1-wire-pair lint: every token emitted here must have a
-    /// parse arm, and vice versa.
-    pub fn to_token(&self) -> &'static str {
-        match self {
-            StepKind::Campaign => "campaign",
-            StepKind::Stage => "stage",
-            StepKind::Case => "case",
-            StepKind::Submit => "submit",
-            StepKind::Wait => "wait",
-            StepKind::UrlTest => "url-test",
-            StepKind::Trial => "trial",
-            StepKind::Fetch => "fetch",
-            StepKind::Redirect => "redirect",
-            StepKind::Retry => "retry",
-            StepKind::Dns => "dns",
-            StepKind::PathFault => "path-fault",
-            StepKind::MbHop => "mb-hop",
-            StepKind::OriginReply => "origin-reply",
-            StepKind::BreakerOpen => "breaker-open",
-            StepKind::FpMatch => "fp-match",
-            StepKind::Candidate => "candidate",
-            StepKind::Quorum => "quorum",
-            StepKind::Verdict => "verdict",
-            StepKind::Checkpoint => "checkpoint",
-            StepKind::Resume => "resume",
-            StepKind::SchedTimer => "sched-timer",
-        }
-    }
-
-    /// Invert [`StepKind::to_token`].
-    pub fn parse_token(token: &str) -> Result<StepKind, String> {
-        match token {
-            "campaign" => Ok(StepKind::Campaign),
-            "stage" => Ok(StepKind::Stage),
-            "case" => Ok(StepKind::Case),
-            "submit" => Ok(StepKind::Submit),
-            "wait" => Ok(StepKind::Wait),
-            "url-test" => Ok(StepKind::UrlTest),
-            "trial" => Ok(StepKind::Trial),
-            "fetch" => Ok(StepKind::Fetch),
-            "redirect" => Ok(StepKind::Redirect),
-            "retry" => Ok(StepKind::Retry),
-            "dns" => Ok(StepKind::Dns),
-            "path-fault" => Ok(StepKind::PathFault),
-            "mb-hop" => Ok(StepKind::MbHop),
-            "origin-reply" => Ok(StepKind::OriginReply),
-            "breaker-open" => Ok(StepKind::BreakerOpen),
-            "fp-match" => Ok(StepKind::FpMatch),
-            "candidate" => Ok(StepKind::Candidate),
-            "quorum" => Ok(StepKind::Quorum),
-            "verdict" => Ok(StepKind::Verdict),
-            "checkpoint" => Ok(StepKind::Checkpoint),
-            "resume" => Ok(StepKind::Resume),
-            "sched-timer" => Ok(StepKind::SchedTimer),
-            other => Err(format!("unknown step token {other:?}")),
-        }
-    }
-
     /// Whether this step is a sampling unit: when the collector runs
     /// with `sample_every = n`, only every n-th subtree rooted at a
     /// sampled step is recorded. URL tests are the natural unit — at
@@ -162,7 +104,7 @@ mod tests {
 
     #[test]
     fn tokens_round_trip_exhaustively() {
-        for step in ALL_STEPS {
+        for step in StepKind::ALL {
             assert_eq!(StepKind::parse_token(step.to_token()), Ok(*step));
         }
         assert!(StepKind::parse_token("nope").is_err());
@@ -172,15 +114,18 @@ mod tests {
     #[test]
     fn tokens_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for step in ALL_STEPS {
+        for step in StepKind::ALL {
             assert!(seen.insert(step.to_token()), "duplicate {step:?}");
         }
-        assert_eq!(seen.len(), ALL_STEPS.len());
+        assert_eq!(seen.len(), StepKind::ALL.len());
     }
 
     #[test]
     fn only_url_tests_are_sample_units() {
-        let units: Vec<_> = ALL_STEPS.iter().filter(|s| s.is_sample_unit()).collect();
+        let units: Vec<_> = StepKind::ALL
+            .iter()
+            .filter(|s| s.is_sample_unit())
+            .collect();
         assert_eq!(units, vec![&StepKind::UrlTest]);
     }
 }

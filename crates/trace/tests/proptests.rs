@@ -1,12 +1,12 @@
-//! Property-based tests for the trace wire format and reconstruction.
+//! Property-based tests for trace reconstruction.
 //!
-//! Two families: (1) `TraceEvent` line/log round-trips under
-//! adversarial field values (tabs, newlines, backslashes, unicode);
-//! (2) permutation invariance — span-tree reconstruction, rendering,
-//! the profile and every `explain` artifact are pure functions of the
-//! event *set*, so shuffling the log must never change them.
+//! Permutation invariance — span-tree reconstruction, rendering, the
+//! profile and every `explain` artifact are pure functions of the event
+//! *set*, so shuffling the log must never change them — and
+//! reconstruction survives a wire round trip. The `TraceEvent` line
+//! codec itself is checked by the shared wire harness in
+//! `filterwatch-testkit`.
 
-use filterwatch_trace::step::ALL_STEPS;
 use filterwatch_trace::{
     build_forest, from_log, render_forest, render_profile, to_log, ProvenanceIndex, SpanId,
     StepKind, TraceEvent, TraceId,
@@ -14,7 +14,7 @@ use filterwatch_trace::{
 use proptest::prelude::*;
 
 fn any_step() -> impl Strategy<Value = StepKind> {
-    (0..ALL_STEPS.len() as u64).prop_map(|i| ALL_STEPS[i as usize])
+    (0..StepKind::ALL.len() as u64).prop_map(|i| StepKind::ALL[i as usize])
 }
 
 /// Keys are constrained by the wire format; values are adversarial.
@@ -26,29 +26,6 @@ fn any_fields() -> impl Strategy<Value = Vec<(String, String)>> {
         ),
         0..4,
     )
-}
-
-fn any_event() -> impl Strategy<Value = TraceEvent> {
-    (
-        any::<u64>(),
-        1u32..500,
-        proptest::option::of(1u32..500),
-        0u64..2_000_000,
-        0u64..100_000,
-        any_step(),
-        any_fields(),
-    )
-        .prop_map(
-            |(trace, span, parent, at, extra, step, fields)| TraceEvent {
-                trace: TraceId(trace),
-                span: SpanId(span),
-                parent: parent.map(SpanId),
-                at_secs: at,
-                end_secs: at + extra,
-                step,
-                fields,
-            },
-        )
 }
 
 /// A structurally plausible event log: one trace, spans 1..=n, each
@@ -105,33 +82,6 @@ fn shuffled(events: &[TraceEvent], seed: u64) -> Vec<TraceEvent> {
 }
 
 proptest! {
-    /// Any event survives to_line → parse_line byte-exact, whatever the
-    /// field values contain.
-    #[test]
-    fn wire_line_round_trips(event in any_event()) {
-        let line = event.to_line();
-        prop_assert!(!line.contains('\n'), "line must be single-line: {line:?}");
-        let back = TraceEvent::parse_line(&line)
-            .unwrap_or_else(|e| panic!("parse_line({line:?}): {e}"));
-        prop_assert_eq!(&back, &event);
-        prop_assert_eq!(back.to_line(), line);
-    }
-
-    /// Whole logs survive to_log → from_log.
-    #[test]
-    fn wire_log_round_trips(events in proptest::collection::vec(any_event(), 0..12)) {
-        let log = to_log(&events);
-        let back = from_log(&log).unwrap_or_else(|e| panic!("from_log: {e}"));
-        prop_assert_eq!(back, events);
-    }
-
-    /// Step tokens round-trip and never collide.
-    #[test]
-    fn step_token_round_trips(step in any_step()) {
-        let token = step.to_token();
-        prop_assert_eq!(StepKind::parse_token(token), Ok(step));
-    }
-
     /// Reconstruction and every rendering built on it are invariant
     /// under permutation of the event log.
     #[test]

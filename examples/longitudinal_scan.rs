@@ -15,6 +15,7 @@ use filterwatch_core::legacy::vendor_withdrawal;
 use filterwatch_core::{World, DEFAULT_SEED};
 use filterwatch_netsim::FlowDisposition;
 use filterwatch_scanner::{diff, ScanEngine, ScanIndex};
+use filterwatch_telemetry::wire::Wire;
 
 fn main() {
     let mut world = World::paper(DEFAULT_SEED);

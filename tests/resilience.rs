@@ -86,7 +86,7 @@ fn breaker_quarantines_fully_down_vantage() {
     }
     // The first URL burns through retries and reports honest transport
     // failure; once the breaker trips, the rest are skipped wholesale.
-    assert_eq!(verdicts[0].verdict.label(), "inaccessible");
+    assert_eq!(verdicts[0].verdict.kind().to_token(), "inaccessible");
     assert!(
         verdicts[1..].iter().all(|v| v.verdict.is_inconclusive()),
         "{verdicts:?}"
