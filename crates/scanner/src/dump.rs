@@ -14,7 +14,8 @@ use std::collections::BTreeMap;
 
 use filterwatch_netsim::SimTime;
 use filterwatch_telemetry::wire::{
-    decode_list, encode_list, escape, field, optional, split, unescape, Wire, WireError, ABSENT,
+    decode_list, encode_list, escape, field, optional, read_lines, split, unescape, write_lines,
+    Wire, WireError, ABSENT,
 };
 
 use crate::index::ScanIndex;
@@ -70,32 +71,12 @@ impl ScanIndex {
     /// dumped, in arena order — tombstoned slots awaiting compaction
     /// never reach a snapshot.
     pub fn to_dump(&self) -> String {
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
-        for r in self.live_records() {
-            out.push_str(&r.to_line());
-            out.push('\n');
-        }
-        out
+        write_lines(Some(MAGIC), self.live_records())
     }
 
     /// Parse a dump back into an index. Errors name the failing line.
     pub fn from_dump(text: &str) -> Result<ScanIndex, WireError> {
-        let mut lines = text.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(WireError::new("header", format!("expected {MAGIC:?}")));
-        }
-        let mut records = Vec::new();
-        for (lineno, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            records.push(ScanRecord::parse_line(line).map_err(|e| {
-                WireError::new(e.field, format!("line {}: {}", lineno + 2, e.reason))
-            })?);
-        }
-        Ok(ScanIndex::build(records))
+        read_lines(Some(MAGIC), text).map(ScanIndex::build)
     }
 }
 
@@ -159,6 +140,9 @@ mod tests {
 
     #[test]
     fn dump_round_trip() {
+        // Hostnames are a list field: a comma inside one survives.
+        let mut comma = rec("5.0.0.3", 80, "banner");
+        comma.hostnames = vec!["a,b.example".into(), "c.example".into()];
         let index = ScanIndex::build(vec![
             rec("5.0.0.1", 80, "HTTP/1.1 200 OK\r\nServer: x\r\n"),
             rec(
@@ -166,6 +150,7 @@ mod tests {
                 8080,
                 "HTTP/1.1 401 Unauthorized\r\nServer: netsweeper\r\n",
             ),
+            comma,
         ]);
         let dump = index.to_dump();
         let restored = ScanIndex::from_dump(&dump).unwrap();
@@ -178,6 +163,16 @@ mod tests {
         assert!(ScanIndex::from_dump("not a dump\n").is_err());
         let bad = format!("{MAGIC}\nonly\tthree\tfields\n");
         assert!(ScanIndex::from_dump(&bad).is_err());
+        // Unknown and dangling escapes are errors, not silently dropped.
+        let line = rec("5.0.0.1", 80, "banner").to_line();
+        for bad in [
+            line.replace("banner", "ban\\qner"),
+            line.replace("banner", "banner\\"),
+        ] {
+            let err = ScanIndex::from_dump(&format!("{MAGIC}\n{bad}\n")).unwrap_err();
+            assert_eq!(err.field, "banner");
+            assert!(err.reason.starts_with("line 2:"), "{err}");
+        }
     }
 
     #[test]
@@ -213,26 +208,5 @@ mod tests {
             r.body_snippet = s.into();
             assert_eq!(ScanRecord::parse_line(&r.to_line()), Ok(r));
         }
-    }
-
-    #[test]
-    fn hostnames_with_commas_round_trip() {
-        let mut r = rec("5.0.0.1", 80, "banner");
-        r.hostnames = vec!["a,b.example".into(), "c.example".into()];
-        let index = ScanIndex::build(vec![r.clone()]);
-        let restored = ScanIndex::from_dump(&index.to_dump()).unwrap();
-        assert_eq!(restored.records(), &[r][..]);
-    }
-
-    #[test]
-    fn dump_rejects_unknown_and_dangling_escapes() {
-        let line = rec("5.0.0.1", 80, "banner").to_line();
-        let unknown = line.replace("banner", "ban\\qner");
-        let err = ScanIndex::from_dump(&format!("{MAGIC}\n{unknown}\n")).unwrap_err();
-        assert_eq!(err.field, "banner");
-        assert!(err.reason.starts_with("line 2:"), "{err}");
-        let dangling = line.replace("banner", "banner\\");
-        let err = ScanIndex::from_dump(&format!("{MAGIC}\n{dangling}\n")).unwrap_err();
-        assert_eq!(err.field, "banner");
     }
 }

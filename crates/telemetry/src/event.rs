@@ -12,7 +12,9 @@
 //! `to_line` exactly, and [`to_dump`]/[`from_dump`] wrap a whole log
 //! with a versioned header for persistence.
 
-use crate::wire::{field, parse_kv, push_kv, tagged, valid_key, Wire, WireError};
+use crate::wire::{
+    field, parse_kv, push_kv, read_lines, tagged, valid_key, write_lines, Wire, WireError,
+};
 
 /// One structured event at a virtual-clock instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,22 +84,12 @@ impl Wire for Event {
 
 /// Serialize a whole event log with a versioned header.
 pub fn to_dump(events: &[Event]) -> String {
-    let mut out = String::from(MAGIC);
-    out.push('\n');
-    for e in events {
-        out.push_str(&e.to_line());
-        out.push('\n');
-    }
-    out
+    write_lines(Some(MAGIC), events)
 }
 
 /// Parse a dump produced by [`to_dump`].
 pub fn from_dump(dump: &str) -> Result<Vec<Event>, WireError> {
-    let mut lines = dump.lines();
-    if lines.next() != Some(MAGIC) {
-        return Err(WireError::new("header", format!("expected {MAGIC:?}")));
-    }
-    lines.map(Event::parse_line).collect()
+    read_lines(Some(MAGIC), dump)
 }
 
 #[cfg(test)]

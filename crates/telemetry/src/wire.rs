@@ -249,6 +249,42 @@ pub fn parse_kv<'a>(
         .collect()
 }
 
+/// Write one line per item under an optional header line, each line
+/// ending in a newline.
+pub fn write_lines<'a, T: Wire + 'a>(
+    header: Option<&str>,
+    items: impl IntoIterator<Item = &'a T>,
+) -> String {
+    let mut out = String::new();
+    for line in header
+        .map(str::to_string)
+        .into_iter()
+        .chain(items.into_iter().map(T::to_line))
+    {
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
+}
+
+/// Invert [`write_lines`]: check the header, skip blank lines, and name
+/// the failing line (1-based, header included) in errors.
+pub fn read_lines<T: Wire>(header: Option<&str>, text: &str) -> Result<Vec<T>, WireError> {
+    let mut lines = text.lines().enumerate();
+    if let Some(header) = header {
+        if lines.next().map(|(_, line)| line) != Some(header) {
+            return Err(WireError::new("header", format!("expected {header:?}")));
+        }
+    }
+    lines
+        .filter(|(_, line)| !line.is_empty())
+        .map(|(i, line)| {
+            T::parse_line(line)
+                .map_err(|e| WireError::new(e.field, format!("line {}: {}", i + 1, e.reason)))
+        })
+        .collect()
+}
+
 /// Generate a token table for a field-less enum: `ALL`, `to_token` and
 /// `parse_token`, all from one `Variant => "token"` list. `to_token`
 /// matches exhaustively, so a variant missing from the list does not

@@ -135,11 +135,11 @@ fn any_descriptor() -> impl Strategy<Value = CampaignDescriptor> {
         any::<bool>(),
         any::<bool>(),
     )
-        .prop_map(|(kind, seed, chaos, trace)| {
-            let mut d = CampaignDescriptor::new(kind, seed);
-            d.chaos = chaos;
-            d.trace = trace;
-            d
+        .prop_map(|(kind, seed, chaos, trace)| CampaignDescriptor {
+            kind,
+            seed,
+            chaos,
+            trace,
         })
 }
 

@@ -15,7 +15,7 @@
 use crate::ids::{SpanId, TraceId};
 use crate::step::StepKind;
 use filterwatch_telemetry::wire::{
-    field, optional, parse_kv, push_kv, tagged, Wire, WireError, ABSENT,
+    field, optional, parse_kv, push_kv, read_lines, tagged, write_lines, Wire, WireError, ABSENT,
 };
 
 /// One causal step: a closed span or a point event on the virtual clock.
@@ -97,20 +97,12 @@ impl Wire for TraceEvent {
 
 /// Serialize a trace log, one line per event.
 pub fn to_log(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&e.to_line());
-        out.push('\n');
-    }
-    out
+    write_lines(None, events)
 }
 
 /// Parse a log produced by [`to_log`] (blank lines ignored).
 pub fn from_log(log: &str) -> Result<Vec<TraceEvent>, WireError> {
-    log.lines()
-        .filter(|l| !l.is_empty())
-        .map(TraceEvent::parse_line)
-        .collect()
+    read_lines(None, log)
 }
 
 #[cfg(test)]
