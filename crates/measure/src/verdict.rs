@@ -91,17 +91,17 @@ impl std::fmt::Display for Verdict {
 /// parsing a line back recovers the label, not the full [`Verdict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerdictLabel {
-    /// [`Verdict::Accessible`]
+    /// `accessible`
     Accessible,
-    /// [`Verdict::Blocked`]
+    /// `blocked`
     Blocked,
-    /// [`Verdict::Modified`]
+    /// `modified`
     Modified,
-    /// [`Verdict::Inaccessible`]
+    /// `inaccessible`
     Inaccessible,
-    /// [`Verdict::Unavailable`]
+    /// `unavailable`
     Unavailable,
-    /// [`Verdict::Inconclusive`]
+    /// `inconclusive`
     Inconclusive,
 }
 

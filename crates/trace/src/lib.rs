@@ -17,8 +17,8 @@
 //!   confirm stages. Strictly an observer: no RNG draws, no clock
 //!   movement, so campaign tables are byte-identical with tracing on
 //!   or off.
-//! - **A stable wire format** ([`TraceEvent::to_line`] /
-//!   [`TraceEvent::parse_line`]), registered in the w1-wire-pair lint.
+//! - **A stable wire format**: [`TraceEvent`] lines through the shared
+//!   `filterwatch_telemetry::wire` codec.
 //! - **Reconstruction** ([`tree`]): span trees rebuilt from parent
 //!   links alone — invariant under event-log line reordering.
 //! - **Provenance** ([`ProvenanceIndex`]): query by URL, vantage or
