@@ -14,7 +14,7 @@
 //! log lines follow the workspace wire discipline:
 //! [`EventRecord::to_line`] / [`EventRecord::parse_line`] round-trip
 //! losslessly, and [`EventKind::to_token`] / [`EventKind::parse_token`]
-//! are a closed token pair (enforced by the w1 wire-pair lint).
+//! are generated from one token list by `wire_enum!`.
 
 use filterwatch_http::{Request, Response};
 use filterwatch_telemetry::wire::{escape, field, split, unescape, Wire, WireError};

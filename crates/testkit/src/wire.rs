@@ -17,6 +17,8 @@ const SUBSTITUTES: &[u8] = b"\t\n\r :,=-\\0a9Z~";
 
 /// Check the wire contract on one value:
 ///
+/// * `to_line` writes one line: no newline or CR, since every log is
+///   newline-framed;
 /// * `parse_line(to_line(value)) == value`, and encoding the parsed
 ///   value again gives the same bytes;
 /// * parsing is total — on `junk`, on every truncation of the line and
@@ -25,6 +27,9 @@ const SUBSTITUTES: &[u8] = b"\t\n\r :,=-\\0a9Z~";
 ///   would not be UTF-8 are skipped: lines are text.
 pub fn check_wire<T: Wire + PartialEq + Debug>(value: &T, junk: &str) -> Result<(), String> {
     let line = value.to_line();
+    if line.contains(['\n', '\r']) {
+        return Err(format!("{line:?} is not one line"));
+    }
     let back = T::parse_line(&line).map_err(|e| format!("{line:?} does not parse: {e}"))?;
     if back != *value {
         return Err(format!("{line:?} parses as {back:?}, not {value:?}"));

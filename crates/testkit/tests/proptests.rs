@@ -46,22 +46,51 @@ fn any_fields() -> impl Strategy<Value = Vec<(String, String)>> {
     proptest::collection::vec(("[a-z0-9_.-]{1,12}", text()), 0..4)
 }
 
+/// Every `FlowDisposition` variant with random payloads. The match
+/// names each variant with no wildcard arm, so a new variant does not
+/// compile (or, with a `_` arm, pass clippy) until it is listed here.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn any_disposition() -> impl Strategy<Value = FlowDisposition> {
-    prop_oneof![
-        any::<u16>().prop_map(FlowDisposition::Origin),
-        (text(), any::<u16>())
-            .prop_map(|(middlebox, status)| FlowDisposition::Intercepted { middlebox, status }),
-        text().prop_map(FlowDisposition::DroppedBy),
-        text().prop_map(FlowDisposition::ResetBy),
-        Just(FlowDisposition::PathFault("timeout")),
-        Just(FlowDisposition::PathFault("reset")),
-        Just(FlowDisposition::DnsFailure),
-        Just(FlowDisposition::InjectedDnsFailure),
-        Just(FlowDisposition::ConnectFailed),
-        any::<u64>().prop_map(|resumes_at_secs| FlowDisposition::Outage { resumes_at_secs }),
-        Just(FlowDisposition::Truncated),
-        text().prop_map(FlowDisposition::BreakerSkip),
-    ]
+    let every = vec![
+        FlowDisposition::Origin(0),
+        FlowDisposition::Intercepted {
+            middlebox: String::new(),
+            status: 0,
+        },
+        FlowDisposition::DroppedBy(String::new()),
+        FlowDisposition::ResetBy(String::new()),
+        FlowDisposition::PathFault("timeout"),
+        FlowDisposition::PathFault("reset"),
+        FlowDisposition::DnsFailure,
+        FlowDisposition::InjectedDnsFailure,
+        FlowDisposition::ConnectFailed,
+        FlowDisposition::Outage { resumes_at_secs: 0 },
+        FlowDisposition::Truncated,
+        FlowDisposition::BreakerSkip(String::new()),
+    ];
+    (0..every.len(), text(), any::<u16>(), any::<u64>()).prop_map(move |(i, name, status, secs)| {
+        match every[i].clone() {
+            FlowDisposition::Origin(_) => FlowDisposition::Origin(status),
+            FlowDisposition::Intercepted { .. } => FlowDisposition::Intercepted {
+                middlebox: name,
+                status,
+            },
+            FlowDisposition::DroppedBy(_) => FlowDisposition::DroppedBy(name),
+            FlowDisposition::ResetBy(_) => FlowDisposition::ResetBy(name),
+            FlowDisposition::BreakerSkip(_) => FlowDisposition::BreakerSkip(name),
+            FlowDisposition::Outage { .. } => FlowDisposition::Outage {
+                resumes_at_secs: secs,
+            },
+            d @ (FlowDisposition::PathFault(_)
+            | FlowDisposition::DnsFailure
+            | FlowDisposition::InjectedDnsFailure
+            | FlowDisposition::ConnectFailed
+            | FlowDisposition::Truncated) => d,
+        }
+    })
 }
 
 fn any_trace_event() -> impl Strategy<Value = TraceEvent> {
@@ -143,19 +172,37 @@ fn any_descriptor() -> impl Strategy<Value = CampaignDescriptor> {
         })
 }
 
+/// Every `StageState` variant with random payloads; the match guards
+/// new variants as in [`any_disposition`].
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn any_stage() -> impl Strategy<Value = StageState> {
-    prop_oneof![
-        Just(StageState::Identify),
-        any::<usize>().prop_map(|case| StageState::Baseline { case }),
-        any::<usize>().prop_map(|case| StageState::Submit { case }),
-        (any::<usize>(), any::<u64>()).prop_map(|(case, deadline_secs)| StageState::Wait {
-            case,
-            deadline_secs
-        }),
-        any::<usize>().prop_map(|case| StageState::Retest { case }),
-        Just(StageState::Characterize),
-        Just(StageState::Done),
-    ]
+    let every = [
+        StageState::Identify,
+        StageState::Baseline { case: 0 },
+        StageState::Submit { case: 0 },
+        StageState::Wait {
+            case: 0,
+            deadline_secs: 0,
+        },
+        StageState::Retest { case: 0 },
+        StageState::Characterize,
+        StageState::Done,
+    ];
+    (0..every.len(), any::<usize>(), any::<u64>()).prop_map(move |(i, case, deadline_secs)| {
+        match every[i].clone() {
+            StageState::Baseline { .. } => StageState::Baseline { case },
+            StageState::Submit { .. } => StageState::Submit { case },
+            StageState::Wait { .. } => StageState::Wait {
+                case,
+                deadline_secs,
+            },
+            StageState::Retest { .. } => StageState::Retest { case },
+            s @ (StageState::Identify | StageState::Characterize | StageState::Done) => s,
+        }
+    })
 }
 
 /// Case sub-fields are space-separated, so attributed products carry no
