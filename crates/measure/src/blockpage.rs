@@ -12,8 +12,13 @@
 //! [`CompiledPatternSet`]s, so a classify call case-folds the trace
 //! text **once** and answers every literal signature in a single
 //! automaton pass (wildcard signatures ride the verified fallback
-//! tier). Per-call latency can be recorded into a telemetry histogram
-//! via [`BlockPageLibrary::with_telemetry`].
+//! tier). The standard signatures are compiled once per process and
+//! shared by every library (so by every measurement client); each
+//! library keeps its own telemetry handle, and per-call latency can be
+//! recorded into a histogram on it via
+//! [`BlockPageLibrary::with_telemetry`].
+
+use std::sync::{Arc, OnceLock};
 
 use filterwatch_pattern::{CompiledPatternSet, Pattern, PatternSet};
 use filterwatch_telemetry::TelemetryHandle;
@@ -43,11 +48,18 @@ pub struct BlockMatch {
     pub evidence: String,
 }
 
+/// The two compiled signature tiers: vendor signatures, then the
+/// generic explicit-denial fallback.
+#[derive(Debug)]
+struct Signatures {
+    vendors: CompiledPatternSet,
+    generic: CompiledPatternSet,
+}
+
 /// The vendor block-page signature library.
 #[derive(Debug, Clone)]
 pub struct BlockPageLibrary {
-    vendors: CompiledPatternSet,
-    generic: CompiledPatternSet,
+    signatures: Arc<Signatures>,
     telemetry: TelemetryHandle,
 }
 
@@ -59,43 +71,50 @@ impl Default for BlockPageLibrary {
 
 impl BlockPageLibrary {
     /// The standard library covering the four studied products plus a
-    /// generic explicit-denial fallback.
+    /// generic explicit-denial fallback. The signatures compile on the
+    /// first call; later calls share them.
     pub fn standard() -> Self {
-        let mut vendors = PatternSet::new();
-        // McAfee SmartFilter / Web Gateway.
-        vendors.insert("smartfilter", Pattern::literal("mcafee web gateway"));
-        vendors.insert("smartfilter", Pattern::literal("via-proxy"));
-        // Blue Coat: the cfauth redirect or the WebFilter portal page.
-        vendors.insert("bluecoat", Pattern::literal("www.cfauth.com"));
-        vendors.insert("bluecoat", Pattern::literal("cfru="));
-        vendors.insert("bluecoat", Pattern::literal("blue coat webfilter"));
-        // Netsweeper: the deny URL and the deny page wording.
-        vendors.insert("netsweeper", Pattern::literal("webadmin/deny"));
-        vendors.insert(
-            "netsweeper",
-            Pattern::parse("web page blocked*netsweeper").expect("static"),
-        );
-        // Websense: the 15871 block-page URL or page branding.
-        vendors.insert(
-            "websense",
-            Pattern::parse(":15871/*blockpage.cgi").expect("static"),
-        );
-        vendors.insert("websense", Pattern::literal("websense"));
+        static STANDARD: OnceLock<Arc<Signatures>> = OnceLock::new();
+        let signatures = STANDARD.get_or_init(|| {
+            let mut vendors = PatternSet::new();
+            // McAfee SmartFilter / Web Gateway.
+            vendors.insert("smartfilter", Pattern::literal("mcafee web gateway"));
+            vendors.insert("smartfilter", Pattern::literal("via-proxy"));
+            // Blue Coat: the cfauth redirect or the WebFilter portal page.
+            vendors.insert("bluecoat", Pattern::literal("www.cfauth.com"));
+            vendors.insert("bluecoat", Pattern::literal("cfru="));
+            vendors.insert("bluecoat", Pattern::literal("blue coat webfilter"));
+            // Netsweeper: the deny URL and the deny page wording.
+            vendors.insert("netsweeper", Pattern::literal("webadmin/deny"));
+            vendors.insert(
+                "netsweeper",
+                Pattern::parse("web page blocked*netsweeper").expect("static"),
+            );
+            // Websense: the 15871 block-page URL or page branding.
+            vendors.insert(
+                "websense",
+                Pattern::parse(":15871/*blockpage.cgi").expect("static"),
+            );
+            vendors.insert("websense", Pattern::literal("websense"));
 
-        let mut generic = PatternSet::new();
-        generic.insert("generic", Pattern::literal("has been blocked"));
-        generic.insert(
-            "generic",
-            Pattern::parse("access denied|access to this site is blocked").expect("static"),
-        );
-        generic.insert(
-            "generic",
-            Pattern::literal("access restricted by network policy"),
-        );
+            let mut generic = PatternSet::new();
+            generic.insert("generic", Pattern::literal("has been blocked"));
+            generic.insert(
+                "generic",
+                Pattern::parse("access denied|access to this site is blocked").expect("static"),
+            );
+            generic.insert(
+                "generic",
+                Pattern::literal("access restricted by network policy"),
+            );
 
+            Arc::new(Signatures {
+                vendors: CompiledPatternSet::compile(vendors),
+                generic: CompiledPatternSet::compile(generic),
+            })
+        });
         BlockPageLibrary {
-            vendors: CompiledPatternSet::compile(vendors),
-            generic: CompiledPatternSet::compile(generic),
+            signatures: Arc::clone(signatures),
             telemetry: TelemetryHandle::disabled(),
         }
     }
@@ -121,23 +140,22 @@ impl BlockPageLibrary {
         // One case-folding pass serves both tiers: every automaton and
         // fallback pattern below matches against the pre-lowered text.
         let lower = trace_text.to_ascii_lowercase();
-        if let Some(&index) = self
-            .vendors
+        let Signatures { vendors, generic } = &*self.signatures;
+        if let Some(&index) = vendors
             .matching_indices_prefolded(trace_text, &lower)
             .first()
         {
-            let (name, pattern) = self.vendors.set().get(index).expect("index in range");
+            let (name, pattern) = vendors.set().get(index).expect("index in range");
             return Some(BlockMatch {
                 product: Some(name.to_string()),
                 evidence: format!("vendor signature /{pattern}/"),
             });
         }
-        if let Some(&index) = self
-            .generic
+        if let Some(&index) = generic
             .matching_indices_prefolded(trace_text, &lower)
             .first()
         {
-            let (_, pattern) = self.generic.set().get(index).expect("index in range");
+            let (_, pattern) = generic.set().get(index).expect("index in range");
             return Some(BlockMatch {
                 product: None,
                 evidence: format!("generic denial /{pattern}/"),
@@ -148,7 +166,7 @@ impl BlockPageLibrary {
 
     /// Number of vendor signatures loaded.
     pub fn vendor_signature_count(&self) -> usize {
-        self.vendors.len()
+        self.signatures.vendors.len()
     }
 }
 
@@ -238,6 +256,26 @@ mod tests {
             .expect("classify latency histogram");
         assert_eq!(histogram.total, 2);
         assert_eq!(histogram.bounds, CLASSIFY_LATENCY_BUCKETS.to_vec());
+    }
+
+    #[test]
+    fn shared_signatures_keep_separate_telemetry() {
+        let first_handle = TelemetryHandle::enabled();
+        let second_handle = TelemetryHandle::enabled();
+        let first = BlockPageLibrary::standard().with_telemetry(first_handle.clone());
+        let second = BlockPageLibrary::standard().with_telemetry(second_handle.clone());
+        let vendor_page = "Server: ProxySG cfru=x";
+        let first_match = first.classify(vendor_page).expect("vendor match");
+        second.classify("access denied by policy");
+        for handle in [&first_handle, &second_handle] {
+            let snapshot = handle.snapshot();
+            let histogram = snapshot
+                .histogram_named(CLASSIFY_LATENCY_METRIC)
+                .expect("classify latency histogram");
+            assert_eq!(histogram.total, 1, "one classify per handle");
+        }
+        let later = BlockPageLibrary::standard();
+        assert_eq!(later.classify(vendor_page), Some(first_match));
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //!
 //! The queue never moves the clock itself: callers pop events (or pop
 //! everything due up to an externally advanced `now`) and dispatch them.
-//! Cancellation is exact — a cancelled event is removed immediately, not
-//! tombstoned — so `len()` always equals the number of live events and
-//! `next_deadline()` never reports a dead one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::SimTime;
 
-/// Stable handle for a scheduled event; doubles as the deterministic
+/// Identity of a scheduled event; doubles as the deterministic
 /// tie-break (it is the insertion sequence number).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(u64);
@@ -36,21 +34,47 @@ impl std::fmt::Display for EventId {
     }
 }
 
+/// One scheduled event. It is ordered by its `(deadline, seq)` key
+/// alone: `seq` is unique, so the key is a total order and the payload
+/// needs no `Ord` of its own.
+#[derive(Debug, Clone)]
+struct Entry<T> {
+    at: SimTime,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
 /// A deterministic `(time, seq)`-ordered event queue.
 ///
-/// `schedule` returns an [`EventId`] that can later be cancelled;
-/// `pop` yields the earliest live event, breaking timestamp ties by
-/// insertion order. The representation is a sorted key set plus a
-/// payload map (rather than a binary heap with tombstones) so that
-/// cancellation is O(log n) and exact, and iteration order is fully
-/// specified on every platform.
+/// `schedule` returns the event's [`EventId`]; `pop` yields the earliest
+/// event, breaking timestamp ties by insertion order. The representation
+/// is a binary min-heap (`Reverse` over the unique `(time, seq)` key),
+/// so pop order is fully specified on every platform even though the
+/// heap's internal layout is not.
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    /// Live events in pop order.
-    order: BTreeSet<(SimTime, u64)>,
-    /// Payloads keyed by sequence number, with their deadline.
-    payloads: BTreeMap<u64, (SimTime, T)>,
-    /// Monotone insertion sequence; never reused, even after cancel.
+    heap: BinaryHeap<Reverse<Entry<T>>>,
+    /// Monotone insertion sequence; never reused.
     seq: u64,
 }
 
@@ -58,20 +82,19 @@ impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            order: BTreeSet::new(),
-            payloads: BTreeMap::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
-    /// Number of live (scheduled, not yet popped or cancelled) events.
+    /// Number of scheduled events not yet popped.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.heap.len()
     }
 
-    /// Whether no events are live.
+    /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.heap.is_empty()
     }
 
     /// Schedule `payload` to fire at `at`. Deadlines already in the
@@ -79,55 +102,32 @@ impl<T> EventQueue<T> {
     pub fn schedule(&mut self, at: SimTime, payload: T) -> EventId {
         let seq = self.seq;
         self.seq += 1;
-        self.order.insert((at, seq));
-        self.payloads.insert(seq, (at, payload));
+        self.heap.push(Reverse(Entry { at, seq, payload }));
         EventId(seq)
     }
 
-    /// Cancel a scheduled event. Returns `true` if it was still live
-    /// (and is now removed), `false` if it had already fired or been
-    /// cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.payloads.remove(&id.0) {
-            Some((at, _)) => {
-                self.order.remove(&(at, id.0));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The deadline of a still-live event.
-    pub fn deadline_of(&self, id: EventId) -> Option<SimTime> {
-        self.payloads.get(&id.0).map(|(at, _)| *at)
-    }
-
-    /// The earliest live deadline, if any.
+    /// The earliest scheduled deadline, if any.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.order.iter().next().map(|&(at, _)| at)
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
-    /// Remove and return the earliest live event as
-    /// `(deadline, id, payload)`, breaking timestamp ties by insertion
-    /// sequence.
+    /// Remove and return the earliest event as `(deadline, id,
+    /// payload)`, breaking timestamp ties by insertion sequence.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, T)> {
-        let &(at, seq) = self.order.iter().next()?;
-        self.order.remove(&(at, seq));
-        let (_, payload) = self.payloads.remove(&seq)?;
-        Some((at, EventId(seq), payload))
+        self.heap
+            .pop()
+            .map(|Reverse(e)| (e.at, EventId(e.seq), e.payload))
     }
 
     /// Remove and return every payload whose deadline is `<= now`,
     /// ordered by `(deadline, insertion seq)`.
     pub fn pop_due(&mut self, now: SimTime) -> Vec<T> {
         let mut due = Vec::new();
-        while let Some(at) = self.next_deadline() {
-            if at > now {
+        while let Some(top) = self.heap.peek_mut() {
+            if top.0.at > now {
                 break;
             }
-            if let Some((_, _, payload)) = self.pop() {
-                due.push(payload);
-            }
+            due.push(PeekMut::pop(top).0.payload);
         }
         due
     }
@@ -141,6 +141,8 @@ impl<T> Default for EventQueue<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]
@@ -155,21 +157,6 @@ mod tests {
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
         assert_eq!(order, vec!["a1", "a2", "b", "c"]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_removes_exactly_once() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(5), "a");
-        let b = q.schedule(SimTime::from_secs(5), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel reports dead");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.deadline_of(b), Some(SimTime::from_secs(5)));
-        assert_eq!(q.deadline_of(a), None);
-        let (at, id, p) = q.pop().expect("b is live");
-        assert_eq!((at, id, p), (SimTime::from_secs(5), b, "b"));
-        assert!(!q.cancel(b), "cancel after pop reports dead");
     }
 
     #[test]
@@ -188,7 +175,7 @@ mod tests {
     fn ids_are_never_reused() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::ZERO, ());
-        q.cancel(a);
+        assert_eq!(q.pop().map(|(_, id, _)| id), Some(a));
         let b = q.schedule(SimTime::ZERO, ());
         assert_ne!(a, b);
         assert!(b.value() > a.value());

@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 
 use crate::dns::Dns;
-use crate::event::EventId;
+use crate::event::{EventId, EventQueue};
 use crate::fault::{Fault, FaultProfile};
 use crate::flowlog::{FlowDisposition, FlowRecord};
 use crate::ip::{Cidr, IpAddr};
@@ -513,13 +513,13 @@ impl Internet {
     /// origin service, and carry the response back.
     pub fn fetch(&self, vantage: VantageId, url: &Url) -> FetchOutcome {
         let v = &self.vantages[vantage.0];
-        self.fetch_as(v.network, v.ip, &Request::get(url.clone()))
+        self.fetch_as(v.network, v.ip, Request::get(url.clone()))
     }
 
     /// Fetch an arbitrary request as the given vantage point.
     pub fn fetch_request(&self, vantage: VantageId, req: &Request) -> FetchOutcome {
         let v = &self.vantages[vantage.0];
-        self.fetch_as(v.network, v.ip, req)
+        self.fetch_as(v.network, v.ip, req.clone())
     }
 
     /// Fetch a request as a client at `client_ip` inside `net`.
@@ -529,20 +529,20 @@ impl Internet {
     /// outcome — so callers written against the old synchronous API
     /// work unchanged. Under [`FetchPath::DirectReference`] the legacy
     /// nested-call implementation runs instead (differential oracle).
-    pub fn fetch_as(&self, net: NetworkId, client_ip: IpAddr, req: &Request) -> FetchOutcome {
+    pub fn fetch_as(&self, net: NetworkId, client_ip: IpAddr, req: Request) -> FetchOutcome {
         self.telemetry
             .observe_timed("fetch.wall_nanos", "", || match self.fetch_path() {
                 FetchPath::Event => self.fetch_as_event(net, client_ip, req),
-                FetchPath::DirectReference => self.fetch_as_direct(net, client_ip, req),
+                FetchPath::DirectReference => self.fetch_as_direct(net, client_ip, &req),
             })
     }
 
     /// Carry one fetch through the event core, synchronously: open the
     /// flow, drain the queue, take the outcome. Any other flows already
     /// in flight (opened via [`Internet::start_fetch_as`]) advance too.
-    fn fetch_as_event(&self, net: NetworkId, client_ip: IpAddr, req: &Request) -> FetchOutcome {
+    fn fetch_as_event(&self, net: NetworkId, client_ip: IpAddr, req: Request) -> FetchOutcome {
         let mut kernel = self.kernel.lock();
-        let id = kernel.open_flow(net, client_ip, req.clone(), self.now());
+        let id = kernel.open_flow(net, client_ip, req, self.now());
         self.drain_events(&mut kernel);
         // Every event path sets an outcome before the queue drains dry,
         // so the fallback is unreachable; Timeout is the conservative
@@ -555,17 +555,17 @@ impl Internet {
     /// will advance on the next [`Internet::run_to_quiescence`] (or any
     /// facade fetch). Many flows may be opened before any is driven;
     /// they then advance interleaved, round-robin by queue order.
-    pub fn start_fetch_as(&self, net: NetworkId, client_ip: IpAddr, req: &Request) -> FlowId {
+    pub fn start_fetch_as(&self, net: NetworkId, client_ip: IpAddr, req: Request) -> FlowId {
         self.kernel
             .lock()
-            .open_flow(net, client_ip, req.clone(), self.now())
+            .open_flow(net, client_ip, req, self.now())
     }
 
     /// Open a flow for `url` as a vantage point (see
     /// [`Internet::start_fetch_as`]).
     pub fn start_fetch(&self, vantage: VantageId, url: &Url) -> FlowId {
         let v = &self.vantages[vantage.0];
-        self.start_fetch_as(v.network, v.ip, &Request::get(url.clone()))
+        self.start_fetch_as(v.network, v.ip, Request::get(url.clone()))
     }
 
     /// Dispatch events until the queue is empty. All currently
@@ -619,34 +619,20 @@ impl Internet {
     /// the direct path emits at the equivalent site.
     fn dispatch(&self, kernel: &mut Kernel, at: SimTime, id: EventId, ev: SimEvent) {
         let flow_id = ev.flow();
-        let Some(mut st) = kernel.take_flow(flow_id) else {
+        let Some((st, queue)) = kernel.dispatch_slot(at, id, &ev) else {
             return;
         };
-        if kernel.event_log_enabled() {
-            let detail = match &ev {
-                SimEvent::MbHop(_, hop) => format!("hop={hop} {}", st.req.url),
-                _ => st.req.url.to_string(),
-            };
-            kernel.record(EventRecord {
-                at,
-                seq: id.value(),
-                kind: ev.kind(),
-                flow: st.tag,
-                detail,
-            });
-        }
         match ev {
-            SimEvent::Dns(_) => self.ev_dns(kernel, flow_id, &mut st),
-            SimEvent::Fault(_) => self.ev_fault(kernel, flow_id, &mut st),
-            SimEvent::MbHop(_, hop) => self.ev_mb_hop(kernel, flow_id, &mut st, hop),
-            SimEvent::Origin(_) => self.ev_origin(kernel, flow_id, &mut st),
-            SimEvent::Response(_) => self.ev_response(&mut st),
+            SimEvent::Dns(_) => self.ev_dns(queue, flow_id, st),
+            SimEvent::Fault(_) => self.ev_fault(queue, flow_id, st),
+            SimEvent::MbHop(_, hop) => self.ev_mb_hop(queue, flow_id, st, hop),
+            SimEvent::Origin(_) => self.ev_origin(queue, flow_id, st),
+            SimEvent::Response(_) => self.ev_response(st),
         }
-        kernel.put_flow(flow_id, st);
     }
 
     /// Stage 1: DNS.
-    fn ev_dns(&self, kernel: &mut Kernel, id: FlowId, st: &mut FlowState) {
+    fn ev_dns(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
         let network = &self.networks[st.net.0];
         let tracing = self.tracer.recording();
         match self.dns.resolve(st.req.url.host()) {
@@ -679,7 +665,7 @@ impl Internet {
                     );
                 }
                 st.dest_ip = Some(dest_ip);
-                kernel.queue.schedule(self.now(), SimEvent::Fault(id));
+                queue.schedule(self.now(), SimEvent::Fault(id));
             }
         }
     }
@@ -688,7 +674,7 @@ impl Internet {
     /// checked first (no RNG draw); probabilistic faults each draw only
     /// when their probability is non-zero — exactly one consultation of
     /// the shared fault stream per flow, same as the direct path.
-    fn ev_fault(&self, kernel: &mut Kernel, id: FlowId, st: &mut FlowState) {
+    fn ev_fault(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
         let network = &self.networks[st.net.0];
         let tracing = self.tracer.recording();
         if let Some(fault) = network.faults.sample_at(self.now(), &mut *self.rng.lock()) {
@@ -730,13 +716,19 @@ impl Internet {
             self.log_flow(network, st.client_ip, &st.req.url, disposition);
             st.outcome = Some(outcome);
         } else {
-            kernel.queue.schedule(self.now(), SimEvent::MbHop(id, 0));
+            queue.schedule(self.now(), SimEvent::MbHop(id, 0));
         }
     }
 
     /// Stage 3 (one event per hop): present the request to middlebox
     /// `hop`; forward to the next hop, or render the chain's verdict.
-    fn ev_mb_hop(&self, kernel: &mut Kernel, id: FlowId, st: &mut FlowState, hop: usize) {
+    fn ev_mb_hop(
+        &self,
+        queue: &mut EventQueue<SimEvent>,
+        id: FlowId,
+        st: &mut FlowState,
+        hop: usize,
+    ) {
         let network = &self.networks[st.net.0];
         let tracing = self.tracer.recording();
         let flow = FlowCtx {
@@ -755,7 +747,7 @@ impl Internet {
             // Past the end of the chain: every box forwarded.
             None => {
                 st.passed = hop;
-                kernel.queue.schedule(self.now(), SimEvent::Origin(id));
+                queue.schedule(self.now(), SimEvent::Origin(id));
             }
             Some(Verdict::Forward) => {
                 if tracing {
@@ -766,9 +758,7 @@ impl Internet {
                     );
                 }
                 st.passed = hop + 1;
-                kernel
-                    .queue
-                    .schedule(self.now(), SimEvent::MbHop(id, hop + 1));
+                queue.schedule(self.now(), SimEvent::MbHop(id, hop + 1));
             }
             Some(Verdict::Respond(resp)) => {
                 let resp = network.chain.run_response(&st.req, *resp, &flow, hop);
@@ -830,7 +820,7 @@ impl Internet {
     }
 
     /// Stage 4: origin service connect.
-    fn ev_origin(&self, kernel: &mut Kernel, id: FlowId, st: &mut FlowState) {
+    fn ev_origin(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
         let network = &self.networks[st.net.0];
         let tracing = self.tracer.recording();
         let resp = st
@@ -855,7 +845,7 @@ impl Internet {
             }
             Some(resp) => {
                 st.pending_resp = Some(resp);
-                kernel.queue.schedule(self.now(), SimEvent::Response(id));
+                queue.schedule(self.now(), SimEvent::Response(id));
             }
         }
     }

@@ -10,7 +10,10 @@
 //!
 //! Flow slots are dense and reused (a `FlowId` indexes a `Vec`), but
 //! every flow also carries a monotone *tag* that is never reused, so the
-//! optional event log stays unambiguous across a whole campaign. Event
+//! optional event log stays unambiguous across a whole campaign. A
+//! dispatch advances its flow in place: `Kernel::dispatch_slot` borrows
+//! the slot apart from the queue, so the handler schedules the flow's
+//! next event without moving its state out of the table and back. Event
 //! log lines follow the workspace wire discipline:
 //! [`EventRecord::to_line`] / [`EventRecord::parse_line`] round-trip
 //! losslessly, and [`EventKind::to_token`] / [`EventKind::parse_token`]
@@ -19,7 +22,7 @@
 use filterwatch_http::{Request, Response};
 use filterwatch_telemetry::wire::{escape, field, split, unescape, Wire, WireError};
 
-use crate::event::EventQueue;
+use crate::event::{EventId, EventQueue};
 use crate::internet::NetworkId;
 use crate::ip::IpAddr;
 use crate::outcome::FetchOutcome;
@@ -245,17 +248,31 @@ impl Kernel {
         id
     }
 
-    /// Take a flow's state out of its slot for dispatch (put it back
-    /// with [`Kernel::put_flow`]).
-    pub(crate) fn take_flow(&mut self, id: FlowId) -> Option<FlowState> {
-        self.flows.get_mut(id.0).and_then(Option::take)
-    }
-
-    /// Return a flow's state to its slot after dispatch.
-    pub(crate) fn put_flow(&mut self, id: FlowId, state: FlowState) {
-        if let Some(slot) = self.flows.get_mut(id.0) {
-            *slot = Some(state);
+    /// Log `ev` (if the event log is enabled) and borrow the slot of the
+    /// flow it advances, split from the queue, so the handler advances
+    /// the flow in place and schedules its next event. `None` if the
+    /// slot is free.
+    pub(crate) fn dispatch_slot(
+        &mut self,
+        at: SimTime,
+        id: EventId,
+        ev: &SimEvent,
+    ) -> Option<(&mut FlowState, &mut EventQueue<SimEvent>)> {
+        let st = self.flows.get_mut(ev.flow().0)?.as_mut()?;
+        if self.event_log_enabled {
+            let detail = match ev {
+                SimEvent::MbHop(_, hop) => format!("hop={hop} {}", st.req.url),
+                _ => st.req.url.to_string(),
+            };
+            self.event_log.push(EventRecord {
+                at,
+                seq: id.value(),
+                kind: ev.kind(),
+                flow: st.tag,
+                detail,
+            });
         }
+        Some((st, &mut self.queue))
     }
 
     /// Whether the flow has completed (its outcome is set).
@@ -281,21 +298,9 @@ impl Kernel {
         state.outcome
     }
 
-    /// Append to the event log if enabled.
-    pub(crate) fn record(&mut self, rec: EventRecord) {
-        if self.event_log_enabled {
-            self.event_log.push(rec);
-        }
-    }
-
     /// Enable or disable the event log.
     pub(crate) fn set_event_log(&mut self, enabled: bool) {
         self.event_log_enabled = enabled;
-    }
-
-    /// Whether the event log is enabled.
-    pub(crate) fn event_log_enabled(&self) -> bool {
-        self.event_log_enabled
     }
 
     /// Snapshot the event log.
@@ -357,17 +362,22 @@ mod tests {
         let req = Request::get(Url::parse("http://x.info/").unwrap());
         let client: IpAddr = "5.0.0.9".parse().unwrap();
         let a = k.open_flow(NetworkId(0), client, req.clone(), SimTime::ZERO);
-        let mut st = k.take_flow(a).unwrap();
+        let (at, id, ev) = k.queue.pop().unwrap();
+        let (st, _) = k.dispatch_slot(at, id, &ev).unwrap();
         let tag_a = st.tag;
         st.outcome = Some(FetchOutcome::Timeout);
-        k.put_flow(a, st);
         assert!(k.is_complete(a));
         assert_eq!(k.close_flow(a), Some(FetchOutcome::Timeout));
         assert_eq!(k.close_flow(a), None, "slot already freed");
+        assert!(
+            k.dispatch_slot(at, id, &ev).is_none(),
+            "stale event finds no flow"
+        );
 
         let b = k.open_flow(NetworkId(0), client, req, SimTime::ZERO);
         assert_eq!(a, b, "slot reused");
-        let tag_b = k.take_flow(b).unwrap().tag;
+        let (at, id, ev) = k.queue.pop().unwrap();
+        let tag_b = k.dispatch_slot(at, id, &ev).unwrap().0.tag;
         assert_ne!(tag_a, tag_b, "tag not reused");
     }
 

@@ -209,44 +209,32 @@ proptest! {
 
 proptest! {
     /// The event queue against a sorted reference model, under
-    /// arbitrary interleavings of schedule / cancel / pop: every pop
-    /// returns the minimum live `(time, seq)` key, cancellation is
-    /// exact (true once, false forever after), and a final drain yields
-    /// the remaining events in nondecreasing `(time, seq)` order.
+    /// arbitrary interleavings of schedule / pop: every pop returns the
+    /// minimum live `(time, seq)` key, `len` and `next_deadline` track
+    /// the model after every step, and a final drain yields the
+    /// remaining events in nondecreasing `(time, seq)` order.
     #[test]
-    fn event_queue_matches_reference_under_schedule_cancel(
+    fn event_queue_matches_reference_under_schedule_pop(
         ops in proptest::collection::vec((0u8..10, 0u64..1_000), 1..200)
     ) {
         use filterwatch_netsim::{EventId, EventQueue};
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut live: Vec<(EventId, u64)> = Vec::new();
         for &(choice, t) in &ops {
-            match choice {
+            if choice <= 5 {
                 // Schedule (weighted so queues actually grow).
-                0..=5 => {
-                    let id = q.schedule(SimTime::from_secs(t), t);
-                    live.push((id, t));
-                }
-                // Cancel a pseudo-random live event.
-                6..=7 => {
-                    if !live.is_empty() {
-                        let i = (t as usize) % live.len();
-                        let (id, _) = live.remove(i);
-                        prop_assert!(q.cancel(id), "live event must cancel");
-                        prop_assert!(!q.cancel(id), "second cancel must report dead");
-                    }
-                }
+                let id = q.schedule(SimTime::from_secs(t), t);
+                live.push((id, t));
+            } else {
                 // Pop: must be the minimum live (time, seq).
-                _ => {
-                    let expect = live.iter().map(|&(id, tt)| (tt, id.value())).min();
-                    match q.pop() {
-                        Some((at, id, payload)) => {
-                            prop_assert_eq!(Some((at.secs(), id.value())), expect);
-                            prop_assert_eq!(payload, at.secs());
-                            live.retain(|&(lid, _)| lid != id);
-                        }
-                        None => prop_assert!(expect.is_none(), "queue empty but model is not"),
+                let expect = live.iter().map(|&(id, tt)| (tt, id.value())).min();
+                match q.pop() {
+                    Some((at, id, payload)) => {
+                        prop_assert_eq!(Some((at.secs(), id.value())), expect);
+                        prop_assert_eq!(payload, at.secs());
+                        live.retain(|&(lid, _)| lid != id);
                     }
+                    None => prop_assert!(expect.is_none(), "queue empty but model is not"),
                 }
             }
             prop_assert_eq!(q.len(), live.len());
@@ -262,6 +250,31 @@ proptest! {
         }
         prop_assert_eq!(drained, expect);
         prop_assert!(q.is_empty());
+    }
+
+    /// Ties dominate: at least 1,000 events on at most three deadlines,
+    /// interleaved with pops. Nearly every heap comparison ties on
+    /// time, so only the `seq` half of the key can put each pop at the
+    /// model's minimum — and so in `seq` order within each deadline.
+    #[test]
+    fn event_queue_pops_ties_in_seq_order(
+        ops in proptest::collection::vec((0u64..3, any::<bool>()), 1_000..1_200)
+    ) {
+        use filterwatch_netsim::EventQueue;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model = std::collections::BTreeSet::new();
+        for (i, &(t, pop_after)) in ops.iter().enumerate() {
+            let id = q.schedule(SimTime::from_secs(t), i as u64);
+            model.insert((t, id.value()));
+            if pop_after {
+                let (at, id, _) = q.pop().expect("just scheduled");
+                prop_assert_eq!(Some((at.secs(), id.value())), model.pop_first());
+            }
+        }
+        while let Some((at, id, _)) = q.pop() {
+            prop_assert_eq!(Some((at.secs(), id.value())), model.pop_first());
+        }
+        prop_assert!(model.is_empty());
     }
 
     /// The event core and the legacy direct-call path are
