@@ -233,7 +233,7 @@ mod tests {
         let index = ScanEngine::new().with_threads(2).scan(&net);
         // Console answers on 8080 for both "/" and "/webadmin/", portal on 80.
         assert_eq!(index.len(), 3);
-        let texts = index.corpus();
+        let texts: Vec<&str> = (0..index.len()).map(|i| index.corpus_of(i)).collect();
         assert!(texts.iter().any(|t| t.contains("8080/webadmin/")));
         assert!(texts.iter().any(|t| t.contains("ooredoo")));
     }

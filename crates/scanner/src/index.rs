@@ -1,12 +1,12 @@
 //! The keyword-searchable scan index — sharded and incrementally
 //! ingestable.
 //!
-//! The index is *query-compiled*: [`ScanIndex::build`] lowercases each
-//! record's searchable text exactly once into a cached corpus and posts
-//! it into per-shard country / ccTLD-suffix posting bitsets, so the
-//! paper's keyword + ccTLD query form touches only in-scope records and
-//! never rebuilds a record's text. On top of that, three things make it
-//! hold up at Shodan scale:
+//! The index is *query-compiled*: [`ScanIndex::build`] writes each
+//! record's searchable text exactly once into one lowercased corpus
+//! arena and posts it into per-shard country / ccTLD-suffix posting
+//! bitsets, so the paper's keyword + ccTLD query form touches only
+//! in-scope records and never rebuilds a record's text. On top of that,
+//! three things make it hold up at Shodan scale:
 //!
 //! * **Sharding** — records are partitioned by a stable hash of their
 //!   country (hostname fallback) into [`IndexShard`]s. The record arena
@@ -33,7 +33,9 @@
 //! order — so serial and parallel sweeps, and any shard count, produce
 //! byte-identical query results.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,11 +65,16 @@ const BLOOM_WORDS: usize = 64;
 /// — two bits put that false-positive rate at fill² (a couple percent)
 /// where one bit would leave it at the fill rate itself. Hashed by
 /// multiplication (top 12 bits, two odd constants); collisions only
-/// cost false positives, never misses.
+/// cost false positives, never misses. The trigram is a rolling 24-bit
+/// window over the bytes, one shift and mask per byte.
 fn trigram_bloom(text: &str) -> [u64; BLOOM_WORDS] {
     let mut bloom = [0u64; BLOOM_WORDS];
-    for w in text.as_bytes().windows(3) {
-        let tri = (w[0] as u32) << 16 | (w[1] as u32) << 8 | w[2] as u32;
+    let [a, b, rest @ ..] = text.as_bytes() else {
+        return bloom;
+    };
+    let mut tri = u32::from(*a) << 8 | u32::from(*b);
+    for &c in rest {
+        tri = (tri << 8 | u32::from(c)) & 0x00FF_FFFF;
         let h1 = tri.wrapping_mul(0x9E37_79B1) >> 20;
         let h2 = tri.wrapping_mul(0x85EB_CA77) >> 20;
         bloom[(h1 >> 6) as usize] |= 1u64 << (h1 & 63);
@@ -95,15 +102,33 @@ fn bloom_superset(rec: &[u64; BLOOM_WORDS], need: &[(u32, u64)]) -> bool {
     need.iter().all(|&(i, n)| rec[i as usize] & n == n)
 }
 
+/// Slot `id`'s span in a flat arena whose slots end at `ends[id]`, each
+/// starting where the previous one ends.
+fn span(ends: &[usize], id: usize) -> Range<usize> {
+    id.checked_sub(1).map_or(0, |prev| ends[prev])..ends[id]
+}
+
+/// A hostname in ASCII lowercase, copied only when it has an uppercase
+/// byte.
+fn ascii_lowercase(host: &str) -> Cow<'_, str> {
+    if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(host.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(host)
+    }
+}
+
 /// A built scan index (the Shodan analog).
 #[derive(Debug)]
 pub struct ScanIndex {
     /// Record arena, append-only between compactions. Holds retired
     /// (tombstoned) entries until [`compact`](Self::compact) runs.
     records: Vec<ScanRecord>,
-    /// Lowercased searchable text per arena slot — the cached corpus
-    /// every query matches against.
-    corpus: Vec<String>,
+    /// The cached corpus every query matches against: each arena slot's
+    /// lowercased searchable text, back to back in one byte arena.
+    corpus: String,
+    /// Where each slot's text ends in `corpus` (see [`span`]).
+    corpus_ends: Vec<usize>,
     /// Trigram bloom per arena slot (over the corpus text). The
     /// batched sweep rejects records that cannot contain any keyword
     /// without touching their corpus bytes.
@@ -115,13 +140,17 @@ pub struct ScanIndex {
     shard_of: Vec<u16>,
     /// Dense ids for hostnames, country codes and suffix labels.
     labels: Interner,
-    /// Each record's posting keys (country + suffix syms), memoized at
-    /// ingest so retirement clears postings without re-deriving them
-    /// from hostname strings.
-    post_keys: Vec<(Option<Sym>, Box<[Sym]>)>,
-    /// Live arena ids per `(ip, port, path)` endpoint — the key
-    /// re-crawl deltas retire by.
-    by_endpoint: BTreeMap<(IpAddr, u16, String), Vec<u32>>,
+    /// Each record's posting keys, memoized at ingest so retirement
+    /// clears postings without re-deriving them from hostname strings:
+    /// its country sym, and its sorted distinct suffix syms back to back
+    /// in one flat arena ending at `suffix_ends[id]`.
+    countries: Vec<Option<Sym>>,
+    suffixes: Vec<Sym>,
+    suffix_ends: Vec<usize>,
+    /// `(ip, port, arena id)` of every live record. Re-crawl deltas
+    /// retire by `(ip, port, path)`: walk the `(ip, port)` range and
+    /// keep the ids whose record has that path.
+    by_endpoint: BTreeSet<(IpAddr, u16, usize)>,
     /// Bumped once per delta/compaction; keys the cached sweep plan.
     epoch: u64,
     /// Tombstoned arena slots not yet compacted.
@@ -188,12 +217,15 @@ impl Clone for ScanIndex {
         ScanIndex {
             records: self.records.clone(),
             corpus: self.corpus.clone(),
+            corpus_ends: self.corpus_ends.clone(),
             blooms: self.blooms.clone(),
             live: self.live.clone(),
             shards: self.shards.clone(),
             shard_of: self.shard_of.clone(),
             labels: self.labels.clone(),
-            post_keys: self.post_keys.clone(),
+            countries: self.countries.clone(),
+            suffixes: self.suffixes.clone(),
+            suffix_ends: self.suffix_ends.clone(),
             by_endpoint: self.by_endpoint.clone(),
             epoch: self.epoch,
             retired: self.retired,
@@ -218,77 +250,76 @@ impl ScanIndex {
     pub fn build_with(records: Vec<ScanRecord>, config: ShardConfig) -> Self {
         let shards = config.shards.max(1);
         let mut index = ScanIndex {
-            records: Vec::with_capacity(records.len()),
-            corpus: Vec::with_capacity(records.len()),
-            blooms: Vec::with_capacity(records.len()),
+            records: Vec::new(),
+            corpus: String::new(),
+            corpus_ends: Vec::new(),
+            blooms: Vec::new(),
             live: DenseBitSet::with_bits(records.len()),
             shards: vec![IndexShard::default(); shards],
-            shard_of: Vec::with_capacity(records.len()),
+            shard_of: Vec::new(),
             labels: Interner::new(),
-            post_keys: Vec::with_capacity(records.len()),
-            by_endpoint: BTreeMap::new(),
+            countries: Vec::new(),
+            suffixes: Vec::new(),
+            suffix_ends: Vec::new(),
+            by_endpoint: BTreeSet::new(),
             epoch: 0,
             retired: 0,
             plan: Mutex::new(None),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
         };
+        index.reserve_for(&records);
         for record in records {
             index.ingest(record);
         }
         index
     }
 
-    /// Append one record: cache its corpus text, post it into its
-    /// shard, index its endpoint. Returns the arena id.
+    /// Append one record: write its lowercased text into the corpus
+    /// arena, post it into its shard, index its endpoint. Returns the
+    /// arena id. Its interned hostname is the only heap object a record
+    /// adds (a hostname with uppercase bytes is lowercased into a
+    /// temporary copy first).
     fn ingest(&mut self, record: ScanRecord) -> usize {
         let id = self.records.len();
-        let corpus = record.searchable_text().to_ascii_lowercase();
-        let shard = self.shard_slot(&record);
-        let country = match record.country.as_deref() {
-            Some(c) => Some(self.labels.intern(c)),
-            None => None,
-        };
-        let mut suffixes = Vec::new();
+        let start = self.corpus.len();
+        record.push_searchable_text(&mut self.corpus);
+        self.corpus[start..].make_ascii_lowercase();
+        self.blooms.push(trigram_bloom(&self.corpus[start..]));
+        self.corpus_ends.push(self.corpus.len());
+
+        let country = record.country.as_deref().map(|c| self.labels.intern(c));
+        // The shard hashes the country code, falling back to the first
+        // lowercased hostname, so a country's re-crawl delta lands in
+        // one shard.
+        let mut shard_key = record.country.as_deref().map(|c| fnv1a(c.as_bytes()));
+        let first_suffix = self.suffixes.len();
         for hostname in &record.hostnames {
-            let lower = hostname.to_ascii_lowercase();
+            let lower = ascii_lowercase(hostname);
+            shard_key.get_or_insert_with(|| fnv1a(lower.as_bytes()));
             // Hostnames get dense ids too (debug/stats surface); the
             // postings key on every dot-suffix, so a record with
             // hostname `gw.isp.qa` posts under `isp.qa` and `qa`.
             self.labels.intern(&lower);
             for (pos, _) in lower.match_indices('.') {
-                suffixes.push(self.labels.intern(&lower[pos + 1..]));
+                let sym = self.labels.intern(&lower[pos + 1..]);
+                if !self.suffixes[first_suffix..].contains(&sym) {
+                    self.suffixes.push(sym);
+                }
             }
         }
+        let suffixes = &mut self.suffixes[first_suffix..];
         suffixes.sort_unstable();
-        suffixes.dedup();
-        self.by_endpoint
-            .entry((record.ip, record.port, record.path.clone()))
-            .or_default()
-            .push(id as u32);
-        self.records.push(record);
-        self.blooms.push(trigram_bloom(&corpus));
-        self.corpus.push(corpus);
+        let shard_count = self.shards.len().max(1) as u64;
+        let shard = (shard_key.unwrap_or_else(|| fnv1a(b"")) % shard_count) as u16;
+        self.shards[shard as usize].insert(id, country, suffixes);
+        self.suffix_ends.push(self.suffixes.len());
+        self.countries.push(country);
         self.shard_of.push(shard);
         self.live.insert(id);
-        self.shards[shard as usize].insert(id, country, &suffixes);
-        self.post_keys.push((country, suffixes.into_boxed_slice()));
+        self.by_endpoint.insert((record.ip, record.port, id));
+        self.records.push(record);
         id
-    }
-
-    /// The shard a record hashes into: FNV-1a of its country code,
-    /// falling back to the first (lowercased) hostname — so a country's
-    /// re-crawl delta lands in one shard.
-    fn shard_slot(&self, record: &ScanRecord) -> u16 {
-        let n = self.shards.len().max(1) as u64;
-        let h = match record.country.as_deref() {
-            Some(c) => fnv1a(c.as_bytes()),
-            None => match record.hostnames.first() {
-                Some(host) => fnv1a(host.to_ascii_lowercase().as_bytes()),
-                None => fnv1a(b""),
-            },
-        };
-        (h % n) as u16
     }
 
     /// How many records pass the sweep's bloom prefilter for `table`
@@ -308,16 +339,33 @@ impl ScanIndex {
     }
 
     /// Pre-size the append-only arenas for `additional` expected
-    /// records. Purely an amortization hint for a steady delta stream
-    /// (a freshly built index already carries growth slack; a cloned
-    /// one is trimmed to exact capacity and would otherwise pay one
-    /// full-arena copy on its first append). Never changes results.
+    /// records, the corpus arena at the mean text length so far. Purely
+    /// an amortization hint for a steady delta stream (a freshly built
+    /// index already carries growth slack; a cloned one is trimmed to
+    /// exact capacity and would otherwise pay one full-arena copy on
+    /// its first append). Never changes results.
     pub fn reserve(&mut self, additional: usize) {
+        let mean_text = self.corpus.len() / self.records.len().max(1);
+        self.reserve_arenas(additional, additional.saturating_mul(mean_text));
+    }
+
+    /// Pre-size the arenas for exactly `records`: one slot each, and
+    /// corpus bytes for all of their texts.
+    fn reserve_for(&mut self, records: &[ScanRecord]) {
+        let text: usize = records.iter().map(ScanRecord::searchable_len_bound).sum();
+        self.reserve_arenas(records.len(), text);
+    }
+
+    /// Grow every per-slot arena by `additional` slots and the corpus
+    /// arena by `text_bytes`.
+    fn reserve_arenas(&mut self, additional: usize, text_bytes: usize) {
         self.records.reserve(additional);
-        self.corpus.reserve(additional);
+        self.corpus.reserve(text_bytes);
+        self.corpus_ends.reserve(additional);
         self.blooms.reserve(additional);
         self.shard_of.reserve(additional);
-        self.post_keys.reserve(additional);
+        self.countries.reserve(additional);
+        self.suffix_ends.reserve(additional);
     }
 
     /// Apply a re-crawl delta: tombstone `retirements` (and any live
@@ -334,16 +382,15 @@ impl ScanIndex {
         *self.plan.lock() = None;
         let mut touched: BTreeSet<u16> = BTreeSet::new();
         let mut retired = 0;
-        for key in retirements {
-            retired += self.retire_endpoint(key, &mut touched);
+        for (ip, port, path) in retirements {
+            retired += self.retire_endpoint(*ip, *port, path, &mut touched);
         }
         let added = adds.len();
-        // Grow the parallel arenas once for the whole delta rather than
-        // by repeated doubling.
-        self.reserve(added);
+        // Grow the arenas once for the whole delta rather than by
+        // repeated doubling.
+        self.reserve_for(&adds);
         for record in adds {
-            let key = (record.ip, record.port, record.path.clone());
-            retired += self.retire_endpoint(&key, &mut touched);
+            retired += self.retire_endpoint(record.ip, record.port, &record.path, &mut touched);
             let id = self.ingest(record);
             touched.insert(self.shard_of[id]);
         }
@@ -358,26 +405,36 @@ impl ScanIndex {
         }
     }
 
-    /// Tombstone every live record at `key`: clear its postings and
-    /// drop it from the live set. The arena slot stays until
-    /// [`compact`](Self::compact).
+    /// The first live record at `(ip, port, path)` with arena id
+    /// `from` or above.
+    fn endpoint_id(&self, ip: IpAddr, port: u16, path: &str, from: usize) -> Option<usize> {
+        self.by_endpoint
+            .range((ip, port, from)..=(ip, port, usize::MAX))
+            .map(|&(_, _, id)| id)
+            .find(|&id| self.records[id].path == path)
+    }
+
+    /// Tombstone every live record at `(ip, port, path)`: clear its
+    /// postings and drop it from the live set. The arena slot stays
+    /// until [`compact`](Self::compact).
     fn retire_endpoint(
         &mut self,
-        key: &(IpAddr, u16, String),
+        ip: IpAddr,
+        port: u16,
+        path: &str,
         touched: &mut BTreeSet<u16>,
     ) -> usize {
-        let Some(ids) = self.by_endpoint.remove(key) else {
-            return 0;
-        };
         let mut n = 0;
-        for id in ids {
-            let id = id as usize;
+        let mut from = 0;
+        while let Some(id) = self.endpoint_id(ip, port, path, from) {
+            from = id + 1;
+            self.by_endpoint.remove(&(ip, port, id));
             if !self.live.remove(id) {
                 continue;
             }
-            let (country, suffixes) = &self.post_keys[id];
             let shard = self.shard_of[id];
-            self.shards[shard as usize].retire(id, *country, suffixes);
+            let suffixes = &self.suffixes[span(&self.suffix_ends, id)];
+            self.shards[shard as usize].retire(id, self.countries[id], suffixes);
             touched.insert(shard);
             self.retired += 1;
             n += 1;
@@ -394,12 +451,13 @@ impl ScanIndex {
             return 0;
         }
         let shards = self.shards.len().max(1);
-        let live: Vec<ScanRecord> = self
-            .live
-            .iter()
-            .map(|id| self.records[id].clone())
+        let freed = self.records.len() - self.live.len();
+        let live: Vec<ScanRecord> = std::mem::take(&mut self.records)
+            .into_iter()
+            .enumerate()
+            .filter(|(id, _)| self.live.contains(*id))
+            .map(|(_, record)| record)
             .collect();
-        let freed = self.records.len() - live.len();
         let epoch = self.epoch + 1;
         let mut rebuilt = ScanIndex::build_with(live, ShardConfig { shards });
         rebuilt.epoch = epoch;
@@ -446,15 +504,10 @@ impl ScanIndex {
         )
     }
 
-    /// The cached corpus: one lowercased searchable text per arena
-    /// slot, parallel to [`records`](Self::records).
-    pub fn corpus(&self) -> &[String] {
-        &self.corpus
-    }
-
-    /// The cached searchable text of one record.
+    /// The cached, lowercased searchable text of the record at arena
+    /// id `index` (parallel to [`records`](Self::records)).
     pub fn corpus_of(&self, index: usize) -> &str {
-        &self.corpus[index]
+        &self.corpus[span(&self.corpus_ends, index)]
     }
 
     /// Number of live records.
@@ -528,7 +581,7 @@ impl ScanIndex {
         let needle = keyword.to_ascii_lowercase();
         self.live
             .iter()
-            .filter(|&i| self.corpus[i].contains(&needle))
+            .filter(|&i| self.corpus_of(i).contains(&needle))
             .collect()
     }
 
@@ -576,7 +629,7 @@ impl ScanIndex {
         let needle = keyword.to_ascii_lowercase();
         self.scope_ids(country_code, cctld)
             .into_iter()
-            .filter(|&i| self.corpus[i as usize].contains(&needle))
+            .filter(|&i| self.corpus_of(i as usize).contains(&needle))
             .map(|i| &self.records[i as usize])
             .collect()
     }
@@ -595,7 +648,7 @@ impl ScanIndex {
         for (cc, tld) in cctlds {
             for i in self.scope_ids(cc, tld) {
                 let i = i as usize;
-                if !seen[i] && self.corpus[i].contains(&needle) {
+                if !seen[i] && self.corpus_of(i).contains(&needle) {
                     seen[i] = true;
                     out.push(&self.records[i]);
                 }
@@ -773,8 +826,11 @@ impl ScanIndex {
             let mut out = Vec::new();
             for ids in shards {
                 for &i in ids {
-                    plan.automaton
-                        .matched_ids_into(&self.corpus[i as usize], &mut hit, &mut found);
+                    plan.automaton.matched_ids_into(
+                        self.corpus_of(i as usize),
+                        &mut hit,
+                        &mut found,
+                    );
                     if !found.is_empty() {
                         out.push((i, std::mem::take(&mut found)));
                     }
@@ -855,6 +911,42 @@ mod tests {
         }
     }
 
+    /// A record's searchable text, formatted and ASCII-lowercased here
+    /// as the reference the corpus arena must reproduce.
+    fn reference_text(r: &ScanRecord) -> String {
+        format!(
+            "{} {}{} {} {} {}",
+            r.ip,
+            r.port,
+            r.path,
+            r.hostnames.join(" "),
+            r.banner,
+            r.body_snippet
+        )
+        .to_ascii_lowercase()
+    }
+
+    /// The bloom as first specified: every `windows(3)` trigram of the
+    /// text, hashed to two bits.
+    fn reference_bloom(text: &str) -> [u64; BLOOM_WORDS] {
+        let mut bloom = [0u64; BLOOM_WORDS];
+        for w in text.as_bytes().windows(3) {
+            let tri = u32::from(w[0]) << 16 | u32::from(w[1]) << 8 | u32::from(w[2]);
+            for h in [
+                tri.wrapping_mul(0x9E37_79B1) >> 20,
+                tri.wrapping_mul(0x85EB_CA77) >> 20,
+            ] {
+                bloom[(h >> 6) as usize] |= 1u64 << (h & 63);
+            }
+        }
+        bloom
+    }
+
+    /// Every arena slot's corpus text, in arena order.
+    fn corpus_texts(idx: &ScanIndex) -> Vec<&str> {
+        (0..idx.records().len()).map(|i| idx.corpus_of(i)).collect()
+    }
+
     fn index() -> ScanIndex {
         ScanIndex::build(vec![
             rec("5.0.0.1", 80, "Server: ProxySG", "gw.example.sy", "SY"),
@@ -875,12 +967,25 @@ mod tests {
     #[test]
     fn corpus_is_cached_and_lowercased() {
         let idx = index();
-        assert_eq!(idx.corpus().len(), idx.len());
+        assert_eq!(corpus_texts(&idx).len(), idx.len());
         assert!(idx.corpus_of(0).contains("server: proxysg"));
         assert!(idx.corpus_of(1).contains("gw.isp.qa"));
-        for (i, text) in idx.corpus().iter().enumerate() {
-            assert_eq!(text, &idx.corpus_of(i).to_string());
-            assert_eq!(text.to_ascii_lowercase(), *text);
+        assert_eq!(idx.corpus_of(2), "5.0.2.1 80/ www.plain.se server: apache ");
+        for (text, record) in corpus_texts(&idx).into_iter().zip(idx.records()) {
+            assert_eq!(text, reference_text(record));
+        }
+        // The texts tile the arena: nothing before, between or after.
+        assert_eq!(corpus_texts(&idx).concat(), idx.corpus);
+    }
+
+    #[test]
+    fn rolling_bloom_matches_the_windows_formula() {
+        for text in ["", "a", "ab", "abc", "abcd", "\u{e9}t\u{e9}", "\u{1f600}"] {
+            assert_eq!(trigram_bloom(text), reference_bloom(text), "{text:?}");
+        }
+        let idx = ScanIndex::build(crate::synth_records(2_000, 3));
+        for (id, bloom) in idx.blooms.iter().enumerate() {
+            assert_eq!(*bloom, reference_bloom(idx.corpus_of(id)), "record {id}");
         }
     }
 
@@ -1062,7 +1167,7 @@ mod tests {
             recrawl,
         ]);
         assert_eq!(idx.records(), scratch.records());
-        assert_eq!(idx.corpus(), scratch.corpus());
+        assert_eq!(corpus_texts(&idx), corpus_texts(&scratch));
         assert_eq!(idx.stats(), scratch.stats());
         // Compacting an already-clean index is a free no-op.
         let epoch = idx.epoch();
@@ -1103,7 +1208,7 @@ mod tests {
         let planted: Vec<_> = records
             .iter()
             .filter(|r| {
-                let text = r.searchable_text().to_ascii_lowercase();
+                let text = reference_text(r);
                 KEYWORD_TABLE
                     .iter()
                     .flat_map(|p| p.keywords)

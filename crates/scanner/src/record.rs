@@ -26,24 +26,44 @@ pub struct ScanRecord {
     pub captured_at: SimTime,
 }
 
+/// The widest `"{ip} {port}"` prefix of a searchable text.
+const MAX_ENDPOINT_LEN: usize = "255.255.255.255 65535".len();
+
 impl ScanRecord {
-    /// The searchable text of the record: everything a keyword query is
-    /// matched against, including the `port/path` form (`8080/webadmin/`)
-    /// that Table 2's Netsweeper keywords rely on.
+    /// Append the record's searchable text to `out`: everything a
+    /// keyword query is matched against, including the `port/path` form
+    /// (`8080/webadmin/`) that Table 2's Netsweeper keywords rely on.
+    /// The text is `ip port+path hostnames banner body`, single-space
+    /// separated, with the hostnames joined by single spaces.
     ///
-    /// Building this string is the cost `ScanIndex` amortizes: the
-    /// index caches `searchable_text().to_ascii_lowercase()` per record
-    /// at construction, so queries never call this.
-    pub(crate) fn searchable_text(&self) -> String {
-        format!(
-            "{} {}{} {} {} {}",
-            self.ip,
-            self.port,
-            self.path,
-            self.hostnames.join(" "),
-            self.banner,
-            self.body_snippet
-        )
+    /// `ScanIndex` writes each record's text once, straight into its
+    /// corpus arena, and lowercases it there; queries never rebuild it.
+    pub(crate) fn push_searchable_text(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{} {}", self.ip, self.port);
+        out.push_str(&self.path);
+        out.push(' ');
+        for (i, host) in self.hostnames.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            out.push_str(host);
+        }
+        out.push(' ');
+        out.push_str(&self.banner);
+        out.push(' ');
+        out.push_str(&self.body_snippet);
+    }
+
+    /// An upper bound on the bytes
+    /// [`push_searchable_text`](Self::push_searchable_text) appends:
+    /// exact but for the address and port, taken at their widest.
+    pub(crate) fn searchable_len_bound(&self) -> usize {
+        // One separator per hostname over-counts the joins by one; the
+        // `+ 3` is the separators around the hostnames and the banner.
+        let hosts: usize = self.hostnames.iter().map(|h| h.len() + 1).sum();
+        MAX_ENDPOINT_LEN + self.path.len() + hosts + self.banner.len() + self.body_snippet.len() + 3
     }
 }
 
@@ -81,10 +101,15 @@ mod tests {
 
     #[test]
     fn text_includes_port_path_form() {
-        let text = record().searchable_text();
-        assert!(text.contains("8080/webadmin/"));
-        assert!(text.contains("netsweeper/5.1"));
-        assert!(text.contains("gw.isp.qa"));
+        let record = record();
+        let mut text = String::new();
+        record.push_searchable_text(&mut text);
+        assert_eq!(
+            text,
+            "5.0.0.1 8080/webadmin/ gw.isp.qa HTTP/1.1 401 Unauthorized\r\n\
+             Server: netsweeper/5.1\r\n <title>Netsweeper WebAdmin</title>"
+        );
+        assert!(text.len() <= record.searchable_len_bound());
     }
 
     #[test]

@@ -30,14 +30,37 @@ fn model_apply(
     records
 }
 
+/// The searchable text a record's corpus entry holds, formatted and
+/// ASCII-lowercased here as the reference.
+fn reference_text(r: &ScanRecord) -> String {
+    format!(
+        "{} {}{} {} {} {}",
+        r.ip,
+        r.port,
+        r.path,
+        r.hostnames.join(" "),
+        r.banner,
+        r.body_snippet
+    )
+    .to_ascii_lowercase()
+}
+
+/// Records whose endpoints collide: half the addresses come from a
+/// four-address pool, and ports and paths favour 80/8080 and
+/// `/`/`/webadmin/`, so lists hold re-crawls of one endpoint and
+/// `ip:port` pairs serving several paths. Hostnames mix case.
 fn any_record() -> impl Strategy<Value = ScanRecord> {
     (
-        any::<u32>(),
-        1u16..=65535,
-        "(/[a-z0-9]{0,6}){0,3}",
+        prop_oneof![(0u32..4).prop_map(|i| 0x0500_0001 + i), any::<u32>()],
+        prop_oneof![Just(80u16), Just(8080u16), 1u16..=65535],
+        prop_oneof![
+            Just("/".to_string()),
+            Just("/webadmin/".to_string()),
+            "(/[a-z0-9]{0,6}){0,3}",
+        ],
         "[ -~]{0,60}",
         "\\PC{0,60}",
-        proptest::collection::vec("[a-z]{1,8}\\.[a-z]{2,3}", 0..3),
+        proptest::collection::vec("[a-zA-Z]{1,8}\\.[a-zA-Z]{2,3}", 0..3),
         proptest::option::of("[A-Z]{2}"),
         proptest::option::of(1u32..100_000),
         0u64..1_000_000,
@@ -76,10 +99,14 @@ proptest! {
     }
 
     /// Keyword search results are always a subset of the records and
-    /// every hit's cached corpus text really contains the keyword.
+    /// every hit's cached corpus text really contains the keyword; each
+    /// corpus text is the record's lowercased searchable text.
     #[test]
     fn search_soundness(records in proptest::collection::vec(any_record(), 0..15), kw in "[a-z]{2,6}") {
         let index = ScanIndex::build(records);
+        for (i, record) in index.records().iter().enumerate() {
+            prop_assert_eq!(index.corpus_of(i), reference_text(record));
+        }
         prop_assert_eq!(index.search(&kw).len(), index.search_ids(&kw).len());
         for id in index.search_ids(&kw) {
             prop_assert!(index.corpus_of(id).contains(&kw));

@@ -232,16 +232,32 @@ pub fn run(seeds: &[u64]) -> Vec<Divergence> {
     seeds.iter().flat_map(|&s| run_seed(s)).collect()
 }
 
-/// Seeds to sweep: the `FILTERWATCH_SEEDS` environment variable as a
-/// comma-separated list, or the given default.
-pub fn seeds_from_env(default: &[u64]) -> Vec<u64> {
+/// Seeds to sweep: the `FILTERWATCH_SEEDS` environment variable read
+/// with [`parse_seeds`], or the given default when it is unset. A set
+/// but malformed variable is an error, so a battery never quietly runs
+/// fewer seeds than it was asked to.
+pub fn seeds_from_env(default: &[u64]) -> Result<Vec<u64>, String> {
     match std::env::var("FILTERWATCH_SEEDS") {
-        Ok(raw) => raw
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect(),
-        Err(_) => default.to_vec(),
+        Ok(raw) => parse_seeds(&raw).map_err(|e| format!("FILTERWATCH_SEEDS={raw:?}: {e}")),
+        Err(_) => Ok(default.to_vec()),
     }
+}
+
+/// Parse a comma-separated seed list (`0,1,2`; spaces around entries
+/// are allowed). An empty list, or any entry that is not a `u64`, is an
+/// error naming that entry.
+pub fn parse_seeds(raw: &str) -> Result<Vec<u64>, String> {
+    if raw.trim().is_empty() {
+        return Err("the seed list is empty".into());
+    }
+    raw.split(',')
+        .map(|entry| {
+            entry
+                .trim()
+                .parse()
+                .map_err(|_| format!("seed entry {entry:?} is not a u64"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -280,7 +296,32 @@ mod tests {
 
     #[test]
     fn seeds_env_parsing() {
-        // No env set in tests: default flows through.
-        assert_eq!(seeds_from_env(&[1, 2]), vec![1, 2]);
+        assert_eq!(
+            parse_seeds("0,1,2,3,4,5,6,7,11,19").unwrap(),
+            vec![0, 1, 2, 3, 4, 5, 6, 7, 11, 19]
+        );
+        assert_eq!(parse_seeds(" 4 , 9 ").unwrap(), vec![4, 9]);
+        assert_eq!(parse_seeds("18446744073709551615").unwrap(), vec![u64::MAX]);
+    }
+
+    #[test]
+    fn malformed_seed_lists_are_errors_naming_the_entry() {
+        assert_eq!(parse_seeds("").unwrap_err(), "the seed list is empty");
+        assert_eq!(parse_seeds("  ").unwrap_err(), "the seed list is empty");
+        let cases = [
+            ("0;1", "\"0;1\""),
+            ("0,1,", "\"\""),
+            ("0,,1", "\"\""),
+            ("0,x", "\"x\""),
+            ("0,-1", "\"-1\""),
+            ("18446744073709551616", "\"18446744073709551616\""),
+        ];
+        for (raw, entry) in cases {
+            assert_eq!(
+                parse_seeds(raw).unwrap_err(),
+                format!("seed entry {entry} is not a u64"),
+                "{raw:?}"
+            );
+        }
     }
 }

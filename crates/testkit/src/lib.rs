@@ -44,7 +44,7 @@ pub mod wire;
 pub mod worldgen;
 
 pub use corpus::{synth_corpus, synth_corpus_index};
-pub use differential::{minimize, run_seed, seeds_from_env, Divergence};
+pub use differential::{minimize, parse_seeds, run_seed, seeds_from_env, Divergence};
 pub use golden::{check_golden, golden_path, update_mode, UPDATE_ENV};
 pub use invariants::{check_plan, check_seed, Violation};
 pub use orchestrate::{resume_generated_campaign, run_generated_campaign, GeneratedDriver};

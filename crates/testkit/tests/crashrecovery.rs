@@ -26,7 +26,7 @@ const BATTERY: &[u64] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
 
 #[test]
 fn kill_at_every_checkpoint_boundary_resumes_byte_identical() {
-    for seed in seeds_from_env(BATTERY) {
+    for seed in seeds_from_env(BATTERY).expect("seed list") {
         let descriptor = CampaignDescriptor::new(CampaignKind::Generated, seed);
         let (reference, checkpoints) =
             run_generated_campaign(descriptor.clone()).expect("uninterrupted run");
@@ -75,7 +75,7 @@ fn kill_at_every_checkpoint_boundary_resumes_byte_identical() {
 /// the queue at all.
 #[test]
 fn wait_parked_event_core_resumes_match_the_direct_oracle() {
-    for seed in seeds_from_env(&[0, 4, 9]) {
+    for seed in seeds_from_env(&[0, 4, 9]).expect("seed list") {
         let descriptor = CampaignDescriptor::new(CampaignKind::Generated, seed);
         let (reference, checkpoints) =
             run_generated_campaign(descriptor).expect("uninterrupted run");

@@ -10,7 +10,7 @@ use filterwatch_testkit::{
 
 #[test]
 fn differential_battery_finds_no_divergence() {
-    let seeds = seeds_from_env(&[0, 1, 2, 3, 4, 5, 6, 7]);
+    let seeds = seeds_from_env(&[0, 1, 2, 3, 4, 5, 6, 7]).expect("seed list");
     assert!(seeds.len() >= 8, "need at least eight seeds, got {seeds:?}");
     let divergences = filterwatch_testkit::differential::run(&seeds);
     assert!(

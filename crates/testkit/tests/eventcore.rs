@@ -28,7 +28,7 @@ const BATTERY: &[u64] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
 /// shrunk to the minimal plan still reproducing them.
 #[test]
 fn ten_seed_battery_is_byte_identical_across_paths() {
-    for seed in seeds_from_env(BATTERY) {
+    for seed in seeds_from_env(BATTERY).expect("seed list") {
         let plan = plan_for_seed(seed);
         if let Err(detail) = check_direct_vs_event(&plan) {
             let (min, min_detail) = minimize(&plan, &|p| check_direct_vs_event(p));

@@ -142,7 +142,7 @@ fn paper_world_walk_matches_address_sweep() {
 
 #[test]
 fn generated_battery_walk_matches_address_sweep() {
-    for seed in seeds_from_env(BATTERY) {
+    for seed in seeds_from_env(BATTERY).expect("seed list") {
         let mut gw = build_world(&plan_for_seed(seed));
         check_world(&format!("seed {seed}"), &mut gw.net);
     }
