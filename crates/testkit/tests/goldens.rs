@@ -50,12 +50,29 @@ fn standard_campaign_golden() {
     check_golden("campaign-standard", &rendering).unwrap_or_else(|e| panic!("{e}"));
 }
 
+/// Every URL's explanation, in index order, as one text.
+fn explain_all(index: &filterwatch_trace::ProvenanceIndex) -> String {
+    index
+        .urls()
+        .into_iter()
+        .map(|url| {
+            index
+                .explain(url)
+                .unwrap_or_else(|| panic!("explain({url}) empty"))
+        })
+        .collect()
+}
+
 /// Pin the `explain` surface: provenance summary, the tree profile,
-/// and the full causal chain for a deterministic subset of tested URLs
-/// (first, middle, last — covering different verdicts without pinning
-/// thousands of lines).
+/// the full causal chain for a deterministic subset of tested URLs
+/// (first, middle, last — covering different verdicts), and by digest
+/// every URL's explanation for the clean demo campaign and for the
+/// chaos demo (20% field faults under `ResilienceConfig::chaos()`),
+/// whose chains add trial, retry, quorum and path-fault nodes.
 #[test]
 fn demo_campaign_explain_golden() {
+    use filterwatch_measure::ResilienceConfig;
+    use filterwatch_netsim::FaultProfile;
     use filterwatch_trace::{render_profile, ProvenanceIndex, TraceMode};
 
     let report = Campaign::demo(DEFAULT_SEED)
@@ -80,6 +97,18 @@ fn demo_campaign_explain_golden() {
                 .unwrap_or_else(|| panic!("explain({url}) empty")),
         );
     }
+    pin_log(&mut rendering, "every explain (demo)", &explain_all(&index));
+
+    let chaos = Campaign::demo(DEFAULT_SEED)
+        .with_field_faults(FaultProfile::chaotic(0.2).expect("valid rate"))
+        .with_resilience(ResilienceConfig::chaos())
+        .with_trace(TraceMode::Full)
+        .run();
+    pin_log(
+        &mut rendering,
+        "every explain (chaos demo, 20% faults)",
+        &explain_all(&ProvenanceIndex::build(&chaos.trace)),
+    );
     check_golden("campaign-demo-explain", &rendering).unwrap_or_else(|e| panic!("{e}"));
 }
 

@@ -275,6 +275,25 @@ mod tests {
     }
 
     #[test]
+    fn repeated_span_keeps_the_later_line() {
+        let first = ev(2, Some(1), 0, 1, StepKind::Dns);
+        let mut second = ev(2, Some(1), 5, 9, StepKind::Fetch);
+        second.fields.push(("try".to_string(), "2".to_string()));
+        let root = ev(1, None, 0, 10, StepKind::Campaign);
+        let head = "trace t0000000000000001\n  s1 campaign @day 0 00:00:00 +10s\n";
+        let log = vec![first.clone(), root.clone(), second.clone()];
+        assert_eq!(
+            render_forest(&build_forest(&log)),
+            format!("{head}    s2 fetch @day 0 00:00:05 +4s try=2\n")
+        );
+        let log = vec![second, root, first];
+        assert_eq!(
+            render_forest(&build_forest(&log)),
+            format!("{head}    s2 dns @day 0 00:00:00 +1s\n")
+        );
+    }
+
+    #[test]
     fn ancestry_walks_to_the_root() {
         let forest = build_forest(&sample_log());
         let tree = &forest[&TraceId(1)];

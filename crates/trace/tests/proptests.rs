@@ -28,32 +28,39 @@ fn any_fields() -> impl Strategy<Value = Vec<(String, String)>> {
     )
 }
 
-/// A structurally plausible event log: one trace, spans 1..=n, each
-/// span's parent drawn from earlier spans (or none, making it a root).
+/// A structurally plausible event log: one to three traces with
+/// distinct ids, interleaved line by line. Each trace numbers its spans
+/// 1..=n and draws each span's parent from its own earlier spans (or
+/// none, making it a root).
 fn any_span_log() -> impl Strategy<Value = Vec<TraceEvent>> {
     (
-        any::<u64>(),
+        proptest::collection::btree_set(any::<u64>(), 1..=3),
         proptest::collection::vec(
-            (any::<u32>(), 0u64..10_000, any_step(), any_fields()),
+            (
+                any::<usize>(),
+                any::<u32>(),
+                0u64..10_000,
+                any_step(),
+                any_fields(),
+            ),
             1..24,
         ),
     )
-        .prop_map(|(trace, raws)| {
+        .prop_map(|(traces, raws)| {
+            let traces: Vec<u64> = traces.into_iter().collect();
+            let mut last_span = vec![0u32; traces.len()];
             raws.into_iter()
-                .enumerate()
-                .map(|(i, (pick, at, step, fields))| {
-                    let span = i as u32 + 1;
-                    let parent = if i == 0 {
-                        None
-                    } else {
-                        // Bias toward having a parent; pick 0 means root.
-                        match pick % span {
-                            0 => None,
-                            p => Some(SpanId(p)),
-                        }
+                .map(|(which, pick, at, step, fields)| {
+                    let t = which % traces.len();
+                    last_span[t] += 1;
+                    let span = last_span[t];
+                    // Bias toward having a parent; pick 0 means root.
+                    let parent = match pick % span {
+                        0 => None,
+                        p => Some(SpanId(p)),
                     };
                     TraceEvent {
-                        trace: TraceId(trace),
+                        trace: TraceId(traces[t]),
                         span: SpanId(span),
                         parent,
                         at_secs: at,
