@@ -356,7 +356,7 @@ impl CampaignRun {
             characterizations,
             quality,
             telemetry: telemetry.snapshot(),
-            trace: tracer.snapshot(),
+            trace: tracer.take(),
         }
     }
 }

@@ -56,15 +56,7 @@ impl SimTime {
 
 impl std::fmt::Display for SimTime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let day = self.days();
-        let rem = self.0 % SECS_PER_DAY;
-        write!(
-            f,
-            "day {day} {:02}:{:02}:{:02}",
-            rem / 3600,
-            (rem % 3600) / 60,
-            rem % 60
-        )
+        filterwatch_telemetry::write_vtime(f, self.0)
     }
 }
 

@@ -80,19 +80,28 @@ pub mod stage {
     pub const SCHED: &str = "sched";
 }
 
-/// Render `secs` of virtual time like the simulator's clock does
-/// (`day D hh:mm:ss`).
-pub fn format_vtime(secs: u64) -> String {
+/// Append `secs` of virtual time the way the simulator's clock reads
+/// (`day D hh:mm:ss`). The workspace's only writer of that form.
+pub fn write_vtime<W: std::fmt::Write>(out: &mut W, secs: u64) -> std::fmt::Result {
     const SECS_PER_DAY: u64 = 86_400;
     let day = secs / SECS_PER_DAY;
     let rem = secs % SECS_PER_DAY;
-    format!(
+    write!(
+        out,
         "day {} {:02}:{:02}:{:02}",
         day,
         rem / 3600,
         (rem / 60) % 60,
         rem % 60
     )
+}
+
+/// [`write_vtime`] into a fresh `String`.
+pub fn format_vtime(secs: u64) -> String {
+    let mut out = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write_vtime(&mut out, secs);
+    out
 }
 
 #[cfg(test)]

@@ -334,7 +334,7 @@ pub fn run_campaign_forensic(plan: &ScenarioPlan, config: &RunConfig) -> Campaig
     gw.net.set_tracer(TraceHandle::enabled(plan.seed));
     let report = drive_campaign(&mut gw, config);
     let flow_lines = gw.net.flow_log().iter().map(|r| r.to_line()).collect();
-    let trace_forest = render_forest(&build_forest(&gw.net.tracer().snapshot()));
+    let trace_forest = render_forest(&build_forest(&gw.net.tracer().take()));
     CampaignForensics {
         report,
         flow_lines,

@@ -245,11 +245,12 @@ impl TraceHandle {
         });
     }
 
-    /// Completed events so far, in completion order. Open spans are
-    /// not included — close the root before snapshotting.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    /// Drain the completed events, in completion order, leaving the
+    /// collector's log empty. Open spans are not included — close the
+    /// root first.
+    pub fn take(&self) -> Vec<TraceEvent> {
         match &self.inner {
-            Some(collector) => collector.lock().events.clone(),
+            Some(collector) => std::mem::take(&mut collector.lock().events),
             None => Vec::new(),
         }
     }
@@ -275,7 +276,7 @@ mod tests {
         assert_eq!(scope, ScopeId::NONE);
         t.point(StepKind::Verdict, 1, &[]);
         t.close(scope, 2, &[]);
-        assert!(t.snapshot().is_empty());
+        assert!(t.take().is_empty());
     }
 
     #[test]
@@ -287,7 +288,7 @@ mod tests {
         t.point(StepKind::Dns, 10, &[("host", "x")]);
         t.close(fetch, 12, &[("outcome", "200")]);
         t.close(root, 100, &[]);
-        let events = t.snapshot();
+        let events = t.take();
         assert_eq!(events.len(), 3);
         // Completion order: the dns point, then the fetch, then the root.
         assert_eq!(events[0].step, StepKind::Dns);
@@ -299,6 +300,7 @@ mod tests {
         assert_eq!(events[2].parent, None);
         assert_eq!(events[2].end_secs, 100);
         assert!(events.iter().all(|e| e.trace == events[0].trace));
+        assert!(t.take().is_empty(), "take drains the log");
     }
 
     #[test]
@@ -307,7 +309,7 @@ mod tests {
         let root = t.open(StepKind::Campaign, 0, &[]);
         let _leaked = t.open(StepKind::Fetch, 5, &[]);
         t.close(root, 9, &[]);
-        let events = t.snapshot();
+        let events = t.take();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].step, StepKind::Fetch);
         assert_eq!(events[0].end_secs, 9);
@@ -321,7 +323,7 @@ mod tests {
         t.close(a, 1, &[]);
         let b = t.open(StepKind::UrlTest, 2, &[]);
         t.close(b, 3, &[]);
-        let events = t.snapshot();
+        let events = t.take();
         assert_eq!(events.len(), 2);
         assert_ne!(events[0].trace, events[1].trace);
         // Span ordinals restart per trace.
@@ -341,7 +343,7 @@ mod tests {
             t.close(ut, i, &[]);
         }
         t.close(root, 10, &[]);
-        let events = t.snapshot();
+        let events = t.take();
         let url_tests = events
             .iter()
             .filter(|e| e.step == StepKind::UrlTest)
@@ -364,6 +366,6 @@ mod tests {
     fn points_outside_any_span_are_dropped() {
         let t = TraceHandle::enabled(5);
         t.point(StepKind::Dns, 0, &[]);
-        assert!(t.snapshot().is_empty());
+        assert!(t.take().is_empty());
     }
 }

@@ -9,51 +9,43 @@
 //! skips, fingerprint matches and quorum decision.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
-use crate::ids::{SpanId, TraceId};
 use crate::step::StepKind;
-use crate::tree::{build_forest, render_node_line, Forest};
+use crate::tree::{build_forest, write_node_line, Forest};
 
-/// A `(trace, span)` anchor into the reconstructed forest.
-pub type NodeKey = (TraceId, SpanId);
+/// A `(tree, node)` position pair into the reconstructed forest. Trees
+/// sort by trace id and nodes by span id, so positions sort in
+/// `(trace, span)` order.
+type NodeAt = (usize, usize);
 
-/// Provenance index over one trace log.
+/// Provenance index over one trace log, borrowing it.
 #[derive(Debug, Clone)]
-pub struct ProvenanceIndex {
-    forest: Forest,
-    by_url: BTreeMap<String, Vec<NodeKey>>,
-    by_vantage: BTreeMap<String, Vec<NodeKey>>,
-    by_verdict: BTreeMap<String, Vec<NodeKey>>,
+pub struct ProvenanceIndex<'a> {
+    forest: Forest<'a>,
+    by_url: BTreeMap<&'a str, Vec<NodeAt>>,
+    by_vantage: BTreeMap<&'a str, Vec<NodeAt>>,
+    by_verdict: BTreeMap<&'a str, Vec<NodeAt>>,
 }
 
-impl ProvenanceIndex {
+impl<'a> ProvenanceIndex<'a> {
     /// Build the index from a flat event log (any line order).
-    pub fn build(events: &[TraceEvent]) -> ProvenanceIndex {
+    pub fn build(events: &'a [TraceEvent]) -> ProvenanceIndex<'a> {
         let forest = build_forest(events);
-        let mut by_url: BTreeMap<String, Vec<NodeKey>> = BTreeMap::new();
-        let mut by_vantage: BTreeMap<String, Vec<NodeKey>> = BTreeMap::new();
-        let mut by_verdict: BTreeMap<String, Vec<NodeKey>> = BTreeMap::new();
-        for tree in forest.values() {
-            for event in tree.nodes.values() {
-                let key = (event.trace, event.span);
-                match event.step {
-                    StepKind::UrlTest => {
-                        if let Some(url) = event.field("url") {
-                            by_url.entry(url.to_string()).or_default().push(key);
-                        }
-                    }
-                    StepKind::Fetch => {
-                        if let Some(vantage) = event.field("vantage") {
-                            by_vantage.entry(vantage.to_string()).or_default().push(key);
-                        }
-                    }
-                    StepKind::Verdict => {
-                        if let Some(label) = event.field("verdict") {
-                            by_verdict.entry(label.to_string()).or_default().push(key);
-                        }
-                    }
-                    _ => {}
+        let mut by_url: BTreeMap<&'a str, Vec<NodeAt>> = BTreeMap::new();
+        let mut by_vantage: BTreeMap<&'a str, Vec<NodeAt>> = BTreeMap::new();
+        let mut by_verdict: BTreeMap<&'a str, Vec<NodeAt>> = BTreeMap::new();
+        for (tree_at, tree) in forest.trees().iter().enumerate() {
+            for (at, &event) in tree.nodes().iter().enumerate() {
+                let (index, key) = match event.step {
+                    StepKind::UrlTest => (&mut by_url, "url"),
+                    StepKind::Fetch => (&mut by_vantage, "vantage"),
+                    StepKind::Verdict => (&mut by_verdict, "verdict"),
+                    _ => continue,
+                };
+                if let Some(value) = event.field(key) {
+                    index.entry(value).or_default().push((tree_at, at));
                 }
             }
         }
@@ -66,20 +58,20 @@ impl ProvenanceIndex {
     }
 
     /// Every URL with at least one traced test, in sorted order.
-    pub fn urls(&self) -> Vec<&str> {
-        self.by_url.keys().map(String::as_str).collect()
+    pub fn urls(&self) -> Vec<&'a str> {
+        self.by_url.keys().copied().collect()
     }
 
     /// Every vantage that performed a traced fetch, in sorted order.
-    pub fn vantages(&self) -> Vec<&str> {
-        self.by_vantage.keys().map(String::as_str).collect()
+    pub fn vantages(&self) -> Vec<&'a str> {
+        self.by_vantage.keys().copied().collect()
     }
 
     /// Every verdict label seen, with occurrence counts, sorted.
-    pub fn verdict_counts(&self) -> Vec<(&str, usize)> {
+    pub fn verdict_counts(&self) -> Vec<(&'a str, usize)> {
         self.by_verdict
             .iter()
-            .map(|(label, keys)| (label.as_str(), keys.len()))
+            .map(|(&label, keys)| (label, keys.len()))
             .collect()
     }
 
@@ -92,47 +84,38 @@ impl ProvenanceIndex {
     /// if the trace never tested it. Byte-stable for a fixed log.
     pub fn explain(&self, url: &str) -> Option<String> {
         let keys = self.by_url.get(url)?;
-        let mut out = format!("== explain {url} ==\n{} occurrence(s)\n", keys.len());
-        for (i, (trace_id, span)) in keys.iter().enumerate() {
-            let Some(tree) = self.forest.get(trace_id) else {
-                continue;
-            };
-            let verdict = self
-                .verdict_under(*trace_id, *span)
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "== explain {url} ==\n{} occurrence(s)\n", keys.len());
+        for (i, &(tree_at, at)) in keys.iter().enumerate() {
+            let tree = &self.forest.trees()[tree_at];
+            let span = tree.nodes()[at].span;
+            // The first `verdict` point directly under the url-test span
+            // (program order = first field wins).
+            let verdict = tree
+                .children(span)
+                .find(|e| e.step == StepKind::Verdict)
+                .and_then(|e| e.field("verdict"))
                 .unwrap_or("(none recorded)");
-            out.push_str(&format!(
-                "\n-- occurrence {} of {}: trace {} span {} verdict={verdict} --\n",
+            let _ = write!(
+                out,
+                "\n-- occurrence {} of {}: trace {} span {span} verdict={verdict} --\n",
                 i + 1,
                 keys.len(),
-                trace_id,
-                span
-            ));
-            let ancestry = tree.ancestry(*span);
-            if ancestry.len() > 1 {
+                tree.trace(),
+            );
+            let ancestry = tree.ancestry(span);
+            let context = &ancestry[..ancestry.len().saturating_sub(1)];
+            if !context.is_empty() {
                 out.push_str("context:\n");
-                for (depth, ancestor) in ancestry[..ancestry.len() - 1].iter().enumerate() {
-                    if let Some(event) = tree.nodes.get(ancestor) {
-                        out.push_str(&render_node_line(event, depth + 1));
-                        out.push('\n');
-                    }
+                for (depth, ancestor) in context.iter().enumerate() {
+                    write_node_line(&mut out, ancestor, depth + 1);
                 }
             }
             out.push_str("chain:\n");
-            out.push_str(&tree.render_subtree(*span, 1));
+            tree.write_subtree(&mut out, span, 1);
         }
         Some(out)
-    }
-
-    /// Verdict label of the first `verdict` point directly under a
-    /// url-test span (program order = first field wins).
-    fn verdict_under(&self, trace: TraceId, span: SpanId) -> Option<&str> {
-        let tree = self.forest.get(&trace)?;
-        tree.children
-            .get(&span)?
-            .iter()
-            .filter_map(|kid| tree.nodes.get(kid))
-            .find(|e| e.step == StepKind::Verdict)
-            .and_then(|e| e.field("verdict"))
     }
 
     /// One-line-per-key summary of what the index covers.
@@ -153,6 +136,7 @@ impl ProvenanceIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{SpanId, TraceId};
 
     fn ev(
         span: u32,
@@ -209,7 +193,8 @@ mod tests {
 
     #[test]
     fn index_keys_on_url_vantage_and_verdict() {
-        let index = ProvenanceIndex::build(&sample_log());
+        let log = sample_log();
+        let index = ProvenanceIndex::build(&log);
         assert_eq!(index.urls(), vec!["http://x.example/"]);
         assert_eq!(index.vantages(), vec!["field@etisalat"]);
         assert_eq!(index.verdict_counts(), vec![("blocked", 1)]);
@@ -219,7 +204,8 @@ mod tests {
 
     #[test]
     fn explain_renders_context_and_chain() {
-        let index = ProvenanceIndex::build(&sample_log());
+        let log = sample_log();
+        let index = ProvenanceIndex::build(&log);
         let text = index.explain("http://x.example/").unwrap();
         assert!(text.starts_with("== explain http://x.example/ ==\n1 occurrence(s)\n"));
         assert!(text.contains("verdict=blocked --"));
@@ -241,8 +227,40 @@ mod tests {
     }
 
     #[test]
+    fn explain_survives_parent_cycles() {
+        let log = crate::from_log(
+            "t0000000000000001\ts1\ts2\tv0\tv5\turl-test\turl=http://x/\n\
+             t0000000000000001\ts2\ts1\tv0\tv5\tfetch\tvantage=field\n\
+             t0000000000000001\ts3\ts3\tv0\tv1\turl-test\turl=http://self/\n",
+        )
+        .unwrap();
+        let index = ProvenanceIndex::build(&log);
+        assert_eq!(
+            index.explain("http://x/").unwrap(),
+            "== explain http://x/ ==\n1 occurrence(s)\n\n\
+             -- occurrence 1 of 1: trace t0000000000000001 span s1 verdict=(none recorded) --\n\
+             context:\n  s2 fetch @day 0 00:00:00 +5s vantage=field\n\
+             chain:\n  s1 url-test @day 0 00:00:00 +5s url=http://x/\n\
+             \x20   s2 fetch @day 0 00:00:00 +5s vantage=field\n"
+        );
+        assert_eq!(
+            index.explain("http://self/").unwrap(),
+            "== explain http://self/ ==\n1 occurrence(s)\n\n\
+             -- occurrence 1 of 1: trace t0000000000000001 span s3 verdict=(none recorded) --\n\
+             chain:\n  s3 url-test @day 0 00:00:00 +1s url=http://self/\n"
+        );
+        // No span on a cycle is reachable from a root.
+        assert_eq!(
+            crate::render_forest(&build_forest(&log)),
+            "trace t0000000000000001\n"
+        );
+        assert!(crate::render_profile(&log).starts_with("path"));
+    }
+
+    #[test]
     fn summary_counts_labels() {
-        let index = ProvenanceIndex::build(&sample_log());
+        let log = sample_log();
+        let index = ProvenanceIndex::build(&log);
         let summary = index.render_summary();
         assert!(summary.contains("1 url(s)"));
         assert!(summary.contains("verdict blocked: 1"));

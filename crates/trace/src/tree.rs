@@ -5,139 +5,215 @@
 //! merge/sort of persisted logs). Reconstruction depends only on event
 //! *content*: trees are rebuilt from parent links, children ordered by
 //! `(start time, span ordinal)` — so any permutation of the same lines
-//! yields an identical forest, byte for byte.
+//! yields an identical forest, byte for byte. The one exception is a
+//! `(trace, span)` that appears on two lines: the later line wins.
+//!
+//! The forest borrows the log instead of copying it. Each tree holds
+//! its events as one vector of references sorted by span id, and its
+//! child lists as one flat array of node positions with a start offset
+//! per node. Renderers append into a caller's buffer.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
 use crate::ids::{SpanId, TraceId};
-use filterwatch_telemetry::format_vtime;
+use filterwatch_telemetry::write_vtime;
 
-/// One reconstructed trace: nodes by span id plus sorted root list.
+/// One reconstructed trace, borrowing its events from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanTree {
-    /// Trace these spans belong to.
-    pub trace: TraceId,
-    /// Every event in the trace, keyed by span ordinal.
-    pub nodes: BTreeMap<SpanId, TraceEvent>,
-    /// Children per span, ordered by `(at_secs, span)`.
-    pub children: BTreeMap<SpanId, Vec<SpanId>>,
-    /// Spans with no (present) parent, ordered by `(at_secs, span)`.
-    pub roots: Vec<SpanId>,
+pub struct SpanTree<'a> {
+    trace: TraceId,
+    /// Every event in the trace, sorted by span id, one per span.
+    nodes: Vec<&'a TraceEvent>,
+    /// Node `i`'s children are `kids[kid_start[i]..kid_start[i + 1]]`.
+    kid_start: Vec<usize>,
+    /// Child positions, grouped by parent, each group ordered by
+    /// `(at_secs, span)`.
+    kids: Vec<usize>,
+    /// Positions of spans with no (present) parent, ordered by
+    /// `(at_secs, span)`.
+    roots: Vec<usize>,
 }
 
-/// All traces in a log, keyed (and therefore ordered) by trace id.
-pub type Forest = BTreeMap<TraceId, SpanTree>;
+/// Every trace in a log, ordered by trace id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Forest<'a> {
+    trees: Vec<SpanTree<'a>>,
+}
+
+impl<'a> Forest<'a> {
+    /// The traces, ordered by trace id.
+    pub fn trees(&self) -> &[SpanTree<'a>] {
+        &self.trees
+    }
+}
 
 /// Rebuild every trace in `events` from parent links alone.
-pub fn build_forest(events: &[TraceEvent]) -> Forest {
-    let mut forest: Forest = BTreeMap::new();
-    for event in events {
-        let tree = forest.entry(event.trace).or_insert_with(|| SpanTree {
-            trace: event.trace,
-            nodes: BTreeMap::new(),
-            children: BTreeMap::new(),
-            roots: Vec::new(),
-        });
-        tree.nodes.insert(event.span, event.clone());
-    }
-    for tree in forest.values_mut() {
-        let mut ordered: Vec<(u64, SpanId)> =
-            tree.nodes.values().map(|e| (e.at_secs, e.span)).collect();
-        ordered.sort_unstable();
-        for (_, span) in ordered {
-            // A parent missing from the log (e.g. a sampled-out or
-            // truncated ancestor) degrades gracefully to a root.
-            let parent = tree.nodes.get(&span).and_then(|e| e.parent);
-            match parent.filter(|p| tree.nodes.contains_key(p)) {
-                Some(p) => tree.children.entry(p).or_default().push(span),
-                None => tree.roots.push(span),
-            }
+pub fn build_forest(events: &[TraceEvent]) -> Forest<'_> {
+    let mut lines: Vec<&TraceEvent> = events.iter().collect();
+    // Stable, so lines sharing a `(trace, span)` stay in log order...
+    lines.sort_by_key(|e| (e.trace, e.span));
+    // ...and the later of them replaces the one kept.
+    lines.dedup_by(|later, kept| {
+        let repeat = (later.trace, later.span) == (kept.trace, kept.span);
+        if repeat {
+            *kept = *later;
         }
+        repeat
+    });
+    // Each trace is now one run of the sorted lines.
+    let mut trees = Vec::new();
+    let mut rest = &lines[..];
+    while let Some(first) = rest.first() {
+        let (run, tail) = rest.split_at(rest.partition_point(|e| e.trace == first.trace));
+        trees.push(SpanTree::link(first.trace, run.to_vec()));
+        rest = tail;
     }
-    forest
+    Forest { trees }
 }
 
-impl SpanTree {
-    /// Path of span ids from a root down to `span` (inclusive). Cycles
-    /// or dangling links terminate the walk instead of looping.
-    pub fn ancestry(&self, span: SpanId) -> Vec<SpanId> {
-        let mut path = vec![span];
-        let mut cursor = span;
-        while let Some(parent) = self
-            .nodes
-            .get(&cursor)
+impl<'a> SpanTree<'a> {
+    /// Link one trace's events, sorted by span id without repeats.
+    fn link(trace: TraceId, nodes: Vec<&'a TraceEvent>) -> SpanTree<'a> {
+        let position = |span: SpanId| nodes.binary_search_by_key(&span, |e| e.span).ok();
+        // One `(parent position, at_secs, span, position)` per node. A
+        // parent missing from the log (e.g. a sampled-out or truncated
+        // ancestor) degrades gracefully to a root. `None` sorts first,
+        // so the roots lead and each parent's children follow as one
+        // run.
+        let mut links: Vec<(Option<usize>, u64, SpanId, usize)> = nodes
+            .iter()
+            .enumerate()
+            .map(|(at, e)| (e.parent.and_then(position), e.at_secs, e.span, at))
+            .collect();
+        links.sort_unstable();
+        let (roots, kids) = links.split_at(links.partition_point(|link| link.0.is_none()));
+        let kid_start = (0..=nodes.len())
+            .map(|at| kids.partition_point(|link| link.0 < Some(at)))
+            .collect();
+        SpanTree {
+            trace,
+            roots: roots.iter().map(|link| link.3).collect(),
+            kids: kids.iter().map(|link| link.3).collect(),
+            kid_start,
+            nodes,
+        }
+    }
+
+    /// Trace these spans belong to.
+    pub fn trace(&self) -> TraceId {
+        self.trace
+    }
+
+    /// Every event in the trace, sorted by span id.
+    pub fn nodes(&self) -> &[&'a TraceEvent] {
+        &self.nodes
+    }
+
+    /// The event recorded for `span`, if the log holds one.
+    pub fn node(&self, span: SpanId) -> Option<&'a TraceEvent> {
+        self.position(span).map(|at| self.nodes[at])
+    }
+
+    /// Events with no (present) parent, ordered by `(at_secs, span)`.
+    pub fn roots(&self) -> impl ExactSizeIterator<Item = &'a TraceEvent> + '_ {
+        self.roots.iter().map(|&at| self.nodes[at])
+    }
+
+    /// Children of `span`, ordered by `(at_secs, span)`.
+    pub fn children(&self, span: SpanId) -> impl Iterator<Item = &'a TraceEvent> + '_ {
+        let kids = self.position(span).map_or(&[][..], |at| self.kids_of(at));
+        kids.iter().map(|&kid| self.nodes[kid])
+    }
+
+    fn position(&self, span: SpanId) -> Option<usize> {
+        self.nodes.binary_search_by_key(&span, |e| e.span).ok()
+    }
+
+    fn kids_of(&self, at: usize) -> &[usize] {
+        &self.kids[self.kid_start[at]..self.kid_start[at + 1]]
+    }
+
+    /// Events from a root down to `span` (inclusive). Cycles or
+    /// dangling links terminate the walk instead of looping.
+    pub fn ancestry(&self, span: SpanId) -> Vec<&'a TraceEvent> {
+        let mut path: Vec<&'a TraceEvent> = self.node(span).into_iter().collect();
+        while let Some(parent) = path
+            .last()
             .and_then(|e| e.parent)
-            .filter(|p| self.nodes.contains_key(p) && !path.contains(p))
+            .and_then(|p| self.node(p))
+            .filter(|p| !path.iter().any(|e| e.span == p.span))
         {
             path.push(parent);
-            cursor = parent;
         }
         path.reverse();
         path
     }
 
-    /// Render the subtree rooted at `span`, indented two spaces per
+    /// Append the subtree rooted at `span`, indented two spaces per
     /// level starting from `depth`.
-    pub fn render_subtree(&self, span: SpanId, depth: usize) -> String {
-        let mut out = String::new();
-        self.render_into(span, depth, &mut out);
-        out
+    pub fn write_subtree(&self, out: &mut String, span: SpanId, depth: usize) {
+        if let Some(at) = self.position(span) {
+            self.write_walk(out, at, depth);
+        }
     }
 
-    fn render_into(&self, span: SpanId, depth: usize, out: &mut String) {
-        let Some(event) = self.nodes.get(&span) else {
-            return;
-        };
-        out.push_str(&render_node_line(event, depth));
-        out.push('\n');
-        if let Some(kids) = self.children.get(&span) {
-            for kid in kids {
-                self.render_into(*kid, depth + 1, out);
-            }
+    /// Depth-first walk with an explicit stack. Each node has one
+    /// parent, so a walk can come back to a node only by going round a
+    /// parent cycle to its start; never pushing the start as a child
+    /// ends every walk.
+    fn write_walk(&self, out: &mut String, start: usize, depth: usize) {
+        let mut stack = vec![(start, depth)];
+        while let Some((at, depth)) = stack.pop() {
+            write_node_line(out, self.nodes[at], depth);
+            // Reversed, so the earliest child pops first.
+            let kids = self.kids_of(at).iter().rev();
+            stack.extend(
+                kids.filter(|&&kid| kid != start)
+                    .map(|&kid| (kid, depth + 1)),
+            );
         }
     }
 }
 
-/// One node as a stable text line: `s<n> <token> @<vtime> [+<dur>s] k=v…`.
-pub fn render_node_line(event: &TraceEvent, depth: usize) -> String {
-    let mut line = format!(
-        "{}{} {} @{}",
-        "  ".repeat(depth),
-        event.span,
-        event.step.to_token(),
-        format_vtime(event.at_secs)
-    );
+/// Append one node as a stable text line,
+/// `s<n> <token> @<vtime> [+<dur>s] k=v…`, indented two spaces per
+/// `depth`. Control characters in a value collapse to spaces so one
+/// event stays one line of text.
+pub fn write_node_line(out: &mut String, event: &TraceEvent, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{} {} @", event.span, event.step.to_token());
+    let _ = write_vtime(out, event.at_secs);
     if event.end_secs > event.at_secs {
-        line.push_str(&format!(" +{}s", event.duration_secs()));
+        let _ = write!(out, " +{}s", event.duration_secs());
     }
     for (k, v) in &event.fields {
-        line.push(' ');
-        line.push_str(k);
-        line.push('=');
-        line.push_str(&single_line(v));
+        out.push(' ');
+        out.push_str(k);
+        out.push('=');
+        if v.contains(['\t', '\n', '\r']) {
+            out.extend(v.chars().map(|c| match c {
+                '\t' | '\n' | '\r' => ' ',
+                c => c,
+            }));
+        } else {
+            out.push_str(v);
+        }
     }
-    line
-}
-
-/// Collapse control characters so one event stays one line of text.
-fn single_line(value: &str) -> String {
-    value
-        .chars()
-        .map(|c| match c {
-            '\t' | '\n' | '\r' => ' ',
-            c => c,
-        })
-        .collect()
+    out.push('\n');
 }
 
 /// Render the whole forest (every trace, every root) as stable text.
-pub fn render_forest(forest: &Forest) -> String {
+pub fn render_forest(forest: &Forest<'_>) -> String {
     let mut out = String::new();
-    for tree in forest.values() {
-        out.push_str(&format!("trace {}\n", tree.trace));
-        for root in &tree.roots {
-            out.push_str(&tree.render_subtree(*root, 1));
+    for tree in &forest.trees {
+        let _ = writeln!(out, "trace {}", tree.trace);
+        for &root in &tree.roots {
+            tree.write_walk(&mut out, root, 1);
         }
     }
     out
@@ -158,42 +234,41 @@ pub struct ProfileEntry {
 /// step tokens from the root (`campaign/case/url-test/fetch`). Self
 /// time is the span's duration minus its children's, clamped at zero
 /// (concurrent children may overlap the parent entirely).
-pub fn profile(forest: &Forest) -> BTreeMap<String, ProfileEntry> {
+pub fn profile(forest: &Forest<'_>) -> BTreeMap<String, ProfileEntry> {
     let mut out: BTreeMap<String, ProfileEntry> = BTreeMap::new();
-    for tree in forest.values() {
-        for root in &tree.roots {
-            profile_node(tree, *root, "", &mut out);
+    for tree in &forest.trees {
+        for &root in &tree.roots {
+            profile_node(tree, root, "", &mut out);
         }
     }
     out
 }
 
+/// Roll up the node at `at` and its subtree. Recursion is safe here: a
+/// node reached from a root is never on a parent cycle.
 fn profile_node(
-    tree: &SpanTree,
-    span: SpanId,
+    tree: &SpanTree<'_>,
+    at: usize,
     prefix: &str,
     out: &mut BTreeMap<String, ProfileEntry>,
 ) {
-    let Some(event) = tree.nodes.get(&span) else {
-        return;
-    };
+    let event = tree.nodes[at];
     let path = if prefix.is_empty() {
         event.step.to_token().to_string()
     } else {
         format!("{prefix}/{}", event.step.to_token())
     };
-    let kids = tree.children.get(&span).cloned().unwrap_or_default();
+    let kids = tree.kids_of(at);
     let child_secs: u64 = kids
         .iter()
-        .filter_map(|k| tree.nodes.get(k))
-        .map(|e| e.duration_secs())
+        .map(|&kid| tree.nodes[kid].duration_secs())
         .sum();
     let total = event.duration_secs();
     let entry = out.entry(path.clone()).or_default();
     entry.count += 1;
     entry.total_secs += total;
     entry.self_secs += total.saturating_sub(child_secs);
-    for kid in kids {
+    for &kid in kids {
         profile_node(tree, kid, &path, out);
     }
 }
@@ -258,20 +333,27 @@ mod tests {
         assert_eq!(render_forest(&build_forest(&log)), baseline);
     }
 
+    fn spans<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Vec<SpanId> {
+        events.map(|e| e.span).collect()
+    }
+
     #[test]
     fn children_sort_by_time_then_span() {
-        let forest = build_forest(&sample_log());
-        let tree = &forest[&TraceId(1)];
-        assert_eq!(tree.roots, vec![SpanId(1)]);
-        assert_eq!(tree.children[&SpanId(1)], vec![SpanId(2), SpanId(5)]);
-        assert_eq!(tree.children[&SpanId(2)], vec![SpanId(3), SpanId(4)]);
+        let log = sample_log();
+        let forest = build_forest(&log);
+        let tree = &forest.trees()[0];
+        assert_eq!(spans(tree.roots()), vec![SpanId(1)]);
+        assert_eq!(spans(tree.children(SpanId(1))), vec![SpanId(2), SpanId(5)]);
+        assert_eq!(spans(tree.children(SpanId(2))), vec![SpanId(3), SpanId(4)]);
+        assert_eq!(spans(tree.children(SpanId(3))), vec![]);
+        assert_eq!(spans(tree.children(SpanId(9))), vec![]);
     }
 
     #[test]
     fn missing_parent_degrades_to_root() {
         let log = vec![ev(7, Some(3), 5, 6, StepKind::Fetch)];
         let forest = build_forest(&log);
-        assert_eq!(forest[&TraceId(1)].roots, vec![SpanId(7)]);
+        assert_eq!(spans(forest.trees()[0].roots()), vec![SpanId(7)]);
     }
 
     #[test]
@@ -295,18 +377,20 @@ mod tests {
 
     #[test]
     fn ancestry_walks_to_the_root() {
-        let forest = build_forest(&sample_log());
-        let tree = &forest[&TraceId(1)];
+        let log = sample_log();
+        let forest = build_forest(&log);
+        let tree = &forest.trees()[0];
         assert_eq!(
-            tree.ancestry(SpanId(4)),
+            spans(tree.ancestry(SpanId(4)).into_iter()),
             vec![SpanId(1), SpanId(2), SpanId(4)]
         );
-        assert_eq!(tree.ancestry(SpanId(1)), vec![SpanId(1)]);
+        assert_eq!(spans(tree.ancestry(SpanId(1)).into_iter()), vec![SpanId(1)]);
     }
 
     #[test]
     fn profile_rolls_up_self_and_total() {
-        let rollup = profile(&build_forest(&sample_log()));
+        let log = sample_log();
+        let rollup = profile(&build_forest(&log));
         let campaign = &rollup["campaign"];
         assert_eq!((campaign.count, campaign.total_secs), (1, 100));
         // 100 total minus url-test children (40 + 50).
@@ -321,9 +405,8 @@ mod tests {
     fn node_line_collapses_control_chars() {
         let mut e = ev(1, None, 3_661, 3_661, StepKind::Dns);
         e.fields.push(("host".to_string(), "a\tb\nc".to_string()));
-        assert_eq!(
-            render_node_line(&e, 1),
-            "  s1 dns @day 0 01:01:01 host=a b c"
-        );
+        let mut line = String::new();
+        write_node_line(&mut line, &e, 1);
+        assert_eq!(line, "  s1 dns @day 0 01:01:01 host=a b c\n");
     }
 }

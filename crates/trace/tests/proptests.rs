@@ -2,10 +2,10 @@
 //!
 //! Permutation invariance — span-tree reconstruction, rendering, the
 //! profile and every `explain` artifact are pure functions of the event
-//! *set*, so shuffling the log must never change them — and
-//! reconstruction survives a wire round trip. The `TraceEvent` line
-//! codec itself is checked by the shared wire harness in
-//! `filterwatch-testkit`.
+//! *set*, so shuffling the log must never change them. Reconstruction
+//! survives a wire round trip, and `explain` ends on logs whose parent
+//! links form cycles. The `TraceEvent` line codec itself is checked by
+//! the shared wire harness in `filterwatch-testkit`.
 
 use filterwatch_trace::{
     build_forest, from_log, render_forest, render_profile, to_log, ProvenanceIndex, SpanId,
@@ -73,6 +73,35 @@ fn any_span_log() -> impl Strategy<Value = Vec<TraceEvent>> {
         })
 }
 
+/// An adversarial log: one trace whose parents may name any span,
+/// including later spans and the span itself, so parent cycles of every
+/// length occur. Every event carries one of three URLs, and about half
+/// are url-tests.
+fn any_parent_log() -> impl Strategy<Value = Vec<TraceEvent>> {
+    proptest::collection::vec(
+        (any::<u32>(), 0u64..100, any::<bool>(), any_step(), 0u8..3),
+        1..16,
+    )
+    .prop_map(|raws| {
+        let n = raws.len() as u32;
+        raws.into_iter()
+            .enumerate()
+            .map(|(i, (pick, at, test, step, url))| TraceEvent {
+                trace: TraceId(1),
+                span: SpanId(i as u32 + 1),
+                parent: match pick % (n + 1) {
+                    0 => None,
+                    p => Some(SpanId(p)),
+                },
+                at_secs: at,
+                end_secs: at,
+                step: if test { StepKind::UrlTest } else { step },
+                fields: vec![("url".to_string(), format!("http://u{url}/"))],
+            })
+            .collect()
+    })
+}
+
 /// Deterministically shuffle a log with a Fisher–Yates pass driven by a
 /// seed (proptest supplies the randomness; the shuffle itself is pure).
 fn shuffled(events: &[TraceEvent], seed: u64) -> Vec<TraceEvent> {
@@ -108,6 +137,27 @@ proptest! {
         prop_assert_eq!(index.urls(), index2.urls());
         for url in index.urls() {
             prop_assert_eq!(index.explain(url), index2.explain(url));
+        }
+    }
+
+    /// `explain` returns for every URL of a log with arbitrary parent
+    /// links, and each chain prints every node at most once.
+    #[test]
+    fn explain_terminates_on_parent_cycles(events in any_parent_log()) {
+        let index = ProvenanceIndex::build(&events);
+        for url in index.urls() {
+            let text = index.explain(url);
+            prop_assert!(text.is_some(), "explain({}) returned nothing", url);
+            let text = text.unwrap_or_default();
+            for section in text.split("chain:\n").skip(1) {
+                let chain = section.split("\n-- occurrence").next().unwrap_or_default();
+                let spans: Vec<&str> = chain
+                    .lines()
+                    .filter_map(|line| line.split_whitespace().next())
+                    .collect();
+                let unique: std::collections::BTreeSet<&str> = spans.iter().copied().collect();
+                prop_assert_eq!(unique.len(), spans.len(), "a chain repeats a node:\n{}", chain);
+            }
         }
     }
 

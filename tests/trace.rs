@@ -93,11 +93,15 @@ fn trace_log_round_trips_and_reconstructs() {
 
     // One campaign = one trace, rooted at a Campaign span.
     let forest = build_forest(&events);
-    assert_eq!(forest.len(), 1, "demo campaign must be a single trace");
-    for tree in forest.values() {
-        assert_eq!(tree.roots.len(), 1);
-        let root = tree.roots[0];
-        assert_eq!(tree.nodes[&root].step, StepKind::Campaign);
+    assert_eq!(
+        forest.trees().len(),
+        1,
+        "demo campaign must be a single trace"
+    );
+    for tree in forest.trees() {
+        let roots: Vec<&TraceEvent> = tree.roots().collect();
+        assert_eq!(roots.len(), 1);
+        assert_eq!(roots[0].step, StepKind::Campaign);
     }
 }
 
