@@ -76,28 +76,45 @@ pub fn build_forest(events: &[TraceEvent]) -> Forest<'_> {
 impl<'a> SpanTree<'a> {
     /// Link one trace's events, sorted by span id without repeats.
     fn link(trace: TraceId, nodes: Vec<&'a TraceEvent>) -> SpanTree<'a> {
-        let position = |span: SpanId| nodes.binary_search_by_key(&span, |e| e.span).ok();
-        // One `(parent position, at_secs, span, position)` per node. A
-        // parent missing from the log (e.g. a sampled-out or truncated
-        // ancestor) degrades gracefully to a root. `None` sorts first,
-        // so the roots lead and each parent's children follow as one
-        // run.
-        let mut links: Vec<(Option<usize>, u64, SpanId, usize)> = nodes
+        // A parent missing from the log (e.g. a sampled-out or truncated
+        // ancestor) degrades gracefully to a root.
+        let parents: Vec<Option<usize>> = nodes
             .iter()
-            .enumerate()
-            .map(|(at, e)| (e.parent.and_then(position), e.at_secs, e.span, at))
+            .map(|e| e.parent.and_then(|p| position(&nodes, p)))
             .collect();
-        links.sort_unstable();
-        let (roots, kids) = links.split_at(links.partition_point(|link| link.0.is_none()));
-        let kid_start = (0..=nodes.len())
-            .map(|at| kids.partition_point(|link| link.0 < Some(at)))
-            .collect();
+        // Count each node's children, then turn the counts into offsets.
+        let mut kid_start = vec![0; nodes.len() + 1];
+        for &p in parents.iter().flatten() {
+            kid_start[p + 1] += 1;
+        }
+        for at in 1..kid_start.len() {
+            kid_start[at] += kid_start[at - 1];
+        }
+        // Fill every group in span order, then sort each stably by
+        // start time: `(at_secs, span)` order.
+        let mut next = kid_start.clone();
+        let mut kids = vec![0; kid_start[nodes.len()]];
+        let mut roots = Vec::new();
+        for (at, parent) in parents.into_iter().enumerate() {
+            match parent {
+                Some(p) => {
+                    kids[next[p]] = at;
+                    next[p] += 1;
+                }
+                None => roots.push(at),
+            }
+        }
+        let by_start = |&at: &usize| nodes[at].at_secs;
+        roots.sort_by_key(by_start);
+        for group in kid_start.windows(2) {
+            kids[group[0]..group[1]].sort_by_key(by_start);
+        }
         SpanTree {
             trace,
-            roots: roots.iter().map(|link| link.3).collect(),
-            kids: kids.iter().map(|link| link.3).collect(),
-            kid_start,
             nodes,
+            kid_start,
+            kids,
+            roots,
         }
     }
 
@@ -128,7 +145,7 @@ impl<'a> SpanTree<'a> {
     }
 
     fn position(&self, span: SpanId) -> Option<usize> {
-        self.nodes.binary_search_by_key(&span, |e| e.span).ok()
+        position(&self.nodes, span)
     }
 
     fn kids_of(&self, at: usize) -> &[usize] {
@@ -174,6 +191,17 @@ impl<'a> SpanTree<'a> {
                     .map(|&kid| (kid, depth + 1)),
             );
         }
+    }
+}
+
+/// Position of `span` in `nodes` (sorted by span id, no repeats). The
+/// collector numbers a trace's spans densely from 1, so the span's own
+/// slot is tried before searching.
+fn position(nodes: &[&TraceEvent], span: SpanId) -> Option<usize> {
+    let slot = usize::try_from(span.0).ok().and_then(|n| n.checked_sub(1));
+    match slot.filter(|&at| nodes.get(at).is_some_and(|e| e.span == span)) {
+        Some(at) => Some(at),
+        None => nodes.binary_search_by_key(&span, |e| e.span).ok(),
     }
 }
 
