@@ -170,17 +170,14 @@ impl<'a> SpanTree<'a> {
 
     /// Append the subtree rooted at `span`, indented two spaces per
     /// level starting from `depth`.
+    ///
+    /// The walk keeps an explicit stack. Each node has one parent, so a
+    /// walk can come back to a node only by going round a parent cycle
+    /// to its start; never pushing the start as a child ends every walk.
     pub fn write_subtree(&self, out: &mut String, span: SpanId, depth: usize) {
-        if let Some(at) = self.position(span) {
-            self.write_walk(out, at, depth);
-        }
-    }
-
-    /// Depth-first walk with an explicit stack. Each node has one
-    /// parent, so a walk can come back to a node only by going round a
-    /// parent cycle to its start; never pushing the start as a child
-    /// ends every walk.
-    fn write_walk(&self, out: &mut String, start: usize, depth: usize) {
+        let Some(start) = self.position(span) else {
+            return;
+        };
         let mut stack = vec![(start, depth)];
         while let Some((at, depth)) = stack.pop() {
             write_node_line(out, self.nodes[at], depth);
@@ -240,8 +237,8 @@ pub fn render_forest(forest: &Forest<'_>) -> String {
     let mut out = String::new();
     for tree in &forest.trees {
         let _ = writeln!(out, "trace {}", tree.trace);
-        for &root in &tree.roots {
-            tree.write_walk(&mut out, root, 1);
+        for root in tree.roots() {
+            tree.write_subtree(&mut out, root.span, 1);
         }
     }
     out
