@@ -188,15 +188,11 @@ impl CampaignRun {
         world.net.set_tracer(tracer.clone());
         let campaign_span =
             telemetry.span_start(stage::CAMPAIGN, "standard campaign", world.net.now().secs());
-        let campaign_scope = if tracer.is_enabled() {
-            tracer.open(
-                StepKind::Campaign,
-                world.net.now().secs(),
-                &[("seed", &campaign.options.seed.to_string())],
-            )
-        } else {
-            filterwatch_trace::ScopeId::NONE
-        };
+        let campaign_scope = tracer.open(
+            StepKind::Campaign,
+            world.net.now().secs(),
+            &[("seed", &campaign.options.seed)],
+        );
 
         CampaignRun {
             campaign,
@@ -301,15 +297,11 @@ impl CampaignRun {
             }
         }
         for (isp, product) in &confirmed_isps {
-            let scope = if self.tracer.is_enabled() {
-                self.tracer.open(
-                    StepKind::Stage,
-                    self.world.net.now().secs(),
-                    &[("name", "characterize"), ("isp", isp)],
-                )
-            } else {
-                filterwatch_trace::ScopeId::NONE
-            };
+            let scope = self.tracer.open(
+                StepKind::Stage,
+                self.world.net.now().secs(),
+                &[("name", &"characterize"), ("isp", isp)],
+            );
             let ch = characterize(
                 &self.world,
                 isp,

@@ -190,19 +190,17 @@ pub fn characterize(
         }
     }
 
-    if telemetry.is_enabled() {
-        telemetry.counter_add("characterize.urls_tested", isp, urls_tested as u64);
-        telemetry.counter_add("characterize.urls_blocked", isp, urls_blocked as u64);
-        telemetry.event(
-            world.net.now().secs(),
-            "characterize.done",
-            &[
-                ("isp", isp),
-                ("tested", &urls_tested.to_string()),
-                ("blocked", &urls_blocked.to_string()),
-            ],
-        );
-    }
+    telemetry.counter_add("characterize.urls_tested", isp, urls_tested as u64);
+    telemetry.counter_add("characterize.urls_blocked", isp, urls_blocked as u64);
+    telemetry.event(
+        world.net.now().secs(),
+        "characterize.done",
+        &[
+            ("isp", &isp),
+            ("tested", &urls_tested),
+            ("blocked", &urls_blocked),
+        ],
+    );
     telemetry.span_end(span, world.net.now().secs());
 
     Characterization {

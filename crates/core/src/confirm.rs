@@ -115,6 +115,8 @@ pub fn begin_case(world: &mut World, spec: &CaseStudySpec) -> CaseInProgress {
     );
     let telemetry = world.net.telemetry().clone();
     let tracer = world.net.tracer().clone();
+    // The case label costs a string to build, so build it only for a
+    // live collector.
     let case_scope = if tracer.is_enabled() {
         tracer.open(
             filterwatch_trace::StepKind::Case,
@@ -122,7 +124,7 @@ pub fn begin_case(world: &mut World, spec: &CaseStudySpec) -> CaseInProgress {
             &[
                 ("case", &spec.label.to_lowercase().replace([' ', '/'], "-")),
                 ("isp", &spec.isp),
-                ("product", spec.product.slug()),
+                ("product", &spec.product.slug()),
             ],
         )
     } else {
@@ -133,15 +135,11 @@ pub fn begin_case(world: &mut World, spec: &CaseStudySpec) -> CaseInProgress {
         &spec.label,
         world.net.now().secs(),
     );
-    let submit_scope = if tracer.is_enabled() {
-        tracer.open(
-            filterwatch_trace::StepKind::Stage,
-            world.net.now().secs(),
-            &[("name", "confirm.submit")],
-        )
-    } else {
-        filterwatch_trace::ScopeId::NONE
-    };
+    let submit_scope = tracer.open(
+        filterwatch_trace::StepKind::Stage,
+        world.net.now().secs(),
+        &[("name", &"confirm.submit")],
+    );
     let sites = world.create_controlled_sites(spec.site_kind, spec.n_sites);
     let client = world.client(&spec.isp);
 
@@ -186,17 +184,16 @@ pub fn submit_case(world: &mut World, case: &mut CaseInProgress) {
     let now = world.net.now();
     let mut submissions_accepted = 0;
     for site in &case.sites[..spec.n_submit] {
-        let receipt = cloud.submit(&site.submit_url(), spec.submitter, now);
-        if tracer.recording() {
-            tracer.point(
-                filterwatch_trace::StepKind::Submit,
-                world.net.now().secs(),
-                &[
-                    ("url", &site.submit_url().to_string()),
-                    ("accepted", if receipt.accepted { "yes" } else { "no" }),
-                ],
-            );
-        }
+        let submit_url = site.submit_url();
+        let receipt = cloud.submit(&submit_url, spec.submitter, now);
+        tracer.point(
+            filterwatch_trace::StepKind::Submit,
+            world.net.now().secs(),
+            &[
+                ("url", &submit_url),
+                ("accepted", &if receipt.accepted { "yes" } else { "no" }),
+            ],
+        );
         if receipt.accepted {
             submissions_accepted += 1;
         }
@@ -233,14 +230,11 @@ pub fn submit_case(world: &mut World, case: &mut CaseInProgress) {
 /// driver, a deadline-queue wakeup for the orchestrator — so both reach
 /// the deadline by the same arithmetic.
 pub fn announce_wait(world: &World, case: &CaseInProgress) -> u64 {
-    let tracer = world.net.tracer().clone();
-    if tracer.recording() {
-        tracer.point(
-            filterwatch_trace::StepKind::Wait,
-            world.net.now().secs(),
-            &[("days", &case.spec.wait_days.to_string())],
-        );
-    }
+    world.net.tracer().point(
+        filterwatch_trace::StepKind::Wait,
+        world.net.now().secs(),
+        &[("days", &case.spec.wait_days)],
+    );
     world.net.now().plus_days(case.spec.wait_days).secs()
 }
 
@@ -264,15 +258,11 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
         &spec.label,
         world.net.now().secs(),
     );
-    let retest_scope = if tracer.is_enabled() {
-        tracer.open(
-            filterwatch_trace::StepKind::Stage,
-            world.net.now().secs(),
-            &[("name", "confirm.retest")],
-        )
-    } else {
-        filterwatch_trace::ScopeId::NONE
-    };
+    let retest_scope = tracer.open(
+        filterwatch_trace::StepKind::Stage,
+        world.net.now().secs(),
+        &[("name", &"confirm.retest")],
+    );
     // Retest: a site is blocked if any retest run blocks it.
     let mut blocked = vec![false; sites.len()];
     let mut attributed: Vec<String> = Vec::new();
@@ -309,34 +299,32 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
         "confirm.verdict",
         &[
             ("case", &spec.label.to_lowercase().replace([' ', '/'], "-")),
-            ("blocked", &submitted_blocked.to_string()),
-            ("submitted", &spec.n_submit.to_string()),
-            ("confirmed", if confirmed { "yes" } else { "no" }),
+            ("blocked", &submitted_blocked),
+            ("submitted", &spec.n_submit),
+            ("confirmed", &if confirmed { "yes" } else { "no" }),
         ],
     );
     tracer.close(retest_scope, world.net.now().secs(), &[]);
-    if tracer.recording() {
-        tracer.point(
-            filterwatch_trace::StepKind::Verdict,
-            world.net.now().secs(),
-            &[
-                (
-                    "verdict",
-                    if confirmed {
-                        "confirmed"
-                    } else {
-                        "unconfirmed"
-                    },
-                ),
-                ("blocked", &submitted_blocked.to_string()),
-                ("submitted", &spec.n_submit.to_string()),
-            ],
-        );
-    }
+    tracer.point(
+        filterwatch_trace::StepKind::Verdict,
+        world.net.now().secs(),
+        &[
+            (
+                "verdict",
+                &if confirmed {
+                    "confirmed"
+                } else {
+                    "unconfirmed"
+                },
+            ),
+            ("blocked", &submitted_blocked),
+            ("submitted", &spec.n_submit),
+        ],
+    );
     tracer.close(
         case_scope,
         world.net.now().secs(),
-        &[("confirmed", if confirmed { "yes" } else { "no" })],
+        &[("confirmed", &if confirmed { "yes" } else { "no" })],
     );
     telemetry.span_end(retest_span, world.net.now().secs());
 

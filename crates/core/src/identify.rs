@@ -127,21 +127,17 @@ impl IdentifyPipeline {
             "scan + keyword search + validate",
             net.now().secs(),
         );
-        let scope = if net.tracer().is_enabled() {
-            net.tracer().open(
-                filterwatch_trace::StepKind::Stage,
-                net.now().secs(),
-                &[("name", "identify")],
-            )
-        } else {
-            filterwatch_trace::ScopeId::NONE
-        };
+        let scope = net.tracer().open(
+            filterwatch_trace::StepKind::Stage,
+            net.now().secs(),
+            &[("name", &"identify")],
+        );
         let index = self.scanner.scan(net);
         let report = self.run_on_index(net, &index);
         net.tracer().close(
             scope,
             net.now().secs(),
-            &[("installations", &report.installations.len().to_string())],
+            &[("installations", &report.installations.len())],
         );
         telemetry.span_end(span, net.now().secs());
         report
@@ -192,13 +188,11 @@ impl IdentifyPipeline {
             // we are not conservative, and rely on the following step to
             // confirm" — every candidate is fingerprinted.
             for (ip, kws) in candidate_ips {
-                if net.tracer().recording() {
-                    net.tracer().point(
-                        filterwatch_trace::StepKind::Candidate,
-                        net.now().secs(),
-                        &[("ip", &ip.to_string()), ("product", product.slug())],
-                    );
-                }
+                net.tracer().point(
+                    filterwatch_trace::StepKind::Candidate,
+                    net.now().secs(),
+                    &[("ip", &ip), ("product", &product.slug())],
+                );
                 for finding in self.fingerprints.identify(net, ip) {
                     let Some(found) = ProductKind::ALL
                         .iter()
@@ -231,27 +225,25 @@ impl IdentifyPipeline {
             .sort_by(|a, b| (a.product, &a.country, a.ip).cmp(&(b.product, &b.country, b.ip)));
 
         let telemetry = net.telemetry();
-        if telemetry.is_enabled() {
-            for (product, &n) in &candidates {
-                telemetry.counter_add("identify.candidates", product.slug(), n as u64);
-            }
-            for inst in &installations {
-                telemetry.counter_add("identify.installations", inst.product.slug(), 1);
-            }
-            // Sweep-plan cache effectiveness: repeat sweeps against an
-            // unchanged index epoch should be all hits.
-            let (cache_hits, cache_misses) = index.sweep_cache_stats();
-            telemetry.counter_add("identify.sweep_cache", "hit", cache_hits);
-            telemetry.counter_add("identify.sweep_cache", "miss", cache_misses);
-            telemetry.event(
-                net.now().secs(),
-                "identify.done",
-                &[
-                    ("index_records", &index.len().to_string()),
-                    ("installations", &installations.len().to_string()),
-                ],
-            );
+        for (product, &n) in &candidates {
+            telemetry.counter_add("identify.candidates", product.slug(), n as u64);
         }
+        for inst in &installations {
+            telemetry.counter_add("identify.installations", inst.product.slug(), 1);
+        }
+        // Sweep-plan cache effectiveness: repeat sweeps against an
+        // unchanged index epoch should be all hits.
+        let (cache_hits, cache_misses) = index.sweep_cache_stats();
+        telemetry.counter_add("identify.sweep_cache", "hit", cache_hits);
+        telemetry.counter_add("identify.sweep_cache", "miss", cache_misses);
+        telemetry.event(
+            net.now().secs(),
+            "identify.done",
+            &[
+                ("index_records", &index.len()),
+                ("installations", &installations.len()),
+            ],
+        );
 
         IdentificationReport {
             installations,

@@ -93,31 +93,27 @@ impl FingerprintEngine {
             }
         }
 
-        if net.tracer().recording() {
-            for f in &findings {
-                net.tracer().point(
-                    StepKind::FpMatch,
-                    net.now().secs(),
-                    &[
-                        ("ip", &f.ip.to_string()),
-                        ("product", f.product),
-                        ("plugin", f.plugin),
-                        ("evidence", &f.evidence.len().to_string()),
-                    ],
-                );
-            }
+        for f in &findings {
+            net.tracer().point(
+                StepKind::FpMatch,
+                net.now().secs(),
+                &[
+                    ("ip", &f.ip),
+                    ("product", &f.product),
+                    ("plugin", &f.plugin),
+                    ("evidence", &f.evidence.len()),
+                ],
+            );
         }
         let telemetry = net.telemetry();
-        if telemetry.is_enabled() {
-            telemetry.register_histogram(
-                "fingerprint.evidence",
-                &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0],
-            );
-            telemetry.counter_add("fingerprint.profiled", "", 1);
-            for f in &findings {
-                telemetry.counter_add("fingerprint.findings", f.product, 1);
-                telemetry.observe("fingerprint.evidence", "", f.evidence.len() as f64);
-            }
+        telemetry.register_histogram(
+            "fingerprint.evidence",
+            &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0],
+        );
+        telemetry.counter_add("fingerprint.profiled", "", 1);
+        for f in &findings {
+            telemetry.counter_add("fingerprint.findings", f.product, 1);
+            telemetry.observe("fingerprint.evidence", "", f.evidence.len() as f64);
         }
         findings
     }

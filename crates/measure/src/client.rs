@@ -2,7 +2,8 @@
 
 use filterwatch_http::{Response, Url};
 use filterwatch_netsim::{FetchOutcome, FlowDisposition, Internet, VantageId};
-use filterwatch_trace::{ScopeId, StepKind};
+use filterwatch_trace::StepKind;
+use std::fmt::Display;
 
 use crate::blockpage::BlockPageLibrary;
 use crate::resilience::{
@@ -151,26 +152,17 @@ impl MeasurementClient {
     /// Fetch a URL from one vantage, following redirects.
     pub fn fetch(&self, net: &Internet, vantage: VantageId, url: &Url) -> Observation {
         let tracer = net.tracer();
-        let scope = if tracer.is_enabled() {
-            tracer.open(
-                StepKind::Fetch,
-                net.now().secs(),
-                &[
-                    ("vantage", &net.vantage(vantage).name),
-                    ("url", &url.to_string()),
-                ],
-            )
-        } else {
-            ScopeId::NONE
-        };
+        let scope = tracer.open(
+            StepKind::Fetch,
+            net.now().secs(),
+            &[("vantage", &net.vantage(vantage).name), ("url", url)],
+        );
         let obs = self.fetch_inner(net, vantage, url);
-        if tracer.is_enabled() {
-            let outcome = match &obs {
-                Observation::Reached { status, .. } => status.to_string(),
-                Observation::Failed { error } => error.clone(),
-            };
-            tracer.close(scope, net.now().secs(), &[("outcome", &outcome)]);
-        }
+        let outcome: &dyn Display = match &obs {
+            Observation::Reached { status, .. } => status,
+            Observation::Failed { error } => error,
+        };
+        tracer.close(scope, net.now().secs(), &[("outcome", outcome)]);
         obs
     }
 
@@ -191,13 +183,8 @@ impl MeasurementClient {
             };
             match next {
                 Some(next_url) => {
-                    if net.tracer().recording() {
-                        net.tracer().point(
-                            StepKind::Redirect,
-                            net.now().secs(),
-                            &[("to", &next_url.to_string())],
-                        );
-                    }
+                    net.tracer()
+                        .point(StepKind::Redirect, net.now().secs(), &[("to", &next_url)]);
                     // Hand the hop its URL by value instead of cloning
                     // it: `current` moves into `hops` as `next_url`
                     // takes its place.
@@ -265,21 +252,17 @@ impl MeasurementClient {
             let label = backoff_label
                 .get_or_insert_with(|| format!("{}/{}", net.vantage(vantage).name, url));
             let wait = policy.backoff_secs(attempt, net.seed(), label);
-            if net.tracer().recording() {
-                net.tracer().point(
-                    StepKind::Retry,
-                    net.now().secs(),
-                    &[
-                        ("attempt", &attempt.to_string()),
-                        ("wait-secs", &wait.to_string()),
-                        ("error", error),
-                    ],
-                );
-            }
+            net.tracer().point(
+                StepKind::Retry,
+                net.now().secs(),
+                &[
+                    ("attempt", &attempt),
+                    ("wait-secs", &wait),
+                    ("error", error),
+                ],
+            );
             net.advance_secs(wait);
-            if net.telemetry().is_enabled() {
-                net.telemetry().counter_add("retry.attempt", error, 1);
-            }
+            net.telemetry().counter_add("retry.attempt", error, 1);
             QualityCounters::bump(&self.quality.retries);
             self.retries_used.fetch_add(1, Ordering::Relaxed);
             attempt += 1;
@@ -292,15 +275,7 @@ impl MeasurementClient {
     /// retry-backed fetches.
     pub fn test_url(&self, net: &Internet, url: &Url) -> UrlVerdict {
         let tracer = net.tracer();
-        let scope = if tracer.is_enabled() {
-            tracer.open(
-                StepKind::UrlTest,
-                net.now().secs(),
-                &[("url", &url.to_string())],
-            )
-        } else {
-            ScopeId::NONE
-        };
+        let scope = tracer.open(StepKind::UrlTest, net.now().secs(), &[("url", url)]);
         let verdict = if self.resilience.is_passthrough() {
             let field = self.fetch(net, self.field, url);
             let lab = self.fetch(net, self.lab, url);
@@ -312,16 +287,14 @@ impl MeasurementClient {
         if verdict.is_inconclusive() {
             QualityCounters::bump(&self.quality.inconclusive);
         }
-        if tracer.recording() {
-            tracer.point(
-                StepKind::Verdict,
-                net.now().secs(),
-                &[
-                    ("verdict", verdict.kind().to_token()),
-                    ("product", verdict.blocked_by().unwrap_or("-")),
-                ],
-            );
-        }
+        tracer.point(
+            StepKind::Verdict,
+            net.now().secs(),
+            &[
+                ("verdict", &verdict.kind().to_token()),
+                ("product", &verdict.blocked_by().unwrap_or("-")),
+            ],
+        );
         tracer.close(scope, net.now().secs(), &[]);
         UrlVerdict {
             url: url.to_string(),
@@ -342,13 +315,11 @@ impl MeasurementClient {
                 if !b.allows(net.now()) {
                     let name = net.vantage(vantage).name.clone();
                     QualityCounters::bump(&self.quality.breaker_skips);
-                    if net.tracer().recording() {
-                        net.tracer().point(
-                            StepKind::BreakerOpen,
-                            net.now().secs(),
-                            &[("vantage", &name)],
-                        );
-                    }
+                    net.tracer().point(
+                        StepKind::BreakerOpen,
+                        net.now().secs(),
+                        &[("vantage", &name)],
+                    );
                     net.log_vantage_event(vantage, url, FlowDisposition::BreakerSkip(name.clone()));
                     return Verdict::Inconclusive {
                         reason: format!("circuit breaker open for vantage {name}"),
@@ -381,17 +352,13 @@ impl MeasurementClient {
         let mut verdicts: Vec<(Verdict, u32)> = Vec::new();
         for n in 0..quorum.trials {
             QualityCounters::bump(&self.quality.quorum_trials);
-            let scope = if tracer.is_enabled() {
-                tracer.open(
-                    StepKind::Trial,
-                    net.now().secs(),
-                    &[("n", &(n + 1).to_string())],
-                )
-            } else {
-                ScopeId::NONE
-            };
+            let scope = tracer.open(StepKind::Trial, net.now().secs(), &[("n", &(n + 1))]);
             let v = self.test_url_trial(net, url);
-            tracer.close(scope, net.now().secs(), &[("verdict", v.kind().to_token())]);
+            tracer.close(
+                scope,
+                net.now().secs(),
+                &[("verdict", &v.kind().to_token())],
+            );
             match verdicts.iter_mut().find(|(seen, _)| Self::agree(seen, &v)) {
                 Some((_, count)) => *count += 1,
                 None => verdicts.push((v, 1)),
@@ -403,18 +370,16 @@ impl MeasurementClient {
             .iter()
             .max_by_key(|(_, count)| *count)
             .expect("at least one trial");
-        if tracer.recording() {
-            tracer.point(
-                StepKind::Quorum,
-                net.now().secs(),
-                &[
-                    ("best", best.kind().to_token()),
-                    ("count", &count.to_string()),
-                    ("trials", &quorum.trials.to_string()),
-                    ("need", &quorum.quorum.to_string()),
-                ],
-            );
-        }
+        tracer.point(
+            StepKind::Quorum,
+            net.now().secs(),
+            &[
+                ("best", &best.kind().to_token()),
+                ("count", count),
+                ("trials", &quorum.trials),
+                ("need", &quorum.quorum),
+            ],
+        );
         if *count >= quorum.quorum {
             best.clone()
         } else {

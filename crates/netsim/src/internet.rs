@@ -263,22 +263,20 @@ impl Internet {
         url: &filterwatch_http::Url,
         disposition: FlowDisposition,
     ) {
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter_add("fetch.total", &net.name, 1);
-            let kind = match &disposition {
-                FlowDisposition::InjectedDnsFailure => "dnsfail-injected",
-                other => other.head().to_token(),
-            };
-            self.telemetry.counter_add("fetch.disposition", kind, 1);
-            match &disposition {
-                FlowDisposition::Intercepted { middlebox, .. }
-                | FlowDisposition::DroppedBy(middlebox)
-                | FlowDisposition::ResetBy(middlebox) => {
-                    self.telemetry
-                        .counter_add("middlebox.verdict", middlebox, 1);
-                }
-                _ => {}
+        self.telemetry.counter_add("fetch.total", &net.name, 1);
+        let kind = match &disposition {
+            FlowDisposition::InjectedDnsFailure => "dnsfail-injected",
+            other => other.head().to_token(),
+        };
+        self.telemetry.counter_add("fetch.disposition", kind, 1);
+        match &disposition {
+            FlowDisposition::Intercepted { middlebox, .. }
+            | FlowDisposition::DroppedBy(middlebox)
+            | FlowDisposition::ResetBy(middlebox) => {
+                self.telemetry
+                    .counter_add("middlebox.verdict", middlebox, 1);
             }
+            _ => {}
         }
         if self.flow_log_enabled.load(Ordering::Relaxed) {
             self.flow_log.lock().push(FlowRecord {
@@ -490,13 +488,11 @@ impl Internet {
     pub fn log_vantage_event(&self, vantage: VantageId, url: &Url, disposition: FlowDisposition) {
         let v = &self.vantages[vantage.0];
         let network = &self.networks[v.network.0];
-        if self.telemetry.is_enabled() {
-            let kind = match &disposition {
-                FlowDisposition::BreakerSkip(_) => "breaker-skip",
-                _ => "client-event",
-            };
-            self.telemetry.counter_add("fetch.disposition", kind, 1);
-        }
+        let kind = match &disposition {
+            FlowDisposition::BreakerSkip(_) => "breaker-skip",
+            _ => "client-event",
+        };
+        self.telemetry.counter_add("fetch.disposition", kind, 1);
         if self.flow_log_enabled.load(Ordering::Relaxed) {
             self.flow_log.lock().push(FlowRecord {
                 at: self.now(),
@@ -634,16 +630,13 @@ impl Internet {
     /// Stage 1: DNS.
     fn ev_dns(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
         let network = &self.networks[st.net.0];
-        let tracing = self.tracer.recording();
         match self.dns.resolve(st.req.url.host()) {
             None => {
-                if tracing {
-                    self.tracer.point(
-                        StepKind::Dns,
-                        self.now().secs(),
-                        &[("host", st.req.url.host()), ("outcome", "fail")],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::Dns,
+                    self.now().secs(),
+                    &[("host", &st.req.url.host()), ("outcome", &"fail")],
+                );
                 self.log_flow(
                     network,
                     st.client_ip,
@@ -653,17 +646,15 @@ impl Internet {
                 st.outcome = Some(FetchOutcome::DnsFailure);
             }
             Some(dest_ip) => {
-                if tracing {
-                    self.tracer.point(
-                        StepKind::Dns,
-                        self.now().secs(),
-                        &[
-                            ("host", st.req.url.host()),
-                            ("ip", &dest_ip.to_string()),
-                            ("outcome", "ok"),
-                        ],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::Dns,
+                    self.now().secs(),
+                    &[
+                        ("host", &st.req.url.host()),
+                        ("ip", &dest_ip),
+                        ("outcome", &"ok"),
+                    ],
+                );
                 st.dest_ip = Some(dest_ip);
                 queue.schedule(self.now(), SimEvent::Fault(id));
             }
@@ -676,7 +667,6 @@ impl Internet {
     /// the shared fault stream per flow, same as the direct path.
     fn ev_fault(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
         let network = &self.networks[st.net.0];
-        let tracing = self.tracer.recording();
         if let Some(fault) = network.faults.sample_at(self.now(), &mut *self.rng.lock()) {
             let (outcome, disposition) = match fault {
                 Fault::Timeout => (FetchOutcome::Timeout, FlowDisposition::PathFault("timeout")),
@@ -693,25 +683,22 @@ impl Internet {
                     },
                 ),
             };
-            if tracing {
-                let kind = match &disposition {
-                    FlowDisposition::PathFault(kind) => kind,
-                    FlowDisposition::InjectedDnsFailure => "dns-failure",
-                    FlowDisposition::Truncated => "truncated",
-                    FlowDisposition::Outage { .. } => "outage",
-                    _ => "other",
-                };
-                match &disposition {
-                    FlowDisposition::Outage { resumes_at_secs } => self.tracer.point(
-                        StepKind::PathFault,
-                        self.now().secs(),
-                        &[("kind", kind), ("resumes-at", &resumes_at_secs.to_string())],
-                    ),
-                    _ => {
-                        self.tracer
-                            .point(StepKind::PathFault, self.now().secs(), &[("kind", kind)])
-                    }
-                }
+            let kind = match &disposition {
+                FlowDisposition::PathFault(kind) => kind,
+                FlowDisposition::InjectedDnsFailure => "dns-failure",
+                FlowDisposition::Truncated => "truncated",
+                FlowDisposition::Outage { .. } => "outage",
+                _ => "other",
+            };
+            match &disposition {
+                FlowDisposition::Outage { resumes_at_secs } => self.tracer.point(
+                    StepKind::PathFault,
+                    self.now().secs(),
+                    &[("kind", &kind), ("resumes-at", resumes_at_secs)],
+                ),
+                _ => self
+                    .tracer
+                    .point(StepKind::PathFault, self.now().secs(), &[("kind", &kind)]),
             }
             self.log_flow(network, st.client_ip, &st.req.url, disposition);
             st.outcome = Some(outcome);
@@ -730,19 +717,11 @@ impl Internet {
         hop: usize,
     ) {
         let network = &self.networks[st.net.0];
-        let tracing = self.tracer.recording();
         let flow = FlowCtx {
             now: self.now(),
             client_ip: st.client_ip,
         };
-        let decider = || {
-            network
-                .chain
-                .names()
-                .get(hop)
-                .map(|s| s.to_string())
-                .unwrap_or_default()
-        };
+        let decider = network.chain.name_at(hop).unwrap_or_default();
         match network.chain.request_at(hop, &st.req, &flow) {
             // Past the end of the chain: every box forwarded.
             None => {
@@ -750,69 +729,61 @@ impl Internet {
                 queue.schedule(self.now(), SimEvent::Origin(id));
             }
             Some(Verdict::Forward) => {
-                if tracing {
-                    self.tracer.point(
-                        StepKind::MbHop,
-                        self.now().secs(),
-                        &[("middlebox", &decider()), ("action", "forward")],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::MbHop,
+                    self.now().secs(),
+                    &[("middlebox", &decider), ("action", &"forward")],
+                );
                 st.passed = hop + 1;
                 queue.schedule(self.now(), SimEvent::MbHop(id, hop + 1));
             }
             Some(Verdict::Respond(resp)) => {
                 let resp = network.chain.run_response(&st.req, *resp, &flow, hop);
-                if tracing {
-                    self.tracer.point(
-                        StepKind::MbHop,
-                        self.now().secs(),
-                        &[
-                            ("middlebox", &decider()),
-                            ("action", "respond"),
-                            ("status", &resp.status.code().to_string()),
-                        ],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::MbHop,
+                    self.now().secs(),
+                    &[
+                        ("middlebox", &decider),
+                        ("action", &"respond"),
+                        ("status", &resp.status.code()),
+                    ],
+                );
                 self.log_flow(
                     network,
                     st.client_ip,
                     &st.req.url,
                     FlowDisposition::Intercepted {
-                        middlebox: decider(),
+                        middlebox: decider.to_string(),
                         status: resp.status.code(),
                     },
                 );
                 st.outcome = Some(FetchOutcome::Ok(resp));
             }
             Some(Verdict::Drop) => {
-                if tracing {
-                    self.tracer.point(
-                        StepKind::MbHop,
-                        self.now().secs(),
-                        &[("middlebox", &decider()), ("action", "drop")],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::MbHop,
+                    self.now().secs(),
+                    &[("middlebox", &decider), ("action", &"drop")],
+                );
                 self.log_flow(
                     network,
                     st.client_ip,
                     &st.req.url,
-                    FlowDisposition::DroppedBy(decider()),
+                    FlowDisposition::DroppedBy(decider.to_string()),
                 );
                 st.outcome = Some(FetchOutcome::Timeout);
             }
             Some(Verdict::Reset) => {
-                if tracing {
-                    self.tracer.point(
-                        StepKind::MbHop,
-                        self.now().secs(),
-                        &[("middlebox", &decider()), ("action", "reset")],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::MbHop,
+                    self.now().secs(),
+                    &[("middlebox", &decider), ("action", &"reset")],
+                );
                 self.log_flow(
                     network,
                     st.client_ip,
                     &st.req.url,
-                    FlowDisposition::ResetBy(decider()),
+                    FlowDisposition::ResetBy(decider.to_string()),
                 );
                 st.outcome = Some(FetchOutcome::Reset);
             }
@@ -822,19 +793,16 @@ impl Internet {
     /// Stage 4: origin service connect.
     fn ev_origin(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
         let network = &self.networks[st.net.0];
-        let tracing = self.tracer.recording();
         let resp = st
             .dest_ip
             .and_then(|ip| self.origin_response(ip, st.req.url.port(), &st.req, st.client_ip));
         match resp {
             None => {
-                if tracing {
-                    self.tracer.point(
-                        StepKind::OriginReply,
-                        self.now().secs(),
-                        &[("error", "connect-failed")],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::OriginReply,
+                    self.now().secs(),
+                    &[("error", &"connect-failed")],
+                );
                 self.log_flow(
                     network,
                     st.client_ip,
@@ -853,7 +821,6 @@ impl Internet {
     /// Stage 5: the response path back through the chain.
     fn ev_response(&self, st: &mut FlowState) {
         let network = &self.networks[st.net.0];
-        let tracing = self.tracer.recording();
         let flow = FlowCtx {
             now: self.now(),
             client_ip: st.client_ip,
@@ -861,13 +828,11 @@ impl Internet {
         match st.pending_resp.take() {
             Some(resp) => {
                 let resp = network.chain.run_response(&st.req, resp, &flow, st.passed);
-                if tracing {
-                    self.tracer.point(
-                        StepKind::OriginReply,
-                        self.now().secs(),
-                        &[("status", &resp.status.code().to_string())],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::OriginReply,
+                    self.now().secs(),
+                    &[("status", &resp.status.code())],
+                );
                 self.log_flow(
                     network,
                     st.client_ip,
@@ -888,34 +853,26 @@ impl Internet {
     /// handlers above mirror this function block for block.
     fn fetch_as_direct(&self, net: NetworkId, client_ip: IpAddr, req: &Request) -> FetchOutcome {
         let network = &self.networks[net.0];
-        // One recording check per fetch: the span stack cannot change
-        // while we are inside it, and suppressed (sampled-out) subtrees
-        // skip all field formatting below.
-        let tracing = self.tracer.recording();
 
         // 1. DNS.
         let Some(dest_ip) = self.dns.resolve(req.url.host()) else {
-            if tracing {
-                self.tracer.point(
-                    StepKind::Dns,
-                    self.now().secs(),
-                    &[("host", req.url.host()), ("outcome", "fail")],
-                );
-            }
-            self.log_flow(network, client_ip, &req.url, FlowDisposition::DnsFailure);
-            return FetchOutcome::DnsFailure;
-        };
-        if tracing {
             self.tracer.point(
                 StepKind::Dns,
                 self.now().secs(),
-                &[
-                    ("host", req.url.host()),
-                    ("ip", &dest_ip.to_string()),
-                    ("outcome", "ok"),
-                ],
+                &[("host", &req.url.host()), ("outcome", &"fail")],
             );
-        }
+            self.log_flow(network, client_ip, &req.url, FlowDisposition::DnsFailure);
+            return FetchOutcome::DnsFailure;
+        };
+        self.tracer.point(
+            StepKind::Dns,
+            self.now().secs(),
+            &[
+                ("host", &req.url.host()),
+                ("ip", &dest_ip),
+                ("outcome", &"ok"),
+            ],
+        );
 
         // 2. Access-path faults. Deterministic outage windows are checked
         // first (no RNG draw); probabilistic faults each draw only when
@@ -937,25 +894,22 @@ impl Internet {
                     },
                 ),
             };
-            if tracing {
-                let kind = match &disposition {
-                    FlowDisposition::PathFault(kind) => kind,
-                    FlowDisposition::InjectedDnsFailure => "dns-failure",
-                    FlowDisposition::Truncated => "truncated",
-                    FlowDisposition::Outage { .. } => "outage",
-                    _ => "other",
-                };
-                match &disposition {
-                    FlowDisposition::Outage { resumes_at_secs } => self.tracer.point(
-                        StepKind::PathFault,
-                        self.now().secs(),
-                        &[("kind", kind), ("resumes-at", &resumes_at_secs.to_string())],
-                    ),
-                    _ => {
-                        self.tracer
-                            .point(StepKind::PathFault, self.now().secs(), &[("kind", kind)])
-                    }
-                }
+            let kind = match &disposition {
+                FlowDisposition::PathFault(kind) => kind,
+                FlowDisposition::InjectedDnsFailure => "dns-failure",
+                FlowDisposition::Truncated => "truncated",
+                FlowDisposition::Outage { .. } => "outage",
+                _ => "other",
+            };
+            match &disposition {
+                FlowDisposition::Outage { resumes_at_secs } => self.tracer.point(
+                    StepKind::PathFault,
+                    self.now().secs(),
+                    &[("kind", &kind), ("resumes-at", resumes_at_secs)],
+                ),
+                _ => self
+                    .tracer
+                    .point(StepKind::PathFault, self.now().secs(), &[("kind", &kind)]),
             }
             self.log_flow(network, client_ip, &req.url, disposition);
             return outcome;
@@ -967,78 +921,66 @@ impl Internet {
             client_ip,
         };
         let (verdict, passed) = network.chain.run_request(req, &flow);
-        if tracing {
-            for name in network.chain.names().iter().take(passed) {
-                self.tracer.point(
-                    StepKind::MbHop,
-                    self.now().secs(),
-                    &[("middlebox", name), ("action", "forward")],
-                );
-            }
+        for hop in 0..passed {
+            self.tracer.point(
+                StepKind::MbHop,
+                self.now().secs(),
+                &[
+                    ("middlebox", &network.chain.name_at(hop).unwrap_or_default()),
+                    ("action", &"forward"),
+                ],
+            );
         }
-        let decider = || {
-            network
-                .chain
-                .names()
-                .get(passed)
-                .map(|s| s.to_string())
-                .unwrap_or_default()
-        };
+        let decider = network.chain.name_at(passed).unwrap_or_default();
         match verdict {
             Verdict::Forward => {}
             Verdict::Respond(resp) => {
                 let resp = network.chain.run_response(req, *resp, &flow, passed);
-                if tracing {
-                    self.tracer.point(
-                        StepKind::MbHop,
-                        self.now().secs(),
-                        &[
-                            ("middlebox", &decider()),
-                            ("action", "respond"),
-                            ("status", &resp.status.code().to_string()),
-                        ],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::MbHop,
+                    self.now().secs(),
+                    &[
+                        ("middlebox", &decider),
+                        ("action", &"respond"),
+                        ("status", &resp.status.code()),
+                    ],
+                );
                 self.log_flow(
                     network,
                     client_ip,
                     &req.url,
                     FlowDisposition::Intercepted {
-                        middlebox: decider(),
+                        middlebox: decider.to_string(),
                         status: resp.status.code(),
                     },
                 );
                 return FetchOutcome::Ok(resp);
             }
             Verdict::Drop => {
-                if tracing {
-                    self.tracer.point(
-                        StepKind::MbHop,
-                        self.now().secs(),
-                        &[("middlebox", &decider()), ("action", "drop")],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::MbHop,
+                    self.now().secs(),
+                    &[("middlebox", &decider), ("action", &"drop")],
+                );
                 self.log_flow(
                     network,
                     client_ip,
                     &req.url,
-                    FlowDisposition::DroppedBy(decider()),
+                    FlowDisposition::DroppedBy(decider.to_string()),
                 );
                 return FetchOutcome::Timeout;
             }
             Verdict::Reset => {
-                if tracing {
-                    self.tracer.point(
-                        StepKind::MbHop,
-                        self.now().secs(),
-                        &[("middlebox", &decider()), ("action", "reset")],
-                    );
-                }
+                self.tracer.point(
+                    StepKind::MbHop,
+                    self.now().secs(),
+                    &[("middlebox", &decider), ("action", &"reset")],
+                );
                 self.log_flow(
                     network,
                     client_ip,
                     &req.url,
-                    FlowDisposition::ResetBy(decider()),
+                    FlowDisposition::ResetBy(decider.to_string()),
                 );
                 return FetchOutcome::Reset;
             }
@@ -1046,26 +988,22 @@ impl Internet {
 
         // 4. Origin service.
         let Some(resp) = self.origin_response(dest_ip, req.url.port(), req, client_ip) else {
-            if tracing {
-                self.tracer.point(
-                    StepKind::OriginReply,
-                    self.now().secs(),
-                    &[("error", "connect-failed")],
-                );
-            }
+            self.tracer.point(
+                StepKind::OriginReply,
+                self.now().secs(),
+                &[("error", &"connect-failed")],
+            );
             self.log_flow(network, client_ip, &req.url, FlowDisposition::ConnectFailed);
             return FetchOutcome::ConnectFailed;
         };
 
         // 5. Response path back through the chain.
         let resp = network.chain.run_response(req, resp, &flow, passed);
-        if tracing {
-            self.tracer.point(
-                StepKind::OriginReply,
-                self.now().secs(),
-                &[("status", &resp.status.code().to_string())],
-            );
-        }
+        self.tracer.point(
+            StepKind::OriginReply,
+            self.now().secs(),
+            &[("status", &resp.status.code())],
+        );
         self.log_flow(
             network,
             client_ip,

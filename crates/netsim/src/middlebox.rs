@@ -91,6 +91,11 @@ impl Chain {
         self.boxes.iter().map(|b| b.name()).collect()
     }
 
+    /// Name of the box at `hop`, if the chain is that long.
+    pub fn name_at(&self, hop: usize) -> Option<&str> {
+        self.boxes.get(hop).map(|b| b.name())
+    }
+
     /// Run the request through the chain.
     ///
     /// Returns either the final verdict and how many boxes the request
@@ -363,6 +368,8 @@ mod tests {
         chain.push(Arc::new(Tagger("a")));
         chain.push(Arc::new(Blocker));
         assert_eq!(chain.names(), vec!["a", "blocker"]);
+        assert_eq!(chain.name_at(1), Some("blocker"));
+        assert_eq!(chain.name_at(2), None);
         assert_eq!(chain.len(), 2);
         assert!(!chain.is_empty());
     }

@@ -177,47 +177,37 @@ impl StageDriver for PaperDriver {
 
     fn on_checkpoint(&mut self, stage: &StageState) {
         let now = self.run.now_secs();
+        let line = stage.to_line();
         self.run
             .telemetry()
-            .event(now, "sched.checkpoint", &[("stage", &stage.to_line())]);
-        let tracer = self.run.tracer().clone();
-        if tracer.recording() {
-            tracer.point(StepKind::Checkpoint, now, &[("stage", &stage.to_line())]);
-        }
+            .event(now, "sched.checkpoint", &[("stage", &line)]);
+        self.run
+            .tracer()
+            .point(StepKind::Checkpoint, now, &[("stage", &line)]);
     }
 
     fn on_resume(&mut self, stage: &StageState) {
         let now = self.run.now_secs();
+        let line = stage.to_line();
         self.run
             .telemetry()
-            .event(now, "sched.resume", &[("stage", &stage.to_line())]);
-        let tracer = self.run.tracer().clone();
-        if tracer.is_enabled() {
-            // Opened and deliberately left open: the enclosing scope
-            // (case or campaign) closes it when it ends, so every
-            // verdict rendered after the restore carries this span in
-            // its ancestry — `explain` shows the resume.
-            tracer.open(
-                StepKind::Resume,
-                now,
-                &[("stage", &stage.to_line()), ("clock", &now.to_string())],
-            );
-        }
+            .event(now, "sched.resume", &[("stage", &line)]);
+        // Opened and deliberately left open: the enclosing scope (case
+        // or campaign) closes it when it ends, so every verdict
+        // rendered after the restore carries this span in its ancestry
+        // — `explain` shows the resume.
+        self.run
+            .tracer()
+            .open(StepKind::Resume, now, &[("stage", &line), ("clock", &now)]);
     }
 
     fn on_timer_fire(&mut self, case: usize, deadline_secs: u64) {
         let now = self.run.now_secs();
-        let tracer = self.run.tracer().clone();
-        if tracer.recording() {
-            tracer.point(
-                StepKind::SchedTimer,
-                now,
-                &[
-                    ("case", &case.to_string()),
-                    ("deadline", &deadline_secs.to_string()),
-                ],
-            );
-        }
+        self.run.tracer().point(
+            StepKind::SchedTimer,
+            now,
+            &[("case", &case), ("deadline", &deadline_secs)],
+        );
         self.run.telemetry().span_end(self.wait_span, now);
         self.wait_span = SpanId::NONE;
     }

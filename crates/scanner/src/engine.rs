@@ -78,11 +78,7 @@ impl ScanEngine {
             .iter()
             .map(|(cidr, _)| cidr.size())
             .sum();
-        telemetry.event(
-            net.now().secs(),
-            "scan.start",
-            &[("ips", &addresses.to_string())],
-        );
+        telemetry.event(net.now().secs(), "scan.start", &[("ips", &addresses)]);
 
         let hosts: Vec<(Asn, &Host)> = live_hosts(net).collect();
         let scan_chunk = |chunk: &[(Asn, &Host)]| -> Vec<ScanRecord> {
@@ -134,7 +130,7 @@ impl ScanEngine {
         telemetry.event(
             net.now().secs(),
             "scan.done",
-            &[("records", &records.len().to_string())],
+            &[("records", &records.len())],
         );
         telemetry.span_end(span, net.now().secs());
         ScanIndex::build(records)

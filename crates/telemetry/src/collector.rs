@@ -2,9 +2,11 @@
 
 use crate::event::Event;
 use crate::metrics::{
-    default_buckets, CounterEntry, GaugeEntry, Histogram, HistogramSnapshot, MetricState,
+    default_buckets, entries, update, CounterEntry, GaugeEntry, Histogram, HistogramSnapshot,
+    MetricState,
 };
 use crate::span::{SpanId, SpanRecord};
+use std::fmt::Display;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -122,11 +124,7 @@ impl TelemetryHandle {
             return;
         };
         let mut state = collector.lock();
-        *state
-            .metrics
-            .counters
-            .entry((name.to_string(), label.to_string()))
-            .or_insert(0) += by;
+        update(&mut state.metrics.counters, name, label, || 0, |n| *n += by);
     }
 
     /// Set a gauge to an absolute value.
@@ -135,10 +133,7 @@ impl TelemetryHandle {
             return;
         };
         let mut state = collector.lock();
-        state
-            .metrics
-            .gauges
-            .insert((name.to_string(), label.to_string()), value);
+        update(&mut state.metrics.gauges, name, label, || 0, |v| *v = value);
     }
 
     /// Fix the bucket bounds used for all histograms of `name`. Must be
@@ -152,11 +147,10 @@ impl TelemetryHandle {
             "histogram bounds must be strictly increasing and non-empty"
         );
         let mut state = collector.lock();
-        state
-            .metrics
-            .registered_buckets
-            .entry(name.to_string())
-            .or_insert_with(|| bounds.to_vec());
+        let registered = &mut state.metrics.registered_buckets;
+        if !registered.contains_key(name) {
+            registered.insert(name.to_string(), bounds.to_vec());
+        }
     }
 
     /// Run `f`, recording its wall-clock duration (nanoseconds) into
@@ -182,22 +176,17 @@ impl TelemetryHandle {
             return;
         };
         let mut state = collector.lock();
-        let bounds = state
-            .metrics
-            .registered_buckets
-            .get(name)
-            .cloned()
-            .unwrap_or_else(default_buckets);
-        state
-            .metrics
-            .histograms
-            .entry((name.to_string(), label.to_string()))
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        let metrics = &mut state.metrics;
+        let bounds = metrics.registered_buckets.get(name);
+        let new = || Histogram::new(bounds.cloned().unwrap_or_else(default_buckets));
+        update(&mut metrics.histograms, name, label, new, |h| {
+            h.observe(value)
+        });
     }
 
-    /// Append a structured event at virtual time `v_now`.
-    pub fn event(&self, v_now: u64, kind: &str, fields: &[(&str, &str)]) {
+    /// Append a structured event at virtual time `v_now`. A disabled
+    /// handle formats none of the values.
+    pub fn event(&self, v_now: u64, kind: &str, fields: &[(&'static str, &dyn Display)]) {
         let Some(collector) = &self.inner else {
             return;
         };
@@ -213,33 +202,24 @@ impl TelemetryHandle {
         let state = collector.lock();
         Snapshot {
             spans: state.spans.iter().map(|s| s.record.clone()).collect(),
-            counters: state
-                .metrics
-                .counters
-                .iter()
-                .map(|((name, label), &value)| CounterEntry {
-                    name: name.clone(),
-                    label: label.clone(),
+            counters: entries(&state.metrics.counters)
+                .map(|(name, label, &value)| CounterEntry {
+                    name: name.to_string(),
+                    label: label.to_string(),
                     value,
                 })
                 .collect(),
-            gauges: state
-                .metrics
-                .gauges
-                .iter()
-                .map(|((name, label), &value)| GaugeEntry {
-                    name: name.clone(),
-                    label: label.clone(),
+            gauges: entries(&state.metrics.gauges)
+                .map(|(name, label, &value)| GaugeEntry {
+                    name: name.to_string(),
+                    label: label.to_string(),
                     value,
                 })
                 .collect(),
-            histograms: state
-                .metrics
-                .histograms
-                .iter()
-                .map(|((name, label), h)| HistogramSnapshot {
-                    name: name.clone(),
-                    label: label.clone(),
+            histograms: entries(&state.metrics.histograms)
+                .map(|(name, label, h)| HistogramSnapshot {
+                    name: name.to_string(),
+                    label: label.to_string(),
                     bounds: h.bounds.clone(),
                     counts: h.counts.clone(),
                     sum: h.sum,
@@ -259,10 +239,8 @@ impl TelemetryHandle {
         state
             .metrics
             .counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, &v)| v)
-            .sum()
+            .get(name)
+            .map_or(0, |labels| labels.values().sum())
     }
 }
 

@@ -13,8 +13,9 @@
 //! with a versioned header for persistence.
 
 use crate::wire::{
-    field, parse_kv, push_kv, read_lines, tagged, valid_key, write_lines, Wire, WireError,
+    field, parse_kv, push_kv, read_lines, tagged, valid_key, write_lines, Fields, Wire, WireError,
 };
+use std::fmt::Display;
 
 /// One structured event at a virtual-clock instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,15 +26,16 @@ pub struct Event {
     /// `submission.accepted`, …).
     pub kind: String,
     /// Ordered key/value payload.
-    pub fields: Vec<(String, String)>,
+    pub fields: Fields,
 }
 
 /// Magic first line of an event-log dump.
 pub const MAGIC: &str = "filterwatch-telemetry-events v1";
 
 impl Event {
-    /// Build an event, validating the kind and keys.
-    pub fn new(at_secs: u64, kind: &str, fields: &[(&str, &str)]) -> Self {
+    /// Build an event, validating the kind and keys and formatting
+    /// each value into the payload.
+    pub fn new(at_secs: u64, kind: &str, fields: &[(&'static str, &dyn Display)]) -> Self {
         assert!(valid_key(kind), "invalid event kind {kind:?}");
         for (k, _) in fields {
             assert!(valid_key(k), "invalid event key {k:?}");
@@ -41,19 +43,13 @@ impl Event {
         Event {
             at_secs,
             kind: kind.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            fields: Fields::record(fields, 0),
         }
     }
 
     /// Value of the first field named `key`, if present.
     pub fn field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        self.fields.get(key)
     }
 }
 
@@ -102,9 +98,9 @@ mod tests {
             86_461,
             "submission.accepted",
             &[
-                ("vendor", "smartfilter"),
-                ("url", "http://x.example/a\tb"),
-                ("note", "line1\nline2\\end"),
+                ("vendor", &"smartfilter"),
+                ("url", &"http://x.example/a\tb"),
+                ("note", &"line1\nline2\\end"),
             ],
         );
         let line = e.to_line();
@@ -125,7 +121,7 @@ mod tests {
     fn dump_round_trips() {
         let events = vec![
             Event::new(0, "scan.start", &[]),
-            Event::new(5, "scan.done", &[("hosts", "12")]),
+            Event::new(5, "scan.done", &[("hosts", &12)]),
         ];
         let dump = to_dump(&events);
         assert_eq!(from_dump(&dump).unwrap(), events);
@@ -134,7 +130,7 @@ mod tests {
 
     #[test]
     fn field_lookup() {
-        let e = Event::new(1, "x", &[("a", "1"), ("b", "2")]);
+        let e = Event::new(1, "x", &[("a", &1), ("b", &2)]);
         assert_eq!(e.field("b"), Some("2"));
         assert_eq!(e.field("c"), None);
     }

@@ -34,7 +34,7 @@
 //! let scan = t.span_start(stage::SCAN, "sweep", 0);
 //! t.counter_add("scan.probes", "", 3);
 //! t.observe("fetch.wall_nanos", "", 12_500.0);
-//! t.event(0, "scan.done", &[("hosts", "3")]);
+//! t.event(0, "scan.done", &[("hosts", &3)]);
 //! t.span_end(scan, 60);
 //!
 //! let snap = t.snapshot();
@@ -56,7 +56,7 @@ pub use collector::{Snapshot, TelemetryHandle};
 pub use event::Event;
 pub use metrics::{CounterEntry, GaugeEntry, HistogramSnapshot};
 pub use span::{SpanId, SpanRecord};
-pub use wire::{Wire, WireError};
+pub use wire::{Fields, Wire, WireError};
 
 /// Canonical stage names used for spans across the pipeline.
 pub mod stage {

@@ -2,7 +2,9 @@
 //!
 //! Metrics are keyed by `(name, label)` — the label is a single
 //! dimension value such as a vendor slug or network name, rendered as
-//! `name{label}`. Snapshots are sorted, so reports are deterministic.
+//! `name{label}`. Each kind is a map of names to maps of labels, so an
+//! update finds its series by `&str` and only a new series allocates
+//! its key. Snapshots are sorted, so reports are deterministic.
 
 use std::collections::BTreeMap;
 
@@ -13,13 +15,51 @@ pub fn default_buckets() -> Vec<f64> {
     (1..=15).map(|e| 4f64.powi(e)).collect()
 }
 
+/// Series of one metric kind by name, then label: iterating it visits
+/// `(name, label)` in sorted order.
+pub(crate) type Series<T> = BTreeMap<String, BTreeMap<String, T>>;
+
 #[derive(Debug, Default)]
 pub(crate) struct MetricState {
-    pub counters: BTreeMap<(String, String), u64>,
-    pub gauges: BTreeMap<(String, String), i64>,
-    pub histograms: BTreeMap<(String, String), Histogram>,
+    pub counters: Series<u64>,
+    pub gauges: Series<i64>,
+    pub histograms: Series<Histogram>,
     /// Bucket bounds fixed ahead of time per metric name.
     pub registered_buckets: BTreeMap<String, Vec<f64>>,
+}
+
+/// Apply `update` to the series `(name, label)`, creating it with `new`
+/// first if it does not exist yet.
+pub(crate) fn update<T>(
+    series: &mut Series<T>,
+    name: &str,
+    label: &str,
+    new: impl FnOnce() -> T,
+    update: impl FnOnce(&mut T),
+) {
+    match series
+        .get_mut(name)
+        .and_then(|labels| labels.get_mut(label))
+    {
+        Some(value) => update(value),
+        None => {
+            let mut value = new();
+            update(&mut value);
+            series
+                .entry(name.to_string())
+                .or_default()
+                .insert(label.to_string(), value);
+        }
+    }
+}
+
+/// Every `(name, label, value)` in `series`, in sorted order.
+pub(crate) fn entries<T>(series: &Series<T>) -> impl Iterator<Item = (&str, &str, &T)> {
+    series.iter().flat_map(|(name, labels)| {
+        labels
+            .iter()
+            .map(move |(label, value)| (name.as_str(), label.as_str(), value))
+    })
 }
 
 #[derive(Debug, Clone)]

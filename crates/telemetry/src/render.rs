@@ -360,7 +360,7 @@ mod tests {
         t.register_histogram("lat", &[10.0, 100.0]);
         t.observe("lat", "", 5.0);
         t.observe("lat", "", 50.0);
-        t.event(0, "scan.start", &[("hosts", "3")]);
+        t.event(0, "scan.start", &[("hosts", &3)]);
         t.snapshot()
     }
 

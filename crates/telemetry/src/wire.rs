@@ -19,9 +19,10 @@
 //! * **field helpers**: [`split`] with an arity check, [`field`] for a
 //!   typed field, [`tagged`] and [`keyed`] for prefixed fields, and
 //!   [`push_kv`]/[`parse_kv`] for the `key=value` tail that telemetry
-//!   and trace events share.
+//!   and trace events share, held in memory as one [`Fields`] buffer.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 /// Why a wire line did not parse: the field that failed and what was
@@ -93,6 +94,16 @@ fn unescape_with(
     table: &[(char, char)],
 ) -> Result<String, WireError> {
     let mut out = String::with_capacity(value.len());
+    unescape_into(&mut out, field, value, table)?;
+    Ok(out)
+}
+
+fn unescape_into(
+    out: &mut String,
+    field: &'static str,
+    value: &str,
+    table: &[(char, char)],
+) -> Result<(), WireError> {
     let mut chars = value.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
@@ -112,7 +123,7 @@ fn unescape_with(
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Escape one field.
@@ -222,9 +233,93 @@ pub fn valid_key(s: &str) -> bool {
         })
 }
 
+/// Bytes of value text a recorder reserves per field: room for the
+/// URLs, vantage names and tokens most fields carry.
+const TEXT_HINT: usize = 24;
+
+/// An event's ordered `key=value` payload in one text buffer.
+///
+/// Values are appended to one `String`, and each key keeps the end
+/// offset of its value. A key is `&'static str` when recorded and owned
+/// only when parsed from a line. Two payloads are equal when their
+/// `(key, value)` sequences are.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Fields {
+    keys: Vec<(Cow<'static, str>, usize)>,
+    text: String,
+}
+
+impl Fields {
+    /// An empty payload. Allocates nothing.
+    pub fn new() -> Fields {
+        Fields::default()
+    }
+
+    /// Format a recording call's fields, with room reserved for `spare`
+    /// more (the fields a span gets when it closes).
+    pub fn record(fields: &[(&'static str, &dyn fmt::Display)], spare: usize) -> Fields {
+        let slots = fields.len() + spare;
+        let mut out = Fields {
+            keys: Vec::with_capacity(slots),
+            text: String::with_capacity(slots * TEXT_HINT),
+        };
+        out.push_all(fields);
+        out
+    }
+
+    /// Append one field, formatting `value` straight into the buffer.
+    pub fn push(
+        &mut self,
+        key: impl Into<Cow<'static, str>>,
+        value: &(impl fmt::Display + ?Sized),
+    ) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.text, "{value}");
+        self.keys.push((key.into(), self.text.len()));
+    }
+
+    /// Append every field of a recording call, in order.
+    pub fn push_all(&mut self, fields: &[(&'static str, &dyn fmt::Display)]) {
+        for &(key, value) in fields {
+            self.push(key, value);
+        }
+    }
+
+    /// The `(key, value)` pairs, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let mut start = 0;
+        self.keys.iter().map(move |(key, end)| {
+            let value = &self.text[start..*end];
+            start = *end;
+            (key.as_ref(), value)
+        })
+    }
+
+    /// Value of the first field named `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.iter().find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: Into<Cow<'static, str>>, V: fmt::Display> FromIterator<(K, V)> for Fields {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Fields {
+        let mut fields = Fields::new();
+        for (key, value) in pairs {
+            fields.push(key, &value);
+        }
+        fields
+    }
+}
+
 /// Append a `\tkey=value` field per pair, values escaped.
-pub fn push_kv(line: &mut String, fields: &[(String, String)]) {
-    for (k, v) in fields {
+pub fn push_kv(line: &mut String, fields: &Fields) {
+    for (k, v) in fields.iter() {
         line.push('\t');
         line.push_str(k);
         line.push('=');
@@ -232,21 +327,23 @@ pub fn push_kv(line: &mut String, fields: &[(String, String)]) {
     }
 }
 
-/// Parse the `key=value` tail written by [`push_kv`].
-pub fn parse_kv<'a>(
-    parts: impl Iterator<Item = &'a str>,
-) -> Result<Vec<(String, String)>, WireError> {
-    parts
-        .map(|part| {
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| WireError::new("fields", format!("no '=' in {part:?}")))?;
-            if !valid_key(k) {
-                return Err(WireError::new("fields", format!("invalid key {k:?}")));
-            }
-            Ok((k.to_string(), unescape("fields", v)?))
-        })
-        .collect()
+/// Parse the `key=value` tail written by [`push_kv`], unescaping each
+/// value straight into the payload's buffer.
+pub fn parse_kv<'a>(parts: impl Iterator<Item = &'a str>) -> Result<Fields, WireError> {
+    let mut fields = Fields::new();
+    for part in parts {
+        let (k, v) = part
+            .split_once('=')
+            .ok_or_else(|| WireError::new("fields", format!("no '=' in {part:?}")))?;
+        if !valid_key(k) {
+            return Err(WireError::new("fields", format!("invalid key {k:?}")));
+        }
+        unescape_into(&mut fields.text, "fields", v, &ESCAPES[..FIELD_ESCAPES])?;
+        fields
+            .keys
+            .push((Cow::Owned(k.to_string()), fields.text.len()));
+    }
+    Ok(fields)
 }
 
 /// Write one line per item under an optional header line, each line

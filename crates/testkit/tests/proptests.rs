@@ -111,7 +111,7 @@ fn any_trace_event() -> impl Strategy<Value = TraceEvent> {
                 at_secs: at,
                 end_secs: at + extra,
                 step,
-                fields,
+                fields: fields.into_iter().collect(),
             },
         )
 }
@@ -269,6 +269,7 @@ proptest! {
         fields in any_fields(),
         junk in JUNK,
     ) {
+        let fields = fields.into_iter().collect();
         pass(check_wire(&Event { at_secs, kind, fields }, &junk));
     }
 

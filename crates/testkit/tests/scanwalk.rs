@@ -31,11 +31,7 @@ fn reference_scan(net: &Internet, threads: usize, telemetry: &TelemetryHandle) -
         .iter()
         .flat_map(|(cidr, _)| cidr.iter())
         .collect();
-    telemetry.event(
-        net.now().secs(),
-        "scan.start",
-        &[("ips", &ips.len().to_string())],
-    );
+    telemetry.event(net.now().secs(), "scan.start", &[("ips", &ips.len())]);
     let mut records = Vec::new();
     for slice in ips.chunks(ips.len().div_ceil(threads).max(1)) {
         let mut local = Vec::new();
@@ -79,7 +75,7 @@ fn reference_scan(net: &Internet, threads: usize, telemetry: &TelemetryHandle) -
     telemetry.event(
         net.now().secs(),
         "scan.done",
-        &[("records", &records.len().to_string())],
+        &[("records", &records.len())],
     );
     telemetry.span_end(span, net.now().secs());
     records

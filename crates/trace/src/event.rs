@@ -15,7 +15,8 @@
 use crate::ids::{SpanId, TraceId};
 use crate::step::StepKind;
 use filterwatch_telemetry::wire::{
-    field, optional, parse_kv, push_kv, read_lines, tagged, write_lines, Wire, WireError, ABSENT,
+    field, optional, parse_kv, push_kv, read_lines, tagged, write_lines, Fields, Wire, WireError,
+    ABSENT,
 };
 
 /// One causal step: a closed span or a point event on the virtual clock.
@@ -34,7 +35,7 @@ pub struct TraceEvent {
     /// What kind of step this is.
     pub step: StepKind,
     /// Ordered key/value payload (urls, vantages, outcomes, …).
-    pub fields: Vec<(String, String)>,
+    pub fields: Fields,
 }
 
 impl TraceEvent {
@@ -45,10 +46,7 @@ impl TraceEvent {
 
     /// Value of the first field named `key`, if present.
     pub fn field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        self.fields.get(key)
     }
 }
 
@@ -117,11 +115,13 @@ mod tests {
             at_secs: 86_461,
             end_secs: 86_465,
             step: StepKind::Fetch,
-            fields: vec![
-                ("url".to_string(), "http://x.example/a\tb".to_string()),
-                ("vantage".to_string(), "field@etisalat".to_string()),
-                ("note".to_string(), "line1\nline2\\end".to_string()),
-            ],
+            fields: [
+                ("url", "http://x.example/a\tb"),
+                ("vantage", "field@etisalat"),
+                ("note", "line1\nline2\\end"),
+            ]
+            .into_iter()
+            .collect(),
         }
     }
 

@@ -13,12 +13,19 @@
 //! starts whenever a span opens on an empty stack, with its
 //! [`TraceId`] derived from `(seed, trace ordinal, root token)` — one
 //! campaign run is one trace.
+//!
+//! Fields arrive as `Display` values and the collector formats them
+//! into the event's one [`Fields`] buffer, and only for an event it
+//! records: a disabled handle or a sampled-out subtree formats nothing,
+//! so call sites pass their values as they are, with no guard.
 
+use std::fmt::Display;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::TraceEvent;
 use crate::ids::{SpanId, TraceId};
 use crate::step::StepKind;
+use filterwatch_telemetry::Fields;
 
 /// How much tracing a campaign should carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,20 +138,14 @@ impl TraceHandle {
         self.inner.is_some()
     }
 
-    /// Whether a recorded span is currently open — instrumentation
-    /// sites use this to skip building field strings for suppressed
-    /// (sampled-out) subtrees or outside any trace.
-    pub fn recording(&self) -> bool {
-        let Some(collector) = &self.inner else {
-            return false;
-        };
-        let state = collector.lock();
-        state.stack.last().is_some_and(|top| top.recorded)
-    }
-
     /// Open a span at virtual time `at_secs`. Opening on an empty
     /// stack starts a new trace rooted here.
-    pub fn open(&self, step: StepKind, at_secs: u64, fields: &[(&str, &str)]) -> ScopeId {
+    pub fn open(
+        &self,
+        step: StepKind,
+        at_secs: u64,
+        fields: &[(&'static str, &dyn Display)],
+    ) -> ScopeId {
         let Some(collector) = &self.inner else {
             return ScopeId::NONE;
         };
@@ -169,6 +170,13 @@ impl TraceHandle {
         state.next_span += 1;
         let span = SpanId(state.next_span);
         let parent = state.stack.last().map(|top| top.event.span);
+        // Room for the fields `close` adds; a suppressed span formats
+        // nothing.
+        let fields = if recorded {
+            Fields::record(fields, 1)
+        } else {
+            Fields::new()
+        };
         state.stack.push(OpenSpan {
             recorded,
             event: TraceEvent {
@@ -178,23 +186,30 @@ impl TraceHandle {
                 at_secs,
                 end_secs: at_secs,
                 step,
-                fields: own_fields(fields),
+                fields,
             },
         });
         ScopeId(span.0)
     }
 
     /// Close the span opened as `scope` at virtual time `end_secs`,
-    /// appending `extra_fields` to it first. Children still open are
-    /// closed at the same instant. Unknown or NONE scopes are ignored.
-    pub fn close(&self, scope: ScopeId, end_secs: u64, extra_fields: &[(&str, &str)]) {
+    /// appending `extra_fields` to it first if it is recorded. Children
+    /// still open are closed at the same instant. Unknown or NONE
+    /// scopes are ignored.
+    pub fn close(
+        &self,
+        scope: ScopeId,
+        end_secs: u64,
+        extra_fields: &[(&'static str, &dyn Display)],
+    ) {
         let Some(collector) = &self.inner else {
             return;
         };
         if scope == ScopeId::NONE {
             return;
         }
-        let mut state = collector.lock();
+        let mut guard = collector.lock();
+        let state = &mut *guard;
         let Some(pos) = state
             .stack
             .iter()
@@ -202,24 +217,21 @@ impl TraceHandle {
         else {
             return;
         };
-        let mut closed: Vec<OpenSpan> = state.stack.drain(pos..).collect();
-        if let Some(target) = closed.first_mut() {
-            target.event.fields.extend(own_fields(extra_fields));
-        }
         // Innermost (leaked) children first, target last, all at the
         // same virtual instant.
-        for mut open in closed.into_iter().rev() {
-            open.event.end_secs = end_secs.max(open.event.at_secs);
-            if open.recorded {
-                state.events.push(open.event);
+        for mut open in state.stack.drain(pos..).rev().filter(|open| open.recorded) {
+            if open.event.span.0 == scope.0 {
+                open.event.fields.push_all(extra_fields);
             }
+            open.event.end_secs = end_secs.max(open.event.at_secs);
+            state.events.push(open.event);
         }
     }
 
     /// Record a point event (a zero-duration leaf) under the currently
     /// open span. Dropped when no recorded span is open — points never
     /// start a trace of their own.
-    pub fn point(&self, step: StepKind, at_secs: u64, fields: &[(&str, &str)]) {
+    pub fn point(&self, step: StepKind, at_secs: u64, fields: &[(&'static str, &dyn Display)]) {
         let Some(collector) = &self.inner else {
             return;
         };
@@ -241,7 +253,7 @@ impl TraceHandle {
             at_secs,
             end_secs: at_secs,
             step,
-            fields: own_fields(fields),
+            fields: Fields::record(fields, 0),
         });
     }
 
@@ -256,22 +268,15 @@ impl TraceHandle {
     }
 }
 
-fn own_fields(fields: &[(&str, &str)]) -> Vec<(String, String)> {
-    fields
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn disabled_handle_is_inert() {
         let t = TraceHandle::disabled();
         assert!(!t.is_enabled());
-        assert!(!t.recording());
         let scope = t.open(StepKind::Campaign, 0, &[]);
         assert_eq!(scope, ScopeId::NONE);
         t.point(StepKind::Verdict, 1, &[]);
@@ -282,11 +287,10 @@ mod tests {
     #[test]
     fn spans_nest_and_points_attach() {
         let t = TraceHandle::enabled(5);
-        let root = t.open(StepKind::Campaign, 0, &[("seed", "5")]);
-        assert!(t.recording());
-        let fetch = t.open(StepKind::Fetch, 10, &[("url", "http://x/")]);
-        t.point(StepKind::Dns, 10, &[("host", "x")]);
-        t.close(fetch, 12, &[("outcome", "200")]);
+        let root = t.open(StepKind::Campaign, 0, &[("seed", &5)]);
+        let fetch = t.open(StepKind::Fetch, 10, &[("url", &"http://x/")]);
+        t.point(StepKind::Dns, 10, &[("host", &"x")]);
+        t.close(fetch, 12, &[("outcome", &200)]);
         t.close(root, 100, &[]);
         let events = t.take();
         assert_eq!(events.len(), 3);
@@ -309,11 +313,12 @@ mod tests {
         let root = t.open(StepKind::Campaign, 0, &[]);
         let _leaked = t.open(StepKind::Fetch, 5, &[]);
         t.close(root, 9, &[]);
+        // Nothing is left open, so this point is dropped.
+        t.point(StepKind::Dns, 9, &[]);
         let events = t.take();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].step, StepKind::Fetch);
         assert_eq!(events[0].end_secs, 9);
-        assert!(!t.recording());
     }
 
     #[test]
@@ -336,10 +341,8 @@ mod tests {
         let root = t.open(StepKind::Campaign, 0, &[]);
         for i in 0..4u64 {
             let ut = t.open(StepKind::UrlTest, i, &[]);
-            // Suppressed subtrees skip instrumentation work entirely.
-            if t.recording() {
-                t.point(StepKind::Verdict, i, &[]);
-            }
+            // Suppressed subtrees drop their points.
+            t.point(StepKind::Verdict, i, &[]);
             t.close(ut, i, &[]);
         }
         t.close(root, 10, &[]);
@@ -360,6 +363,50 @@ mod tests {
                 assert!(events.iter().any(|other| other.span == p));
             }
         }
+    }
+
+    /// A value that counts how often it is formatted.
+    struct Counted<'a>(&'a Cell<usize>);
+
+    impl Display for Counted<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.set(self.0.get() + 1);
+            f.write_str("v")
+        }
+    }
+
+    #[test]
+    fn values_are_formatted_only_for_recorded_events() {
+        let calls = Cell::new(0);
+        let v = Counted(&calls);
+        let subtree = |t: &TraceHandle, at: u64| {
+            let test = t.open(StepKind::UrlTest, at, &[("url", &v)]);
+            let fetch = t.open(StepKind::Fetch, at, &[("vantage", &v), ("url", &v)]);
+            t.point(StepKind::Dns, at, &[("host", &v), ("ip", &v)]);
+            t.close(fetch, at + 1, &[("outcome", &v)]);
+            t.close(test, at + 1, &[("note", &v)]);
+        };
+
+        subtree(&TraceHandle::disabled(), 0);
+        assert_eq!(calls.get(), 0, "a disabled handle formatted a value");
+
+        // One in two url-tests is kept: the first is, the second is not.
+        let t = TraceHandle::sampled(5, 2);
+        let root = t.open(StepKind::Campaign, 0, &[]);
+        let first = t.open(StepKind::UrlTest, 0, &[]);
+        t.close(first, 0, &[]);
+        subtree(&t, 1);
+        assert_eq!(calls.get(), 0, "a sampled-out subtree formatted a value");
+
+        // Kept: each field once, those added at close included.
+        subtree(&t, 2);
+        assert_eq!(calls.get(), 7);
+        t.close(root, 3, &[("seed", &v)]);
+        assert_eq!(calls.get(), 8);
+        let events = t.take();
+        let values: Vec<(&str, &str)> = events.iter().flat_map(|e| e.fields.iter()).collect();
+        assert_eq!(values.len(), 8);
+        assert!(values.iter().all(|&(_, value)| value == "v"));
     }
 
     #[test]

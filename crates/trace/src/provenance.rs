@@ -144,7 +144,7 @@ mod tests {
         at: u64,
         end: u64,
         step: StepKind,
-        fields: &[(&str, &str)],
+        fields: &[(&'static str, &str)],
     ) -> TraceEvent {
         TraceEvent {
             trace: TraceId(9),
@@ -153,10 +153,7 @@ mod tests {
             at_secs: at,
             end_secs: end,
             step,
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            fields: fields.iter().copied().collect(),
         }
     }
 

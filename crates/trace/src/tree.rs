@@ -216,7 +216,7 @@ pub fn write_node_line(out: &mut String, event: &TraceEvent, depth: usize) {
     if event.end_secs > event.at_secs {
         let _ = write!(out, " +{}s", event.duration_secs());
     }
-    for (k, v) in &event.fields {
+    for (k, v) in event.fields.iter() {
         out.push(' ');
         out.push_str(k);
         out.push('=');
@@ -325,6 +325,7 @@ pub fn render_profile(events: &[TraceEvent]) -> String {
 mod tests {
     use super::*;
     use crate::step::StepKind;
+    use filterwatch_telemetry::Fields;
 
     fn ev(span: u32, parent: Option<u32>, at: u64, end: u64, step: StepKind) -> TraceEvent {
         TraceEvent {
@@ -334,7 +335,7 @@ mod tests {
             at_secs: at,
             end_secs: end,
             step,
-            fields: Vec::new(),
+            fields: Fields::new(),
         }
     }
 
@@ -385,7 +386,7 @@ mod tests {
     fn repeated_span_keeps_the_later_line() {
         let first = ev(2, Some(1), 0, 1, StepKind::Dns);
         let mut second = ev(2, Some(1), 5, 9, StepKind::Fetch);
-        second.fields.push(("try".to_string(), "2".to_string()));
+        second.fields.push("try", &2);
         let root = ev(1, None, 0, 10, StepKind::Campaign);
         let head = "trace t0000000000000001\n  s1 campaign @day 0 00:00:00 +10s\n";
         let log = vec![first.clone(), root.clone(), second.clone()];
@@ -429,7 +430,7 @@ mod tests {
     #[test]
     fn node_line_collapses_control_chars() {
         let mut e = ev(1, None, 3_661, 3_661, StepKind::Dns);
-        e.fields.push(("host".to_string(), "a\tb\nc".to_string()));
+        e.fields.push("host", "a\tb\nc");
         let mut line = String::new();
         write_node_line(&mut line, &e, 1);
         assert_eq!(line, "  s1 dns @day 0 01:01:01 host=a b c\n");

@@ -66,7 +66,7 @@ fn any_span_log() -> impl Strategy<Value = Vec<TraceEvent>> {
                         at_secs: at,
                         end_secs: at,
                         step,
-                        fields,
+                        fields: fields.into_iter().collect(),
                     }
                 })
                 .collect()
@@ -96,7 +96,7 @@ fn any_parent_log() -> impl Strategy<Value = Vec<TraceEvent>> {
                 at_secs: at,
                 end_secs: at,
                 step: if test { StepKind::UrlTest } else { step },
-                fields: vec![("url".to_string(), format!("http://u{url}/"))],
+                fields: [("url", format!("http://u{url}/"))].into_iter().collect(),
             })
             .collect()
     })

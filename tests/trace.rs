@@ -126,44 +126,52 @@ fn sampling_thins_url_tests_without_touching_tables() {
     assert!(sampled.iter().any(|e| e.step == StepKind::Stage));
 }
 
-/// Tracing overhead stays within a fixed budget of the untraced run.
-/// Wall-clock readings go through the telemetry collector's timed
-/// observation (the one sanctioned wall-clock site); the budget is
-/// generous — the assertion exists to catch pathological slowdowns
-/// (e.g. accidental per-event locking on the disabled path), not to
-/// benchmark.
+/// Tracing overhead stays within twice the untraced run. Wall-clock
+/// readings go through the telemetry collector's timed observation (the
+/// one sanctioned wall-clock site), one histogram label per run. Runs
+/// alternate untraced and traced, and the medians are compared, so a
+/// burst of load on the machine moves both sides or neither. At 2× the
+/// check fails on a pathological slowdown, such as per-event locking or
+/// formatting, that a looser bound would let through.
 #[test]
 fn tracing_overhead_within_budget() {
+    const RUNS: usize = 5;
     let telemetry = TelemetryHandle::enabled();
     let warmup = Campaign::demo(DEFAULT_SEED).run();
     assert!(!warmup.confirmations.is_empty());
 
-    let untraced = telemetry.observe_timed("trace.overhead", "off", || {
-        Campaign::demo(DEFAULT_SEED).run()
-    });
-    let traced = telemetry.observe_timed("trace.overhead", "full", || {
-        Campaign::demo(DEFAULT_SEED)
-            .with_trace(TraceMode::Full)
-            .run()
-    });
-    assert_eq!(untraced.identify_table(), traced.identify_table());
+    let modes = [("off", TraceMode::Off), ("full", TraceMode::Full)];
+    for run in 0..RUNS {
+        for (mode, trace) in modes {
+            let report =
+                telemetry.observe_timed("trace.overhead", &format!("{mode}-{run}"), || {
+                    Campaign::demo(DEFAULT_SEED).with_trace(trace).run()
+                });
+            assert_eq!(report.identify_table(), warmup.identify_table());
+        }
+    }
 
     let snapshot = telemetry.snapshot();
-    let wall_ns = |label: &str| -> f64 {
-        snapshot
-            .histograms
-            .iter()
-            .find(|h| h.name == "trace.overhead" && h.label == label)
-            .map(|h| h.sum)
-            .unwrap_or(0.0)
+    let median_ns = |mode: &str| -> f64 {
+        let mut runs: Vec<f64> = (0..RUNS)
+            .map(|run| {
+                let label = format!("{mode}-{run}");
+                snapshot
+                    .histograms
+                    .iter()
+                    .find(|h| h.name == "trace.overhead" && h.label == label)
+                    .map_or(0.0, |h| h.sum)
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        runs[RUNS / 2]
     };
-    let off_ns = wall_ns("off");
-    let full_ns = wall_ns("full");
-    assert!(off_ns > 0.0, "untraced run recorded no wall time");
-    // Budget: 4x the untraced run plus 2s of slack for timer noise.
+    let off_ns = median_ns("off");
+    let full_ns = median_ns("full");
+    assert!(off_ns > 0.0, "untraced runs recorded no wall time");
     assert!(
-        full_ns <= off_ns * 4.0 + 2e9,
-        "traced demo campaign took {:.1}ms vs {:.1}ms untraced",
+        full_ns <= off_ns * 2.0,
+        "traced demo campaign took {:.1}ms vs {:.1}ms untraced (medians of {RUNS})",
         full_ns / 1e6,
         off_ns / 1e6,
     );
