@@ -174,7 +174,7 @@ pub fn characterize(
             if v.verdict.is_blocked() {
                 blocked = true;
                 if let Some(p) = v.verdict.blocked_by() {
-                    if !attributed.contains(&p.to_string()) {
+                    if !attributed.iter().any(|a| a == p) {
                         attributed.push(p.to_string());
                     }
                 }

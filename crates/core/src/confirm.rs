@@ -96,6 +96,9 @@ impl CaseStudyResult {
 pub struct CaseInProgress {
     /// The spec being executed.
     pub spec: CaseStudySpec,
+    /// The spec's label as a trace and telemetry token: lowercase,
+    /// with spaces and `/` dashed (`blue-coat---uae---etisalat`).
+    case_label: String,
     sites: Vec<ControlledSite>,
     client: MeasurementClient,
     accessible_before: Option<usize>,
@@ -115,21 +118,16 @@ pub fn begin_case(world: &mut World, spec: &CaseStudySpec) -> CaseInProgress {
     );
     let telemetry = world.net.telemetry().clone();
     let tracer = world.net.tracer().clone();
-    // The case label costs a string to build, so build it only for a
-    // live collector.
-    let case_scope = if tracer.is_enabled() {
-        tracer.open(
-            filterwatch_trace::StepKind::Case,
-            world.net.now().secs(),
-            &[
-                ("case", &spec.label.to_lowercase().replace([' ', '/'], "-")),
-                ("isp", &spec.isp),
-                ("product", &spec.product.slug()),
-            ],
-        )
-    } else {
-        filterwatch_trace::ScopeId::NONE
-    };
+    let case_label = spec.label.to_lowercase().replace([' ', '/'], "-");
+    let case_scope = tracer.open(
+        filterwatch_trace::StepKind::Case,
+        world.net.now().secs(),
+        &[
+            ("case", &case_label),
+            ("isp", &spec.isp),
+            ("product", &spec.product.slug()),
+        ],
+    );
     let submit_span = telemetry.span_start(
         filterwatch_telemetry::stage::CONFIRM_SUBMIT,
         &spec.label,
@@ -161,6 +159,7 @@ pub fn begin_case(world: &mut World, spec: &CaseStudySpec) -> CaseInProgress {
 
     CaseInProgress {
         spec: spec.clone(),
+        case_label,
         sites,
         client,
         accessible_before,
@@ -243,6 +242,7 @@ pub fn announce_wait(world: &World, case: &CaseInProgress) -> u64 {
 pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
     let CaseInProgress {
         spec,
+        case_label,
         sites,
         client,
         accessible_before,
@@ -273,7 +273,7 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
             if v.verdict.is_blocked() {
                 blocked[i] = true;
                 if let Some(p) = v.verdict.blocked_by() {
-                    if !attributed.contains(&p.to_string()) {
+                    if !attributed.iter().any(|a| a == p) {
                         attributed.push(p.to_string());
                     }
                 }
@@ -298,7 +298,7 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
         world.net.now().secs(),
         "confirm.verdict",
         &[
-            ("case", &spec.label.to_lowercase().replace([' ', '/'], "-")),
+            ("case", &case_label),
             ("blocked", &submitted_blocked),
             ("submitted", &spec.n_submit),
             ("confirmed", &if confirmed { "yes" } else { "no" }),

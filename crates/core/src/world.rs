@@ -364,9 +364,9 @@ impl World {
                 // All vendors already know these long-standing sites.
                 let domain = url.registrable_domain();
                 for (product, cloud) in &clouds {
-                    cloud.register_site_profile(&domain, test_url.category);
+                    cloud.register_site_profile(domain, test_url.category);
                     cloud.seed_categorization(
-                        &domain,
+                        domain,
                         taxonomy::vendor_category(*product, test_url.category),
                     );
                 }
@@ -609,7 +609,7 @@ impl World {
                     Category::MediaFreedom | Category::HumanRights | Category::PoliticalReform
                 ) {
                     let url = Url::parse(&u.url).expect("local url");
-                    policy.always_deny(&url.registrable_domain());
+                    policy.always_deny(url.registrable_domain());
                 }
             }
             let ns = NetsweeperBox::new(

@@ -80,13 +80,18 @@ impl Headers {
     /// scanners index and fingerprints match against.
     pub fn to_wire(&self) -> String {
         let mut out = String::new();
+        self.write_wire(&mut out);
+        out
+    }
+
+    /// Append the [`to_wire`](Self::to_wire) lines to `out`.
+    pub(crate) fn write_wire(&self, out: &mut String) {
         for (n, v) in &self.entries {
             out.push_str(n);
             out.push_str(": ");
             out.push_str(v);
             out.push_str("\r\n");
         }
-        out
     }
 }
 

@@ -1,5 +1,7 @@
 //! Owned HTTP response messages.
 
+use std::fmt::Write;
+
 use bytes::Bytes;
 
 use crate::{Headers, Status};
@@ -96,7 +98,16 @@ impl Response {
     /// The "banner" view of this response: status line plus raw header
     /// block — exactly what a Shodan-style crawler records.
     pub fn banner(&self) -> String {
-        format!("HTTP/1.1 {}\r\n{}", self.status, self.headers.to_wire())
+        let mut out = String::new();
+        self.write_banner(&mut out);
+        out
+    }
+
+    /// Append the [`banner`](Self::banner) to `out`.
+    pub fn write_banner(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "HTTP/1.1 {}\r\n", self.status);
+        self.headers.write_wire(out);
     }
 }
 

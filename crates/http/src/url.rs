@@ -7,16 +7,28 @@
 //! Fragments are stripped; userinfo is rejected (never appears in test
 //! lists and is a known smuggling vector).
 
+use std::fmt::{self, Write};
+use std::sync::Arc;
+
 use crate::HttpError;
 
 /// A parsed absolute URL.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// One shared buffer holds the display form
+/// (`scheme://host[:port]path[?query]`) and every part is a slice of it,
+/// so a clone bumps a reference count and [`Display`](fmt::Display)
+/// writes the buffer as is. Two URLs are equal when their parts are.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Url {
-    scheme: String,
-    host: String,
+    text: Arc<str>,
+    /// Start of the host, just past `://`.
+    host_start: usize,
+    host_end: usize,
+    /// Start of the path, past any explicit `:port`.
+    path_start: usize,
+    /// Start of the query, just past the `?`.
+    query_start: Option<usize>,
     port: u16,
-    path: String,
-    query: Option<String>,
 }
 
 impl Url {
@@ -29,13 +41,17 @@ impl Url {
         }
         let (scheme, rest) = match text.split_once("://") {
             Some((s, rest)) => {
-                let s = s.to_ascii_lowercase();
-                if s != "http" && s != "https" {
+                let scheme = if s.eq_ignore_ascii_case("http") {
+                    "http"
+                } else if s.eq_ignore_ascii_case("https") {
+                    "https"
+                } else {
+                    let s = s.to_ascii_lowercase();
                     return Err(HttpError::InvalidUrl(format!("unsupported scheme {s:?}")));
-                }
-                (s, rest)
+                };
+                (scheme, rest)
             }
-            None => ("http".to_string(), text),
+            None => ("http", text),
         };
 
         // Strip fragment.
@@ -59,7 +75,7 @@ impl Url {
                     .map_err(|_| HttpError::InvalidUrl(format!("bad port {p:?}")))?;
                 (h, port)
             }
-            None => (authority, if scheme == "https" { 443 } else { 80 }),
+            None => (authority, default_port(scheme)),
         };
         if host.is_empty() {
             return Err(HttpError::InvalidUrl("missing host".into()));
@@ -71,54 +87,54 @@ impl Url {
             return Err(HttpError::InvalidUrl(format!("bad host {host:?}")));
         }
 
-        let (path, query) = match path_query.split_once('?') {
-            Some((p, q)) => (p.to_string(), Some(q.to_string())),
-            None => (path_query.to_string(), None),
-        };
-
-        Ok(Url {
-            scheme,
-            host: host.to_ascii_lowercase(),
-            port,
-            path,
-            query,
-        })
+        Ok(Url::assemble(scheme, host, port, path_query))
     }
 
     /// Convenience constructor for `http://host/` URLs.
     pub fn http(host: &str) -> Self {
-        Url {
-            scheme: "http".into(),
-            host: host.to_ascii_lowercase(),
-            port: 80,
-            path: "/".into(),
-            query: None,
-        }
+        Url::assemble("http", host, 80, "/")
     }
 
     /// Convenience constructor for `http://host:port/path`.
     pub fn http_at(host: &str, port: u16, path: &str) -> Self {
-        let (path, query) = match path.split_once('?') {
-            Some((p, q)) => (p.to_string(), Some(q.to_string())),
-            None => (path.to_string(), None),
-        };
+        Url::assemble("http", host, port, path)
+    }
+
+    /// Write the display form into one buffer: the host lowercased, the
+    /// port only when it is not the scheme's default, and `path_query`
+    /// split at its first `?`.
+    fn assemble(scheme: &str, host: &str, port: u16, path_query: &str) -> Self {
+        let mut text = String::with_capacity(scheme.len() + host.len() + path_query.len() + 9);
+        text.push_str(scheme);
+        text.push_str("://");
+        let host_start = text.len();
+        text.push_str(host);
+        text[host_start..].make_ascii_lowercase();
+        let host_end = text.len();
+        if port != default_port(scheme) {
+            // Writing to a `String` cannot fail.
+            let _ = write!(text, ":{port}");
+        }
+        let path_start = text.len();
+        text.push_str(path_query);
         Url {
-            scheme: "http".into(),
-            host: host.to_ascii_lowercase(),
+            query_start: path_query.find('?').map(|i| path_start + i + 1),
+            text: text.into(),
+            host_start,
+            host_end,
+            path_start,
             port,
-            path,
-            query,
         }
     }
 
     /// URL scheme (`http` or `https`).
     pub fn scheme(&self) -> &str {
-        &self.scheme
+        &self.text[..self.host_start - 3]
     }
 
     /// Lowercased hostname.
     pub fn host(&self) -> &str {
-        &self.host
+        &self.text[self.host_start..self.host_end]
     }
 
     /// Port (explicit or scheme default).
@@ -128,41 +144,39 @@ impl Url {
 
     /// Path, always starting with `/`.
     pub fn path(&self) -> &str {
-        &self.path
+        // The path ends at the `?` before the query, or with the text.
+        let end = self.query_start.map_or(self.text.len(), |q| q - 1);
+        &self.text[self.path_start..end]
     }
 
     /// Raw query string, without the `?`.
     pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
+        self.query_start.map(|q| &self.text[q..])
     }
 
     /// Path plus query as sent on the request line.
-    pub fn path_and_query(&self) -> String {
-        match &self.query {
-            Some(q) => format!("{}?{}", self.path, q),
-            None => self.path.clone(),
-        }
+    pub fn path_and_query(&self) -> &str {
+        &self.text[self.path_start..]
     }
 
     /// The registrable domain heuristic used for hostname-granularity
     /// blocking: the last two labels (`foo.bar.example.info` →
     /// `example.info`). Dotted-quad IPs are returned whole.
-    pub fn registrable_domain(&self) -> String {
-        if self.host.chars().all(|c| c.is_ascii_digit() || c == '.') {
-            return self.host.clone();
+    pub fn registrable_domain(&self) -> &str {
+        let host = self.host();
+        if host.chars().all(|c| c.is_ascii_digit() || c == '.') {
+            return host;
         }
-        let labels: Vec<&str> = self.host.split('.').collect();
-        if labels.len() <= 2 {
-            self.host.clone()
-        } else {
-            labels[labels.len() - 2..].join(".")
+        match host.rfind('.').and_then(|last| host[..last].rfind('.')) {
+            Some(dot) => &host[dot + 1..],
+            None => host,
         }
     }
 
     /// The value of one query parameter, if present (`k=v` pairs split
     /// on `&`; no percent-decoding).
     pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query.as_deref()?.split('&').find_map(|pair| {
+        self.query()?.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == key).then_some(v)
         })
@@ -170,36 +184,40 @@ impl Url {
 
     /// Top-level domain label (`info` for `starwasher.info`), if any.
     pub fn tld(&self) -> Option<&str> {
-        let last = self.host.rsplit('.').next()?;
+        let last = self.host().rsplit('.').next()?;
         (!last.is_empty() && !last.chars().all(|c| c.is_ascii_digit())).then_some(last)
     }
 
     /// Replace the path (and clear the query).
     pub fn with_path(&self, path: &str) -> Self {
-        let mut u = self.clone();
-        let (p, q) = match path.split_once('?') {
-            Some((p, q)) => (p.to_string(), Some(q.to_string())),
-            None => (path.to_string(), None),
-        };
-        u.path = p;
-        u.query = q;
-        u
+        Url::assemble(self.scheme(), self.host(), self.port, path)
     }
 }
 
-impl std::fmt::Display for Url {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let default_port = (self.scheme == "http" && self.port == 80)
-            || (self.scheme == "https" && self.port == 443);
-        write!(f, "{}://{}", self.scheme, self.host)?;
-        if !default_port {
-            write!(f, ":{}", self.port)?;
-        }
-        write!(f, "{}", self.path)?;
-        if let Some(q) = &self.query {
-            write!(f, "?{q}")?;
-        }
-        Ok(())
+/// The port a scheme implies when the URL names none.
+fn default_port(scheme: &str) -> u16 {
+    if scheme == "https" {
+        443
+    } else {
+        80
+    }
+}
+
+impl fmt::Display for Url {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
+    }
+}
+
+impl fmt::Debug for Url {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Url")
+            .field("scheme", &self.scheme())
+            .field("host", &self.host())
+            .field("port", &self.port)
+            .field("path", &self.path())
+            .field("query", &self.query())
+            .finish()
     }
 }
 

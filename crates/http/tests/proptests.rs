@@ -12,31 +12,79 @@ fn path_strategy() -> impl Strategy<Value = String> {
     "(/[a-zA-Z0-9._-]{0,8}){0,4}".prop_map(|p| if p.is_empty() { "/".to_string() } else { p })
 }
 
+fn hash_of(url: &Url) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    url.hash(&mut hasher);
+    hasher.finish()
+}
+
 proptest! {
-    /// URL display → parse round-trips all components.
+    /// Every accessor reads back the part the URL was written with,
+    /// display → parse round-trips, and the other constructors build the
+    /// URL `parse` builds from the same text.
     #[test]
-    fn url_round_trip(host in host_strategy(), port in 1u16..=65535, path in path_strategy(),
-                      query in proptest::option::of("[a-z0-9=&]{1,20}")) {
-        let text = match &query {
-            Some(q) => format!("http://{host}:{port}{path}?{q}"),
-            None => format!("http://{host}:{port}{path}"),
+    fn url_round_trip(https in any::<bool>(), host in host_strategy(),
+                      upper in proptest::collection::vec(any::<bool>(), 40),
+                      port in proptest::option::of(1u16..=65535), path in path_strategy(),
+                      query in proptest::option::of("[a-z0-9=&]{0,20}")) {
+        let scheme = if https { "https" } else { "http" };
+        let default_port = if https { 443 } else { 80 };
+        let mixed: String = host
+            .chars()
+            .zip(&upper)
+            .map(|(c, &up)| if up { c.to_ascii_uppercase() } else { c })
+            .collect();
+        let authority = match port {
+            Some(p) => format!("{mixed}:{p}"),
+            None => mixed.clone(),
         };
-        let url = Url::parse(&text).unwrap();
-        let reparsed = Url::parse(&url.to_string()).unwrap();
-        prop_assert_eq!(&url, &reparsed);
+        let path_query = match &query {
+            Some(q) => format!("{path}?{q}"),
+            None => path.clone(),
+        };
+        let url = Url::parse(&format!("{scheme}://{authority}{path_query}")).unwrap();
+        prop_assert_eq!(url.scheme(), scheme);
         prop_assert_eq!(url.host(), host.as_str());
-        prop_assert_eq!(url.port(), port);
+        prop_assert_eq!(url.port(), port.unwrap_or(default_port));
+        prop_assert_eq!(url.path(), path.as_str());
         prop_assert_eq!(url.query(), query.as_deref());
+        prop_assert_eq!(url.path_and_query(), path_query.as_str());
+        let shown = match port.filter(|&p| p != default_port) {
+            Some(p) => format!("{scheme}://{host}:{p}{path_query}"),
+            None => format!("{scheme}://{host}{path_query}"),
+        };
+        prop_assert_eq!(url.to_string(), shown);
+        prop_assert_eq!(
+            format!("{url:?}"),
+            format!(
+                "Url {{ scheme: {scheme:?}, host: {host:?}, port: {}, path: {path:?}, query: {:?} }}",
+                url.port(),
+                query.as_deref()
+            )
+        );
+        prop_assert_eq!(&Url::parse(&url.to_string()).unwrap(), &url);
+
+        let elsewhere = Url::parse(&format!("{scheme}://{authority}/elsewhere?x=1")).unwrap();
+        let moved = elsewhere.with_path(&path_query);
+        prop_assert_eq!(&moved, &url);
+        prop_assert_eq!(hash_of(&moved), hash_of(&url));
+        if !https {
+            let at = Url::http_at(&mixed, url.port(), &path_query);
+            prop_assert_eq!(&at, &url);
+            prop_assert_eq!(hash_of(&at), hash_of(&url));
+        }
     }
 
-    /// The registrable domain is always a suffix of the host with at
-    /// most two labels (or the dotted-quad itself).
+    /// The registrable domain is the host's last two labels (or the
+    /// dotted-quad itself), a suffix of the host.
     #[test]
     fn registrable_domain_is_suffix(host in host_strategy()) {
         let url = Url::parse(&format!("http://{host}/")).unwrap();
         let reg = url.registrable_domain();
-        prop_assert!(url.host().ends_with(&reg));
-        prop_assert!(reg.split('.').count() <= 2);
+        prop_assert!(url.host().ends_with(reg));
+        let labels: Vec<&str> = host.split('.').collect();
+        prop_assert_eq!(reg, labels[labels.len().saturating_sub(2)..].join("."));
     }
 
     /// Response encode → decode is the identity.

@@ -9,14 +9,14 @@
 //! vendor source code says.
 //!
 //! The library is query-compiled: both signature tiers are
-//! [`CompiledPatternSet`]s, so a classify call case-folds the trace
-//! text **once** and answers every literal signature in a single
-//! automaton pass (wildcard signatures ride the verified fallback
-//! tier). The standard signatures are compiled once per process and
-//! shared by every library (so by every measurement client); each
-//! library keeps its own telemetry handle, and per-call latency can be
-//! recorded into a histogram on it via
-//! [`BlockPageLibrary::with_telemetry`].
+//! [`CompiledPatternSet`]s, so a classify call answers every literal
+//! signature of a tier in a single case-folding automaton pass over the
+//! trace text, without copying it, and stops at the tier's first match
+//! (wildcard signatures ride the verified fallback tier). The standard
+//! signatures are compiled once per process and shared by every library
+//! (so by every measurement client); each library keeps its own
+//! telemetry handle, and per-call latency can be recorded into a
+//! histogram on it via [`BlockPageLibrary::with_telemetry`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -137,31 +137,21 @@ impl BlockPageLibrary {
     }
 
     fn classify_inner(&self, trace_text: &str) -> Option<BlockMatch> {
-        // One case-folding pass serves both tiers: every automaton and
-        // fallback pattern below matches against the pre-lowered text.
-        let lower = trace_text.to_ascii_lowercase();
+        // Each tier stops at its lowest-index match; nothing is copied.
         let Signatures { vendors, generic } = &*self.signatures;
-        if let Some(&index) = vendors
-            .matching_indices_prefolded(trace_text, &lower)
-            .first()
-        {
-            let (name, pattern) = vendors.set().get(index).expect("index in range");
+        let vendor = vendors.first_match(trace_text);
+        if let Some((name, pattern)) = vendor.and_then(|index| vendors.set().get(index)) {
             return Some(BlockMatch {
                 product: Some(name.to_string()),
                 evidence: format!("vendor signature /{pattern}/"),
             });
         }
-        if let Some(&index) = generic
-            .matching_indices_prefolded(trace_text, &lower)
-            .first()
-        {
-            let (_, pattern) = generic.set().get(index).expect("index in range");
-            return Some(BlockMatch {
-                product: None,
-                evidence: format!("generic denial /{pattern}/"),
-            });
-        }
-        None
+        let generic_match = generic.first_match(trace_text);
+        let (_, pattern) = generic_match.and_then(|index| generic.set().get(index))?;
+        Some(BlockMatch {
+            product: None,
+            evidence: format!("generic denial /{pattern}/"),
+        })
     }
 
     /// Number of vendor signatures loaded.

@@ -3,7 +3,7 @@
 use filterwatch_http::{Response, Url};
 use filterwatch_netsim::{FetchOutcome, FlowDisposition, Internet, VantageId};
 use filterwatch_trace::StepKind;
-use std::fmt::Display;
+use std::fmt::{Display, Write};
 
 use crate::blockpage::BlockPageLibrary;
 use crate::resilience::{
@@ -36,16 +36,23 @@ impl FetchTrace {
     }
 
     /// All text a block-page classifier should see: every hop's URL,
-    /// banner and body.
+    /// banner and body, written into one buffer.
     pub fn text(&self) -> String {
-        let mut out = String::new();
+        // Room per hop for its URL and banner lines; bodies are sized
+        // exactly, so a typical trace allocates once.
+        const HOP_ROOM: usize = 256;
+        let size = self
+            .hops
+            .iter()
+            .map(|(_, outcome)| HOP_ROOM + outcome.response().map_or(0, |resp| resp.body.len()));
+        let mut out = String::with_capacity(size.sum());
         for (url, outcome) in &self.hops {
-            out.push_str(&url.to_string());
-            out.push('\n');
+            // Writing to a `String` cannot fail.
+            let _ = writeln!(out, "{url}");
             if let Some(resp) = outcome.response() {
-                out.push_str(&resp.banner());
+                resp.write_banner(&mut out);
                 out.push('\n');
-                out.push_str(&resp.body_text());
+                out.push_str(&String::from_utf8_lossy(&resp.body));
                 out.push('\n');
             }
         }
@@ -65,8 +72,9 @@ pub enum Observation {
     },
     /// The fetch failed at the transport layer.
     Failed {
-        /// `timeout`, `reset`, `dns-failure` or `connect-failed`.
-        error: String,
+        /// The failing outcome (never [`FetchOutcome::Ok`]); its
+        /// `label()` is the text verdicts and logs carry.
+        outcome: FetchOutcome,
     },
 }
 
@@ -160,7 +168,7 @@ impl MeasurementClient {
         let obs = self.fetch_inner(net, vantage, url);
         let outcome: &dyn Display = match &obs {
             Observation::Reached { status, .. } => status,
-            Observation::Failed { error } => error,
+            Observation::Failed { outcome } => outcome,
         };
         tracer.close(scope, net.now().secs(), &[("outcome", outcome)]);
         obs
@@ -217,7 +225,7 @@ impl MeasurementClient {
                 trace,
             },
             failure => Observation::Failed {
-                error: failure.label().to_string(),
+                outcome: failure.clone(),
             },
         }
     }
@@ -238,10 +246,11 @@ impl MeasurementClient {
         loop {
             QualityCounters::bump(&self.quality.fetch_attempts);
             let obs = self.fetch(net, vantage, url);
-            let Observation::Failed { error } = &obs else {
+            let Observation::Failed { outcome } = &obs else {
                 return obs;
             };
-            if attempt >= policy.max_attempts || RetryPolicy::classify(error) == FaultClass::Fatal {
+            if attempt >= policy.max_attempts || RetryPolicy::classify(outcome) == FaultClass::Fatal
+            {
                 return obs;
             }
             if let Some(budget) = policy.budget {
@@ -258,11 +267,12 @@ impl MeasurementClient {
                 &[
                     ("attempt", &attempt),
                     ("wait-secs", &wait),
-                    ("error", error),
+                    ("error", outcome),
                 ],
             );
             net.advance_secs(wait);
-            net.telemetry().counter_add("retry.attempt", error, 1);
+            net.telemetry()
+                .counter_add("retry.attempt", outcome.label(), 1);
             QualityCounters::bump(&self.quality.retries);
             self.retries_used.fetch_add(1, Ordering::Relaxed);
             attempt += 1;
@@ -408,21 +418,18 @@ impl MeasurementClient {
     /// Compare a field observation against the lab control.
     pub fn compare(&self, field: &Observation, lab: &Observation) -> Verdict {
         // Lab failure first: no control, no conclusion.
-        let Observation::Reached {
-            trace: lab_trace, ..
-        } = lab
-        else {
-            let Observation::Failed { error } = lab else {
-                unreachable!()
-            };
-            return Verdict::Unavailable {
-                lab_error: error.clone(),
-            };
+        let lab_trace = match lab {
+            Observation::Reached { trace, .. } => trace,
+            Observation::Failed { outcome } => {
+                return Verdict::Unavailable {
+                    lab_error: outcome.label().to_string(),
+                }
+            }
         };
 
         match field {
-            Observation::Failed { error } => Verdict::Inaccessible {
-                field_error: error.clone(),
+            Observation::Failed { outcome } => Verdict::Inaccessible {
+                field_error: outcome.label().to_string(),
             },
             Observation::Reached { trace, .. } => {
                 // A block page in the field that is absent in the lab.

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use filterwatch_netsim::rng::mix;
-use filterwatch_netsim::SimTime;
+use filterwatch_netsim::{FetchOutcome, SimTime};
 use filterwatch_telemetry::wire::{field, keyed, split, Wire, WireError};
 
 /// Whether a failed fetch is worth retrying.
@@ -89,15 +89,17 @@ impl RetryPolicy {
         }
     }
 
-    /// Classify a transport failure label (as produced by
-    /// `FetchOutcome::label`) for retry purposes. Timeouts, resets,
-    /// truncations and DNS failures are transient; `connect-failed`
+    /// Classify a fetch outcome for retry purposes. Timeouts, resets,
+    /// truncations and DNS failures are transient; `ConnectFailed`
     /// means no service listens at the destination, which retrying
-    /// cannot fix.
-    pub fn classify(error: &str) -> FaultClass {
-        match error {
-            "timeout" | "reset" | "truncated" | "dns-failure" => FaultClass::Retryable,
-            _ => FaultClass::Fatal,
+    /// cannot fix, and a response is no failure to retry.
+    pub fn classify(outcome: &FetchOutcome) -> FaultClass {
+        match outcome {
+            FetchOutcome::Timeout
+            | FetchOutcome::Reset
+            | FetchOutcome::Truncated
+            | FetchOutcome::DnsFailure => FaultClass::Retryable,
+            FetchOutcome::ConnectFailed | FetchOutcome::Ok(_) => FaultClass::Fatal,
         }
     }
 
@@ -433,12 +435,18 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert_eq!(RetryPolicy::classify("timeout"), FaultClass::Retryable);
-        assert_eq!(RetryPolicy::classify("reset"), FaultClass::Retryable);
-        assert_eq!(RetryPolicy::classify("truncated"), FaultClass::Retryable);
-        assert_eq!(RetryPolicy::classify("dns-failure"), FaultClass::Retryable);
-        assert_eq!(RetryPolicy::classify("connect-failed"), FaultClass::Fatal);
-        assert_eq!(RetryPolicy::classify("weird"), FaultClass::Fatal);
+        use filterwatch_http::Response;
+        let cases = [
+            (FetchOutcome::Timeout, FaultClass::Retryable),
+            (FetchOutcome::Reset, FaultClass::Retryable),
+            (FetchOutcome::Truncated, FaultClass::Retryable),
+            (FetchOutcome::DnsFailure, FaultClass::Retryable),
+            (FetchOutcome::ConnectFailed, FaultClass::Fatal),
+            (FetchOutcome::Ok(Response::not_found()), FaultClass::Fatal),
+        ];
+        for (outcome, class) in cases {
+            assert_eq!(RetryPolicy::classify(&outcome), class, "{outcome}");
+        }
     }
 
     #[test]

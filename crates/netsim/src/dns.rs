@@ -5,6 +5,7 @@
 //! resolution is global and unfiltered; per-ISP DNS tampering could be
 //! layered on via a middlebox if ever needed.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::ip::IpAddr;
@@ -29,30 +30,31 @@ impl Dns {
 
     /// Register an exact hostname. Overwrites any existing record.
     pub fn register(&mut self, host: &str, ip: IpAddr) {
-        self.exact.insert(normalize(host), ip);
+        self.exact.insert(normalize(host).into_owned(), ip);
     }
 
     /// Register a wildcard: `*.suffix` (pass the bare suffix).
     pub fn register_wildcard(&mut self, suffix: &str, ip: IpAddr) {
-        self.wildcard.insert(normalize(suffix), ip);
+        self.wildcard.insert(normalize(suffix).into_owned(), ip);
     }
 
     /// Remove an exact record; returns whether it existed.
     pub fn remove(&mut self, host: &str) -> bool {
-        self.exact.remove(&normalize(host)).is_some()
+        self.exact.remove(&*normalize(host)).is_some()
     }
 
     /// Resolve a hostname (or dotted-quad literal) to an address.
+    /// Allocates nothing for a name that is already lowercase.
     pub fn resolve(&self, host: &str) -> Option<IpAddr> {
         let host = normalize(host);
-        if let Ok(ip) = host.parse::<IpAddr>() {
+        if let Ok(ip) = IpAddr::parse_quad(&host) {
             return Some(ip);
         }
-        if let Some(&ip) = self.exact.get(&host) {
+        if let Some(&ip) = self.exact.get(&*host) {
             return Some(ip);
         }
         // Walk suffixes for wildcard matches: a.b.c → b.c → c.
-        let mut rest = host.as_str();
+        let mut rest = &*host;
         while let Some(idx) = rest.find('.') {
             rest = &rest[idx + 1..];
             if let Some(&ip) = self.wildcard.get(rest) {
@@ -78,8 +80,15 @@ impl Dns {
     }
 }
 
-fn normalize(host: &str) -> String {
-    host.trim_end_matches('.').to_ascii_lowercase()
+/// `host` without trailing dots, lowercased only when it has an
+/// uppercase byte.
+fn normalize(host: &str) -> Cow<'_, str> {
+    let host = host.trim_end_matches('.');
+    if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(host.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(host)
+    }
 }
 
 #[cfg(test)]

@@ -29,6 +29,19 @@ impl IpAddr {
     pub const fn value(&self) -> u32 {
         self.0
     }
+
+    /// Parse a dotted quad (`203.0.113.7`) without allocating. The
+    /// error is the octet that failed to parse, or `None` when `s` does
+    /// not have four dot-separated parts.
+    pub fn parse_quad(s: &str) -> Result<IpAddr, Option<&str>> {
+        if s.bytes().filter(|&b| b == b'.').count() != 3 {
+            return Err(None);
+        }
+        s.split('.').try_fold(IpAddr(0), |ip, part| {
+            let octet: u8 = part.parse().map_err(|_| Some(part))?;
+            Ok(IpAddr(ip.0 << 8 | u32::from(octet)))
+        })
+    }
 }
 
 impl std::fmt::Display for IpAddr {
@@ -42,17 +55,10 @@ impl std::str::FromStr for IpAddr {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('.').collect();
-        if parts.len() != 4 {
-            return Err(format!("bad IPv4 address {s:?}"));
-        }
-        let mut octets = [0u8; 4];
-        for (i, p) in parts.iter().enumerate() {
-            octets[i] = p.parse().map_err(|_| format!("bad octet {p:?} in {s:?}"))?;
-        }
-        Ok(IpAddr::from_octets(
-            octets[0], octets[1], octets[2], octets[3],
-        ))
+        IpAddr::parse_quad(s).map_err(|octet| match octet {
+            Some(p) => format!("bad octet {p:?} in {s:?}"),
+            None => format!("bad IPv4 address {s:?}"),
+        })
     }
 }
 

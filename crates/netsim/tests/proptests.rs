@@ -38,6 +38,22 @@ impl Middlebox for Tagged {
     }
 }
 
+/// The dotted-quad reading `IpAddr::from_str` has always had: split on
+/// `.`, four parts, each a `u8`, with these error texts.
+fn reference_quad(s: &str) -> Result<IpAddr, String> {
+    let parts: Vec<&str> = s.split('.').collect();
+    if parts.len() != 4 {
+        return Err(format!("bad IPv4 address {s:?}"));
+    }
+    let mut octets = [0u8; 4];
+    for (i, p) in parts.iter().enumerate() {
+        octets[i] = p.parse().map_err(|_| format!("bad octet {p:?} in {s:?}"))?;
+    }
+    Ok(IpAddr::from_octets(
+        octets[0], octets[1], octets[2], octets[3],
+    ))
+}
+
 proptest! {
     /// IP display → parse is the identity.
     #[test]
@@ -83,6 +99,60 @@ proptest! {
             prop_assert_eq!(dns.resolve(name), Some(IpAddr(i as u32 + 1)));
         }
         prop_assert_eq!(dns.resolve("definitely-not-registered.example"), None);
+    }
+
+    /// The allocation-free quad parser reads arbitrary text exactly as
+    /// the split-and-parse reading does, errors included, and reads
+    /// every displayed address back.
+    #[test]
+    fn quad_parser_agrees_with_reference(
+        text in "[0-9.+a]{0,16}",
+        four_parts in "([0-9+a]{0,4}\\.){3}[0-9+]{0,4}",
+        dotted in "[0-9]{1,3}(\\.[0-9]{1,3}){2,4}",
+        printable in "\\PC{0,16}",
+        a in any::<u8>(), b in any::<u8>(), c in any::<u8>(), d in any::<u8>(),
+    ) {
+        for s in [&text, &four_parts, &dotted, &printable] {
+            let reference = reference_quad(s);
+            prop_assert_eq!(IpAddr::parse_quad(s).ok(), reference.clone().ok(), "{:?}", s);
+            prop_assert_eq!(s.parse::<IpAddr>(), reference, "{:?}", s);
+        }
+        let ip = IpAddr::from_octets(a, b, c, d);
+        prop_assert_eq!(IpAddr::parse_quad(&ip.to_string()), Ok(ip));
+    }
+
+    /// A mixed-case or trailing-dot name resolves as its lowercase form
+    /// does, through exact, wildcard and literal records alike.
+    #[test]
+    fn dns_resolve_ignores_case_and_trailing_dots(
+        name in "[a-z]{1,8}\\.[a-z]{2,4}",
+        sub in "[a-z]{1,6}",
+        upper in proptest::collection::vec(any::<bool>(), 20),
+        dots in 0usize..3,
+        v in any::<u32>(),
+    ) {
+        let mut dns = Dns::new();
+        dns.register(&name, IpAddr(1));
+        dns.register_wildcard(&format!("zone.{name}"), IpAddr(2));
+        let spell = |host: &str| -> String {
+            let mixed: String = host
+                .chars()
+                .zip(upper.iter().cycle())
+                .map(|(c, &up)| if up { c.to_ascii_uppercase() } else { c })
+                .collect();
+            mixed + &".".repeat(dots)
+        };
+        for host in [
+            name.clone(),
+            format!("{sub}.zone.{name}"),
+            format!("{sub}.{name}"),
+            IpAddr(v).to_string(),
+        ] {
+            prop_assert_eq!(dns.resolve(&spell(&host)), dns.resolve(&host), "{:?}", spell(&host));
+        }
+        prop_assert_eq!(dns.resolve(&spell(&name)), Some(IpAddr(1)));
+        prop_assert_eq!(dns.resolve(&spell(&format!("{sub}.zone.{name}"))), Some(IpAddr(2)));
+        prop_assert_eq!(dns.resolve(&spell(&IpAddr(v).to_string())), Some(IpAddr(v)));
     }
 
     /// SimTime display → parse is the identity.

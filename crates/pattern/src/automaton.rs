@@ -203,67 +203,59 @@ impl Automaton {
     /// `found` receives the ascending matched ids.
     pub fn matched_ids_into(&self, text: &str, hit: &mut Vec<bool>, found: &mut Vec<usize>) {
         found.clear();
-        if self.distinct_ids == 0 {
-            return;
-        }
         hit.clear();
         hit.resize(self.id_space, false);
         let mut remaining = self.distinct_ids;
-        // Root outputs are empty needles: they match any text.
-        for &id in &self.out[0] {
-            hit[id as usize] = true;
-            found.push(id as usize);
-            remaining -= 1;
-        }
-        if remaining > 0 {
-            let mut state = 0u32;
-            for &raw in text.as_bytes() {
-                let b = self.scan_byte(raw);
-                // Root fast path: while at the root, bytes that start
-                // no needle can skip the transition-table load.
-                if state == 0 && !self.leaves_root(b) {
-                    continue;
-                }
-                let entry = self.next[state as usize * 256 + b as usize];
-                state = entry & Self::STATE_MASK;
-                if entry & Self::OUT_FLAG != 0 {
-                    for &id in &self.out[state as usize] {
-                        if !hit[id as usize] {
-                            hit[id as usize] = true;
-                            found.push(id as usize);
-                            remaining -= 1;
-                        }
-                    }
-                    if remaining == 0 {
-                        break;
-                    }
+        self.for_each_output(text, |ids| {
+            for &id in ids {
+                if !hit[id as usize] {
+                    hit[id as usize] = true;
+                    found.push(id as usize);
+                    remaining -= 1;
                 }
             }
-        }
+            remaining == 0
+        });
         found.sort_unstable();
     }
 
     /// Whether any needle occurs in `text`.
     pub fn is_match(&self, text: &str) -> bool {
-        if self.distinct_ids == 0 {
-            return false;
-        }
-        if !self.out[0].is_empty() {
-            return true;
+        let mut found = false;
+        self.for_each_output(text, |_| {
+            found = true;
+            true
+        });
+        found
+    }
+
+    /// One pass over `text`, handing `on_hit` the ids of every output
+    /// state entered, until it returns `true`. The root's outputs, the
+    /// empty needles, come first: they match any text.
+    #[inline(always)]
+    fn for_each_output(&self, text: &str, mut on_hit: impl FnMut(&[u32]) -> bool) {
+        match self.out.first() {
+            Some(root) if self.distinct_ids > 0 => {
+                if !root.is_empty() && on_hit(root) {
+                    return;
+                }
+            }
+            _ => return,
         }
         let mut state = 0u32;
         for &raw in text.as_bytes() {
             let b = self.scan_byte(raw);
+            // Root fast path: while at the root, bytes that start no
+            // needle can skip the transition-table load.
             if state == 0 && !self.leaves_root(b) {
                 continue;
             }
             let entry = self.next[state as usize * 256 + b as usize];
-            if entry & Self::OUT_FLAG != 0 {
-                return true;
+            state = entry & Self::STATE_MASK;
+            if entry & Self::OUT_FLAG != 0 && on_hit(&self.out[state as usize]) {
+                return;
             }
-            state = entry;
         }
-        false
     }
 }
 
@@ -291,8 +283,9 @@ fn literal_needles(pattern: &Pattern) -> Option<Vec<String>> {
 /// block-page signatures) are fused into two [`Automaton`]s — one
 /// case-folding, one exact — while wildcard/class/anchored patterns
 /// remain a fallback tier scanned with the backtracking engine, skipped
-/// on texts that lack every branch's required literal. Match results
-/// are identical to the uncompiled set's, in the same insertion order.
+/// on texts that lack every branch's required literal. Those literals
+/// ride the same automaton pass as gates. Match results are identical
+/// to the uncompiled set's, in the same insertion order.
 #[derive(Debug, Clone)]
 pub struct CompiledPatternSet {
     set: PatternSet,
@@ -301,53 +294,41 @@ pub struct CompiledPatternSet {
     fallback: Vec<Fallback>,
 }
 
-/// A pattern in the backtracking tier, gated by the literals its
-/// matches must contain.
+/// A pattern in the backtracking tier.
 #[derive(Debug, Clone)]
 struct Fallback {
     /// Index of the pattern in the set.
     index: usize,
-    /// Per branch, the literal every match of that branch contains (its
-    /// longest literal token, ASCII-lowercased when the pattern is
-    /// case-insensitive). `None` when some branch has no literal: that
-    /// branch can match any text, so the pattern is never skipped.
-    required: Option<Vec<String>>,
+    /// Whether a gate guards the pattern. The `k`-th fallback entry's
+    /// gate is automaton id `set.len() + k`: per branch, the literal
+    /// every match of that branch contains (its longest). Only the
+    /// first [`GATES`] entries get one, and none where some branch has
+    /// no literal, since that branch can match any text; an ungated
+    /// pattern is never skipped.
+    gated: bool,
 }
 
-impl Fallback {
-    fn new(index: usize, pattern: &Pattern) -> Self {
-        let required = pattern
-            .branches()
-            .iter()
-            .map(|branch| {
-                let longest = branch
-                    .tokens
-                    .iter()
-                    .filter_map(|token| match token {
-                        Token::Literal(lit) if !lit.is_empty() => Some(lit),
-                        _ => None,
-                    })
-                    .max_by_key(|lit| lit.len())?;
-                Some(if pattern.is_case_insensitive() {
-                    longest.to_ascii_lowercase()
-                } else {
-                    longest.clone()
-                })
-            })
-            .collect();
-        Fallback { index, required }
-    }
+/// Fallback entries that can carry a gate: one bit of a `u64` each.
+const GATES: usize = u64::BITS as usize;
 
-    /// Whether the backtracking matcher could match `haystack` (the text
-    /// it would be handed). `false` means no branch's literal occurs, so
-    /// the pattern certainly does not match.
-    fn may_match(&self, haystack: &str) -> bool {
-        self.required.as_ref().map_or(true, |literals| {
-            literals
+/// Per branch, the longest literal every match of the branch contains;
+/// `None` when some branch has none.
+fn gate_literals(pattern: &Pattern) -> Option<Vec<String>> {
+    pattern
+        .branches()
+        .iter()
+        .map(|branch| {
+            branch
+                .tokens
                 .iter()
-                .any(|literal| haystack.contains(literal.as_str()))
+                .filter_map(|token| match token {
+                    Token::Literal(lit) if !lit.is_empty() => Some(lit),
+                    _ => None,
+                })
+                .max_by_key(|lit| lit.len())
+                .cloned()
         })
-    }
+        .collect()
 }
 
 impl CompiledPatternSet {
@@ -358,16 +339,24 @@ impl CompiledPatternSet {
         let mut exact_needles: Vec<(usize, String)> = Vec::new();
         let mut fallback = Vec::new();
         for (index, (_, pattern)) in set.iter().enumerate() {
+            let bucket = if pattern.is_case_insensitive() {
+                &mut folded_needles
+            } else {
+                &mut exact_needles
+            };
             match literal_needles(pattern) {
-                Some(needles) => {
-                    let bucket = if pattern.is_case_insensitive() {
-                        &mut folded_needles
-                    } else {
-                        &mut exact_needles
-                    };
-                    bucket.extend(needles.into_iter().map(|n| (index, n)));
+                Some(needles) => bucket.extend(needles.into_iter().map(|n| (index, n))),
+                None => {
+                    let gate = set.len() + fallback.len();
+                    let literals = (fallback.len() < GATES)
+                        .then(|| gate_literals(pattern))
+                        .flatten();
+                    fallback.push(Fallback {
+                        index,
+                        gated: literals.is_some(),
+                    });
+                    bucket.extend(literals.into_iter().flatten().map(|l| (gate, l)));
                 }
-                None => fallback.push(Fallback::new(index, pattern)),
             }
         }
         CompiledPatternSet {
@@ -399,46 +388,68 @@ impl CompiledPatternSet {
     }
 
     /// Indices (in insertion order) of the entries matching `text`.
-    /// Case-folds `text` once, not once per pattern.
+    /// Both automata fold case as they scan, so `text` is never copied.
     pub fn matching_indices(&self, text: &str) -> Vec<usize> {
-        let lower = text.to_ascii_lowercase();
-        self.matching_indices_prefolded(text, &lower)
-    }
-
-    /// As [`matching_indices`](Self::matching_indices), for callers that
-    /// already hold a lowercased copy of `text` (e.g. a cached corpus).
-    /// `lower` must be `text.to_ascii_lowercase()`.
-    pub fn matching_indices_prefolded(&self, text: &str, lower: &str) -> Vec<usize> {
-        debug_assert!(text.eq_ignore_ascii_case(lower));
         let mut hit = vec![false; self.set.len()];
-        for id in self.folded.matched_ids(lower) {
-            hit[id] = true;
-        }
-        for id in self.exact.matched_ids(text) {
-            hit[id] = true;
-        }
-        for entry in &self.fallback {
-            let index = entry.index;
-            if hit[index] {
-                continue;
-            }
-            let (_, pattern) = self.set.get(index).expect("fallback index in range");
-            // Case-insensitive patterns fold during matching anyway, so
-            // handing them the pre-lowered text changes nothing; exact
-            // patterns must see the original.
-            let haystack = if pattern.is_case_insensitive() {
-                lower
-            } else {
-                text
-            };
-            if entry.may_match(haystack) && pattern.is_match(haystack) {
-                hit[index] = true;
+        let gates = self.scan_literals(text, |index| hit[index] = true);
+        for (k, entry) in self.fallback.iter().enumerate() {
+            if self.fallback_matches(k, entry, gates, text) {
+                hit[entry.index] = true;
             }
         }
         hit.iter()
             .enumerate()
             .filter_map(|(index, &h)| h.then_some(index))
             .collect()
+    }
+
+    /// The lowest index whose entry matches `text` (the first of
+    /// [`matching_indices`](Self::matching_indices)), without
+    /// allocating.
+    pub fn first_match(&self, text: &str) -> Option<usize> {
+        let mut literal: Option<usize> = None;
+        let gates = self.scan_literals(text, |index| {
+            literal = Some(literal.map_or(index, |best| best.min(index)));
+        });
+        // The fallback tier is in index order, so the first entry below
+        // the literal tiers' best that matches is the answer.
+        self.fallback
+            .iter()
+            .enumerate()
+            .take_while(|(_, entry)| literal.map_or(true, |best| entry.index < best))
+            .find(|&(k, entry)| self.fallback_matches(k, entry, gates, text))
+            .map(|(_, entry)| entry.index)
+            .or(literal)
+    }
+
+    /// One pass of each automaton over `text`: hand `on_literal` the
+    /// index of every literal entry that matches, and return the mask of
+    /// fallback gates whose literal occurs.
+    fn scan_literals(&self, text: &str, mut on_literal: impl FnMut(usize)) -> u64 {
+        let gate_base = self.set.len();
+        let mut gates = 0u64;
+        let mut note = |ids: &[u32]| {
+            for &id in ids {
+                match (id as usize).checked_sub(gate_base) {
+                    None => on_literal(id as usize),
+                    Some(k) => gates |= 1 << k,
+                }
+            }
+            false
+        };
+        self.folded.for_each_output(text, &mut note);
+        self.exact.for_each_output(text, &mut note);
+        gates
+    }
+
+    /// Whether the `k`-th fallback entry matches `text`, given the gate
+    /// mask of the same text.
+    fn fallback_matches(&self, k: usize, entry: &Fallback, gates: u64, text: &str) -> bool {
+        let open = !entry.gated || gates & (1 << k) != 0;
+        open && self
+            .set
+            .get(entry.index)
+            .is_some_and(|(_, pattern)| pattern.is_match(text))
     }
 
     /// All matches against `text`, in insertion order — same contract as
@@ -609,13 +620,21 @@ mod tests {
     }
 
     #[test]
-    fn prefolded_entry_point_agrees() {
+    fn first_match_is_the_lowest_matching_index() {
         let compiled = CompiledPatternSet::compile(sample_set());
-        let text = "Server: ProxySG says Access Denied";
-        let lower = text.to_ascii_lowercase();
-        assert_eq!(
-            compiled.matching_indices(text),
-            compiled.matching_indices_prefolded(text, &lower)
-        );
+        // A fallback entry below a literal hit wins, and the fallback
+        // tier's literal gate folds case like its matcher does.
+        let cases = [
+            ("Server: ProxySG says Access Denied", Some(0)),
+            ("WEB PAGE BLOCKED by NetSweeper: access denied", Some(2)),
+            ("access denied at :15871/cgi-bin/BlockPage.cgi", Some(3)),
+            ("the page HAS BEEN BLOCKED", Some(4)),
+            ("nothing at all", None),
+        ];
+        for (text, first) in cases {
+            assert_eq!(compiled.first_match(text), first, "text={text:?}");
+            let indices = compiled.matching_indices(text);
+            assert_eq!(indices.first().copied(), first, "text={text:?}");
+        }
     }
 }

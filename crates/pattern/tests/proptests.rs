@@ -158,7 +158,8 @@ proptest! {
     /// in both case modes, including a branch with no literal. Half the
     /// texts plant every wildcard literal, in random case and either
     /// order, among non-ASCII filler, so the gate is exercised on texts
-    /// where the fallback patterns really match.
+    /// where the fallback patterns really match. The literal patterns
+    /// come first or last, so the first match can sit in either tier.
     #[test]
     fn compiled_set_equals_pattern_set(
         literals in proptest::collection::vec("[a-zA-Z0-9 ]{0,6}", 0..5),
@@ -169,15 +170,21 @@ proptest! {
         flips in proptest::collection::vec(any::<bool>(), 7),
         fillers in proptest::collection::vec("[0-9x é✗ßÄΩ中-]{0,6}", 4),
         case_sensitive in proptest::collection::vec(any::<bool>(), 5),
+        literals_last in any::<bool>(),
     ) {
         let mut set = PatternSet::new();
-        for (i, lit) in literals.iter().enumerate() {
-            let p = if case_sensitive[i % case_sensitive.len()] {
-                Pattern::parse_case_sensitive(&escape(lit)).unwrap()
-            } else {
-                Pattern::parse(&escape(lit)).unwrap()
-            };
-            set.insert(format!("lit{i}"), p);
+        let insert_literals = |set: &mut PatternSet| {
+            for (i, lit) in literals.iter().enumerate() {
+                let p = if case_sensitive[i % case_sensitive.len()] {
+                    Pattern::parse_case_sensitive(&escape(lit)).unwrap()
+                } else {
+                    Pattern::parse(&escape(lit)).unwrap()
+                };
+                set.insert(format!("lit{i}"), p);
+            }
+        };
+        if !literals_last {
+            insert_literals(&mut set);
         }
         // Case-sensitive patterns spell their literals in the planted
         // case; case-insensitive ones in lowercase or uppercase.
@@ -195,6 +202,9 @@ proptest! {
         set.insert("class-cs", exact(format!("{}*[!a-z]{}", cased[1], cased[2])));
         set.insert_parsed("anchored", &format!("^{upper_a}*{wild_c}|{wild_a}$")).unwrap();
         set.insert_parsed("open", &format!("{wild_a}*{wild_b}|?[0-9]")).unwrap();
+        if literals_last {
+            insert_literals(&mut set);
+        }
 
         let text = if plant {
             let mut parts = cased.clone();
@@ -215,5 +225,7 @@ proptest! {
         let fast: Vec<&str> = compiled.matches(&text).iter().map(|m| m.name).collect();
         prop_assert_eq!(naive, fast, "text {:?}", text);
         prop_assert_eq!(set.matching_names(&text), compiled.matching_names(&text));
+        let first = compiled.matching_indices(&text).first().copied();
+        prop_assert_eq!(compiled.first_match(&text), first, "text {:?}", text);
     }
 }

@@ -77,7 +77,7 @@ impl Middlebox for BlueCoatProxy {
     fn process_request(&self, req: &Request, ctx: &FlowCtx) -> Verdict {
         let as_of = effective_db_time(ctx.now, self.frozen_at);
         let cats = self.cloud.lookup(&req.url, as_of);
-        match self.policy.decide(&req.url.registrable_domain(), &cats) {
+        match self.policy.decide(req.url.registrable_domain(), &cats) {
             Some(category) => {
                 if self.strip_branding {
                     Verdict::respond(explicit_block_page(

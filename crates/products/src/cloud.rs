@@ -188,7 +188,7 @@ impl VendorCloud {
     ) -> SubmissionReceipt {
         let mut inner = self.inner.lock();
         inner.apply_pending(now);
-        let key = url.registrable_domain();
+        let key = url.registrable_domain().to_string();
 
         if inner.reject_flaggable && submitter.is_flaggable() {
             inner.log(IntakeRecord {
@@ -317,12 +317,12 @@ impl VendorCloud {
         inner.apply_pending(as_of);
         let path_key = format!("{}{}", url.host(), url.path());
         let keys = [
-            path_key.trim_end_matches('/').to_string(),
-            url.host().to_string(),
+            path_key.trim_end_matches('/'),
+            url.host(),
             url.registrable_domain(),
         ];
         for key in keys {
-            let cats = inner.visible(&key, as_of);
+            let cats = inner.visible(key, as_of);
             if !cats.is_empty() {
                 return cats;
             }

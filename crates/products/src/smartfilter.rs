@@ -82,7 +82,7 @@ impl Middlebox for SmartFilterBox {
     fn process_request(&self, req: &Request, ctx: &FlowCtx) -> Verdict {
         let as_of = effective_db_time(ctx.now, self.frozen_at);
         let cats = self.cloud.lookup(&req.url, as_of);
-        match self.policy.decide(&req.url.registrable_domain(), &cats) {
+        match self.policy.decide(req.url.registrable_domain(), &cats) {
             Some(category) => Verdict::respond(self.block_page(&req.url.to_string(), &category)),
             None => Verdict::Forward,
         }

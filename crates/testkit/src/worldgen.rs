@@ -189,9 +189,9 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
         );
         let domain = url.registrable_domain();
         for (product, cloud) in &clouds {
-            cloud.register_site_profile(&domain, test_url.category);
+            cloud.register_site_profile(domain, test_url.category);
             cloud.seed_categorization(
-                &domain,
+                domain,
                 taxonomy::vendor_category(*product, test_url.category),
             );
         }

@@ -48,7 +48,7 @@ proptest! {
         let regs: std::collections::BTreeSet<String> = list
             .urls
             .iter()
-            .map(|u| filterwatch_http::Url::parse(&u.url).unwrap().registrable_domain())
+            .map(|u| filterwatch_http::Url::parse(&u.url).unwrap().registrable_domain().to_string())
             .collect();
         prop_assert_eq!(regs.len(), list.len());
     }
