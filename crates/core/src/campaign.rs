@@ -155,6 +155,8 @@ pub struct CampaignRun {
 impl CampaignRun {
     /// Build the world, arm resilience/faults, and open the campaign's
     /// telemetry span and trace scope.
+    // Case-study ISPs are networks the paper world builds, so the lookup cannot miss.
+    #[allow(clippy::panic)]
     pub fn begin(campaign: Campaign) -> CampaignRun {
         let mut world = World::build(campaign.options.clone());
         world.resilience = campaign.resilience.clone();
@@ -259,6 +261,8 @@ impl CampaignRun {
     }
 
     /// Stage 2b: submit the chosen subset to the vendor channel.
+    // Stages run in order; calling one before its predecessor is a caller bug.
+    #[allow(clippy::expect_used)]
     pub fn submit(&mut self) {
         let mut case = self.current_case.take().expect("baseline first");
         crate::confirm::submit_case(&mut self.world, &mut case);
@@ -267,6 +271,8 @@ impl CampaignRun {
 
     /// Stage 2c: record the wait and return the absolute virtual-clock
     /// deadline (seconds) at which the retest may run.
+    // Stages run in order; calling one before its predecessor is a caller bug.
+    #[allow(clippy::expect_used)]
     pub fn announce_wait(&mut self) -> u64 {
         let case = self.current_case.as_ref().expect("submit first");
         crate::confirm::announce_wait(&self.world, case)
@@ -282,6 +288,8 @@ impl CampaignRun {
     }
 
     /// Stage 2d: retest every site and render the case verdict.
+    // Stages run in order; calling one before its predecessor is a caller bug.
+    #[allow(clippy::expect_used)]
     pub fn retest(&mut self) {
         let case = self.current_case.take().expect("announce_wait first");
         let result = crate::confirm::retest_case(&mut self.world, case);
@@ -314,6 +322,8 @@ impl CampaignRun {
     }
 
     /// Close the campaign scopes and assemble the report.
+    // Every stage sequence starts with identify, so finish always has its result.
+    #[allow(clippy::expect_used)]
     pub fn finish(self) -> CampaignReport {
         let CampaignRun {
             campaign,

@@ -36,6 +36,8 @@ pub struct WithdrawalReport {
 }
 
 /// Replay the Websense/Yemen 2009 story on a purpose-built mini-world.
+// A fixed two-network world with literal URLs: no step here can fail.
+#[allow(clippy::expect_used)]
 pub fn vendor_withdrawal(seed: u64) -> WithdrawalReport {
     let mut net = Internet::new(seed);
     net.registry_mut().register_country("YE", "Yemen", "ye");

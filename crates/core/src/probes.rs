@@ -40,6 +40,8 @@ impl CategoryTestResult {
 /// Query all 66 `denypagetests.netsweeper.com/category/catno/N` pages
 /// from inside `isp`, repeating `runs` times (a page counts as blocked
 /// if any run blocks it — license-limited deployments flicker).
+// The deny-page test URLs are built from static data and always parse.
+#[allow(clippy::expect_used)]
 pub fn run_denypagetests(world: &World, isp: &str, runs: usize) -> CategoryTestResult {
     let client = world.client(isp);
     let mut blocked = Vec::new();
@@ -81,6 +83,8 @@ pub struct CategoryProbeRow {
 
 /// Probe which of `categories` an ISP blocks, by fetching one well-known
 /// (globally pre-categorized) site per category from the field vantage.
+// Representative URLs come from the static test list and always parse.
+#[allow(clippy::expect_used)]
 pub fn category_probe(
     world: &World,
     isp: &str,
@@ -138,6 +142,8 @@ impl InconsistencyReport {
 }
 
 /// Repeat the nominally-blocked proxy URLs `runs` times inside `isp`.
+// The probe URLs are string literals that always parse.
+#[allow(clippy::expect_used)]
 pub fn inconsistency_probe(world: &World, isp: &str, runs: usize) -> InconsistencyReport {
     let client = world.client(isp);
     let global = TestList::global(2);

@@ -1,6 +1,6 @@
 //! The fingerprinting engine: fetch targets, evaluate plugins.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use filterwatch_http::{Request, Response, Url};
 use filterwatch_netsim::{Internet, IpAddr};
@@ -58,10 +58,9 @@ impl FingerprintEngine {
         // by every probe of this address — render it once, not per
         // plugin × target.
         let host = ip.to_string();
-        let mut responses: HashMap<Target, Option<Response>> = HashMap::new();
+        let mut responses: BTreeMap<Target, Option<Response>> = BTreeMap::new();
         for plugin in &self.plugins {
             for target in &plugin.targets {
-                // filterwatch-lint: allow(h1-hot-alloc): key clone runs once per unique target (entry dedup)
                 responses.entry(target.clone()).or_insert_with(|| {
                     let url = Url::http_at(&host, target.port, &target.path);
                     net.probe(ip, target.port, &Request::get(url))

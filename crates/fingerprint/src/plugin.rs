@@ -3,7 +3,7 @@
 use crate::matcher::Matcher;
 
 /// A `(port, path)` pair the engine fetches on a candidate host.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Target {
     /// TCP port.
     pub port: u16,

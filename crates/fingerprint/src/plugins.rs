@@ -14,6 +14,8 @@ use filterwatch_pattern::Pattern;
 use crate::matcher::Matcher;
 use crate::plugin::Plugin;
 
+// Plugin patterns are static literals that the plugin tests parse.
+#[allow(clippy::expect_used)]
 fn pat(src: &str) -> Pattern {
     Pattern::parse(src).expect("static pattern")
 }

@@ -38,4 +38,4 @@ pub use method::Method;
 pub use request::Request;
 pub use response::Response;
 pub use status::Status;
-pub use url::Url;
+pub use url::{registrable_domain, Url};

@@ -159,18 +159,9 @@ impl Url {
         &self.text[self.path_start..]
     }
 
-    /// The registrable domain heuristic used for hostname-granularity
-    /// blocking: the last two labels (`foo.bar.example.info` →
-    /// `example.info`). Dotted-quad IPs are returned whole.
+    /// The host's [`registrable_domain`].
     pub fn registrable_domain(&self) -> &str {
-        let host = self.host();
-        if host.chars().all(|c| c.is_ascii_digit() || c == '.') {
-            return host;
-        }
-        match host.rfind('.').and_then(|last| host[..last].rfind('.')) {
-            Some(dot) => &host[dot + 1..],
-            None => host,
-        }
+        registrable_domain(self.host())
     }
 
     /// The value of one query parameter, if present (`k=v` pairs split
@@ -191,6 +182,19 @@ impl Url {
     /// Replace the path (and clear the query).
     pub fn with_path(&self, path: &str) -> Self {
         Url::assemble(self.scheme(), self.host(), self.port, path)
+    }
+}
+
+/// The registrable domain heuristic used for hostname-granularity
+/// blocking: the last two labels of `host` (`foo.bar.example.info` →
+/// `example.info`). Dotted-quad IPs are returned whole. Case is kept.
+pub fn registrable_domain(host: &str) -> &str {
+    if host.chars().all(|c| c.is_ascii_digit() || c == '.') {
+        return host;
+    }
+    match host.rfind('.').and_then(|last| host[..last].rfind('.')) {
+        Some(dot) => &host[dot + 1..],
+        None => host,
     }
 }
 

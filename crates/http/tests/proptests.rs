@@ -1,7 +1,9 @@
 //! Property-based tests for the HTTP model and codec.
 
 use bytes::Bytes;
-use filterwatch_http::{codec, Headers, Method, Request, Response, Status, Url};
+use filterwatch_http::{
+    codec, registrable_domain, Headers, Method, Request, Response, Status, Url,
+};
 use proptest::prelude::*;
 
 fn host_strategy() -> impl Strategy<Value = String> {
@@ -10,6 +12,22 @@ fn host_strategy() -> impl Strategy<Value = String> {
 
 fn path_strategy() -> impl Strategy<Value = String> {
     "(/[a-zA-Z0-9._-]{0,8}){0,4}".prop_map(|p| if p.is_empty() { "/".to_string() } else { p })
+}
+
+/// The split-and-join reading of the registrable domain: the host
+/// lowercased, kept whole when it is all digits and dots, otherwise its
+/// last two `.`-separated labels joined again.
+fn split_and_join(host: &str) -> String {
+    let host = host.to_ascii_lowercase();
+    if host.chars().all(|c| c.is_ascii_digit() || c == '.') {
+        return host;
+    }
+    let labels: Vec<&str> = host.split('.').collect();
+    if labels.len() <= 2 {
+        host
+    } else {
+        labels[labels.len() - 2..].join(".")
+    }
 }
 
 fn hash_of(url: &Url) -> u64 {
@@ -85,6 +103,21 @@ proptest! {
         prop_assert!(url.host().ends_with(reg));
         let labels: Vec<&str> = host.split('.').collect();
         prop_assert_eq!(reg, labels[labels.len().saturating_sub(2)..].join("."));
+    }
+
+    /// `registrable_domain` agrees with the split-and-join reading on
+    /// arbitrary hosts (empty labels, trailing dots, dotted quads,
+    /// uppercase) and keeps the host's case.
+    #[test]
+    fn registrable_domain_agrees_with_split_and_join(host in prop_oneof![
+        "[a-cX-Z0-9.]{0,14}",
+        "[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.?",
+        "[a-zA-Z-]{0,6}(\\.[a-zA-Z0-9-]{0,6}){0,4}\\.?",
+    ]) {
+        let reg = registrable_domain(&host);
+        prop_assert!(host.ends_with(reg));
+        prop_assert_eq!(reg.to_ascii_lowercase(), split_and_join(&host));
+        prop_assert_eq!(registrable_domain(&host.to_ascii_lowercase()), split_and_join(&host));
     }
 
     /// Response encode → decode is the identity.

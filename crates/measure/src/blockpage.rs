@@ -73,6 +73,8 @@ impl BlockPageLibrary {
     /// The standard library covering the four studied products plus a
     /// generic explicit-denial fallback. The signatures compile on the
     /// first call; later calls share them.
+    // Signature patterns are static literals that the library's tests parse.
+    #[allow(clippy::expect_used)]
     pub fn standard() -> Self {
         static STANDARD: OnceLock<Arc<Signatures>> = OnceLock::new();
         let signatures = STANDARD.get_or_init(|| {

@@ -21,6 +21,8 @@ pub struct FetchTrace {
 
 impl FetchTrace {
     /// The final hop's outcome.
+    // A fetch trace always records at least its first hop.
+    #[allow(clippy::expect_used)]
     pub fn final_outcome(&self) -> &FetchOutcome {
         &self.hops.last().expect("trace has at least one hop").1
     }
@@ -356,6 +358,8 @@ impl MeasurementClient {
 
     /// Run quorum trials and aggregate: the most common verdict wins if
     /// it reaches the quorum, otherwise the URL is `Inconclusive`.
+    // `QuorumPolicy`'s constructors keep trials at 1 or more; a hand-built 0 panics.
+    #[allow(clippy::expect_used)]
     fn test_url_quorum(&self, net: &Internet, url: &Url) -> Verdict {
         let tracer = net.tracer();
         let quorum = self.resilience.quorum;

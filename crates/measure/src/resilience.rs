@@ -24,11 +24,11 @@
 //! chaos campaigns opt in via [`ResilienceConfig::chaos`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use filterwatch_netsim::rng::mix;
 use filterwatch_netsim::{FetchOutcome, SimTime};
 use filterwatch_telemetry::wire::{field, keyed, split, Wire, WireError};
+use parking_lot::Mutex;
 
 /// Whether a failed fetch is worth retrying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,7 +188,7 @@ impl CircuitBreaker {
     /// breaker whose cooldown has elapsed transitions to half-open and
     /// admits the caller as the trial fetch.
     pub fn allows(&self, now: SimTime) -> bool {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         match inner.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open if now >= inner.open_until => {
@@ -201,7 +201,7 @@ impl CircuitBreaker {
 
     /// Record an end-to-end fetch success.
     pub fn record_success(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         inner.state = BreakerState::Closed;
         inner.consecutive_failures = 0;
     }
@@ -209,7 +209,7 @@ impl CircuitBreaker {
     /// Record an end-to-end fetch failure (after retries were exhausted)
     /// at virtual time `now`.
     pub fn record_failure(&self, now: SimTime) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         match inner.state {
             BreakerState::HalfOpen => self.trip(&mut inner, now),
             BreakerState::Closed => {
@@ -231,7 +231,7 @@ impl CircuitBreaker {
 
     /// Current state (without side effects).
     pub fn state(&self) -> BreakerState {
-        self.inner.lock().unwrap().state
+        self.inner.lock().state
     }
 
     /// How many times the breaker has tripped open.

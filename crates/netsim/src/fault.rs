@@ -201,6 +201,8 @@ impl FaultProfile {
     /// # Panics
     /// When `drop_prob` is outside `[0, 1]` — use [`FaultProfile::try_new`]
     /// when the rate comes from configuration.
+    // Documented panic; `try_new` is the fallible form for configured rates.
+    #[allow(clippy::expect_used)]
     pub fn lossy(drop_prob: f64) -> Self {
         FaultProfile::try_new(drop_prob, 0.0, 0.0, 0.0).expect("invalid drop probability")
     }

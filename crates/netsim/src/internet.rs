@@ -428,6 +428,8 @@ impl Internet {
     ///
     /// # Panics
     /// If the host does not exist or the port is taken.
+    // Documented panic: binding a service to a missing host is a world-building bug.
+    #[allow(clippy::panic)]
     pub fn add_service(&mut self, ip: IpAddr, port: u16, service: Box<dyn Service>) {
         let host = self
             .hosts
@@ -464,6 +466,8 @@ impl Internet {
     }
 
     /// Register a vantage point (tester) inside `net`.
+    // A full network is a world-sizing bug, not bad input.
+    #[allow(clippy::panic)]
     pub fn add_vantage(&mut self, name: &str, net: NetworkId) -> VantageId {
         let ip = self.alloc_ip(net).unwrap_or_else(|| {
             panic!(

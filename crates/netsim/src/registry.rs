@@ -27,6 +27,8 @@ impl CountryCode {
     }
 
     /// The code as a string slice.
+    // `new` admits only ASCII letters, so the bytes are valid UTF-8.
+    #[allow(clippy::expect_used)]
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.0).expect("ASCII by construction")
     }

@@ -457,9 +457,9 @@ impl CompiledPatternSet {
     pub fn matches<'a>(&'a self, text: &str) -> Vec<SetMatch<'a>> {
         self.matching_indices(text)
             .into_iter()
-            .map(|index| {
-                let (name, pattern) = self.set.get(index).expect("index in range");
-                SetMatch { name, pattern }
+            .filter_map(|index| {
+                let (name, pattern) = self.set.get(index)?;
+                Some(SetMatch { name, pattern })
             })
             .collect()
     }

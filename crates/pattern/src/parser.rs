@@ -122,8 +122,12 @@ fn parse_branch(src: &BranchSrc, _full: &str) -> Result<Branch, ParseError> {
     while let Some((i, c)) = chars.next() {
         match c {
             '\\' => {
-                // Guaranteed non-trailing by split_alternation.
-                let (_, esc) = chars.next().expect("escape validated");
+                let Some((_, esc)) = chars.next() else {
+                    return Err(ParseError {
+                        position: src.offset + i,
+                        message: "trailing backslash".into(),
+                    });
+                };
                 lit.push(esc);
             }
             '*' => {
@@ -217,7 +221,12 @@ fn parse_class(
                     match probe.peek() {
                         Some(&(_, hi)) if hi != ']' => {
                             chars.next(); // '-'
-                            let (hi_pos, hi) = chars.next().expect("peeked");
+                            let Some((hi_pos, hi)) = chars.next() else {
+                                return Err(ParseError {
+                                    position: open_pos,
+                                    message: "unterminated character class".into(),
+                                });
+                            };
                             if hi < c {
                                 return Err(ParseError {
                                     position: hi_pos,

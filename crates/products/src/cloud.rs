@@ -29,9 +29,10 @@
 //! generator seeded at construction, so the whole review pipeline is
 //! deterministic per world seed.
 
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
-use filterwatch_http::Url;
+use filterwatch_http::{registrable_domain, Url};
 use filterwatch_netsim::SimTime;
 use filterwatch_urllists::Category;
 use parking_lot::Mutex;
@@ -79,9 +80,9 @@ struct Inner {
     /// so outcomes do not depend on the order experiments run in.
     seed: u64,
     /// key → (vendor category, time the entry became visible).
-    db: HashMap<String, Vec<(String, SimTime)>>,
+    db: BTreeMap<String, Vec<(String, SimTime)>>,
     /// Ground truth: registrable domain → content profile.
-    oracle: HashMap<String, Category>,
+    oracle: BTreeMap<String, Category>,
     pending: Vec<Pending>,
     /// Keys the crawler has already looked at (never re-crawled).
     crawled: std::collections::BTreeSet<String>,
@@ -116,8 +117,8 @@ impl VendorCloud {
             product,
             inner: Mutex::new(Inner {
                 seed: filterwatch_netsim::rng::mix(seed, product.slug()),
-                db: HashMap::new(),
-                oracle: HashMap::new(),
+                db: BTreeMap::new(),
+                oracle: BTreeMap::new(),
                 pending: Vec::new(),
                 crawled: std::collections::BTreeSet::new(),
                 review_days,
@@ -267,13 +268,16 @@ impl VendorCloud {
     pub fn queue_for_categorization(&self, host: &str, now: SimTime) {
         let mut inner = self.inner.lock();
         inner.apply_pending(now);
-        let key = registrable(host);
-        if inner.db.contains_key(&key)
+        let host = ascii_lowercase(host);
+        let key = registrable_domain(&host);
+        if inner.db.contains_key(key)
             || inner.pending.iter().any(|p| p.key == key)
-            || !inner.crawled.insert(key.clone())
+            || inner.crawled.contains(key)
         {
             return;
         }
+        let key = key.to_string();
+        inner.crawled.insert(key.clone());
         let Some(&content) = inner.oracle.get(&key) else {
             return;
         };
@@ -334,12 +338,12 @@ impl VendorCloud {
     pub fn lookup_host(&self, host: &str, as_of: SimTime) -> BTreeSet<String> {
         let mut inner = self.inner.lock();
         inner.apply_pending(as_of);
-        let host = host.to_ascii_lowercase();
+        let host = ascii_lowercase(host);
         let cats = inner.visible(&host, as_of);
         if !cats.is_empty() {
             return cats;
         }
-        inner.visible(&registrable(&host), as_of)
+        inner.visible(registrable_domain(&host), as_of)
     }
 
     /// Number of keys visible at `as_of`.
@@ -406,16 +410,12 @@ fn unit_draw(seed: u64, label: &str) -> f64 {
     (filterwatch_netsim::rng::mix(seed, label) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn registrable(host: &str) -> String {
-    let host = host.to_ascii_lowercase();
-    if host.chars().all(|c| c.is_ascii_digit() || c == '.') {
-        return host;
-    }
-    let labels: Vec<&str> = host.split('.').collect();
-    if labels.len() <= 2 {
-        host
+/// `host` ASCII-lowercased, copied only when it has an uppercase byte.
+fn ascii_lowercase(host: &str) -> Cow<'_, str> {
+    if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(host.to_ascii_lowercase())
     } else {
-        labels[labels.len() - 2..].join(".")
+        Cow::Borrowed(host)
     }
 }
 

@@ -40,9 +40,7 @@ impl ScanEngine {
     pub fn new() -> Self {
         ScanEngine {
             probes: owned_probes(DEFAULT_PROBES),
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
+            threads: crate::merge::default_workers(),
         }
     }
 
@@ -103,20 +101,7 @@ impl ScanEngine {
             }
             out
         };
-        let per_thread = hosts.len().div_ceil(self.threads).max(1);
-        let groups = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = hosts
-                .chunks(per_thread)
-                .map(|chunk| scope.spawn(move |_| scan_chunk(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .and_then(|joined| joined)
-        .expect("scan worker panicked");
-        let mut records = crate::merge::ordered_flatten(groups);
+        let mut records = crate::merge::ordered_parallel(&hosts, self.threads, scan_chunk);
         records.sort_by(|a, b| (a.ip, a.port, &a.path).cmp(&(b.ip, b.port, &b.path)));
 
         // An empty address space sends no probes and records no counters.

@@ -672,10 +672,7 @@ impl ScanIndex {
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(4);
-        self.search_products_with_threads(table, cctlds, threads)
+        self.search_products_with_threads(table, cctlds, crate::merge::default_workers())
     }
 
     /// As [`search_products`](Self::search_products) with an explicit
@@ -779,7 +776,6 @@ impl ScanIndex {
         let mut id_to_entry: Vec<(usize, usize)> = Vec::new();
         for (pi, product) in table.iter().enumerate() {
             for (ki, kw) in product.keywords.iter().enumerate() {
-                // filterwatch-lint: allow(h1-hot-alloc): plan compilation is amortized by the epoch cache, not per-probe
                 let folded = kw.to_ascii_lowercase();
                 needle_blooms.push(sparse_bloom(&folded));
                 needles.push((id_to_entry.len(), folded));
@@ -838,30 +834,10 @@ impl ScanIndex {
             }
             out
         };
+        // Fewer than two in-scope records are not worth a thread.
         let scoped: usize = plan.shard_scopes.iter().map(Vec::len).sum();
-        if threads <= 1 || scoped < 2 || plan.shard_scopes.len() < 2 {
-            return scan_shards(&plan.shard_scopes);
-        }
-        let per_group = plan.shard_scopes.len().div_ceil(threads).max(1);
-        let groups: Vec<&[Vec<u32>]> = plan.shard_scopes.chunks(per_group).collect();
-        let joined = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|group| scope.spawn(move |_| scan_shards(group)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Result<Vec<_>, _>>()
-        });
-        match joined {
-            // Ordered merge: group order is shard order, so the
-            // parallel concatenation equals the serial scan.
-            Ok(Ok(results)) => crate::merge::ordered_flatten(results),
-            // A worker died; fall back to the deterministic serial scan
-            // rather than surface a partial sweep.
-            _ => scan_shards(&plan.shard_scopes),
-        }
+        let workers = if scoped < 2 { 1 } else { threads };
+        crate::merge::ordered_parallel(&plan.shard_scopes, workers, scan_shards)
     }
 
     /// Distinct addresses matching `keyword`, ascending.

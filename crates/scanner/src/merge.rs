@@ -1,32 +1,62 @@
-//! Sanctioned deterministic merge helpers for threaded scans.
+//! The workspace's one spawn site: an ordered parallel map over
+//! contiguous chunks.
 //!
-//! Every parallel stage in the scanner fans work out over shard groups
-//! and must put the pieces back together in an order that is a pure
-//! function of the input — never of thread completion. These helpers
-//! are the registered merge points the `c1-spawn-merge` lint requires
-//! spawning functions to reach: routing a join through one of them is
-//! machine-checkable proof the merge is ordered, where a comment is
-//! only a claim.
+//! A parallel stage must put its pieces back together in an order that
+//! is a pure function of the input, never of thread completion.
+//! [`ordered_parallel`] hands each worker a contiguous chunk and joins
+//! the results in chunk order, so a parallel run is ordered by
+//! construction. `clippy.toml` disallows every other way to start a
+//! thread.
 
-/// Concatenate per-worker result groups in group order. Workers are
-/// handed contiguous chunks of an ordered work list, so group-order
-/// concatenation reproduces the serial scan exactly.
-pub fn ordered_flatten<T>(groups: Vec<Vec<T>>) -> Vec<T> {
+/// The worker count parallel stages use unless told otherwise: the
+/// machine's parallelism, at most 8.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get().min(8))
+        .unwrap_or(4)
+}
+
+/// Split `items` into at most `workers` contiguous chunks, run `f` on
+/// each chunk and concatenate the results in input order. With one
+/// chunk (`workers <= 1`, or too few items to split) `f` runs inline on
+/// the whole slice. Whenever `f` maps a concatenation of slices to the
+/// concatenation of its results, as a per-item map or filter does, the
+/// output equals `f(items)` for every worker count. A worker's panic
+/// reaches the caller once every worker has stopped, with the payload
+/// of the first panicking chunk in input order.
+// The one spawn site: chunks are contiguous and joined in input order.
+#[allow(clippy::disallowed_methods)]
+pub fn ordered_parallel<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&[T]) -> Vec<R> + Sync,
+{
+    let per_chunk = items.len().div_ceil(workers.max(1)).max(1);
+    if items.len() <= per_chunk {
+        return f(items);
+    }
+    let f = &f;
+    let groups = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(per_chunk)
+            .map(|chunk| scope.spawn(move || f(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join())
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    });
+    ordered_flatten(groups)
+}
+
+/// Concatenate per-worker result groups in group order.
+fn ordered_flatten<T>(groups: Vec<Vec<T>>) -> Vec<T> {
     let mut out = Vec::with_capacity(groups.iter().map(Vec::len).sum());
     for group in groups {
         out.extend(group);
     }
-    out
-}
-
-/// Concatenate per-worker result groups, then impose a total order by
-/// `key`. For stages whose workers do not partition an ordered list
-/// (e.g. striped work-stealing), group order is meaningless and the
-/// sort supplies determinism instead. The sort is stable, so items
-/// with equal keys keep group order as a tiebreak.
-pub fn ordered_merge_by_key<T, K: Ord, F: FnMut(&T) -> K>(groups: Vec<Vec<T>>, key: F) -> Vec<T> {
-    let mut out = ordered_flatten(groups);
-    out.sort_by_key(key);
     out
 }
 
@@ -38,12 +68,5 @@ mod tests {
     fn flatten_preserves_group_then_item_order() {
         let groups = vec![vec![3, 1], vec![], vec![2]];
         assert_eq!(ordered_flatten(groups), vec![3, 1, 2]);
-    }
-
-    #[test]
-    fn merge_by_key_totally_orders_across_groups() {
-        let groups = vec![vec![(2, 'a')], vec![(1, 'b'), (2, 'c')]];
-        let merged = ordered_merge_by_key(groups, |&(k, _)| k);
-        assert_eq!(merged, vec![(1, 'b'), (2, 'a'), (2, 'c')]);
     }
 }

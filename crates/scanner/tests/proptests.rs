@@ -3,7 +3,7 @@
 //! `filterwatch-testkit`.
 
 use filterwatch_netsim::{IpAddr, SimTime};
-use filterwatch_scanner::{diff, keywords, ScanIndex, ScanRecord, ShardConfig};
+use filterwatch_scanner::{diff, keywords, merge, ScanIndex, ScanRecord, ShardConfig};
 use proptest::prelude::*;
 
 /// The `(ip, port, path)` key a re-crawl delta retires by.
@@ -233,5 +233,48 @@ proptest! {
             sharded.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied()),
             flat.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied())
         );
+    }
+
+    /// The spawn helper is ordered by construction: for a per-item
+    /// function, every worker count returns what one call over the
+    /// whole slice returns, items in input order.
+    #[test]
+    fn ordered_parallel_equals_whole_slice(
+        items in proptest::collection::vec(any::<u32>(), 0..=300),
+        workers in 1usize..=8,
+        modulus in 1u32..5,
+    ) {
+        // A per-item filter and map: the output lists items in input
+        // order, so a chunk joined out of place changes it.
+        let keep_and_tag = |chunk: &[u32]| -> Vec<(u32, u32)> {
+            chunk
+                .iter()
+                .filter(|&&x| x % modulus != 0)
+                .map(|&x| (x, x.wrapping_mul(31)))
+                .collect()
+        };
+        prop_assert_eq!(
+            merge::ordered_parallel(&items, workers, keep_and_tag),
+            keep_and_tag(&items)
+        );
+    }
+}
+
+/// A worker's panic reaches the caller with its own payload, whether
+/// the chunk ran inline or on a thread.
+#[test]
+fn ordered_parallel_propagates_worker_panics() {
+    let items: Vec<u32> = (0..100).collect();
+    for workers in 1..=8 {
+        let caught = std::panic::catch_unwind(|| {
+            merge::ordered_parallel(&items, workers, |chunk: &[u32]| {
+                if chunk.contains(&60) {
+                    panic!("bad item 60");
+                }
+                chunk.to_vec()
+            })
+        });
+        let payload = caught.expect_err("the worker holding item 60 panics");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"bad item 60"));
     }
 }

@@ -68,6 +68,8 @@ impl TelemetryHandle {
 
     /// Open a span at virtual time `v_now`. The span nests under the
     /// innermost span still open on this collector.
+    // Span wall_nanos feed only the `--wall` path, never stable output.
+    #[allow(clippy::disallowed_methods)]
     pub fn span_start(&self, stage: &'static str, label: &str, v_now: u64) -> SpanId {
         let Some(collector) = &self.inner else {
             return SpanId::NONE;
@@ -88,8 +90,6 @@ impl TelemetryHandle {
                 depth,
                 closed: false,
             },
-            // filterwatch-lint: allow(d1-wall-clock): span wall_nanos is the
-            // `--wall` telemetry path — stripped from stable output by default.
             started: Instant::now(),
         });
         state.open.push(id);
@@ -158,12 +158,12 @@ impl TelemetryHandle {
     /// one sanctioned way to take wall timings outside the collector:
     /// the result only ever reaches the `--wall` telemetry path and is
     /// never part of stable output.
+    // Wall timings feed only the `--wall` path, never stable output.
+    #[allow(clippy::disallowed_methods)]
     pub fn observe_timed<T>(&self, name: &str, label: &str, f: impl FnOnce() -> T) -> T {
         if !self.is_enabled() {
             return f();
         }
-        // filterwatch-lint: allow(d1-wall-clock): wall timings feed the
-        // `--wall` telemetry path only, never stable output.
         let started = Instant::now();
         let out = f();
         self.observe(name, label, started.elapsed().as_nanos() as f64);
@@ -366,6 +366,8 @@ mod tests {
         assert!((h.mean() - 0.75).abs() < 1e-9);
     }
 
+    // The test races threads on purpose: counts must not depend on order.
+    #[allow(clippy::disallowed_methods)]
     #[test]
     fn counters_survive_threads() {
         let t = TelemetryHandle::enabled();

@@ -183,6 +183,8 @@ pub fn checks() -> Vec<Check> {
 /// # Panics
 /// When `check` passes on the input plan — there is nothing to
 /// minimize.
+// Only failing plans are minimized; a passing one is a caller bug.
+#[allow(clippy::panic)]
 pub fn minimize(
     plan: &ScenarioPlan,
     check: &dyn Fn(&ScenarioPlan) -> Result<(), String>,
@@ -236,6 +238,8 @@ pub fn run(seeds: &[u64]) -> Vec<Divergence> {
 /// with [`parse_seeds`], or the given default when it is unset. A set
 /// but malformed variable is an error, so a battery never quietly runs
 /// fewer seeds than it was asked to.
+// The seed list picks which runs a battery makes; each run stays seeded.
+#[allow(clippy::disallowed_methods)]
 pub fn seeds_from_env(default: &[u64]) -> Result<Vec<u64>, String> {
     match std::env::var("FILTERWATCH_SEEDS") {
         Ok(raw) => parse_seeds(&raw).map_err(|e| format!("FILTERWATCH_SEEDS={raw:?}: {e}")),

@@ -14,6 +14,8 @@ use std::path::PathBuf;
 pub const UPDATE_ENV: &str = "FILTERWATCH_UPDATE_GOLDENS";
 
 /// Whether this process is in regeneration mode.
+// The switch chooses whether a test writes goldens; no output depends on it.
+#[allow(clippy::disallowed_methods)]
 pub fn update_mode() -> bool {
     std::env::var(UPDATE_ENV).map(|v| v == "1").unwrap_or(false)
 }

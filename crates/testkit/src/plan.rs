@@ -112,6 +112,8 @@ pub enum FaultPlan {
 
 impl FaultPlan {
     /// Materialize the fault profile.
+    // `ScenarioPlan::validate` has already range-checked the rate.
+    #[allow(clippy::expect_used)]
     pub fn profile(&self) -> FaultProfile {
         match self {
             FaultPlan::Clean => FaultProfile::default(),

@@ -170,6 +170,8 @@ pub fn identify_stage(gw: &GeneratedWorld) -> String {
 
 /// Pre-submission sweep of the (pre-categorized) global list from
 /// every deployment vantage.
+// Global test-list URLs are static and always parse.
+#[allow(clippy::expect_used)]
 pub fn sweep_stage(gw: &GeneratedWorld, config: &RunConfig) -> Vec<String> {
     let list = TestList::global(gw.plan.urls_per_category);
     let mut list_lines = Vec::new();

@@ -40,6 +40,8 @@ pub struct GeneratedSite {
 
 impl GeneratedSite {
     /// The URL testers fetch (the benign object for adult sites).
+    // The site's domain is a minted hostname, so its URL always parses.
+    #[allow(clippy::expect_used)]
     pub fn test_url(&self) -> Url {
         let path = match self.content {
             ContentKind::Proxy => "/",
@@ -49,6 +51,8 @@ impl GeneratedSite {
     }
 
     /// The URL submitted to vendors.
+    // The site's domain is a minted hostname, so its URL always parses.
+    #[allow(clippy::expect_used)]
     pub fn submit_url(&self) -> Url {
         Url::parse(&format!("http://{}/", self.domain)).expect("valid")
     }
@@ -85,6 +89,8 @@ impl GeneratedWorld {
 
     /// Mint a fresh controlled domain hosting `content`, resolvable
     /// worldwide, with reviewer ground truth registered at every vendor.
+    // Running out of hosting addresses is a world-sizing bug, not bad input.
+    #[allow(clippy::expect_used)]
     pub fn mint_site(&mut self, content: ContentKind) -> GeneratedSite {
         let domain = self.forge.mint();
         let ip = self.net.alloc_ip(self.hosting).expect("hosting space");
@@ -131,6 +137,8 @@ fn policy_for(d: &DeploymentPlan) -> FilterPolicy {
 ///
 /// # Panics
 /// When the plan fails [`ScenarioPlan::validate`].
+// A validated plan always fits the registry's address space.
+#[allow(clippy::expect_used)]
 pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
     plan.validate().expect("plan must be valid");
     let seed = plan.seed;
@@ -331,6 +339,8 @@ fn add_scale_hosts(net: &mut Internet, plan: &ScenarioPlan) {
 /// still need their deny/block-page host to exist (in-network clients
 /// fetch it when blocked); Netsweeper hides by answering only the deny
 /// path, Websense is never hidden (validated upstream).
+// Each ISP network is allocated with room for its surfaces.
+#[allow(clippy::expect_used)]
 fn add_surface(net: &mut Internet, isp: NetworkId, name: &str, tld: &str, d: &DeploymentPlan) {
     let host = match d.product {
         ProductKind::BlueCoat => format!("proxy.{name}.{tld}"),

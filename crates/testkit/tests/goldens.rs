@@ -7,6 +7,9 @@
 //! `FILTERWATCH_UPDATE_GOLDENS=1 cargo test -p filterwatch-testkit --test goldens`
 //! and commit the diff.
 
+// Test helpers outside `#[test]` fail the test by panicking.
+#![allow(clippy::panic)]
+
 use filterwatch_core::campaign::Campaign;
 use filterwatch_core::DEFAULT_SEED;
 use filterwatch_telemetry::wire::Wire;

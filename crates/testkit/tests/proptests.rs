@@ -8,6 +8,9 @@
 //! unicode); fields a format constrains are generated within their
 //! constraint, with the reason next to the generator.
 
+// Test helpers outside `#[test]` fail the test by panicking.
+#![allow(clippy::panic)]
+
 use filterwatch_measure::{MeasurementQuality, VerdictLabel, VerdictLine};
 use filterwatch_netsim::flowlog::DispositionHead;
 use filterwatch_netsim::{EventKind, EventRecord, FlowDisposition, FlowRecord, IpAddr, SimTime};

@@ -10,6 +10,9 @@
 //!
 //! The seed battery honours `FILTERWATCH_SEEDS` (comma-separated).
 
+// Test helpers outside `#[test]` fail the test by panicking.
+#![allow(clippy::unwrap_used)]
+
 use filterwatch_core::{World, WorldOptions};
 use filterwatch_http::{Request, Url};
 use filterwatch_netsim::service::{EmptyService, StaticSite};
