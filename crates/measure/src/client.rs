@@ -358,13 +358,11 @@ impl MeasurementClient {
 
     /// Run quorum trials and aggregate: the most common verdict wins if
     /// it reaches the quorum, otherwise the URL is `Inconclusive`.
-    // `QuorumPolicy`'s constructors keep trials at 1 or more; a hand-built 0 panics.
-    #[allow(clippy::expect_used)]
     fn test_url_quorum(&self, net: &Internet, url: &Url) -> Verdict {
         let tracer = net.tracer();
         let quorum = self.resilience.quorum;
         let mut verdicts: Vec<(Verdict, u32)> = Vec::new();
-        for n in 0..quorum.trials {
+        for n in 0..quorum.trials() {
             QualityCounters::bump(&self.quality.quorum_trials);
             let scope = tracer.open(StepKind::Trial, net.now().secs(), &[("n", &(n + 1))]);
             let v = self.test_url_trial(net, url);
@@ -378,31 +376,33 @@ impl MeasurementClient {
                 None => verdicts.push((v, 1)),
             }
         }
-        // Ties resolve to the earliest-seen verdict — trial order is
-        // deterministic, so so is the aggregate.
-        let (best, count) = verdicts
-            .iter()
-            .max_by_key(|(_, count)| *count)
-            .expect("at least one trial");
+        // Ties resolve to the latest-seen verdict (`max_by_key` keeps
+        // the last maximum) — trial order is deterministic, so so is the
+        // aggregate. `QuorumPolicy` runs at least one trial.
+        let Some((best, count)) = verdicts.iter().max_by_key(|(_, count)| *count) else {
+            return Verdict::Inconclusive {
+                reason: "no quorum: no trials ran".into(),
+            };
+        };
         tracer.point(
             StepKind::Quorum,
             net.now().secs(),
             &[
                 ("best", &best.kind().to_token()),
                 ("count", count),
-                ("trials", &quorum.trials),
-                ("need", &quorum.quorum),
+                ("trials", &quorum.trials()),
+                ("need", &quorum.quorum()),
             ],
         );
-        if *count >= quorum.quorum {
+        if *count >= quorum.quorum() {
             best.clone()
         } else {
             Verdict::Inconclusive {
                 reason: format!(
                     "no quorum: best {count}/{} trials agreed on {} (need {})",
-                    quorum.trials,
+                    quorum.trials(),
                     best.kind().to_token(),
-                    quorum.quorum
+                    quorum.quorum()
                 ),
             }
         }

@@ -240,14 +240,13 @@ impl CircuitBreaker {
     }
 }
 
-/// Quorum rule for repeated URL trials.
+/// Quorum rule for repeated URL trials. Built only through `Default`,
+/// [`majority`](Self::majority) and [`try_new`](Self::try_new), so it
+/// always runs at least one trial and its quorum is satisfiable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuorumPolicy {
-    /// Independent field/lab trials per URL.
-    pub trials: u32,
-    /// Minimum trials that must agree for a verdict; fewer yields
-    /// `Inconclusive`.
-    pub quorum: u32,
+    trials: u32,
+    quorum: u32,
 }
 
 impl Default for QuorumPolicy {
@@ -281,6 +280,17 @@ impl QuorumPolicy {
         }
         Ok(QuorumPolicy { trials, quorum })
     }
+
+    /// Independent field/lab trials per URL (at least 1).
+    pub fn trials(&self) -> u32 {
+        self.trials
+    }
+
+    /// Minimum trials that must agree for a verdict; fewer yields
+    /// `Inconclusive`.
+    pub fn quorum(&self) -> u32 {
+        self.quorum
+    }
 }
 
 /// The complete resilience configuration for a measurement client.
@@ -308,7 +318,7 @@ impl ResilienceConfig {
     /// Whether this configuration changes nothing relative to a plain
     /// single-shot client (the default).
     pub fn is_passthrough(&self) -> bool {
-        self.retry.max_attempts <= 1 && self.breaker.is_none() && self.quorum.trials <= 1
+        self.retry.max_attempts <= 1 && self.breaker.is_none() && self.quorum.trials() <= 1
     }
 }
 
@@ -521,21 +531,11 @@ mod tests {
 
     #[test]
     fn quorum_policies_validate() {
-        assert_eq!(
-            QuorumPolicy::majority(3),
-            QuorumPolicy {
-                trials: 3,
-                quorum: 2
-            }
-        );
-        assert_eq!(
-            QuorumPolicy::majority(1),
-            QuorumPolicy {
-                trials: 1,
-                quorum: 1
-            }
-        );
-        assert!(QuorumPolicy::try_new(3, 2).is_ok());
+        let three = QuorumPolicy::majority(3);
+        assert_eq!((three.trials(), three.quorum()), (3, 2));
+        assert_eq!(QuorumPolicy::majority(1), QuorumPolicy::default());
+        assert_eq!(QuorumPolicy::majority(0), QuorumPolicy::default());
+        assert_eq!(QuorumPolicy::try_new(3, 2), Ok(three));
         assert!(QuorumPolicy::try_new(0, 1).is_err());
         assert!(QuorumPolicy::try_new(3, 4).is_err());
         assert!(QuorumPolicy::try_new(3, 0).is_err());

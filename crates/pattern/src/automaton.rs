@@ -6,7 +6,7 @@
 //! independent scans is what makes Stage 1 O(keywords × countries ×
 //! records). The [`Automaton`] here answers it in **one pass**: every
 //! literal needle is compiled into a single goto/fail machine with case
-//! folding built into the transition table, so matching cost is
+//! folding built into its byte-class map, so matching cost is
 //! O(text length), independent of how many signatures are loaded.
 //!
 //! Not every [`Pattern`] is a literal. Wildcards (`*`, `?`), character
@@ -18,7 +18,7 @@
 //! must contain — and the union reproduces [`PatternSet::matches`]
 //! exactly, a property pinned by differential proptests.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::set::{PatternSet, SetMatch};
 use crate::token::Token;
@@ -31,13 +31,26 @@ use crate::Pattern;
 /// id — the id matches when *any* of its needles occurs. With `fold`
 /// enabled both needles and scanned text are ASCII-case-folded, giving
 /// the same semantics as a case-insensitive [`Pattern`] literal.
-#[derive(Debug, Clone, Default)]
+///
+/// The transition table is indexed by byte class, not by byte: every
+/// byte that occurs in some needle has a class of its own, and all other
+/// bytes share class 0, whose transitions all lead back to the root.
+/// Folding happens in the class map (`A` and `a` share a class), so the
+/// scan loop never lowercases. A step is one class-map load and one
+/// table load: `next[state + class[byte]]`.
+#[derive(Debug, Clone)]
 pub struct Automaton {
-    /// Flattened dense transition table: `next[state * 256 + byte]`.
-    /// Entries whose target state completes at least one needle carry
+    /// Byte → class (`0` for bytes that occur in no needle).
+    classes: [u16; 256],
+    /// Flattened transition table, one row of `1 << shift` entries per
+    /// state. Entries hold the target state's row offset (its id times
+    /// the stride), so the scan loop adds a class without multiplying.
+    /// Entries whose target completes at least one needle carry
     /// [`Automaton::OUT_FLAG`] in the high bit, so the scan loop pays
-    /// exactly one load per byte and only touches `out` on a hit.
+    /// one table load per byte and only touches `out` on a hit.
     next: Vec<u32>,
+    /// Row stride of `next`, as a power of two.
+    shift: u32,
     /// Ids completed at each state (fail-closure already merged in).
     out: Vec<Vec<u32>>,
     /// ASCII-case-fold needles and text.
@@ -46,16 +59,16 @@ pub struct Automaton {
     id_space: usize,
     /// Number of distinct ids inserted (enables early exit).
     distinct_ids: usize,
-    /// Bitmask of bytes with a root transition: while the machine sits
-    /// in the root state, bytes outside this set advance the cursor
-    /// without a transition-table load.
+    /// Bitmask of raw bytes with a root transition: while the machine
+    /// sits in the root state, bytes outside this set advance the cursor
+    /// without a table load.
     root_mask: [u64; 4],
 }
 
 impl Automaton {
     /// High bit of a transition entry: the target state has outputs.
     const OUT_FLAG: u32 = 1 << 31;
-    /// Mask clearing [`Automaton::OUT_FLAG`] to recover the state id.
+    /// Mask clearing [`Automaton::OUT_FLAG`] to recover the row offset.
     const STATE_MASK: u32 = Self::OUT_FLAG - 1;
 
     /// Compile an automaton from `(id, needle)` pairs.
@@ -94,20 +107,36 @@ impl Automaton {
             }
         }
 
+        // Byte classes: each (folded) needle byte gets the next class in
+        // byte order, and with `fold` an uppercase ASCII byte shares its
+        // lowercase byte's class. `reps[c]` is class `c`'s needle byte.
+        let needle_bytes: BTreeSet<u8> = goto_.iter().flat_map(BTreeMap::keys).copied().collect();
+        let mut classes = [0u16; 256];
+        let mut reps: Vec<u8> = vec![0];
+        for b in needle_bytes {
+            classes[usize::from(b)] = reps.len() as u16;
+            reps.push(b);
+        }
+        if fold {
+            for b in b'A'..=b'Z' {
+                classes[usize::from(b)] = classes[usize::from(b.to_ascii_lowercase())];
+            }
+        }
+        let shift = reps.len().next_power_of_two().trailing_zeros();
+
         // Breadth-first fail links, flattened into a dense table. A
         // state's missing transitions are filled from its fail state
         // (already dense by the time the state is visited), and its
         // output set absorbs the fail state's, so scanning never walks
-        // fail chains.
-        let states = goto_.len();
-        let mut next = vec![0u32; states * 256];
-        let mut fail = vec![0u32; states];
+        // fail chains. Column 0 stays all root: a byte in no needle
+        // ends every partial match.
+        let row = |state: usize, class: usize| (state << shift) + class;
+        let mut next = vec![0u32; goto_.len() << shift];
+        let mut fail = vec![0u32; goto_.len()];
         let mut queue = VecDeque::new();
-        for b in 0..=255u8 {
-            if let Some(&s) = goto_[0].get(&b) {
-                next[b as usize] = s;
-                queue.push_back(s as usize);
-            }
+        for (&b, &s) in &goto_[0] {
+            next[usize::from(classes[usize::from(b)])] = s;
+            queue.push_back(s as usize);
         }
         while let Some(state) = queue.pop_front() {
             let f = fail[state] as usize;
@@ -117,38 +146,45 @@ impl Automaton {
                 .filter(|id| !out[state].contains(id))
                 .collect();
             out[state].extend(inherited);
-            for b in 0..=255u8 {
-                let slot = state * 256 + b as usize;
-                match goto_[state].get(&b) {
+            for (class, b) in reps.iter().enumerate().skip(1) {
+                let via_fail = next[row(f, class)];
+                next[row(state, class)] = match goto_[state].get(b) {
                     Some(&t) => {
-                        fail[t as usize] = next[f * 256 + b as usize];
-                        next[slot] = t;
+                        fail[t as usize] = via_fail;
                         queue.push_back(t as usize);
+                        t
                     }
-                    None => next[slot] = next[f * 256 + b as usize],
-                }
+                    None => via_fail,
+                };
             }
         }
         for ids in &mut out {
             ids.sort_unstable();
         }
 
-        // Flag every transition whose target completes a needle, and
-        // record which bytes leave the root at all — the two facts the
-        // scan loop's fast paths key on.
-        let has_out: Vec<bool> = out.iter().map(|ids| !ids.is_empty()).collect();
-        for slot in &mut next {
-            if has_out[*slot as usize] {
-                *slot |= Self::OUT_FLAG;
-            }
+        // Premultiply every target into its row offset and flag the
+        // ones that complete a needle; record which raw bytes leave the
+        // root at all. These are the facts the scan loops key on.
+        for entry in &mut next {
+            let flag = if out[*entry as usize].is_empty() {
+                0
+            } else {
+                Self::OUT_FLAG
+            };
+            *entry = (*entry << shift) | flag;
         }
         let mut root_mask = [0u64; 4];
-        for &b in goto_[0].keys() {
-            root_mask[(b >> 6) as usize] |= 1u64 << (b & 63);
+        for b in 0..=255u8 {
+            let folded = if fold { b.to_ascii_lowercase() } else { b };
+            if goto_[0].contains_key(&folded) {
+                root_mask[usize::from(b >> 6)] |= 1u64 << (b & 63);
+            }
         }
 
         Automaton {
+            classes,
             next,
+            shift,
             out,
             fold,
             id_space,
@@ -157,20 +193,10 @@ impl Automaton {
         }
     }
 
-    /// The byte the transition table is keyed on for raw input `raw`.
-    #[inline(always)]
-    fn scan_byte(&self, raw: u8) -> u8 {
-        if self.fold {
-            raw.to_ascii_lowercase()
-        } else {
-            raw
-        }
-    }
-
-    /// Whether `b` (already folded) has a root transition.
+    /// Whether raw byte `b` has a root transition.
     #[inline(always)]
     fn leaves_root(&self, b: u8) -> bool {
-        self.root_mask[(b >> 6) as usize] & (1u64 << (b & 63)) != 0
+        self.root_mask[usize::from(b >> 6)] & (1u64 << (b & 63)) != 0
     }
 
     /// Whether the automaton holds no needles.
@@ -201,12 +227,17 @@ impl Automaton {
     /// caller-provided buffers so a sweep over a large corpus performs
     /// no per-record allocation. `hit` is scratch (resized/reset here);
     /// `found` receives the ascending matched ids.
+    ///
+    /// This is the index sweep's loop: it reads every byte through the
+    /// table with no root skip, because the sweep's banners are dense
+    /// with bytes that start a needle and a per-byte branch on the state
+    /// would mispredict there.
     pub fn matched_ids_into(&self, text: &str, hit: &mut Vec<bool>, found: &mut Vec<usize>) {
         found.clear();
         hit.clear();
         hit.resize(self.id_space, false);
         let mut remaining = self.distinct_ids;
-        self.for_each_output(text, |ids| {
+        self.for_each_output::<false>(text, |ids| {
             for &id in ids {
                 if !hit[id as usize] {
                     hit[id as usize] = true;
@@ -222,7 +253,7 @@ impl Automaton {
     /// Whether any needle occurs in `text`.
     pub fn is_match(&self, text: &str) -> bool {
         let mut found = false;
-        self.for_each_output(text, |_| {
+        self.for_each_output::<true>(text, |_| {
             found = true;
             true
         });
@@ -231,9 +262,16 @@ impl Automaton {
 
     /// One pass over `text`, handing `on_hit` the ids of every output
     /// state entered, until it returns `true`. The root's outputs, the
-    /// empty needles, come first: they match any text.
+    /// empty needles, come first: they match any text. With
+    /// `SKIP_ROOT`, a byte read at the root that starts no needle skips
+    /// the table load: that pays on text that is mostly such bytes
+    /// (fetched pages against block-page signatures).
     #[inline(always)]
-    fn for_each_output(&self, text: &str, mut on_hit: impl FnMut(&[u32]) -> bool) {
+    fn for_each_output<const SKIP_ROOT: bool>(
+        &self,
+        text: &str,
+        mut on_hit: impl FnMut(&[u32]) -> bool,
+    ) {
         match self.out.first() {
             Some(root) if self.distinct_ids > 0 => {
                 if !root.is_empty() && on_hit(root) {
@@ -242,17 +280,14 @@ impl Automaton {
             }
             _ => return,
         }
-        let mut state = 0u32;
-        for &raw in text.as_bytes() {
-            let b = self.scan_byte(raw);
-            // Root fast path: while at the root, bytes that start no
-            // needle can skip the transition-table load.
-            if state == 0 && !self.leaves_root(b) {
+        let mut state = 0usize;
+        for &b in text.as_bytes() {
+            if SKIP_ROOT && state == 0 && !self.leaves_root(b) {
                 continue;
             }
-            let entry = self.next[state as usize * 256 + b as usize];
-            state = entry & Self::STATE_MASK;
-            if entry & Self::OUT_FLAG != 0 && on_hit(&self.out[state as usize]) {
+            let entry = self.next[state + usize::from(self.classes[usize::from(b)])];
+            state = (entry & Self::STATE_MASK) as usize;
+            if entry & Self::OUT_FLAG != 0 && on_hit(&self.out[state >> self.shift]) {
                 return;
             }
         }
@@ -437,8 +472,8 @@ impl CompiledPatternSet {
             }
             false
         };
-        self.folded.for_each_output(text, &mut note);
-        self.exact.for_each_output(text, &mut note);
+        self.folded.for_each_output::<true>(text, &mut note);
+        self.exact.for_each_output::<true>(text, &mut note);
         gates
     }
 

@@ -99,13 +99,24 @@ proptest! {
         }
     }
 
-    /// The automaton's match set equals naive per-needle substring
-    /// search for arbitrary texts and needle sets, in both case modes.
+    /// Both scan loops agree with naive per-needle substring search,
+    /// in both case modes: the every-id loop behind `matched_ids`, and
+    /// the root-skipping loop behind `is_match` and compiled sets. Half
+    /// the texts are built from the needles' own bytes, mixed with
+    /// uppercase, non-ASCII bytes and bytes in no needle, so a byte-class
+    /// map that forgets to fold or merges two needle bytes shows.
     #[test]
     fn automaton_equals_naive_substring(
         needles in proptest::collection::vec("[a-zA-Z0-9 /:.=-]{0,6}", 0..8),
-        text in "\\PC{0,80}",
+        random_text in "\\PC{0,80}",
+        pieces in proptest::collection::vec((any::<usize>(), 0u8..6), 0..40),
+        from_needles in any::<bool>(),
     ) {
+        let text = if from_needles {
+            needle_text(&needles, &pieces)
+        } else {
+            random_text
+        };
         for fold in [true, false] {
             let automaton = Automaton::new(
                 needles.iter().enumerate().map(|(i, n)| (i, n.as_str())),
@@ -123,7 +134,20 @@ proptest! {
                 })
                 .map(|(i, _)| i)
                 .collect();
-            prop_assert_eq!(automaton.matched_ids(&text), expect, "fold={}", fold);
+            let matched = automaton.matched_ids(&text);
+            prop_assert_eq!(&matched, &expect, "fold={}", fold);
+            prop_assert_eq!(automaton.is_match(&text), !matched.is_empty(), "fold={}", fold);
+            let mut set = PatternSet::new();
+            for (i, n) in needles.iter().enumerate() {
+                let pattern = if fold {
+                    Pattern::literal(n)
+                } else {
+                    Pattern::parse_case_sensitive(&escape(n)).unwrap()
+                };
+                set.insert(format!("n{i}"), pattern);
+            }
+            let compiled = CompiledPatternSet::compile(set);
+            prop_assert_eq!(compiled.matching_indices(&text), expect, "fold={}", fold);
         }
     }
 
@@ -139,6 +163,33 @@ proptest! {
             prop_assert!(!p.is_match(&text2));
         }
     }
+}
+
+/// Text drawn from `needles`' own alphabet: per piece, a needle byte as
+/// is or uppercased, a whole needle as is or uppercased, a non-ASCII
+/// character, or a byte that occurs in no needle.
+fn needle_text(needles: &[String], pieces: &[(usize, u8)]) -> String {
+    let alphabet: Vec<char> = needles.iter().flat_map(|n| n.chars()).collect();
+    let mut text = String::new();
+    for &(ix, kind) in pieces {
+        match kind {
+            0 | 1 if !alphabet.is_empty() => {
+                let c = alphabet[ix % alphabet.len()];
+                text.push(if kind == 0 { c } else { c.to_ascii_uppercase() });
+            }
+            2 | 3 if !needles.is_empty() => {
+                let needle = &needles[ix % needles.len()];
+                if kind == 2 {
+                    text.push_str(needle);
+                } else {
+                    text.push_str(&needle.to_ascii_uppercase());
+                }
+            }
+            4 => text.push(['é', 'ß', 'Ω', '中', '✗'][ix % 5]),
+            _ => text.push(['#', '_', '~', '\t', '!'][ix % 5]),
+        }
+    }
+    text
 }
 
 /// Flip the ASCII case of each character of `s` where `flips` says so.

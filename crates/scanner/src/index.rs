@@ -20,24 +20,24 @@
 //!   bumping the index epoch, instead of rebuilding from scratch.
 //!   [`ScanIndex::compact`] reclaims tombstoned slots when churn
 //!   accumulates.
-//! * **Per-epoch query plans** — the batched
+//! * **A cached sweep plan** — the batched
 //!   [`ScanIndex::search_products`] fuses every Table 2 keyword into
-//!   one Aho-Corasick automaton and resolves the ccTLD scope masks into
-//!   per-shard id lists *once per (epoch, table, scope) triple*,
-//!   caching the plan on the index. Repeated identify sweeps pay zero
-//!   compilation; a delta invalidates the plan via the epoch key.
+//!   one Aho-Corasick automaton, runs it over every live record once,
+//!   and caches the matched keywords per keyword table. The ccTLD scope
+//!   is applied at query time from the posting bitsets, so one plan
+//!   serves every scope and a repeat sweep scans nothing. A delta or a
+//!   compaction drops the plan.
 //!
 //! Determinism: shard assignment is FNV-1a (platform-stable), interner
 //! ids are insertion-ordered, all postings iterate in ascending arena
-//! order, and the parallel sweep merges per-shard results in shard
-//! order — so serial and parallel sweeps, and any shard count, produce
-//! byte-identical query results.
+//! order, and the parallel sweep merges contiguous runs of arena ids in
+//! id order — so serial and parallel sweeps, and any shard count,
+//! produce byte-identical query results.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use filterwatch_netsim::IpAddr;
 use filterwatch_pattern::Automaton;
@@ -48,59 +48,6 @@ use crate::intern::{fnv1a, Interner, Sym};
 use crate::keywords::ProductKeywords;
 use crate::record::ScanRecord;
 use crate::shard::{IndexShard, ShardConfig, ShardEpoch};
-
-/// Words in the per-record trigram bloom (4096 bits). At typical
-/// banner sizes (~300 bytes, so ≲300 distinct trigrams and two bits
-/// each) the fill rate stays under ~15%.
-const BLOOM_WORDS: usize = 64;
-
-/// A 4096-bit bloom over a text's (lowercased) byte trigrams, two
-/// independent bits per trigram. Records and needles hash the same
-/// way, so a needle occurring in a text implies
-/// `text_bloom ⊇ needle_bloom` — the contrapositive lets the sweep
-/// skip records without reading their corpus. The parameters are tuned
-/// for near-miss-dense corpora (`webadmission`, `proxyserver`): a
-/// near-miss genuinely shares all but one or two of a keyword's
-/// trigrams, so the reject hinges on the missing trigram's bits alone
-/// — two bits put that false-positive rate at fill² (a couple percent)
-/// where one bit would leave it at the fill rate itself. Hashed by
-/// multiplication (top 12 bits, two odd constants); collisions only
-/// cost false positives, never misses. The trigram is a rolling 24-bit
-/// window over the bytes, one shift and mask per byte.
-fn trigram_bloom(text: &str) -> [u64; BLOOM_WORDS] {
-    let mut bloom = [0u64; BLOOM_WORDS];
-    let [a, b, rest @ ..] = text.as_bytes() else {
-        return bloom;
-    };
-    let mut tri = u32::from(*a) << 8 | u32::from(*b);
-    for &c in rest {
-        tri = (tri << 8 | u32::from(c)) & 0x00FF_FFFF;
-        let h1 = tri.wrapping_mul(0x9E37_79B1) >> 20;
-        let h2 = tri.wrapping_mul(0x85EB_CA77) >> 20;
-        bloom[(h1 >> 6) as usize] |= 1u64 << (h1 & 63);
-        bloom[(h2 >> 6) as usize] |= 1u64 << (h2 & 63);
-    }
-    bloom
-}
-
-/// A needle's requirement set in sparse form: the nonzero words of its
-/// [`trigram_bloom`]. Needles set ~2 bits per trigram in a 64-word
-/// bloom, so the dense array is almost all zeros — and all-zero words
-/// can never reject, so the superset test only visits these.
-fn sparse_bloom(needle: &str) -> Vec<(u32, u64)> {
-    trigram_bloom(needle)
-        .iter()
-        .enumerate()
-        .filter(|(_, &w)| w != 0)
-        .map(|(i, &w)| (i as u32, w))
-        .collect()
-}
-
-/// `rec ⊇ need`: every required trigram bit is present.
-#[inline]
-fn bloom_superset(rec: &[u64; BLOOM_WORDS], need: &[(u32, u64)]) -> bool {
-    need.iter().all(|&(i, n)| rec[i as usize] & n == n)
-}
 
 /// Slot `id`'s span in a flat arena whose slots end at `ends[id]`, each
 /// starting where the previous one ends.
@@ -129,10 +76,6 @@ pub struct ScanIndex {
     corpus: String,
     /// Where each slot's text ends in `corpus` (see [`span`]).
     corpus_ends: Vec<usize>,
-    /// Trigram bloom per arena slot (over the corpus text). The
-    /// batched sweep rejects records that cannot contain any keyword
-    /// without touching their corpus bytes.
-    blooms: Vec<[u64; BLOOM_WORDS]>,
     /// Live arena ids (tombstoned slots are absent).
     live: DenseBitSet,
     /// The posting shards; `shard_of[id]` names each record's shard.
@@ -151,12 +94,12 @@ pub struct ScanIndex {
     /// retire by `(ip, port, path)`: walk the `(ip, port)` range and
     /// keep the ids whose record has that path.
     by_endpoint: BTreeSet<(IpAddr, u16, usize)>,
-    /// Bumped once per delta/compaction; keys the cached sweep plan.
+    /// Bumped once per delta/compaction.
     epoch: u64,
     /// Tombstoned arena slots not yet compacted.
     retired: usize,
-    /// The per-epoch compiled query plan (automaton + scope masks).
-    plan: Mutex<Option<Arc<SweepPlan>>>,
+    /// The sweep plan of the last keyword table searched.
+    plan: Mutex<Option<SweepPlan>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
 }
@@ -190,20 +133,17 @@ pub struct DeltaStats {
     pub shards_touched: usize,
 }
 
-/// A compiled batched query, cached per `(epoch, table, scope)`.
-#[derive(Debug)]
+/// What a batched query over one keyword table found, cached until the
+/// index next changes. The match set covers every live record in any
+/// scope; a sweep keeps the ones in its scope.
+#[derive(Debug, Clone)]
 struct SweepPlan {
-    epoch: u64,
     table_fp: u64,
-    scope_fp: u64,
-    /// Every keyword of every product fused into one automaton;
-    /// needle id = position in the flattened (product, keyword) list.
-    automaton: Automaton,
+    /// Needle id → (product, keyword) position in the table.
     id_to_entry: Vec<(usize, usize)>,
-    /// In-scope live arena ids that pass the per-needle trigram-bloom
-    /// prefilter, ascending within each shard. Records outside this
-    /// candidate set provably cannot match any needle.
-    shard_scopes: Vec<Vec<u32>>,
+    /// `(arena id, matched needle ids)` of every live record with at
+    /// least one match, ascending by id.
+    matches: Vec<(u32, Vec<usize>)>,
 }
 
 impl Default for ScanIndex {
@@ -218,7 +158,6 @@ impl Clone for ScanIndex {
             records: self.records.clone(),
             corpus: self.corpus.clone(),
             corpus_ends: self.corpus_ends.clone(),
-            blooms: self.blooms.clone(),
             live: self.live.clone(),
             shards: self.shards.clone(),
             shard_of: self.shard_of.clone(),
@@ -253,7 +192,6 @@ impl ScanIndex {
             records: Vec::new(),
             corpus: String::new(),
             corpus_ends: Vec::new(),
-            blooms: Vec::new(),
             live: DenseBitSet::with_bits(records.len()),
             shards: vec![IndexShard::default(); shards],
             shard_of: Vec::new(),
@@ -285,7 +223,6 @@ impl ScanIndex {
         let start = self.corpus.len();
         record.push_searchable_text(&mut self.corpus);
         self.corpus[start..].make_ascii_lowercase();
-        self.blooms.push(trigram_bloom(&self.corpus[start..]));
         self.corpus_ends.push(self.corpus.len());
 
         let country = record.country.as_deref().map(|c| self.labels.intern(c));
@@ -322,22 +259,6 @@ impl ScanIndex {
         id
     }
 
-    /// How many records pass the sweep's bloom prefilter for `table`
-    /// (diagnostics only).
-    #[doc(hidden)]
-    pub fn bloom_candidates(&self, table: &[ProductKeywords]) -> usize {
-        let mut needle_blooms = Vec::new();
-        for product in table {
-            for kw in product.keywords {
-                needle_blooms.push(sparse_bloom(&kw.to_ascii_lowercase()));
-            }
-        }
-        self.blooms
-            .iter()
-            .filter(|rec| needle_blooms.iter().any(|need| bloom_superset(rec, need)))
-            .count()
-    }
-
     /// Pre-size the append-only arenas for `additional` expected
     /// records, the corpus arena at the mean text length so far. Purely
     /// an amortization hint for a steady delta stream (a freshly built
@@ -362,7 +283,6 @@ impl ScanIndex {
         self.records.reserve(additional);
         self.corpus.reserve(text_bytes);
         self.corpus_ends.reserve(additional);
-        self.blooms.reserve(additional);
         self.shard_of.reserve(additional);
         self.countries.reserve(additional);
         self.suffix_ends.reserve(additional);
@@ -444,8 +364,9 @@ impl ScanIndex {
 
     /// Reclaim tombstoned arena slots by rebuilding over the live
     /// records (arena order preserved, ids renumbered densely). Bumps
-    /// the epoch; returns the number of slots freed. A no-op (and no
-    /// epoch bump) when nothing is tombstoned.
+    /// the epoch and, since ids moved, drops the sweep plan; returns the
+    /// number of slots freed. A no-op (and no epoch bump) when nothing
+    /// is tombstoned.
     pub fn compact(&mut self) -> usize {
         if self.retired == 0 {
             return 0;
@@ -659,11 +580,11 @@ impl ScanIndex {
 
     /// The batched query the identify stage runs: every product's
     /// keyword list crossed with every `(country_code, cctld)` pair, in
-    /// one automaton sweep over the in-scope corpus, parallelized over
-    /// shards. Returns, per product slug, the candidate addresses and
-    /// the keywords (keyword-table order) that hit them. The compiled
-    /// automaton and scope masks are cached on the index per epoch, so
-    /// repeated sweeps pay no compilation.
+    /// one automaton pass over each record. Returns, per product slug,
+    /// the candidate addresses and the keywords (keyword-table order)
+    /// that hit them. Each live record's matches are cached on the index
+    /// per keyword table until the next delta, so a repeat sweep scans
+    /// nothing.
     pub fn search_products<'a, I>(
         &self,
         table: &[ProductKeywords],
@@ -677,8 +598,8 @@ impl ScanIndex {
 
     /// As [`search_products`](Self::search_products) with an explicit
     /// worker count (1 = serial). Parallel and serial sweeps return
-    /// identical results: workers cover disjoint shard groups and the
-    /// merge concatenates per-shard hits in shard order; the fold into
+    /// identical results: workers scan contiguous runs of arena ids and
+    /// the merge concatenates their matches in id order; the fold into
     /// per-product maps is order-insensitive.
     pub fn search_products_with_threads<'a, I>(
         &self,
@@ -689,17 +610,24 @@ impl ScanIndex {
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
-        let pairs: Vec<(&str, &str)> = cctlds.into_iter().collect();
-        let plan = self.sweep_plan(table, &pairs);
-        let per_record = self.sweep(&plan, threads.max(1));
+        let mut scope = DenseBitSet::with_bits(self.records.len());
+        for (cc, tld) in cctlds {
+            self.scope_union_into(cc, tld, &mut scope);
+        }
+        let mut slot = self.plan.lock();
+        let plan = self.sweep_plan(&mut slot, table, threads.max(1));
 
-        // Fold per-record hits into per-product candidate maps. Keyword
-        // lists are emitted in keyword-table order regardless of which
-        // record matched first, so the fold order cannot matter.
+        // Fold the in-scope matches into per-product candidate maps.
+        // Keyword lists are emitted in keyword-table order regardless of
+        // which record matched first, so the fold order cannot matter.
         let mut matched: BTreeMap<(usize, IpAddr), Vec<bool>> = BTreeMap::new();
-        for (record_index, ids) in per_record {
-            let ip = self.records[record_index as usize].ip;
-            for id in ids {
+        for (record_index, ids) in &plan.matches {
+            let record_index = *record_index as usize;
+            if !scope.contains(record_index) {
+                continue;
+            }
+            let ip = self.records[record_index].ip;
+            for &id in ids {
                 let (pi, ki) = plan.id_to_entry[id];
                 matched
                     .entry((pi, ip))
@@ -726,10 +654,15 @@ impl ScanIndex {
         out
     }
 
-    /// The cached sweep plan for `(epoch, table, scope)`, compiling one
-    /// on miss. Fingerprints are FNV-1a over the flattened table and
-    /// pair lists.
-    fn sweep_plan(&self, table: &[ProductKeywords], pairs: &[(&str, &str)]) -> Arc<SweepPlan> {
+    /// The cached sweep plan for `table` in `slot`, compiling a fresh
+    /// one (a cache miss) when the slot holds another table's plan or
+    /// none. The fingerprint is FNV-1a over the flattened table.
+    fn sweep_plan<'p>(
+        &self,
+        slot: &'p mut Option<SweepPlan>,
+        table: &[ProductKeywords],
+        threads: usize,
+    ) -> &'p SweepPlan {
         let mut fp_buf = Vec::new();
         for p in table {
             fp_buf.extend_from_slice(p.product.as_bytes());
@@ -740,104 +673,46 @@ impl ScanIndex {
             }
         }
         let table_fp = fnv1a(&fp_buf);
-        fp_buf.clear();
-        for (cc, tld) in pairs {
-            fp_buf.extend_from_slice(cc.as_bytes());
-            fp_buf.push(0);
-            fp_buf.extend_from_slice(tld.as_bytes());
-            fp_buf.push(1);
+        if slot.as_ref().is_some_and(|plan| plan.table_fp == table_fp) {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            *slot = None;
         }
-        let scope_fp = fnv1a(&fp_buf);
-
-        if let Some(plan) = self.plan.lock().as_ref() {
-            if plan.epoch == self.epoch && plan.table_fp == table_fp && plan.scope_fp == scope_fp {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(plan);
-            }
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(self.compile_plan(table, pairs, table_fp, scope_fp));
-        *self.plan.lock() = Some(Arc::clone(&plan));
-        plan
+        slot.get_or_insert_with(|| self.compile_plan(table, table_fp, threads))
     }
 
-    /// Compile the fused automaton and resolve the scope masks into
-    /// per-shard ascending id lists — the work hoisted out of the
-    /// query hot path.
-    fn compile_plan(
-        &self,
-        table: &[ProductKeywords],
-        pairs: &[(&str, &str)],
-        table_fp: u64,
-        scope_fp: u64,
-    ) -> SweepPlan {
+    /// Fuse every keyword of `table` into one automaton and run it over
+    /// every live record, chunked by record across `threads` workers.
+    /// The merge keeps the matches in arena order, identical for serial
+    /// and parallel runs.
+    fn compile_plan(&self, table: &[ProductKeywords], table_fp: u64, threads: usize) -> SweepPlan {
         let mut needles: Vec<(usize, String)> = Vec::new();
-        let mut needle_blooms: Vec<Vec<(u32, u64)>> = Vec::new();
         let mut id_to_entry: Vec<(usize, usize)> = Vec::new();
         for (pi, product) in table.iter().enumerate() {
             for (ki, kw) in product.keywords.iter().enumerate() {
-                let folded = kw.to_ascii_lowercase();
-                needle_blooms.push(sparse_bloom(&folded));
-                needles.push((id_to_entry.len(), folded));
+                needles.push((id_to_entry.len(), kw.to_ascii_lowercase()));
                 id_to_entry.push((pi, ki));
             }
         }
         let automaton = Automaton::new(needles, false); // corpus is pre-folded
-
-        let mut scope = DenseBitSet::with_bits(self.records.len());
-        for (cc, tld) in pairs {
-            self.scope_union_into(cc, tld, &mut scope);
-        }
-        // Bloom prefilter, hoisted: candidacy is a pure function of
-        // (epoch, table, scope) — exactly the plan cache key — so the
-        // per-record superset tests run once per plan, not per sweep.
-        // A record whose trigram set covers no needle's trigram set
-        // cannot match; everything that survives still goes through
-        // the automaton, which remains the decider.
-        let mut shard_scopes: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-        for id in scope.iter() {
-            let rec = &self.blooms[id];
-            if needle_blooms.iter().any(|need| bloom_superset(rec, need)) {
-                shard_scopes[self.shard_of[id] as usize].push(id as u32);
-            }
-        }
-        SweepPlan {
-            epoch: self.epoch,
-            table_fp,
-            scope_fp,
-            automaton,
-            id_to_entry,
-            shard_scopes,
-        }
-    }
-
-    /// Run the plan's automaton over the in-scope corpus, chunked by
-    /// shard. Returns `(arena id, matched needle ids)` for every record
-    /// with at least one hit, grouped by shard in shard order —
-    /// identical for serial and parallel runs.
-    fn sweep(&self, plan: &SweepPlan, threads: usize) -> Vec<(u32, Vec<usize>)> {
-        let scan_shards = |shards: &[Vec<u32>]| -> Vec<(u32, Vec<usize>)> {
+        let scan = |ids: &[u32]| -> Vec<(u32, Vec<usize>)> {
             let mut hit = Vec::new();
             let mut found = Vec::new();
             let mut out = Vec::new();
-            for ids in shards {
-                for &i in ids {
-                    plan.automaton.matched_ids_into(
-                        self.corpus_of(i as usize),
-                        &mut hit,
-                        &mut found,
-                    );
-                    if !found.is_empty() {
-                        out.push((i, std::mem::take(&mut found)));
-                    }
+            for &i in ids {
+                automaton.matched_ids_into(self.corpus_of(i as usize), &mut hit, &mut found);
+                if !found.is_empty() {
+                    out.push((i, std::mem::take(&mut found)));
                 }
             }
             out
         };
-        // Fewer than two in-scope records are not worth a thread.
-        let scoped: usize = plan.shard_scopes.iter().map(Vec::len).sum();
-        let workers = if scoped < 2 { 1 } else { threads };
-        crate::merge::ordered_parallel(&plan.shard_scopes, workers, scan_shards)
+        SweepPlan {
+            table_fp,
+            id_to_entry,
+            matches: crate::merge::ordered_parallel(&self.live.to_vec(), threads, scan),
+        }
     }
 
     /// Distinct addresses matching `keyword`, ascending.
@@ -869,7 +744,7 @@ impl ScanIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keywords::KEYWORD_TABLE;
+    use crate::keywords::{ProductKeywords, KEYWORD_TABLE};
     use filterwatch_netsim::SimTime;
     use filterwatch_telemetry::wire::Wire;
 
@@ -900,22 +775,6 @@ mod tests {
             r.body_snippet
         )
         .to_ascii_lowercase()
-    }
-
-    /// The bloom as first specified: every `windows(3)` trigram of the
-    /// text, hashed to two bits.
-    fn reference_bloom(text: &str) -> [u64; BLOOM_WORDS] {
-        let mut bloom = [0u64; BLOOM_WORDS];
-        for w in text.as_bytes().windows(3) {
-            let tri = u32::from(w[0]) << 16 | u32::from(w[1]) << 8 | u32::from(w[2]);
-            for h in [
-                tri.wrapping_mul(0x9E37_79B1) >> 20,
-                tri.wrapping_mul(0x85EB_CA77) >> 20,
-            ] {
-                bloom[(h >> 6) as usize] |= 1u64 << (h & 63);
-            }
-        }
-        bloom
     }
 
     /// Every arena slot's corpus text, in arena order.
@@ -952,17 +811,6 @@ mod tests {
         }
         // The texts tile the arena: nothing before, between or after.
         assert_eq!(corpus_texts(&idx).concat(), idx.corpus);
-    }
-
-    #[test]
-    fn rolling_bloom_matches_the_windows_formula() {
-        for text in ["", "a", "ab", "abc", "abcd", "\u{e9}t\u{e9}", "\u{1f600}"] {
-            assert_eq!(trigram_bloom(text), reference_bloom(text), "{text:?}");
-        }
-        let idx = ScanIndex::build(crate::synth_records(2_000, 3));
-        for (id, bloom) in idx.blooms.iter().enumerate() {
-            assert_eq!(*bloom, reference_bloom(idx.corpus_of(id)), "record {id}");
-        }
     }
 
     #[test]
@@ -1031,10 +879,14 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_sweeps_agree() {
-        let idx = index();
+        // One index each, so that both sweeps compile a plan and scan
+        // every record rather than the second reading the first's plan.
+        let (serial_idx, parallel_idx) = (index(), index());
         let pairs = [("SY", "sy"), ("QA", "qa"), ("SE", "se"), ("US", "us")];
-        let serial = idx.search_products_with_threads(KEYWORD_TABLE, pairs, 1);
-        let parallel = idx.search_products_with_threads(KEYWORD_TABLE, pairs, 4);
+        let serial = serial_idx.search_products_with_threads(KEYWORD_TABLE, pairs, 1);
+        let parallel = parallel_idx.search_products_with_threads(KEYWORD_TABLE, pairs, 4);
+        assert_eq!(serial_idx.sweep_cache_stats(), (0, 1));
+        assert_eq!(parallel_idx.sweep_cache_stats(), (0, 1));
         assert_eq!(serial, parallel);
     }
 
@@ -1161,25 +1013,46 @@ mod tests {
         let second = idx.search_products(KEYWORD_TABLE, pairs);
         assert_eq!(idx.sweep_cache_stats(), (1, 1));
         assert_eq!(first, second);
-        // A different scope compiles a fresh plan.
-        idx.search_products(KEYWORD_TABLE, [("SY", "sy")]);
-        assert_eq!(idx.sweep_cache_stats(), (1, 2));
+        // The plan is keyed by the keyword table alone: another scope
+        // reuses it, another table compiles a fresh one.
+        let sy = idx.search_products(KEYWORD_TABLE, [("SY", "sy")]);
+        assert_eq!(idx.sweep_cache_stats(), (2, 1));
+        assert_eq!(sy["bluecoat"].len(), 1);
+        let bluecoat_only = [ProductKeywords {
+            product: "bluecoat",
+            keywords: &["proxysg"],
+        }];
+        idx.search_products(&bluecoat_only, pairs);
+        assert_eq!(idx.sweep_cache_stats(), (2, 2));
+        assert_eq!(idx.search_products(KEYWORD_TABLE, pairs), first);
+        assert_eq!(idx.sweep_cache_stats(), (2, 3));
 
+        // A delta drops the plan: the next sweep is a miss that scans
+        // the appended record and no longer sees the retired one.
         let mut idx = idx;
+        let gone = ("5.0.0.1".parse().unwrap(), 80, "/".to_string());
         idx.apply_delta(
             vec![rec("5.0.9.1", 80, "Server: ProxySG", "gw.other.sy", "SY")],
-            &[],
+            &[gone],
         );
         let after = idx.search_products(KEYWORD_TABLE, [("SY", "sy")]);
-        assert_eq!(idx.sweep_cache_stats(), (1, 3));
-        assert_eq!(after["bluecoat"].len(), 2);
+        assert_eq!(idx.sweep_cache_stats(), (2, 4));
+        let ips: Vec<String> = after["bluecoat"].keys().map(|ip| ip.to_string()).collect();
+        assert_eq!(ips, ["5.0.9.1"]);
+
+        // Compaction renumbers arena ids, so the compacted index starts
+        // without a plan (and, being a new index value, fresh counters).
+        idx.compact();
+        assert_eq!(idx.sweep_cache_stats(), (0, 0));
+        assert_eq!(idx.search_products(KEYWORD_TABLE, [("SY", "sy")]), after);
+        assert_eq!(idx.sweep_cache_stats(), (0, 1));
     }
 
     #[test]
-    fn bloom_prefilter_is_selective_and_never_drops_matches() {
-        // The synthetic corpus is near-miss-dense by design; the
-        // trigram prefilter must still discard the overwhelming
-        // majority of records while keeping every genuine match.
+    fn sweep_equals_per_record_scratch_scan() {
+        // Over a near-miss-dense synthetic corpus, the swept candidate
+        // addresses are exactly the records whose reference text holds
+        // some keyword.
         let records = crate::synth_records(4_000, 7);
         let planted: Vec<_> = records
             .iter()
@@ -1192,16 +1065,8 @@ mod tests {
             })
             .map(|r| r.ip)
             .collect();
-        let idx = ScanIndex::build(records);
-        let candidates = idx.bloom_candidates(KEYWORD_TABLE);
         assert!(!planted.is_empty());
-        assert!(candidates >= planted.len(), "prefilter dropped a match");
-        assert!(
-            candidates <= idx.len() / 10,
-            "prefilter passed {candidates} of {} records",
-            idx.len()
-        );
-        // And the swept result agrees with a per-record scratch scan.
+        let idx = ScanIndex::build(records);
         let pairs: Vec<(&str, &str)> = crate::SYNTH_COUNTRIES.to_vec();
         let hits = idx.search_products(KEYWORD_TABLE, pairs.iter().copied());
         let mut swept: Vec<_> = hits.values().flat_map(|m| m.keys().copied()).collect();

@@ -3,8 +3,7 @@
 //! The sharded index partitions records by a stable hash of their
 //! country (falling back to the first hostname) so a re-crawl delta for
 //! one country touches one shard's postings and bumps one shard epoch,
-//! leaving every other shard — and any cached per-epoch query plan that
-//! only depends on untouched shards — bitwise identical. Shards do not
+//! leaving every other shard bitwise identical. Shards do not
 //! own record storage; the record arena and lowercased corpus stay
 //! global (arena ids are global, so cross-shard merges are just bitset
 //! iteration in ascending id order). What a shard owns is its *slice of

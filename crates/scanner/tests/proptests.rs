@@ -45,10 +45,46 @@ fn reference_text(r: &ScanRecord) -> String {
     .to_ascii_lowercase()
 }
 
+/// Banners holding a Table 2 keyword, in mixed case.
+const KEYWORD_BANNERS: [&str; 3] = [
+    "Server: ProxySG",
+    "Location: http://gw:8080/WebAdmin/deny",
+    "NetSweeper/5.1 cfru=x",
+];
+
+/// Near-miss banners holding no Table 2 keyword.
+const PLAIN_BANNERS: [&str; 3] = ["Server: Apache", "Server: web-admin", "proxy sg/5.1"];
+
+/// Whether a record's searchable text holds some Table 2 keyword.
+fn has_keyword(r: &ScanRecord) -> bool {
+    let text = reference_text(r);
+    keywords::KEYWORD_TABLE
+        .iter()
+        .flat_map(|p| p.keywords)
+        .any(|kw| text.contains(&kw.to_ascii_lowercase()))
+}
+
+/// A re-crawl of `old`'s endpoint that flips whether the record holds
+/// a keyword: a keyword banner replaces a banner with none, a plain
+/// banner replaces one with a keyword.
+fn recrawl(old: &ScanRecord, pick: usize) -> ScanRecord {
+    let banners = if has_keyword(old) {
+        PLAIN_BANNERS
+    } else {
+        KEYWORD_BANNERS
+    };
+    ScanRecord {
+        banner: banners[pick % banners.len()].to_string(),
+        ..old.clone()
+    }
+}
+
 /// Records whose endpoints collide: half the addresses come from a
 /// four-address pool, and ports and paths favour 80/8080 and
 /// `/`/`/webadmin/`, so lists hold re-crawls of one endpoint and
-/// `ip:port` pairs serving several paths. Hostnames mix case.
+/// `ip:port` pairs serving several paths. Hostnames mix case. Half the
+/// banners hold a Table 2 keyword, and countries favour two of the
+/// swept scopes, so batched sweeps find matches in and out of scope.
 fn any_record() -> impl Strategy<Value = ScanRecord> {
     (
         prop_oneof![(0u32..4).prop_map(|i| 0x0500_0001 + i), any::<u32>()],
@@ -58,10 +94,17 @@ fn any_record() -> impl Strategy<Value = ScanRecord> {
             Just("/webadmin/".to_string()),
             "(/[a-z0-9]{0,6}){0,3}",
         ],
-        "[ -~]{0,60}",
+        prop_oneof![
+            "[ -~]{0,60}",
+            (0..KEYWORD_BANNERS.len()).prop_map(|i| KEYWORD_BANNERS[i].to_string()),
+        ],
         "\\PC{0,60}",
         proptest::collection::vec("[a-zA-Z]{1,8}\\.[a-zA-Z]{2,3}", 0..3),
-        proptest::option::of("[A-Z]{2}"),
+        proptest::option::of(prop_oneof![
+            Just("QA".to_string()),
+            Just("SY".to_string()),
+            "[A-Z]{2}",
+        ]),
         proptest::option::of(1u32..100_000),
         0u64..1_000_000,
     )
@@ -78,6 +121,20 @@ fn any_record() -> impl Strategy<Value = ScanRecord> {
                 captured_at: SimTime::from_secs(at),
             },
         )
+}
+
+/// One re-crawl delta as choices resolved against the model list:
+/// endpoints to re-crawl (with a banner pick), fresh records, endpoints
+/// to retire, and whether to sweep right after it.
+type DeltaChoice = (Vec<(usize, usize)>, Vec<ScanRecord>, Vec<usize>, bool);
+
+fn any_delta() -> impl Strategy<Value = DeltaChoice> {
+    (
+        proptest::collection::vec((any::<usize>(), any::<usize>()), 0..5),
+        proptest::collection::vec(any_record(), 0..6),
+        proptest::collection::vec(any::<usize>(), 0..4),
+        any::<bool>(),
+    )
 }
 
 proptest! {
@@ -152,63 +209,92 @@ proptest! {
     }
 
     /// Parallel batched search equals the serial sweep, record for
-    /// record, for any worker count.
+    /// record, for any worker count. Each sweep runs on an index of its
+    /// own, so both compile a plan and scan every record.
     #[test]
     fn parallel_search_equals_serial(
         records in proptest::collection::vec(any_record(), 0..40),
         threads in 2usize..6,
     ) {
-        let index = ScanIndex::build(records);
+        let serial_index = ScanIndex::build(records.clone());
+        let parallel_index = ScanIndex::build(records);
         let pairs: Vec<(&str, &str)> = vec![("QA", "qa"), ("SY", "sy"), ("US", "us"), ("AA", "aa")];
-        let serial =
-            index.search_products_with_threads(keywords::KEYWORD_TABLE, pairs.iter().copied(), 1);
-        let parallel = index.search_products_with_threads(
+        let serial = serial_index.search_products_with_threads(
+            keywords::KEYWORD_TABLE,
+            pairs.iter().copied(),
+            1,
+        );
+        let parallel = parallel_index.search_products_with_threads(
             keywords::KEYWORD_TABLE,
             pairs.iter().copied(),
             threads,
         );
+        prop_assert_eq!(serial_index.sweep_cache_stats(), (0, 1));
+        prop_assert_eq!(parallel_index.sweep_cache_stats(), (0, 1));
         prop_assert_eq!(serial, parallel);
     }
 
     /// Incremental ingest is equivalent to rebuilding from scratch:
-    /// the same live snapshot, statistics, and batched query results —
-    /// before *and* after compaction.
+    /// the same live snapshot, statistics and batched query results
+    /// after a chain of deltas with a compaction in the middle. The
+    /// first sweep runs before any delta, so a sweep after a delta that
+    /// read a stale plan would show; re-crawls flip records into and
+    /// out of the match set. Every sweep equals the sweep of a scratch
+    /// build.
     #[test]
     fn delta_equals_scratch(
         base in proptest::collection::vec(any_record(), 0..25),
-        adds in proptest::collection::vec(any_record(), 0..10),
-        retire_sel in proptest::collection::vec(any::<usize>(), 0..6),
+        deltas in proptest::collection::vec(any_delta(), 2..4),
+        compact_pick in any::<usize>(),
     ) {
-        let retires: Vec<(IpAddr, u16, String)> = if base.is_empty() {
-            Vec::new()
-        } else {
-            retire_sel
-                .iter()
-                .map(|ix| endpoint_key(&base[ix % base.len()]))
-                .collect()
+        let pairs: Vec<(&str, &str)> = vec![("QA", "qa"), ("SY", "sy"), ("US", "us"), ("AA", "aa")];
+        let sweep = |index: &ScanIndex| {
+            index.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied())
         };
         let mut delta = ScanIndex::build(base.clone());
-        let stats = delta.apply_delta(adds.clone(), &retires);
-        prop_assert_eq!(stats.epoch, 1);
-        prop_assert_eq!(stats.added, adds.len());
+        prop_assert_eq!(sweep(&delta), sweep(&ScanIndex::build(base.clone())));
+        let mut model = base;
+        let last = deltas.len() - 1;
+        let compact_at = compact_pick % last;
+        for (step, (recrawls, fresh, retire_sel, sweep_now)) in deltas.into_iter().enumerate() {
+            let (mut adds, retires): (Vec<ScanRecord>, Vec<(IpAddr, u16, String)>) =
+                if model.is_empty() {
+                    (Vec::new(), Vec::new())
+                } else {
+                    (
+                        recrawls
+                            .iter()
+                            .map(|&(ix, pick)| recrawl(&model[ix % model.len()], pick))
+                            .collect(),
+                        retire_sel
+                            .iter()
+                            .map(|ix| endpoint_key(&model[ix % model.len()]))
+                            .collect(),
+                    )
+                };
+            adds.extend(fresh);
+            let before = delta.epoch();
+            let stats = delta.apply_delta(adds.clone(), &retires);
+            prop_assert_eq!(stats.epoch, before + 1);
+            prop_assert_eq!(stats.added, adds.len());
+            model = model_apply(model, &adds, &retires);
 
-        let scratch = ScanIndex::build(model_apply(base, &adds, &retires));
-        prop_assert_eq!(delta.to_dump(), scratch.to_dump());
-        prop_assert_eq!(delta.stats(), scratch.stats());
-        prop_assert_eq!(delta.len(), scratch.len());
-        let pairs: Vec<(&str, &str)> = vec![("QA", "qa"), ("SY", "sy"), ("US", "us"), ("AA", "aa")];
-        prop_assert_eq!(
-            delta.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied()),
-            scratch.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied())
-        );
-
-        delta.compact();
-        prop_assert_eq!(delta.records(), scratch.records());
-        prop_assert_eq!(delta.tombstones(), 0);
-        prop_assert_eq!(
-            delta.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied()),
-            scratch.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied())
-        );
+            let scratch = ScanIndex::build(model.clone());
+            prop_assert_eq!(delta.to_dump(), scratch.to_dump());
+            prop_assert_eq!(delta.stats(), scratch.stats());
+            prop_assert_eq!(delta.len(), scratch.len());
+            if sweep_now || step == last {
+                prop_assert_eq!(sweep(&delta), sweep(&scratch), "after delta {}", step);
+            }
+            if step == compact_at {
+                delta.compact();
+                prop_assert_eq!(delta.records(), scratch.records());
+                prop_assert_eq!(delta.tombstones(), 0);
+                if sweep_now {
+                    prop_assert_eq!(sweep(&delta), sweep(&scratch), "after compaction");
+                }
+            }
+        }
     }
 
     /// Shard count never changes what queries return — only where the

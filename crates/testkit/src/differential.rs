@@ -58,9 +58,12 @@ fn diff_or_ok(name: &str, a: &str, b: &str) -> Result<(), String> {
 }
 
 /// Serial and parallel keyword sweeps must produce identical hits.
+/// Each runs on an index of its own, so both scan every record.
 pub fn check_serial_vs_parallel(plan: &ScenarioPlan) -> Result<(), String> {
     let gw = build_world(plan);
-    let index = ScanEngine::new().scan(&gw.net);
+    let serial_index = ScanEngine::new().scan(&gw.net);
+    // A clone taken before any sweep carries no sweep plan.
+    let parallel_index = serial_index.clone();
     let pairs: Vec<(String, String)> = gw
         .net
         .registry()
@@ -68,8 +71,16 @@ pub fn check_serial_vs_parallel(plan: &ScenarioPlan) -> Result<(), String> {
         .map(|c| (c.code.as_str().to_string(), c.cctld.clone()))
         .collect();
     let scope = || pairs.iter().map(|(cc, tld)| (cc.as_str(), tld.as_str()));
-    let serial = index.search_products_with_threads(keywords::KEYWORD_TABLE, scope(), 1);
-    let parallel = index.search_products_with_threads(keywords::KEYWORD_TABLE, scope(), 8);
+    let serial = serial_index.search_products_with_threads(keywords::KEYWORD_TABLE, scope(), 1);
+    let parallel = parallel_index.search_products_with_threads(keywords::KEYWORD_TABLE, scope(), 8);
+    for (name, index) in [("serial", &serial_index), ("parallel", &parallel_index)] {
+        let stats = index.sweep_cache_stats();
+        if stats != (0, 1) {
+            return Err(format!(
+                "{name} sweep: cache (hits, misses) {stats:?}, expected one miss that scans"
+            ));
+        }
+    }
     diff_or_ok(
         "serial vs parallel sweep",
         &format!("{serial:?}"),
