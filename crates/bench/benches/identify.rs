@@ -7,8 +7,10 @@
 //! 1. `sweep/naive` — the pre-optimization shape: one full-index pass
 //!    per (keyword, country) pair, recompiling the pattern on every
 //!    probe, no posting-list scoping;
-//! 2. `sweep/cached-corpus` — posting-list-scoped per-keyword queries
-//!    over the corpus cached at index build time;
+//! 2. `sweep/cached-corpus` — posting-list-scoped per-keyword queries,
+//!    each matching a record's own searchable text and folding ASCII
+//!    case as it compares (the name dates from when the index kept a
+//!    lowercased copy of every text; now no copy is made at all);
 //! 3. `sweep/automaton` — every keyword fused into one Aho-Corasick
 //!    automaton, a repeat serial sweep: the plan cached on the index
 //!    already holds every record's matches, so the sweep scans nothing
@@ -25,7 +27,8 @@
 //! 7. `sweep/sharded-parallel-100k` — a repeat sweep over the cached
 //!    plan;
 //! 8. `ingest/full-rebuild-100k` — from-scratch index build over all
-//!    10⁵ records;
+//!    10⁵ records: interning labels and posting each record, which
+//!    already holds its searchable text in its own buffer;
 //! 9. `ingest/delta-1pct-100k` — `apply_delta` carrying a 1% churn
 //!    (500 appeared + 500 disappeared endpoints) into an existing
 //!    index.
@@ -47,7 +50,8 @@ use filterwatch_scanner::{
 
 /// The seed implementation of the whole keyword × ccTLD sweep, kept
 /// here as the baseline rung: a full-index scan per (keyword, country)
-/// pair, pattern recompiled per probe, no posting-list scoping.
+/// pair, pattern recompiled per probe, no posting-list scoping. The
+/// case-insensitive pattern reads each record's raw searchable text.
 fn naive_sweep(index: &ScanIndex, cctlds: &[(String, String)]) -> usize {
     let mut total = 0;
     for product in keywords::KEYWORD_TABLE {
@@ -56,15 +60,14 @@ fn naive_sweep(index: &ScanIndex, cctlds: &[(String, String)]) -> usize {
             for (cc, tld) in cctlds {
                 let pattern = Pattern::literal(kw);
                 let suffix = format!(".{tld}");
-                let scoped = |r: &&ScanRecord| {
-                    r.country.as_deref() == Some(cc.as_str())
-                        || r.hostnames
-                            .iter()
+                let scoped = |r: &ScanRecord| {
+                    r.country() == Some(cc.as_str())
+                        || r.hostnames()
                             .any(|h| h.to_ascii_lowercase().ends_with(&suffix))
                 };
-                for (i, r) in index.records().iter().enumerate() {
-                    if pattern.is_match(index.corpus_of(i)) && scoped(&r) {
-                        seen.insert((r.ip.value(), r.port, r.path.clone()));
+                for r in index.records() {
+                    if pattern.is_match(r.searchable_text()) && scoped(r) {
+                        seen.insert((r.ip().value(), r.port(), r.path().to_string()));
                     }
                 }
             }
@@ -74,8 +77,8 @@ fn naive_sweep(index: &ScanIndex, cctlds: &[(String, String)]) -> usize {
     total
 }
 
-/// Rung 2: per-keyword queries against the cached corpus and posting
-/// lists (no automaton, no parallelism).
+/// Rung 2: per-keyword queries against each record's text and the
+/// posting lists (no automaton, no parallelism).
 fn cached_corpus_sweep(index: &ScanIndex, cctlds: &[(String, String)]) -> usize {
     let mut total = 0;
     for product in keywords::KEYWORD_TABLE {

@@ -19,7 +19,7 @@ use filterwatch_netsim::{Internet, IpAddr};
 
 use crate::engine::{live_hosts, owned_probes, probe_host, snippet, DEFAULT_PROBES};
 use crate::index::ScanIndex;
-use crate::record::ScanRecord;
+use crate::record::{RecordParts, ScanRecord};
 
 /// One raw census observation: no metadata, just bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,17 +82,19 @@ pub fn enrich(
 ) -> ScanIndex {
     let enriched = records
         .into_iter()
-        .map(|r| ScanRecord {
-            country: geo.lookup(r.ip.value()).map(str::to_string),
-            asn: asn.lookup(r.ip.value()).map(|rec| rec.asn),
-            // The census has no reverse DNS; hostnames stay empty.
-            hostnames: Vec::new(),
-            ip: r.ip,
-            port: r.port,
-            path: r.path,
-            banner: r.banner,
-            body_snippet: r.body_snippet,
-            captured_at,
+        .map(|r| {
+            ScanRecord::new(RecordParts {
+                ip: r.ip,
+                port: r.port,
+                path: &r.path,
+                // The census has no reverse DNS; hostnames stay empty.
+                hostnames: &[] as &[&str],
+                banner: &r.banner,
+                body_snippet: &r.body_snippet,
+                country: geo.lookup(r.ip.value()),
+                asn: asn.lookup(r.ip.value()).map(|rec| rec.asn),
+                captured_at,
+            })
         })
         .collect();
     ScanIndex::build(enriched)
@@ -156,9 +158,9 @@ mod tests {
         let index = enrich(records, &geo, &asndb, SimTime::ZERO);
         assert!(!index.is_empty());
         for r in index.records() {
-            assert_eq!(r.country.as_deref(), Some("QA"));
-            assert_eq!(r.asn, Some(42298));
-            assert!(r.hostnames.is_empty(), "census has no reverse DNS");
+            assert_eq!(r.country(), Some("QA"));
+            assert_eq!(r.asn(), Some(42298));
+            assert_eq!(r.hostnames().len(), 0, "census has no reverse DNS");
         }
         // Keyword search works on the enriched index.
         assert!(!index.search("netsweeper").is_empty());
@@ -171,8 +173,11 @@ mod tests {
         let shodan = crate::ScanEngine::new().with_threads(1).scan(&net);
         assert_eq!(census.len(), shodan.len());
         for (c, s) in census.iter().zip(shodan.records()) {
-            assert_eq!((c.ip, c.port, &c.path), (s.ip, s.port, &s.path));
-            assert_eq!(c.banner, s.banner);
+            assert_eq!(
+                (c.ip, c.port, c.path.as_str()),
+                (s.ip(), s.port(), s.path())
+            );
+            assert_eq!(c.banner, s.banner());
         }
     }
 }

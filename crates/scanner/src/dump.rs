@@ -19,7 +19,7 @@ use filterwatch_telemetry::wire::{
 };
 
 use crate::index::ScanIndex;
-use crate::record::ScanRecord;
+use crate::record::{RecordParts, ScanRecord};
 
 /// Format marker written as the first line of every dump.
 const MAGIC: &str = "filterwatch-scan-dump v1";
@@ -29,40 +29,49 @@ const MAGIC: &str = "filterwatch-scan-dump v1";
 /// An absent country or asn is written as `-`.
 impl Wire for ScanRecord {
     fn to_line(&self) -> String {
+        let hostnames: Vec<&str> = self.hostnames().collect();
         format!(
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.ip,
-            self.port,
-            escape(&self.path),
-            self.country
-                .as_deref()
-                .map_or_else(|| ABSENT.to_string(), escape),
-            self.asn
+            self.ip(),
+            self.port(),
+            escape(self.path()),
+            self.country().map_or_else(|| ABSENT.to_string(), escape),
+            self.asn()
                 .map_or_else(|| ABSENT.to_string(), |a| a.to_string()),
-            encode_list(&self.hostnames),
-            self.captured_at.secs(),
-            escape(&self.banner),
-            escape(&self.body_snippet),
+            encode_list(&hostnames),
+            self.captured_at().secs(),
+            escape(self.banner()),
+            escape(self.body_snippet()),
         )
     }
 
     fn parse_line(line: &str) -> Result<ScanRecord, WireError> {
         let [ip, port, path, country, asn, hostnames, captured, banner, body] = split(line, '\t')?;
-        Ok(ScanRecord {
-            ip: field("ip", ip)?,
-            port: field("port", port)?,
-            path: unescape("path", path)?,
-            country: optional(country, |c| unescape("country", c))?,
-            asn: optional(asn, |a| field("asn", a))?,
-            hostnames: if hostnames.is_empty() {
-                Vec::new()
-            } else {
-                decode_list("hostnames", hostnames)?
-            },
-            captured_at: SimTime::from_secs(field("captured_at", captured)?),
-            banner: unescape("banner", banner)?,
-            body_snippet: unescape("body_snippet", body)?,
-        })
+        // Fields parse left to right, so the first bad one is reported.
+        let ip = field("ip", ip)?;
+        let port = field("port", port)?;
+        let path = unescape("path", path)?;
+        let country = optional(country, |c| unescape("country", c))?;
+        let asn = optional(asn, |a| field("asn", a))?;
+        let hostnames = if hostnames.is_empty() {
+            Vec::new()
+        } else {
+            decode_list("hostnames", hostnames)?
+        };
+        let captured_at = SimTime::from_secs(field("captured_at", captured)?);
+        let banner = unescape("banner", banner)?;
+        let body_snippet = unescape("body_snippet", body)?;
+        Ok(ScanRecord::new(RecordParts {
+            ip,
+            port,
+            path: &path,
+            hostnames: &hostnames,
+            banner: &banner,
+            body_snippet: &body_snippet,
+            country: country.as_deref(),
+            asn,
+            captured_at,
+        }))
     }
 }
 
@@ -100,7 +109,7 @@ impl IndexDiff {
 
 /// Compare two snapshots by `(ip, port, path)` endpoint key.
 pub fn diff(older: &ScanIndex, newer: &ScanIndex) -> IndexDiff {
-    let key = |r: &ScanRecord| format!("{}:{}{}", r.ip, r.port, r.path);
+    let key = |r: &ScanRecord| format!("{}:{}{}", r.ip(), r.port(), r.path());
     let old: BTreeMap<String, &ScanRecord> = older.live_records().map(|r| (key(r), r)).collect();
     let new: BTreeMap<String, &ScanRecord> = newer.live_records().map(|r| (key(r), r)).collect();
 
@@ -108,7 +117,7 @@ pub fn diff(older: &ScanIndex, newer: &ScanIndex) -> IndexDiff {
     for (k, rec) in &new {
         match old.get(k) {
             None => out.appeared.push(k.clone()),
-            Some(old_rec) if old_rec.banner != rec.banner => out.changed.push(k.clone()),
+            Some(old_rec) if old_rec.banner() != rec.banner() => out.changed.push(k.clone()),
             Some(_) => {}
         }
     }
@@ -124,25 +133,41 @@ pub fn diff(older: &ScanIndex, newer: &ScanIndex) -> IndexDiff {
 mod tests {
     use super::*;
 
-    fn rec(ip: &str, port: u16, banner: &str) -> ScanRecord {
-        ScanRecord {
+    /// A record at `ip:port` with `path`, `banner`, `body` and
+    /// `hostnames`.
+    fn parts<'a>(
+        ip: &str,
+        port: u16,
+        path: &'a str,
+        banner: &'a str,
+        body: &'a str,
+        hostnames: &'a [&'a str],
+    ) -> ScanRecord {
+        ScanRecord::new(RecordParts {
             ip: ip.parse().unwrap(),
             port,
-            path: "/".into(),
-            banner: banner.into(),
-            body_snippet: "<title>x</title>\nline2\twith tab".into(),
-            hostnames: vec!["a.example".into(), "b.example".into()],
-            country: Some("QA".into()),
+            path,
+            hostnames,
+            banner,
+            body_snippet: body,
+            country: Some("QA"),
             asn: Some(42298),
             captured_at: SimTime::from_days(3),
-        }
+        })
+    }
+
+    const BODY: &str = "<title>x</title>\nline2\twith tab";
+    const HOSTS: [&str; 2] = ["a.example", "b.example"];
+
+    fn rec(ip: &str, port: u16, banner: &str) -> ScanRecord {
+        parts(ip, port, "/", banner, BODY, &HOSTS)
     }
 
     #[test]
     fn dump_round_trip() {
         // Hostnames are a list field: a comma inside one survives.
-        let mut comma = rec("5.0.0.3", 80, "banner");
-        comma.hostnames = vec!["a,b.example".into(), "c.example".into()];
+        let hosts = ["a,b.example", "c.example"];
+        let comma = parts("5.0.0.3", 80, "/", "banner", BODY, &hosts);
         let index = ScanIndex::build(vec![
             rec("5.0.0.1", 80, "HTTP/1.1 200 OK\r\nServer: x\r\n"),
             rec(
@@ -203,9 +228,7 @@ mod tests {
             "\r\n\t\\",
             "a,b",
         ] {
-            let mut r = rec("5.0.0.1", 80, s);
-            r.path = s.into();
-            r.body_snippet = s.into();
+            let r = parts("5.0.0.1", 80, s, s, s, &HOSTS);
             assert_eq!(ScanRecord::parse_line(&r.to_line()), Ok(r));
         }
     }

@@ -11,7 +11,7 @@ use filterwatch_http::{Request, Response, Url};
 use filterwatch_netsim::{Asn, Host, Internet};
 
 use crate::index::ScanIndex;
-use crate::record::ScanRecord;
+use crate::record::{RecordParts, ScanRecord};
 
 /// Probe targets: `(port, path)` pairs the crawler requests on every
 /// address. Port 8080's `/webadmin/` is probed because crawlers record
@@ -81,28 +81,29 @@ impl ScanEngine {
         let hosts: Vec<(Asn, &Host)> = live_hosts(net).collect();
         let scan_chunk = |chunk: &[(Asn, &Host)]| -> Vec<ScanRecord> {
             let mut out = Vec::new();
+            let mut banner = String::new();
             for &(asn, host) in chunk {
+                let country = net.registry().as_record(asn).map(|rec| rec.country);
                 probe_host(net, host, &self.probes, |port, path, resp| {
-                    out.push(ScanRecord {
+                    banner.clear();
+                    resp.write_banner(&mut banner);
+                    out.push(ScanRecord::new(RecordParts {
                         ip: host.ip,
                         port,
-                        path: path.to_string(),
-                        banner: resp.banner(),
-                        body_snippet: snippet(&resp),
-                        hostnames: host.hostnames.clone(),
-                        country: net
-                            .registry()
-                            .as_record(asn)
-                            .map(|rec| rec.country.to_string()),
+                        path,
+                        hostnames: &host.hostnames,
+                        banner: &banner,
+                        body_snippet: &snippet(&resp),
+                        country: country.as_ref().map(|c| c.as_str()),
                         asn: Some(asn.0),
                         captured_at: net.now(),
-                    });
+                    }));
                 });
             }
             out
         };
         let mut records = crate::merge::ordered_parallel(&hosts, self.threads, scan_chunk);
-        records.sort_by(|a, b| (a.ip, a.port, &a.path).cmp(&(b.ip, b.port, &b.path)));
+        records.sort_by(|a, b| (a.ip(), a.port(), a.path()).cmp(&(b.ip(), b.port(), b.path())));
 
         // An empty address space sends no probes and records no counters.
         if addresses > 0 {
@@ -110,7 +111,7 @@ impl ScanEngine {
             telemetry.counter_add("scan.banners", "", records.len() as u64);
         }
         for r in &records {
-            telemetry.observe("scan.banner_bytes", "", r.body_snippet.len() as f64);
+            telemetry.observe("scan.banner_bytes", "", r.body_snippet().len() as f64);
         }
         telemetry.event(
             net.now().secs(),
@@ -214,7 +215,11 @@ mod tests {
         let index = ScanEngine::new().with_threads(2).scan(&net);
         // Console answers on 8080 for both "/" and "/webadmin/", portal on 80.
         assert_eq!(index.len(), 3);
-        let texts: Vec<&str> = (0..index.len()).map(|i| index.corpus_of(i)).collect();
+        let texts: Vec<&str> = index
+            .records()
+            .iter()
+            .map(ScanRecord::searchable_text)
+            .collect();
         assert!(texts.iter().any(|t| t.contains("8080/webadmin/")));
         assert!(texts.iter().any(|t| t.contains("ooredoo")));
     }
@@ -224,8 +229,8 @@ mod tests {
         let net = world();
         let index = ScanEngine::new().with_threads(1).scan(&net);
         for r in index.records() {
-            assert_eq!(r.country.as_deref(), Some("QA"));
-            assert_eq!(r.asn, Some(42298));
+            assert_eq!(r.country(), Some("QA"));
+            assert_eq!(r.asn(), Some(42298));
         }
     }
 
@@ -242,6 +247,6 @@ mod tests {
         let net = world();
         let index = ScanEngine::new().with_probes(&[(80, "/")]).scan(&net);
         assert_eq!(index.len(), 1);
-        assert_eq!(index.records()[0].port, 80);
+        assert_eq!(index.records()[0].port(), 80);
     }
 }

@@ -1,17 +1,20 @@
 //! The keyword-searchable scan index — sharded and incrementally
 //! ingestable.
 //!
-//! The index is *query-compiled*: [`ScanIndex::build`] writes each
-//! record's searchable text exactly once into one lowercased corpus
-//! arena and posts it into per-shard country / ccTLD-suffix posting
-//! bitsets, so the paper's keyword + ccTLD query form touches only
-//! in-scope records and never rebuilds a record's text. On top of that,
-//! three things make it hold up at Shodan scale:
+//! The index is *query-compiled*: [`ScanIndex::build`] keeps each
+//! record as it arrives, one buffer that already holds its searchable
+//! text in raw case, and posts it into per-shard country /
+//! ccTLD-suffix posting bitsets, so the paper's keyword + ccTLD query
+//! form touches only in-scope records and never copies a record's
+//! text. Every query folds ASCII case as it matches (the sweep's
+//! automaton in its byte-class map, single-keyword queries through one
+//! folding substring test), so no lowercased copy of the corpus exists.
+//! On top of that, three things make it hold up at Shodan scale:
 //!
 //! * **Sharding** — records are partitioned by a stable hash of their
 //!   country (hostname fallback) into [`IndexShard`]s. The record arena
-//!   and corpus stay global (arena ids are global), so cross-shard
-//!   query merges are plain ascending bitset iteration; what a shard
+//!   stays global (arena ids are global), so cross-shard query merges
+//!   are plain ascending bitset iteration; what a shard
 //!   localizes is *mutation*: a re-crawl delta touches only the shards
 //!   its records hash into.
 //! * **Incremental ingest** — [`ScanIndex::apply_delta`] applies
@@ -65,17 +68,59 @@ fn ascii_lowercase(host: &str) -> Cow<'_, str> {
     }
 }
 
+/// Whether `text` holds `keyword` with ASCII case folded on both
+/// sides: what `text.to_ascii_lowercase().contains(&keyword.to_ascii_lowercase())`
+/// answers, without either copy. Every single-keyword query matches
+/// through here, and the sweep's folding automaton agrees with it.
+///
+/// A candidate start is one whose byte matches the keyword's first
+/// byte and whose byte `len - 1` further on matches its last. Starts are
+/// tested 32 at a time in a loop the compiler vectorizes (the last
+/// block overlaps the one before it), and only candidates are compared
+/// in full.
+fn contains_folded(text: &str, keyword: &str) -> bool {
+    /// Starts tested per block.
+    const BLOCK: usize = 32;
+    let (text, keyword) = (text.as_bytes(), keyword.as_bytes());
+    let (Some(&first), Some(&last)) = (keyword.first(), keyword.last()) else {
+        return true;
+    };
+    let Some(last_start) = text.len().checked_sub(keyword.len()) else {
+        return false;
+    };
+    // `b | case == want` holds for both cases of an ASCII letter and
+    // only for the byte itself otherwise.
+    let probe = |k: u8| {
+        let case = if k.is_ascii_alphabetic() { 0x20 } else { 0 };
+        (case, k | case)
+    };
+    let ((case0, want0), (case1, want1)) = (probe(first), probe(last));
+    let tail = keyword.len() - 1;
+    let starts = last_start + 1;
+    let candidate = |head: u8, end: u8| ((head | case0) == want0) & ((end | case1) == want1);
+    let matches_at = |i: usize| text[i..i + keyword.len()].eq_ignore_ascii_case(keyword);
+    if starts < BLOCK {
+        return (0..starts).any(|i| candidate(text[i], text[i + tail]) && matches_at(i));
+    }
+    let block = |at: usize| {
+        let heads = &text[at..at + BLOCK];
+        let ends = &text[at + tail..at + tail + BLOCK];
+        let mut hits = [false; BLOCK];
+        for j in 0..BLOCK {
+            hits[j] = candidate(heads[j], ends[j]);
+        }
+        hits.contains(&true) && (0..BLOCK).any(|j| hits[j] && matches_at(at + j))
+    };
+    (0..starts / BLOCK).any(|n| block(n * BLOCK)) || (starts % BLOCK != 0 && block(starts - BLOCK))
+}
+
 /// A built scan index (the Shodan analog).
 #[derive(Debug)]
 pub struct ScanIndex {
     /// Record arena, append-only between compactions. Holds retired
-    /// (tombstoned) entries until [`compact`](Self::compact) runs.
+    /// (tombstoned) entries until [`compact`](Self::compact) runs. Each
+    /// record's own buffer is the text every query matches against.
     records: Vec<ScanRecord>,
-    /// The cached corpus every query matches against: each arena slot's
-    /// lowercased searchable text, back to back in one byte arena.
-    corpus: String,
-    /// Where each slot's text ends in `corpus` (see [`span`]).
-    corpus_ends: Vec<usize>,
     /// Live arena ids (tombstoned slots are absent).
     live: DenseBitSet,
     /// The posting shards; `shard_of[id]` names each record's shard.
@@ -156,8 +201,6 @@ impl Clone for ScanIndex {
     fn clone(&self) -> Self {
         ScanIndex {
             records: self.records.clone(),
-            corpus: self.corpus.clone(),
-            corpus_ends: self.corpus_ends.clone(),
             live: self.live.clone(),
             shards: self.shards.clone(),
             shard_of: self.shard_of.clone(),
@@ -177,8 +220,7 @@ impl Clone for ScanIndex {
 
 impl ScanIndex {
     /// Build a sharded index from crawler records with the default
-    /// shard count, caching each record's lowercased searchable text
-    /// and the per-shard posting bitsets.
+    /// shard count, posting each record into the per-shard bitsets.
     pub fn build(records: Vec<ScanRecord>) -> Self {
         Self::build_with(records, ShardConfig::default())
     }
@@ -190,8 +232,6 @@ impl ScanIndex {
         let shards = config.shards.max(1);
         let mut index = ScanIndex {
             records: Vec::new(),
-            corpus: String::new(),
-            corpus_ends: Vec::new(),
             live: DenseBitSet::with_bits(records.len()),
             shards: vec![IndexShard::default(); shards],
             shard_of: Vec::new(),
@@ -206,32 +246,27 @@ impl ScanIndex {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
         };
-        index.reserve_for(&records);
+        index.reserve(records.len());
         for record in records {
             index.ingest(record);
         }
         index
     }
 
-    /// Append one record: write its lowercased text into the corpus
-    /// arena, post it into its shard, index its endpoint. Returns the
-    /// arena id. Its interned hostname is the only heap object a record
-    /// adds (a hostname with uppercase bytes is lowercased into a
-    /// temporary copy first).
+    /// Append one record: keep it in the arena, post it into its
+    /// shard, index its endpoint. Returns the arena id. A record adds no
+    /// heap object of its own: its interned labels go into the
+    /// interner's arena (a hostname with uppercase bytes is lowercased
+    /// into a temporary copy first).
     fn ingest(&mut self, record: ScanRecord) -> usize {
         let id = self.records.len();
-        let start = self.corpus.len();
-        record.push_searchable_text(&mut self.corpus);
-        self.corpus[start..].make_ascii_lowercase();
-        self.corpus_ends.push(self.corpus.len());
-
-        let country = record.country.as_deref().map(|c| self.labels.intern(c));
+        let country = record.country().map(|c| self.labels.intern(c));
         // The shard hashes the country code, falling back to the first
         // lowercased hostname, so a country's re-crawl delta lands in
         // one shard.
-        let mut shard_key = record.country.as_deref().map(|c| fnv1a(c.as_bytes()));
+        let mut shard_key = record.country().map(|c| fnv1a(c.as_bytes()));
         let first_suffix = self.suffixes.len();
-        for hostname in &record.hostnames {
+        for hostname in record.hostnames() {
             let lower = ascii_lowercase(hostname);
             shard_key.get_or_insert_with(|| fnv1a(lower.as_bytes()));
             // Hostnames get dense ids too (debug/stats surface); the
@@ -254,35 +289,18 @@ impl ScanIndex {
         self.countries.push(country);
         self.shard_of.push(shard);
         self.live.insert(id);
-        self.by_endpoint.insert((record.ip, record.port, id));
+        self.by_endpoint.insert((record.ip(), record.port(), id));
         self.records.push(record);
         id
     }
 
-    /// Pre-size the append-only arenas for `additional` expected
-    /// records, the corpus arena at the mean text length so far. Purely
-    /// an amortization hint for a steady delta stream (a freshly built
-    /// index already carries growth slack; a cloned one is trimmed to
-    /// exact capacity and would otherwise pay one full-arena copy on
-    /// its first append). Never changes results.
+    /// Pre-size every per-record arena for `additional` expected
+    /// records. Purely an amortization hint for a steady delta stream
+    /// (a freshly built index already carries growth slack; a cloned one
+    /// is trimmed to exact capacity and would otherwise pay one
+    /// full-arena copy on its first append). Never changes results.
     pub fn reserve(&mut self, additional: usize) {
-        let mean_text = self.corpus.len() / self.records.len().max(1);
-        self.reserve_arenas(additional, additional.saturating_mul(mean_text));
-    }
-
-    /// Pre-size the arenas for exactly `records`: one slot each, and
-    /// corpus bytes for all of their texts.
-    fn reserve_for(&mut self, records: &[ScanRecord]) {
-        let text: usize = records.iter().map(ScanRecord::searchable_len_bound).sum();
-        self.reserve_arenas(records.len(), text);
-    }
-
-    /// Grow every per-slot arena by `additional` slots and the corpus
-    /// arena by `text_bytes`.
-    fn reserve_arenas(&mut self, additional: usize, text_bytes: usize) {
         self.records.reserve(additional);
-        self.corpus.reserve(text_bytes);
-        self.corpus_ends.reserve(additional);
         self.shard_of.reserve(additional);
         self.countries.reserve(additional);
         self.suffix_ends.reserve(additional);
@@ -308,9 +326,10 @@ impl ScanIndex {
         let added = adds.len();
         // Grow the arenas once for the whole delta rather than by
         // repeated doubling.
-        self.reserve_for(&adds);
+        self.reserve(adds.len());
         for record in adds {
-            retired += self.retire_endpoint(record.ip, record.port, &record.path, &mut touched);
+            retired +=
+                self.retire_endpoint(record.ip(), record.port(), record.path(), &mut touched);
             let id = self.ingest(record);
             touched.insert(self.shard_of[id]);
         }
@@ -331,7 +350,7 @@ impl ScanIndex {
         self.by_endpoint
             .range((ip, port, from)..=(ip, port, usize::MAX))
             .map(|&(_, _, id)| id)
-            .find(|&id| self.records[id].path == path)
+            .find(|&id| self.records[id].path() == path)
     }
 
     /// Tombstone every live record at `(ip, port, path)`: clear its
@@ -404,10 +423,10 @@ impl ScanIndex {
     }
 
     /// A new index over the same live records in a deterministically
-    /// shuffled order (seeded Fisher–Yates), postings and corpus
-    /// rebuilt to match. Identification is defined to be
-    /// record-order-invariant; metamorphic tests permute an index with
-    /// this and byte-compare the resulting reports.
+    /// shuffled order (seeded Fisher–Yates), postings rebuilt to match.
+    /// Identification is defined to be record-order-invariant;
+    /// metamorphic tests permute an index with this and byte-compare the
+    /// resulting reports.
     pub fn shuffled(&self, seed: u64) -> ScanIndex {
         use rand::Rng as _;
         use rand::SeedableRng as _;
@@ -423,12 +442,6 @@ impl ScanIndex {
                 shards: self.shards.len().max(1),
             },
         )
-    }
-
-    /// The cached, lowercased searchable text of the record at arena
-    /// id `index` (parallel to [`records`](Self::records)).
-    pub fn corpus_of(&self, index: usize) -> &str {
-        &self.corpus[span(&self.corpus_ends, index)]
     }
 
     /// Number of live records.
@@ -485,9 +498,9 @@ impl ScanIndex {
         )
     }
 
-    /// Keyword search: case-insensitive substring match over each live
-    /// record's cached searchable text (banner, body snippet,
-    /// hostnames, `port/path`).
+    /// Keyword search: ASCII-case-insensitive substring match over each
+    /// live record's searchable text (banner, body snippet, hostnames,
+    /// `port/path`).
     pub fn search(&self, keyword: &str) -> Vec<&ScanRecord> {
         self.search_ids(keyword)
             .into_iter()
@@ -496,14 +509,17 @@ impl ScanIndex {
     }
 
     /// Arena ids of the live records matching `keyword`, ascending.
-    /// Pair with [`corpus_of`](Self::corpus_of) /
-    /// [`records`](Self::records).
+    /// Pair with [`records`](Self::records).
     pub fn search_ids(&self, keyword: &str) -> Vec<usize> {
-        let needle = keyword.to_ascii_lowercase();
         self.live
             .iter()
-            .filter(|&i| self.corpus_of(i).contains(&needle))
+            .filter(|&i| self.matches(i, keyword))
             .collect()
+    }
+
+    /// Whether the record at arena id `id` matches `keyword`.
+    fn matches(&self, id: usize, keyword: &str) -> bool {
+        contains_folded(self.records[id].searchable_text(), keyword)
     }
 
     /// Union the `(country_code, cctld)` scope postings into `scope`
@@ -547,10 +563,9 @@ impl ScanIndex {
         country_code: &str,
         cctld: &str,
     ) -> Vec<&ScanRecord> {
-        let needle = keyword.to_ascii_lowercase();
         self.scope_ids(country_code, cctld)
             .into_iter()
-            .filter(|&i| self.corpus_of(i as usize).contains(&needle))
+            .filter(|&i| self.matches(i as usize, keyword))
             .map(|i| &self.records[i as usize])
             .collect()
     }
@@ -563,13 +578,12 @@ impl ScanIndex {
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
-        let needle = keyword.to_ascii_lowercase();
         let mut seen = vec![false; self.records.len()];
         let mut out = Vec::new();
         for (cc, tld) in cctlds {
             for i in self.scope_ids(cc, tld) {
                 let i = i as usize;
-                if !seen[i] && self.corpus_of(i).contains(&needle) {
+                if !seen[i] && self.matches(i, keyword) {
                     seen[i] = true;
                     out.push(&self.records[i]);
                 }
@@ -626,7 +640,7 @@ impl ScanIndex {
             if !scope.contains(record_index) {
                 continue;
             }
-            let ip = self.records[record_index].ip;
+            let ip = self.records[record_index].ip();
             for &id in ids {
                 let (pi, ki) = plan.id_to_entry[id];
                 matched
@@ -687,21 +701,24 @@ impl ScanIndex {
     /// The merge keeps the matches in arena order, identical for serial
     /// and parallel runs.
     fn compile_plan(&self, table: &[ProductKeywords], table_fp: u64, threads: usize) -> SweepPlan {
-        let mut needles: Vec<(usize, String)> = Vec::new();
+        let mut needles: Vec<(usize, &str)> = Vec::new();
         let mut id_to_entry: Vec<(usize, usize)> = Vec::new();
         for (pi, product) in table.iter().enumerate() {
             for (ki, kw) in product.keywords.iter().enumerate() {
-                needles.push((id_to_entry.len(), kw.to_ascii_lowercase()));
+                needles.push((id_to_entry.len(), *kw));
                 id_to_entry.push((pi, ki));
             }
         }
-        let automaton = Automaton::new(needles, false); // corpus is pre-folded
+        // The automaton folds ASCII case in its class map, so it matches
+        // each record's raw text as `contains_folded` does.
+        let automaton = Automaton::new(needles, true);
         let scan = |ids: &[u32]| -> Vec<(u32, Vec<usize>)> {
             let mut hit = Vec::new();
             let mut found = Vec::new();
             let mut out = Vec::new();
             for &i in ids {
-                automaton.matched_ids_into(self.corpus_of(i as usize), &mut hit, &mut found);
+                let text = self.records[i as usize].searchable_text();
+                automaton.matched_ids_into(text, &mut hit, &mut found);
                 if !found.is_empty() {
                     out.push((i, std::mem::take(&mut found)));
                 }
@@ -717,7 +734,11 @@ impl ScanIndex {
 
     /// Distinct addresses matching `keyword`, ascending.
     pub fn matching_ips(&self, keyword: &str) -> Vec<IpAddr> {
-        let mut out: Vec<IpAddr> = self.search(keyword).into_iter().map(|r| r.ip).collect();
+        let mut out: Vec<IpAddr> = self
+            .search(keyword)
+            .into_iter()
+            .map(ScanRecord::ip)
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -725,18 +746,21 @@ impl ScanIndex {
 
     /// Aggregate statistics over the live records.
     pub fn stats(&self) -> IndexStats {
-        let mut by_country: BTreeMap<String, usize> = BTreeMap::new();
+        let mut by_country: BTreeMap<&str, usize> = BTreeMap::new();
         let mut addresses = BTreeSet::new();
         for r in self.live_records() {
-            addresses.insert(r.ip);
-            if let Some(c) = &r.country {
-                *by_country.entry(c.clone()).or_default() += 1;
+            addresses.insert(r.ip());
+            if let Some(c) = r.country() {
+                *by_country.entry(c).or_default() += 1;
             }
         }
         IndexStats {
             records: self.live.len(),
             addresses: addresses.len(),
-            by_country,
+            by_country: by_country
+                .into_iter()
+                .map(|(c, n)| (c.to_string(), n))
+                .collect(),
         }
     }
 }
@@ -745,41 +769,44 @@ impl ScanIndex {
 mod tests {
     use super::*;
     use crate::keywords::{ProductKeywords, KEYWORD_TABLE};
+    use crate::record::RecordParts;
     use filterwatch_netsim::SimTime;
     use filterwatch_telemetry::wire::Wire;
 
     fn rec(ip: &str, port: u16, banner: &str, host: &str, country: &str) -> ScanRecord {
-        ScanRecord {
+        ScanRecord::new(RecordParts {
             ip: ip.parse().unwrap(),
             port,
-            path: "/".into(),
-            banner: banner.into(),
-            body_snippet: String::new(),
-            hostnames: vec![host.into()],
-            country: Some(country.into()),
+            path: "/",
+            hostnames: &[host],
+            banner,
+            body_snippet: "",
+            country: Some(country),
             asn: Some(1),
             captured_at: SimTime::ZERO,
-        }
+        })
     }
 
-    /// A record's searchable text, formatted and ASCII-lowercased here
-    /// as the reference the corpus arena must reproduce.
+    /// A record's searchable text, formatted here from its fields as the
+    /// reference its buffer must reproduce.
     fn reference_text(r: &ScanRecord) -> String {
         format!(
             "{} {}{} {} {} {}",
-            r.ip,
-            r.port,
-            r.path,
-            r.hostnames.join(" "),
-            r.banner,
-            r.body_snippet
+            r.ip(),
+            r.port(),
+            r.path(),
+            r.hostnames().collect::<Vec<_>>().join(" "),
+            r.banner(),
+            r.body_snippet()
         )
-        .to_ascii_lowercase()
     }
 
-    /// Every arena slot's corpus text, in arena order.
-    fn corpus_texts(idx: &ScanIndex) -> Vec<&str> {
-        (0..idx.records().len()).map(|i| idx.corpus_of(i)).collect()
+    /// Every arena slot's searchable text, in arena order.
+    fn texts(idx: &ScanIndex) -> Vec<&str> {
+        idx.records()
+            .iter()
+            .map(ScanRecord::searchable_text)
+            .collect()
     }
 
     fn index() -> ScanIndex {
@@ -800,17 +827,74 @@ mod tests {
     }
 
     #[test]
-    fn corpus_is_cached_and_lowercased() {
+    fn records_hold_their_searchable_text_in_raw_case() {
         let idx = index();
-        assert_eq!(corpus_texts(&idx).len(), idx.len());
-        assert!(idx.corpus_of(0).contains("server: proxysg"));
-        assert!(idx.corpus_of(1).contains("gw.isp.qa"));
-        assert_eq!(idx.corpus_of(2), "5.0.2.1 80/ www.plain.se server: apache ");
-        for (text, record) in corpus_texts(&idx).into_iter().zip(idx.records()) {
+        assert_eq!(texts(&idx).len(), idx.len());
+        assert!(texts(&idx)[0].contains("Server: ProxySG"));
+        assert!(texts(&idx)[1].contains("gw.isp.qa"));
+        assert_eq!(texts(&idx)[2], "5.0.2.1 80/ www.plain.se Server: Apache ");
+        for (text, record) in texts(&idx).into_iter().zip(idx.records()) {
             assert_eq!(text, reference_text(record));
         }
-        // The texts tile the arena: nothing before, between or after.
-        assert_eq!(corpus_texts(&idx).concat(), idx.corpus);
+    }
+
+    #[test]
+    fn folding_substring_test_equals_lowercased_contains() {
+        // Texts longer than one block, with matches straddling a block
+        // edge and at the very end.
+        let long = format!("{}ProxySG{}@[`{{", "x".repeat(29), "y".repeat(40));
+        let texts = [
+            "",
+            "a",
+            "ProxySG",
+            "xPROXYsgx",
+            "Ünïcode PROXY",
+            "proxys",
+            &long,
+        ];
+        let keywords = [
+            "", "proxysg", "PROXYSG", "sgx", "ünï", "Ü", "y", "proxysgg", "@[`{", "`{", "@{", "x",
+            "yy@[",
+        ];
+        for text in texts {
+            for keyword in keywords {
+                assert_eq!(
+                    contains_folded(text, keyword),
+                    text.to_ascii_lowercase()
+                        .contains(&keyword.to_ascii_lowercase()),
+                    "{text:?} / {keyword:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn country_never_completes_a_keyword() {
+        // The country is stored right after the body, outside the
+        // searchable span: `proxys` + `G` must not read as `proxysg`.
+        let idx = ScanIndex::build(vec![ScanRecord::new(RecordParts {
+            ip: "5.0.0.1".parse().unwrap(),
+            port: 80,
+            path: "/",
+            hostnames: &["gw.example.sy"],
+            banner: "Server: x",
+            body_snippet: "<p>proxys",
+            country: Some("G"),
+            asn: None,
+            captured_at: SimTime::ZERO,
+        })]);
+        assert!(idx.records()[0].searchable_text().ends_with("proxys"));
+        assert!(idx.search("proxysg").is_empty());
+        assert!(idx.search_ids("PROXYSG").is_empty());
+        assert!(idx.search_in_country("proxysg", "G", "sy").is_empty());
+        assert!(idx
+            .search_all_countries("proxysg", [("G", "sy")])
+            .is_empty());
+        assert!(idx.matching_ips("proxysg").is_empty());
+        let hits = idx.search_products(KEYWORD_TABLE, [("G", "sy")]);
+        assert!(hits.values().all(BTreeMap::is_empty));
+        // The body's own text still matches, in the record's scope.
+        assert_eq!(idx.search_in_country("proxys", "G", "zz").len(), 1);
     }
 
     #[test]
@@ -818,7 +902,7 @@ mod tests {
         let idx = index();
         let sy = idx.search_in_country("proxysg", "SY", "sy");
         assert_eq!(sy.len(), 1);
-        assert_eq!(sy[0].ip.to_string(), "5.0.0.1");
+        assert_eq!(sy[0].ip().to_string(), "5.0.0.1");
         // ccTLD match works even if metadata were missing: the .qa
         // hostname qualifies the record for QA.
         let qa = idx.search_in_country("netsweeper", "QA", "qa");
@@ -904,19 +988,15 @@ mod tests {
         let idx = index();
         let shuffled = idx.shuffled(42);
         // Same record multiset (here: same sorted (ip, port) keys).
-        let mut orig: Vec<_> = idx.records().iter().map(|r| (r.ip, r.port)).collect();
-        let mut perm: Vec<_> = shuffled.records().iter().map(|r| (r.ip, r.port)).collect();
+        let key = |r: &ScanRecord| (r.ip(), r.port());
+        let mut orig: Vec<_> = idx.records().iter().map(key).collect();
+        let mut perm: Vec<_> = shuffled.records().iter().map(key).collect();
         orig.sort_unstable();
         perm.sort_unstable();
         assert_eq!(orig, perm);
         // Determinism: the same seed yields the same permutation.
-        let again: Vec<_> = idx
-            .shuffled(42)
-            .records()
-            .iter()
-            .map(|r| (r.ip, r.port))
-            .collect();
-        let first: Vec<_> = shuffled.records().iter().map(|r| (r.ip, r.port)).collect();
+        let again: Vec<_> = idx.shuffled(42).records().iter().map(key).collect();
+        let first: Vec<_> = shuffled.records().iter().map(key).collect();
         assert_eq!(first, again);
         // Query results are order-insensitive: the batched sweep over the
         // shuffled index equals the sweep over the original.
@@ -933,7 +1013,7 @@ mod tests {
             rec("5.0.0.1", 80, "x proxysg", "a.example.sy", "SY"),
             rec("5.0.0.1", 8080, "y proxysg", "a.example.sy", "SY"),
         ];
-        records.sort_by_key(|a| (a.ip, a.port));
+        records.sort_by_key(|a| (a.ip(), a.port()));
         let idx = ScanIndex::build(records);
         assert_eq!(idx.matching_ips("proxysg").len(), 1);
     }
@@ -995,7 +1075,7 @@ mod tests {
             recrawl,
         ]);
         assert_eq!(idx.records(), scratch.records());
-        assert_eq!(corpus_texts(&idx), corpus_texts(&scratch));
+        assert_eq!(texts(&idx), texts(&scratch));
         assert_eq!(idx.stats(), scratch.stats());
         // Compacting an already-clean index is a free no-op.
         let epoch = idx.epoch();
@@ -1057,13 +1137,13 @@ mod tests {
         let planted: Vec<_> = records
             .iter()
             .filter(|r| {
-                let text = reference_text(r);
+                let text = reference_text(r).to_ascii_lowercase();
                 KEYWORD_TABLE
                     .iter()
                     .flat_map(|p| p.keywords)
                     .any(|kw| text.contains(&kw.to_ascii_lowercase()))
             })
-            .map(|r| r.ip)
+            .map(ScanRecord::ip)
             .collect();
         assert!(!planted.is_empty());
         let idx = ScanIndex::build(records);

@@ -10,6 +10,11 @@
 //! The table is a hand-rolled FNV-1a open-addressing map (no std
 //! `HashMap`, whose iteration order is seeded per-process and would
 //! trip the determinism lint if it ever leaked into a render path).
+//! Labels sit back to back in one `String` with their end offsets, so
+//! interning a new label allocates nothing of its own, and each slot
+//! keeps the low 32 bits of its label's hash beside the id: a probe
+//! compares hashes before bytes, and growing the table never hashes a
+//! label again.
 
 use filterwatch_telemetry::wire::{decode_list, encode_list, field, tagged, Wire, WireError};
 
@@ -25,7 +30,23 @@ impl Sym {
     }
 }
 
+/// An open-addressing slot: an id (or [`EMPTY_SLOT`]) and the low 32
+/// bits of its label's FNV-1a hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    id: u32,
+    hash: u32,
+}
+
 const EMPTY_SLOT: u32 = u32::MAX;
+const EMPTY: Slot = Slot {
+    id: EMPTY_SLOT,
+    hash: 0,
+};
+
+/// The table starts at this many slots and doubles when three quarters
+/// would be full.
+const MIN_SLOTS: usize = 16;
 
 /// FNV-1a over the label bytes — stable across runs and platforms.
 /// Also used for shard assignment and sweep-plan fingerprints.
@@ -38,59 +59,83 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The low 32 bits of `s`'s FNV-1a hash: what a slot keeps, and all
+/// that picks a slot while the table has at most 2³² of them.
+fn slot_hash(s: &str) -> u32 {
+    fnv1a(s.as_bytes()) as u32
+}
+
 /// Insertion-ordered string interner with open-addressing lookup.
 /// Two interners are equal when they assign the same ids to the same
 /// strings; the slot table is derived from that.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    /// Arena: id → string, in insertion order.
-    arena: Vec<String>,
-    /// Open-addressing slots holding arena ids (or `EMPTY_SLOT`).
-    slots: Vec<u32>,
+    /// Arena: every label in id (insertion) order, back to back.
+    labels: String,
+    /// Where label `id` ends in `labels`; it starts where label
+    /// `id - 1` ends.
+    ends: Vec<usize>,
+    /// Open-addressing slots, a power of two of them (or none before
+    /// the first insert into a `Default` interner).
+    slots: Vec<Slot>,
 }
 
 impl Interner {
     /// An empty interner.
     pub fn new() -> Self {
         Interner {
-            arena: Vec::new(),
-            slots: vec![EMPTY_SLOT; 16],
+            labels: String::new(),
+            ends: Vec::new(),
+            slots: vec![EMPTY; MIN_SLOTS],
         }
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.arena.len()
+        self.ends.len()
     }
 
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.ends.is_empty()
+    }
+
+    /// Label `id`, which must be in range.
+    fn label(&self, id: usize) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.labels[start..self.ends[id]]
+    }
+
+    /// The slot holding `s` (hashing to `hash`) or, when `s` is not
+    /// interned, the empty slot where it would go.
+    fn probe(&self, s: &str, hash: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.id == EMPTY_SLOT || (slot.hash == hash && self.label(slot.id as usize) == s) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// Intern `s`, returning its dense id (existing id if seen before).
     pub fn intern(&mut self, s: &str) -> Sym {
-        if self.slots.is_empty() {
-            self.slots = vec![EMPTY_SLOT; 16];
-        }
-        if (self.arena.len() + 1) * 4 >= self.slots.len() * 3 {
+        if (self.len() + 1) * 4 >= self.slots.len() * 3 {
             self.grow();
         }
-        let mask = self.slots.len() - 1;
-        let mut i = fnv1a(s.as_bytes()) as usize & mask;
-        loop {
-            let slot = self.slots[i];
-            if slot == EMPTY_SLOT {
-                let id = self.arena.len() as u32;
-                self.arena.push(s.to_string());
-                self.slots[i] = id;
-                return Sym(id);
-            }
-            if self.arena[slot as usize] == s {
-                return Sym(slot);
-            }
-            i = (i + 1) & mask;
+        let hash = slot_hash(s);
+        let i = self.probe(s, hash);
+        if self.slots[i].id == EMPTY_SLOT {
+            // Ids are `u32`: `intern` is never asked for 2³² labels
+            // (the slot table would not fit in memory first).
+            let id = self.len() as u32;
+            self.labels.push_str(s);
+            self.ends.push(self.labels.len());
+            self.slots[i] = Slot { id, hash };
         }
+        Sym(self.slots[i].id)
     }
 
     /// Look up an already-interned string without inserting.
@@ -98,28 +143,18 @@ impl Interner {
         if self.slots.is_empty() {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut i = fnv1a(s.as_bytes()) as usize & mask;
-        loop {
-            let slot = self.slots[i];
-            if slot == EMPTY_SLOT {
-                return None;
-            }
-            if self.arena[slot as usize] == s {
-                return Some(Sym(slot));
-            }
-            i = (i + 1) & mask;
-        }
+        let slot = self.slots[self.probe(s, slot_hash(s))];
+        (slot.id != EMPTY_SLOT).then_some(Sym(slot.id))
     }
 
     /// The string for `sym`, if the id is in range.
     pub fn resolve(&self, sym: Sym) -> Option<&str> {
-        self.arena.get(sym.index()).map(String::as_str)
+        (sym.index() < self.len()).then(|| self.label(sym.index()))
     }
 
     /// All interned strings in insertion (id) order.
     pub fn strings(&self) -> impl Iterator<Item = &str> {
-        self.arena.iter().map(String::as_str)
+        (0..self.len()).map(|id| self.label(id))
     }
 
     /// All interned strings sorted lexicographically — the only order
@@ -130,17 +165,18 @@ impl Interner {
         v
     }
 
-    /// Double the slot table and rehash every arena entry.
+    /// Double the slot table (or create it) and re-place every slot
+    /// by the hash it keeps.
     fn grow(&mut self) {
-        let new_len = (self.slots.len() * 2).max(16);
-        let mut slots = vec![EMPTY_SLOT; new_len];
+        let new_len = (self.slots.len() * 2).max(MIN_SLOTS);
+        let mut slots = vec![EMPTY; new_len];
         let mask = new_len - 1;
-        for (id, s) in self.arena.iter().enumerate() {
-            let mut i = fnv1a(s.as_bytes()) as usize & mask;
-            while slots[i] != EMPTY_SLOT {
+        for &slot in self.slots.iter().filter(|slot| slot.id != EMPTY_SLOT) {
+            let mut i = slot.hash as usize & mask;
+            while slots[i].id != EMPTY_SLOT {
                 i = (i + 1) & mask;
             }
-            slots[i] = id as u32;
+            slots[i] = slot;
         }
         self.slots = slots;
     }
@@ -148,7 +184,7 @@ impl Interner {
 
 impl PartialEq for Interner {
     fn eq(&self, other: &Interner) -> bool {
-        self.arena == other.arena
+        self.ends == other.ends && self.labels == other.labels
     }
 }
 
@@ -159,11 +195,8 @@ impl Eq for Interner {}
 /// assignment, so `parse_line` reconstructs identical symbols.
 impl Wire for Interner {
     fn to_line(&self) -> String {
-        format!(
-            "interner: {} {}",
-            self.arena.len(),
-            encode_list(&self.arena)
-        )
+        let labels: Vec<&str> = self.strings().collect();
+        format!("interner: {} {}", labels.len(), encode_list(&labels))
     }
 
     fn parse_line(line: &str) -> Result<Interner, WireError> {
@@ -189,6 +222,7 @@ impl Wire for Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn insertion_order_ids() {
@@ -212,6 +246,65 @@ mod tests {
             assert_eq!(i.get(&format!("host-{n}.example")), Some(Sym(n)));
         }
         assert_eq!(i.len(), 1000);
+    }
+
+    #[test]
+    fn labels_whose_kept_hash_bits_collide_get_distinct_ids() {
+        // Brute-forced: these two labels' FNV-1a hashes differ but share
+        // the low 32 bits a slot keeps, so they also start probing at the
+        // same slot.
+        let (a, b) = ("host-1222881.example", "host-1414990.example");
+        assert_eq!(slot_hash(a), slot_hash(b));
+        assert_ne!(fnv1a(a.as_bytes()), fnv1a(b.as_bytes()));
+        let mut i = Interner::new();
+        assert_eq!(i.intern(a), Sym(0));
+        assert_eq!(i.get(b), None);
+        assert_eq!(i.intern(b), Sym(1));
+        assert_eq!(i.intern(a), Sym(0));
+        assert_eq!(i.get(b), Some(Sym(1)));
+        // They stay apart once growth re-places the slots.
+        for n in 0..100 {
+            i.intern(&format!("pad-{n}"));
+        }
+        assert_eq!((i.get(a), i.get(b)), (Some(Sym(0)), Some(Sym(1))));
+        assert_eq!((i.resolve(Sym(0)), i.resolve(Sym(1))), (Some(a), Some(b)));
+    }
+
+    #[test]
+    fn matches_a_btreemap_model_across_growths() {
+        // 2,000 distinct labels drawn with repeats, among them the empty
+        // label and non-ASCII ones: the 16-slot table doubles 8 times.
+        let mut interner = Interner::default();
+        let mut model: BTreeMap<String, Sym> = BTreeMap::new();
+        let mut x: u64 = 0x9e37_79b9;
+        for _ in 0..6_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let label = match (x >> 33) % 2_000 {
+                0 => String::new(),
+                n if n % 7 == 0 => format!("é{n}.QA"),
+                n => format!("h{n}.isp.qa"),
+            };
+            let next = Sym(model.len() as u32);
+            let want = *model.entry(label.clone()).or_insert(next);
+            assert_eq!(interner.intern(&label), want, "{label:?}");
+        }
+        assert_eq!(interner.len(), model.len());
+        assert!(interner.slots.len() >= 4096);
+        for (label, &sym) in &model {
+            assert_eq!(interner.get(label), Some(sym));
+            assert_eq!(interner.resolve(sym), Some(label.as_str()));
+        }
+        assert_eq!(interner.get("absent"), None);
+        assert_eq!(interner.resolve(Sym(model.len() as u32)), None);
+        let mut by_id: Vec<(Sym, &str)> = model.iter().map(|(l, &s)| (s, l.as_str())).collect();
+        by_id.sort_unstable();
+        assert!(interner.strings().eq(by_id.iter().map(|&(_, l)| l)));
+        let sorted: Vec<&str> = model.keys().map(String::as_str).collect();
+        assert_eq!(interner.sorted_strings(), sorted);
+        let back = Interner::parse_line(&interner.to_line()).expect("parse back");
+        assert_eq!(back, interner);
     }
 
     #[test]

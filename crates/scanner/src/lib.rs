@@ -48,6 +48,6 @@ pub use dump::{diff, IndexDiff};
 pub use engine::ScanEngine;
 pub use index::{DeltaStats, IndexStats, ProductHits, ScanIndex};
 pub use intern::{Interner, Sym};
-pub use record::ScanRecord;
+pub use record::{RecordParts, ScanRecord};
 pub use shard::{IndexShard, ShardConfig, ShardEpoch};
 pub use synth::{synth_churn, synth_records, synth_records_with, SYNTH_COUNTRIES};

@@ -8,12 +8,20 @@
 //! construction. `clippy.toml` disallows every other way to start a
 //! thread.
 
+use std::sync::OnceLock;
+
 /// The worker count parallel stages use unless told otherwise: the
-/// machine's parallelism, at most 8.
+/// machine's parallelism, at most 8. Asked of the OS once per process
+/// (on Linux `available_parallelism` reads the affinity mask and the
+/// cgroup CPU quota, which costs microseconds), so a sweep that scans
+/// nothing pays no system call for it.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(8))
+            .unwrap_or(4)
+    })
 }
 
 /// Split `items` into at most `workers` contiguous chunks, run `f` on
@@ -63,6 +71,13 @@ fn ordered_flatten<T>(groups: Vec<Vec<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_workers_is_computed_once_and_in_range() {
+        let first = default_workers();
+        assert_eq!(default_workers(), first);
+        assert!((1..=8).contains(&first));
+    }
 
     #[test]
     fn flatten_preserves_group_then_item_order() {

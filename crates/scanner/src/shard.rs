@@ -4,8 +4,8 @@
 //! country (falling back to the first hostname) so a re-crawl delta for
 //! one country touches one shard's postings and bumps one shard epoch,
 //! leaving every other shard bitwise identical. Shards do not
-//! own record storage; the record arena and lowercased corpus stay
-//! global (arena ids are global, so cross-shard merges are just bitset
+//! own record storage; the record arena stays global (arena ids are
+//! global, so cross-shard merges are just bitset
 //! iteration in ascending id order). What a shard owns is its *slice of
 //! the posting space*: membership, per-country and per-suffix posting
 //! bitsets, a tombstone count, and the epoch of the last delta that

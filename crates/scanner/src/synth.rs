@@ -21,7 +21,9 @@
 //! identify-style sweeps over a synthetic corpus return non-trivial,
 //! seed-stable hit sets.
 
-use crate::record::ScanRecord;
+use std::fmt::Write as _;
+
+use crate::record::{RecordParts, ScanRecord};
 use filterwatch_netsim::{IpAddr, SimTime};
 
 /// Country pool used by [`synth_records`]: `(country code, ccTLD)`,
@@ -129,11 +131,20 @@ pub fn synth_records_with(
     countries: &[(&str, &str)],
 ) -> Vec<ScanRecord> {
     let mut rng = SplitMix64(seed ^ 0x5371_7468_2d63_6f72); // corpus stream
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        out.push(synth_record(i, ip_base, countries, &mut rng));
-    }
-    out
+    let mut scratch = Scratch::default();
+    (0..count)
+        .map(|i| synth_record(i, ip_base, countries, &mut rng, &mut scratch))
+        .collect()
+}
+
+/// Text buffers reused across records: each field is written once
+/// into its buffer, and [`ScanRecord::new`] copies them into the
+/// record's own.
+#[derive(Default)]
+struct Scratch {
+    host: String,
+    banner: String,
+    body: String,
 }
 
 fn synth_record(
@@ -141,21 +152,27 @@ fn synth_record(
     ip_base: u32,
     countries: &[(&str, &str)],
     rng: &mut SplitMix64,
+    scratch: &mut Scratch,
 ) -> ScanRecord {
+    let Scratch { host, banner, body } = scratch;
     let (cc, cctld) = countries[i % countries.len().max(1)];
     let planted = i % PLANT_EVERY == 0;
     let (port, path) = if planted && i % (2 * PLANT_EVERY) == 0 {
         // Half the plants take the port/path form `8080/webadmin/` that
         // the Netsweeper keywords key on.
-        (8080, "/webadmin/".to_string())
+        (8080, "/webadmin/")
     } else {
-        ([80u16, 8080, 443, 3128][rng.below(4)], "/".to_string())
+        ([80u16, 8080, 443, 3128][rng.below(4)], "/")
     };
     let isp = rng.below(8);
-    let hostnames = vec![format!("h{i}.isp{isp}.{cctld}")];
+    host.clear();
+    // Writing into a `String` cannot fail.
+    let _ = write!(host, "h{i}.isp{isp}.{cctld}");
     let server = rng.word();
     let via = rng.word();
-    let mut banner = format!(
+    banner.clear();
+    let _ = write!(
+        banner,
         "HTTP/1.1 {} {}\r\nServer: {}/{}.{}\r\nVia: 1.1 {}\r\nX-Cache: {} from {}\r\n",
         [200u16, 302, 401, 403][rng.below(4)],
         ["OK", "Found", "Unauthorized", "Forbidden"][rng.below(4)],
@@ -172,24 +189,24 @@ fn synth_record(
         banner.push_str("\r\n");
     }
     let words = 8 + rng.below(8);
-    let mut body = String::with_capacity(words * 14);
+    body.clear();
     for w in 0..words {
         if w > 0 {
             body.push(' ');
         }
         body.push_str(rng.word());
     }
-    ScanRecord {
+    ScanRecord::new(RecordParts {
         ip: IpAddr(ip_base.wrapping_add(i as u32)),
         port,
         path,
+        hostnames: &[host.as_str()],
         banner,
         body_snippet: body,
-        hostnames,
-        country: Some(cc.to_string()),
+        country: Some(cc),
         asn: Some(64_496 + (i as u32 % 32)),
         captured_at: SimTime::from_secs(i as u64 * 37),
-    }
+    })
 }
 
 /// A deterministic re-crawl delta against `base`: `appear` brand-new
@@ -215,7 +232,7 @@ pub fn synth_churn(
         let i = rng.below(base.len());
         if taken.insert(i) {
             let r = &base[i];
-            retirements.push((r.ip, r.port, r.path.clone()));
+            retirements.push((r.ip(), r.port(), r.path().to_string()));
         }
     }
     (adds, retirements)
@@ -240,7 +257,7 @@ mod tests {
     fn ips_unique_and_sorted() {
         let records = synth_records(1000, 3);
         for w in records.windows(2) {
-            assert!(w[0].ip < w[1].ip);
+            assert!(w[0].ip() < w[1].ip());
         }
     }
 
@@ -281,7 +298,11 @@ mod tests {
             if i % PLANT_EVERY != 0 {
                 let text = format!(
                     "{} {}{} {} {}",
-                    r.ip, r.port, r.path, r.banner, r.body_snippet
+                    r.ip(),
+                    r.port(),
+                    r.path(),
+                    r.banner(),
+                    r.body_snippet()
                 )
                 .to_ascii_lowercase();
                 for k in &known {
@@ -302,7 +323,7 @@ mod tests {
         assert_eq!(retires.len(), 50);
         // New endpoints never collide with the base ip range.
         for a in &adds {
-            assert!(base.iter().all(|b| b.ip != a.ip));
+            assert!(base.iter().all(|b| b.ip() != a.ip()));
         }
         // Retirements are distinct endpoints drawn from the base.
         let mut seen = retires.clone();
@@ -316,9 +337,9 @@ mod tests {
         let records = synth_records(40, 1);
         assert!(records
             .iter()
-            .any(|r| r.hostnames.iter().any(|h| h.ends_with(".com.tr"))));
+            .any(|r| r.hostnames().any(|h| h.ends_with(".com.tr"))));
         assert!(records
             .iter()
-            .any(|r| r.hostnames.iter().any(|h| h.ends_with(".co.uk"))));
+            .any(|r| r.hostnames().any(|h| h.ends_with(".co.uk"))));
     }
 }

@@ -1,14 +1,14 @@
-//! Property-based tests for the scan index and snapshot diffs. The
-//! dump format is checked by the shared wire harness in
-//! `filterwatch-testkit`.
+//! Property-based tests for the scan record layout, the scan index and
+//! snapshot diffs. The dump format is checked by the shared wire
+//! harness in `filterwatch-testkit`.
 
 use filterwatch_netsim::{IpAddr, SimTime};
-use filterwatch_scanner::{diff, keywords, merge, ScanIndex, ScanRecord, ShardConfig};
+use filterwatch_scanner::{diff, keywords, merge, RecordParts, ScanIndex, ScanRecord, ShardConfig};
 use proptest::prelude::*;
 
 /// The `(ip, port, path)` key a re-crawl delta retires by.
 fn endpoint_key(r: &ScanRecord) -> (IpAddr, u16, String) {
-    (r.ip, r.port, r.path.clone())
+    (r.ip(), r.port(), r.path().to_string())
 }
 
 /// Reference semantics of `apply_delta` on a plain record list:
@@ -30,19 +30,18 @@ fn model_apply(
     records
 }
 
-/// The searchable text a record's corpus entry holds, formatted and
-/// ASCII-lowercased here as the reference.
+/// A record's searchable text, formatted here from its fields in raw
+/// case as the reference its buffer must hold.
 fn reference_text(r: &ScanRecord) -> String {
     format!(
         "{} {}{} {} {} {}",
-        r.ip,
-        r.port,
-        r.path,
-        r.hostnames.join(" "),
-        r.banner,
-        r.body_snippet
+        r.ip(),
+        r.port(),
+        r.path(),
+        r.hostnames().collect::<Vec<_>>().join(" "),
+        r.banner(),
+        r.body_snippet()
     )
-    .to_ascii_lowercase()
 }
 
 /// Banners holding a Table 2 keyword, in mixed case.
@@ -57,7 +56,7 @@ const PLAIN_BANNERS: [&str; 3] = ["Server: Apache", "Server: web-admin", "proxy 
 
 /// Whether a record's searchable text holds some Table 2 keyword.
 fn has_keyword(r: &ScanRecord) -> bool {
-    let text = reference_text(r);
+    let text = reference_text(r).to_ascii_lowercase();
     keywords::KEYWORD_TABLE
         .iter()
         .flat_map(|p| p.keywords)
@@ -73,10 +72,18 @@ fn recrawl(old: &ScanRecord, pick: usize) -> ScanRecord {
     } else {
         KEYWORD_BANNERS
     };
-    ScanRecord {
-        banner: banners[pick % banners.len()].to_string(),
-        ..old.clone()
-    }
+    let hostnames: Vec<&str> = old.hostnames().collect();
+    ScanRecord::new(RecordParts {
+        ip: old.ip(),
+        port: old.port(),
+        path: old.path(),
+        hostnames: &hostnames,
+        banner: banners[pick % banners.len()],
+        body_snippet: old.body_snippet(),
+        country: old.country(),
+        asn: old.asn(),
+        captured_at: old.captured_at(),
+    })
 }
 
 /// Records whose endpoints collide: half the addresses come from a
@@ -109,16 +116,110 @@ fn any_record() -> impl Strategy<Value = ScanRecord> {
         0u64..1_000_000,
     )
         .prop_map(
-            |(ip, port, path, banner, body, hostnames, country, asn, at)| ScanRecord {
-                ip: filterwatch_netsim::IpAddr(ip),
+            |(ip, port, path, banner, body, hostnames, country, asn, at)| {
+                ScanRecord::new(RecordParts {
+                    ip: IpAddr(ip),
+                    port,
+                    path: if path.is_empty() { "/" } else { &path },
+                    hostnames: &hostnames,
+                    banner: &banner,
+                    body_snippet: &body,
+                    country: country.as_deref(),
+                    asn,
+                    captured_at: SimTime::from_secs(at),
+                })
+            },
+        )
+}
+
+/// Every field of a record, owned, so a test can compare fields.
+#[derive(Debug, Clone, PartialEq)]
+struct Fields {
+    ip: u32,
+    port: u16,
+    path: String,
+    hostnames: Vec<String>,
+    banner: String,
+    body: String,
+    country: Option<String>,
+    asn: Option<u32>,
+    at: u64,
+}
+
+impl Fields {
+    fn build(&self) -> ScanRecord {
+        ScanRecord::new(RecordParts {
+            ip: IpAddr(self.ip),
+            port: self.port,
+            path: &self.path,
+            hostnames: &self.hostnames,
+            banner: &self.banner,
+            body_snippet: &self.body,
+            country: self.country.as_deref(),
+            asn: self.asn,
+            captured_at: SimTime::from_secs(self.at),
+        })
+    }
+
+    /// `self` with field `which` (0–8) taken from `other`.
+    fn with_field_of(&self, other: &Fields, which: usize) -> Fields {
+        let mut out = self.clone();
+        match which {
+            0 => out.ip = other.ip,
+            1 => out.port = other.port,
+            2 => out.path = other.path.clone(),
+            3 => out.hostnames = other.hostnames.clone(),
+            4 => out.banner = other.banner.clone(),
+            5 => out.body = other.body.clone(),
+            6 => out.country = other.country.clone(),
+            7 => out.asn = other.asn,
+            _ => out.at = other.at,
+        }
+        out
+    }
+}
+
+/// Text that stresses the layout: the separator (space), commas,
+/// uppercase, multi-byte characters, and empty strings.
+fn layout_text() -> impl Strategy<Value = String> {
+    prop_oneof![Just(String::new()), "[ ,a-zA-Z.é]{0,8}", "\\PC{0,8}",]
+}
+
+/// Zero to several hostnames, including lists whose joined text
+/// collides: `["a b"]` and `["a", "b"]`, `[]` and `[""]`.
+fn layout_hostnames() -> impl Strategy<Value = Vec<String>> {
+    prop_oneof![
+        Just(vec!["a b".to_string()]),
+        Just(vec!["a".to_string(), "b".to_string()]),
+        Just(Vec::new()),
+        Just(vec![String::new()]),
+        proptest::collection::vec(layout_text(), 0..5),
+    ]
+}
+
+fn any_fields() -> impl Strategy<Value = Fields> {
+    (
+        any::<u32>(),
+        any::<u16>(),
+        layout_text(),
+        layout_hostnames(),
+        layout_text(),
+        layout_text(),
+        proptest::option::of(layout_text()),
+        proptest::option::of(any::<u32>()),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(ip, port, path, hostnames, banner, body, country, asn, at)| Fields {
+                ip,
                 port,
-                path: if path.is_empty() { "/".into() } else { path },
-                banner,
-                body_snippet: body,
+                path,
                 hostnames,
+                banner,
+                body,
                 country,
                 asn,
-                captured_at: SimTime::from_secs(at),
+                at,
             },
         )
 }
@@ -138,6 +239,47 @@ fn any_delta() -> impl Strategy<Value = DeltaChoice> {
 }
 
 proptest! {
+    /// Each accessor returns exactly the part the record was built from,
+    /// the buffer is the searchable text followed by the country, and
+    /// equality and `Clone` are field equality: two records built from
+    /// field lists that differ in one field are equal exactly when the
+    /// fields are.
+    #[test]
+    fn accessors_return_the_parts_built_from(
+        a in any_fields(),
+        b in any_fields(),
+        which in 0usize..9,
+    ) {
+        let r = a.build();
+        prop_assert_eq!(r.ip(), IpAddr(a.ip));
+        prop_assert_eq!(r.port(), a.port);
+        prop_assert_eq!(r.path(), a.path.as_str());
+        let hosts: Vec<&str> = a.hostnames.iter().map(String::as_str).collect();
+        prop_assert_eq!(r.hostnames().collect::<Vec<_>>(), hosts.clone());
+        prop_assert_eq!(r.hostnames().len(), hosts.len());
+        prop_assert_eq!(r.banner(), a.banner.as_str());
+        prop_assert_eq!(r.body_snippet(), a.body.as_str());
+        prop_assert_eq!(r.country(), a.country.as_deref());
+        prop_assert_eq!(r.asn(), a.asn);
+        prop_assert_eq!(r.captured_at(), SimTime::from_secs(a.at));
+        let text = format!(
+            "{} {}{} {} {} {}",
+            IpAddr(a.ip),
+            a.port,
+            a.path,
+            hosts.join(" "),
+            a.banner,
+            a.body
+        );
+        prop_assert_eq!(r.searchable_text(), text.as_str());
+
+        let copy = r.clone();
+        prop_assert_eq!(&copy, &r);
+        prop_assert_eq!(format!("{copy:?}"), format!("{r:?}"));
+        let mixed = a.with_field_of(&b, which);
+        prop_assert_eq!(mixed.build() == r, mixed == a, "field {}", which);
+    }
+
     /// Self-diff is always empty; diff against empty lists everything.
     #[test]
     fn diff_identities(records in proptest::collection::vec(any_record(), 0..15)) {
@@ -147,7 +289,7 @@ proptest! {
         let d = diff(&empty, &index);
         let distinct: std::collections::BTreeSet<(u32, u16, String)> = records
             .iter()
-            .map(|r| (r.ip.value(), r.port, r.path.clone()))
+            .map(|r| (r.ip().value(), r.port(), r.path().to_string()))
             .collect();
         prop_assert_eq!(d.appeared.len(), distinct.len());
         prop_assert!(d.disappeared.is_empty());
@@ -155,19 +297,26 @@ proptest! {
         prop_assert_eq!(d2.disappeared.len(), distinct.len());
     }
 
-    /// Keyword search results are always a subset of the records and
-    /// every hit's cached corpus text really contains the keyword; each
-    /// corpus text is the record's lowercased searchable text.
+    /// Keyword search returns exactly the records whose lowercased
+    /// searchable text contains the keyword; each record's searchable
+    /// text is the raw-case reference formatted from its fields.
     #[test]
-    fn search_soundness(records in proptest::collection::vec(any_record(), 0..15), kw in "[a-z]{2,6}") {
+    fn search_soundness(records in proptest::collection::vec(any_record(), 0..15), kw in "[a-zA-Z]{2,6}") {
         let index = ScanIndex::build(records);
-        for (i, record) in index.records().iter().enumerate() {
-            prop_assert_eq!(index.corpus_of(i), reference_text(record));
+        for record in index.records() {
+            prop_assert_eq!(record.searchable_text(), reference_text(record));
         }
         prop_assert_eq!(index.search(&kw).len(), index.search_ids(&kw).len());
-        for id in index.search_ids(&kw) {
-            prop_assert!(index.corpus_of(id).contains(&kw));
-        }
+        let lower = kw.to_ascii_lowercase();
+        let brute: Vec<usize> = (0..index.records().len())
+            .filter(|&id| {
+                index.records()[id]
+                    .searchable_text()
+                    .to_ascii_lowercase()
+                    .contains(&lower)
+            })
+            .collect();
+        prop_assert_eq!(index.search_ids(&kw), brute);
     }
 
     /// Stats totals agree with the record list.
@@ -177,7 +326,7 @@ proptest! {
         let stats = index.stats();
         prop_assert_eq!(stats.records, records.len());
         let by_country_total: usize = stats.by_country.values().sum();
-        let with_country = records.iter().filter(|r| r.country.is_some()).count();
+        let with_country = records.iter().filter(|r| r.country().is_some()).count();
         prop_assert_eq!(by_country_total, with_country);
         prop_assert!(stats.addresses <= stats.records.max(1));
     }
@@ -197,13 +346,11 @@ proptest! {
         let brute: Vec<&ScanRecord> = index
             .records()
             .iter()
-            .enumerate()
-            .filter(|(i, r)| {
-                index.corpus_of(*i).contains(&kw)
-                    && (r.country.as_deref() == Some(cc.as_str())
-                        || r.hostnames.iter().any(|h| h.to_ascii_lowercase().ends_with(&suffix)))
+            .filter(|r| {
+                r.searchable_text().to_ascii_lowercase().contains(&kw)
+                    && (r.country() == Some(cc.as_str())
+                        || r.hostnames().any(|h| h.to_ascii_lowercase().ends_with(&suffix)))
             })
-            .map(|(_, r)| r)
             .collect();
         prop_assert_eq!(fast, brute);
     }

@@ -73,11 +73,10 @@ mod tests {
             COUNTRY_POOL.iter().map(|&(cc, _, _)| cc).collect();
         let mut multi_label = false;
         for r in &corpus {
-            let cc = r.country.as_deref().expect("synth records carry a country");
+            let cc = r.country().expect("synth records carry a country");
             assert!(pool.contains(cc), "{cc} not in COUNTRY_POOL");
             multi_label |= r
-                .hostnames
-                .iter()
+                .hostnames()
                 .any(|h| h.ends_with(".com.tr") || h.ends_with(".co.uk"));
         }
         assert!(multi_label, "no multi-label ccTLD hostname in 400 records");

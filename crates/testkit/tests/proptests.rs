@@ -17,7 +17,7 @@ use filterwatch_netsim::{EventKind, EventRecord, FlowDisposition, FlowRecord, Ip
 use filterwatch_orchestrator::{
     CampaignCheckpoint, CampaignDescriptor, CampaignKind, CaseCkpt, StageHead, StageState,
 };
-use filterwatch_scanner::{Interner, ScanIndex, ScanRecord, ShardEpoch};
+use filterwatch_scanner::{Interner, RecordParts, ScanIndex, ScanRecord, ShardEpoch};
 use filterwatch_telemetry::wire::Wire;
 use filterwatch_telemetry::Event;
 use filterwatch_testkit::wire::{check_tokens, check_wire};
@@ -146,16 +146,18 @@ fn any_scan_record() -> impl Strategy<Value = ScanRecord> {
         any::<u64>(),
     )
         .prop_map(
-            |(ip, port, path, banner, body, hostnames, country, asn, at)| ScanRecord {
-                ip: IpAddr(ip),
-                port,
-                path,
-                banner,
-                body_snippet: body,
-                hostnames,
-                country,
-                asn,
-                captured_at: SimTime::from_secs(at),
+            |(ip, port, path, banner, body, hostnames, country, asn, at)| {
+                ScanRecord::new(RecordParts {
+                    ip: IpAddr(ip),
+                    port,
+                    path: &path,
+                    hostnames: &hostnames,
+                    banner: &banner,
+                    body_snippet: &body,
+                    country: country.as_deref(),
+                    asn,
+                    captured_at: SimTime::from_secs(at),
+                })
             },
         )
 }

@@ -18,7 +18,7 @@ use filterwatch_http::{Request, Url};
 use filterwatch_netsim::service::{EmptyService, StaticSite};
 use filterwatch_netsim::{Internet, IpAddr, NetworkId, NetworkSpec, Service};
 use filterwatch_scanner::engine::DEFAULT_PROBES;
-use filterwatch_scanner::{CensusSweep, ScanEngine, ScanRecord};
+use filterwatch_scanner::{CensusSweep, RecordParts, ScanEngine, ScanRecord};
 use filterwatch_telemetry::{render, stage, Snapshot, TelemetryHandle};
 use filterwatch_testkit::{build_world, plan_for_seed, seeds_from_env};
 
@@ -47,20 +47,19 @@ fn reference_scan(net: &Internet, threads: usize, telemetry: &TelemetryHandle) -
                 if resp.status.code() == 404 {
                     continue;
                 }
-                local.push(ScanRecord {
+                let body: String = resp.body_text().chars().take(400).collect();
+                let country = net.registry().country_of(ip).map(|c| c.to_string());
+                local.push(ScanRecord::new(RecordParts {
                     ip,
                     port,
-                    path: path.to_string(),
-                    banner: resp.banner(),
-                    body_snippet: resp.body_text().chars().take(400).collect(),
-                    hostnames: net
-                        .host(ip)
-                        .map(|h| h.hostnames.clone())
-                        .unwrap_or_default(),
-                    country: net.registry().country_of(ip).map(|c| c.to_string()),
+                    path,
+                    hostnames: net.host(ip).map_or(&[][..], |h| &h.hostnames),
+                    banner: &resp.banner(),
+                    body_snippet: &body,
+                    country: country.as_deref(),
                     asn: net.registry().asn_of(ip).map(|a| a.0),
                     captured_at: net.now(),
-                });
+                }));
             }
         }
         telemetry.counter_add(
@@ -70,11 +69,11 @@ fn reference_scan(net: &Internet, threads: usize, telemetry: &TelemetryHandle) -
         );
         telemetry.counter_add("scan.banners", "", local.len() as u64);
         for r in &local {
-            telemetry.observe("scan.banner_bytes", "", r.body_snippet.len() as f64);
+            telemetry.observe("scan.banner_bytes", "", r.body_snippet().len() as f64);
         }
         records.extend(local);
     }
-    records.sort_by(|a, b| (a.ip, a.port, &a.path).cmp(&(b.ip, b.port, &b.path)));
+    records.sort_by(|a, b| (a.ip(), a.port(), a.path()).cmp(&(b.ip(), b.port(), b.path())));
     telemetry.event(
         net.now().secs(),
         "scan.done",
@@ -121,11 +120,14 @@ fn check_world(name: &str, net: &mut Internet) -> usize {
             let census = CensusSweep::new().run(net);
             let raw: Vec<_> = census
                 .iter()
-                .map(|c| (c.ip, c.port, &c.path, &c.banner, &c.body_snippet))
+                .map(|c| {
+                    let (path, banner, body) = (&c.path, &c.banner, &c.body_snippet);
+                    (c.ip, c.port, path.as_str(), banner.as_str(), body.as_str())
+                })
                 .collect();
             let want: Vec<_> = expected
                 .iter()
-                .map(|r| (r.ip, r.port, &r.path, &r.banner, &r.body_snippet))
+                .map(|r| (r.ip(), r.port(), r.path(), r.banner(), r.body_snippet()))
                 .collect();
             assert_eq!(raw, want, "{name}: census records differ");
         }

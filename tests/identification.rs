@@ -176,7 +176,7 @@ fn scan_only_sees_externally_visible_surface() {
             // names; no *console* endpoints remain.
             for rec in hits {
                 assert!(
-                    rec.hostnames.iter().all(|n| !n.starts_with("gw.")),
+                    rec.hostnames().all(|n| !n.starts_with("gw.")),
                     "console leaked: {rec}"
                 );
             }
