@@ -7,29 +7,25 @@
 //! 1. `sweep/naive` — the pre-optimization shape: one full-index pass
 //!    per (keyword, country) pair, recompiling the pattern on every
 //!    probe, no posting-list scoping;
-//! 2. `sweep/cached-corpus` — posting-list-scoped per-keyword queries,
-//!    each matching a record's own searchable text and folding ASCII
-//!    case as it compares (the name dates from when the index kept a
-//!    lowercased copy of every text; now no copy is made at all);
-//! 3. `sweep/automaton` — every keyword fused into one Aho-Corasick
+//! 2. `sweep/automaton` — every keyword fused into one Aho-Corasick
 //!    automaton, a repeat serial sweep: the plan cached on the index
 //!    already holds every record's matches, so the sweep scans nothing
 //!    and costs the scope union and the fold;
-//! 4. `sweep/parallel` — the same repeat sweep at the default worker
+//! 3. `sweep/parallel` — the same repeat sweep at the default worker
 //!    count (it scans nothing either).
 //!
 //! Shodan-scale rungs (a 10⁵-record synthetic corpus):
 //!
-//! 5. `sweep/cached-corpus-100k` — the per-keyword comparator at scale;
-//! 6. `sweep/first-parallel-100k` — the first sweep of an index at the
+//! 4. `sweep/first-parallel-100k` — the first sweep of an index at the
 //!    default worker count: it compiles the plan and scans every
 //!    record, the sweep a campaign runs once per index;
-//! 7. `sweep/sharded-parallel-100k` — a repeat sweep over the cached
-//!    plan;
-//! 8. `ingest/full-rebuild-100k` — from-scratch index build over all
+//! 5. `sweep/sharded-parallel-100k` — a repeat sweep over the cached
+//!    plan. The name predates the deletion of the index's shards and
+//!    stays so that the gate's baseline keeps its key;
+//! 6. `ingest/full-rebuild-100k` — from-scratch index build over all
 //!    10⁵ records: interning labels and posting each record, which
 //!    already holds its searchable text in its own buffer;
-//! 9. `ingest/delta-1pct-100k` — `apply_delta` carrying a 1% churn
+//! 7. `ingest/delta-1pct-100k` — `apply_delta` carrying a 1% churn
 //!    (500 appeared + 500 disappeared endpoints) into an existing
 //!    index.
 //!
@@ -77,23 +73,6 @@ fn naive_sweep(index: &ScanIndex, cctlds: &[(String, String)]) -> usize {
     total
 }
 
-/// Rung 2: per-keyword queries against each record's text and the
-/// posting lists (no automaton, no parallelism).
-fn cached_corpus_sweep(index: &ScanIndex, cctlds: &[(String, String)]) -> usize {
-    let mut total = 0;
-    for product in keywords::KEYWORD_TABLE {
-        for kw in product.keywords {
-            total += index
-                .search_all_countries(
-                    kw,
-                    cctlds.iter().map(|(cc, tld)| (cc.as_str(), tld.as_str())),
-                )
-                .len();
-        }
-    }
-    total
-}
-
 fn bench_identify(c: &mut Criterion) {
     let world = bench_world();
     let pipeline = IdentifyPipeline::new();
@@ -120,9 +99,6 @@ fn bench_identify(c: &mut Criterion) {
     group.bench_function("naive", |b| {
         b.iter(|| naive_sweep(black_box(&index), &cctlds))
     });
-    group.bench_function("cached-corpus", |b| {
-        b.iter(|| cached_corpus_sweep(black_box(&index), &cctlds))
-    });
     // One untimed call compiles the fused automaton into the index's
     // sweep plan and scans every record; the timed region then measures
     // the repeat sweep, matching how repeat queries behave in production
@@ -140,20 +116,9 @@ fn bench_identify(c: &mut Criterion) {
     // carrying a planted Table 2 keyword).
     let corpus = synth_records(100_000, 0x5ca1e);
     let big = ScanIndex::build(corpus.clone());
-    let big_cctlds: Vec<(String, String)> = filterwatch_scanner::SYNTH_COUNTRIES
-        .iter()
-        .map(|&(cc, tld)| (cc.to_string(), tld.to_string()))
-        .collect();
-    let big_pairs = || {
-        big_cctlds
-            .iter()
-            .map(|(cc, tld)| (cc.as_str(), tld.as_str()))
-    };
+    let big_pairs = || filterwatch_scanner::SYNTH_COUNTRIES.iter().copied();
     group = c.benchmark_group("sweep");
     group.throughput(Throughput::Elements(big.len() as u64));
-    group.bench_function("cached-corpus-100k", |b| {
-        b.iter(|| cached_corpus_sweep(black_box(&big), &big_cctlds))
-    });
     // `big` has not swept yet, so each clone starts without a plan and
     // the timed sweep scans every record. The clone and its drop stay
     // outside the timed region.

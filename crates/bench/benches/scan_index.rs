@@ -1,6 +1,7 @@
-//! Scan + index + keyword search (the Figure 1 pipeline's front half).
+//! Scan + index (the Figure 1 pipeline's front half). The keyword ×
+//! ccTLD sweep over the built index is priced in `identify`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use filterwatch_bench::bench_world;
 use filterwatch_scanner::ScanEngine;
 
@@ -19,42 +20,6 @@ fn bench_scan(c: &mut Criterion) {
     c.bench_function("scan/full-sweep", |b| {
         let engine = ScanEngine::new().with_threads(4);
         b.iter(|| engine.scan(&world.net))
-    });
-
-    let index = ScanEngine::new().with_threads(4).scan(&world.net);
-    c.bench_function("scan/keyword-search", |b| {
-        b.iter(|| {
-            let mut hits = 0;
-            for kw in [
-                "proxysg",
-                "netsweeper",
-                "blockpage.cgi",
-                "mcafee web gateway",
-            ] {
-                hits += index.search(kw).len();
-            }
-            hits
-        })
-    });
-    c.bench_function("scan/cctld-scoped-search", |b| {
-        let cctlds: Vec<(String, String)> = world
-            .net
-            .registry()
-            .countries()
-            .map(|c| (c.code.as_str().to_string(), c.cctld.clone()))
-            .collect();
-        b.iter_batched(
-            || cctlds.clone(),
-            |ccs| {
-                index
-                    .search_all_countries(
-                        "netsweeper",
-                        ccs.iter().map(|(a, b)| (a.as_str(), b.as_str())),
-                    )
-                    .len()
-            },
-            BatchSize::SmallInput,
-        )
     });
 }
 

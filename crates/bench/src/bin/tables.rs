@@ -391,12 +391,12 @@ fn telemetry(seed: u64, wall: bool) {
     print!("{}", render::metrics_csv(snap));
 }
 
-/// `index`: internals of the sharded scan index built from the paper
-/// world — live/arena record counts, per-shard epoch lines (the
-/// `shard-epoch:` wire form), interner and posting-list footprint, and
-/// the same readout again after a synthetic 1% churn delta, showing
-/// epoch bumps, tombstones, and what compaction reclaims. Byte-stable
-/// for a fixed seed.
+/// `index`: internals of the scan index built from the paper world —
+/// live/arena record counts, epoch, tombstones, interner and
+/// posting-list footprint, and the same readout again after a synthetic
+/// 1% churn delta and after compaction, showing the epoch bumps,
+/// tombstones, and what compaction reclaims. Byte-stable for a fixed
+/// seed.
 fn index_artifact(seed: u64) {
     use filterwatch_scanner::{synth_churn, ScanEngine};
 
@@ -404,10 +404,9 @@ fn index_artifact(seed: u64) {
     let mut index = ScanEngine::new().scan(&world.net);
     let readout = |index: &filterwatch_scanner::ScanIndex| {
         println!(
-            "records: {} live / {} arena; shards: {}; epoch: {}; tombstones: {}",
+            "records: {} live / {} arena; epoch: {}; tombstones: {}",
             index.len(),
             index.records().len(),
-            index.shard_count(),
             index.epoch(),
             index.tombstones(),
         );
@@ -416,9 +415,6 @@ fn index_artifact(seed: u64) {
             index.interner().len(),
             index.posting_bytes(),
         );
-        for se in index.shard_epochs() {
-            println!("{}", se.to_line());
-        }
     };
     println!("paper-world scan index:");
     readout(&index);
@@ -429,8 +425,8 @@ fn index_artifact(seed: u64) {
     let stats = index.apply_delta(adds, &retirements);
     println!();
     println!(
-        "after a {churn}+{churn} churn delta (epoch {}, {} added, {} retired, {} shard(s) touched):",
-        stats.epoch, stats.added, stats.retired, stats.shards_touched
+        "after a {churn}+{churn} churn delta (epoch {}, {} added, {} retired):",
+        stats.epoch, stats.added, stats.retired
     );
     readout(&index);
 

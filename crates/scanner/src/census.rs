@@ -162,8 +162,15 @@ mod tests {
             assert_eq!(r.asn(), Some(42298));
             assert_eq!(r.hostnames().len(), 0, "census has no reverse DNS");
         }
-        // Keyword search works on the enriched index.
-        assert!(!index.search("netsweeper").is_empty());
+        // The identify sweep, scoped by the registry's (country, ccTLD)
+        // pairs, finds the console on the enriched index.
+        let pairs: Vec<(&str, &str)> = net
+            .registry()
+            .countries()
+            .map(|c| (c.code.as_str(), c.cctld.as_str()))
+            .collect();
+        let hits = index.search_products(crate::keywords::KEYWORD_TABLE, pairs);
+        assert!(!hits["netsweeper"].is_empty());
     }
 
     #[test]

@@ -1,41 +1,33 @@
-//! The keyword-searchable scan index — sharded and incrementally
-//! ingestable.
+//! The keyword-searchable scan index, incrementally ingestable.
 //!
 //! The index is *query-compiled*: [`ScanIndex::build`] keeps each
 //! record as it arrives, one buffer that already holds its searchable
-//! text in raw case, and posts it into per-shard country /
-//! ccTLD-suffix posting bitsets, so the paper's keyword + ccTLD query
-//! form touches only in-scope records and never copies a record's
-//! text. Every query folds ASCII case as it matches (the sweep's
-//! automaton in its byte-class map, single-keyword queries through one
-//! folding substring test), so no lowercased copy of the corpus exists.
-//! On top of that, three things make it hold up at Shodan scale:
+//! text in raw case, and posts it under its country and every
+//! hostname dot-suffix, so the paper's keyword + ccTLD query form keeps
+//! only in-scope matches and never copies a record's text. The postings
+//! are two bitset vectors indexed by the interner's [`Sym`], one for
+//! country labels and one for suffixes. The one query, the batched
+//! sweep, folds ASCII case in its automaton's byte-class map, so no
+//! lowercased copy of the corpus exists. Two things make it hold up at
+//! Shodan scale:
 //!
-//! * **Sharding** — records are partitioned by a stable hash of their
-//!   country (hostname fallback) into [`IndexShard`]s. The record arena
-//!   stays global (arena ids are global), so cross-shard query merges
-//!   are plain ascending bitset iteration; what a shard
-//!   localizes is *mutation*: a re-crawl delta touches only the shards
-//!   its records hash into.
 //! * **Incremental ingest** — [`ScanIndex::apply_delta`] applies
 //!   crawler deltas (new endpoints, retired endpoints, re-crawled
 //!   banners) by tombstoning dead arena slots and appending new ones,
 //!   bumping the index epoch, instead of rebuilding from scratch.
 //!   [`ScanIndex::compact`] reclaims tombstoned slots when churn
 //!   accumulates.
-//! * **A cached sweep plan** — the batched
-//!   [`ScanIndex::search_products`] fuses every Table 2 keyword into
-//!   one Aho-Corasick automaton, runs it over every live record once,
-//!   and caches the matched keywords per keyword table. The ccTLD scope
-//!   is applied at query time from the posting bitsets, so one plan
-//!   serves every scope and a repeat sweep scans nothing. A delta or a
-//!   compaction drops the plan.
+//! * **A cached sweep plan** — [`ScanIndex::search_products`] fuses
+//!   every Table 2 keyword into one Aho-Corasick automaton, runs it over
+//!   every live record once, and caches the matched keywords per keyword
+//!   table. The ccTLD scope is applied at query time from the posting
+//!   bitsets, so one plan serves every scope and a repeat sweep scans
+//!   nothing. A delta or a compaction drops the plan.
 //!
-//! Determinism: shard assignment is FNV-1a (platform-stable), interner
-//! ids are insertion-ordered, all postings iterate in ascending arena
-//! order, and the parallel sweep merges contiguous runs of arena ids in
-//! id order — so serial and parallel sweeps, and any shard count,
-//! produce byte-identical query results.
+//! Determinism: interner ids are insertion-ordered, all postings
+//! iterate in ascending arena order, and the parallel sweep merges
+//! contiguous runs of arena ids in id order — so serial and parallel
+//! sweeps produce byte-identical query results.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -50,7 +42,6 @@ use crate::bitset::DenseBitSet;
 use crate::intern::{fnv1a, Interner, Sym};
 use crate::keywords::ProductKeywords;
 use crate::record::ScanRecord;
-use crate::shard::{IndexShard, ShardConfig, ShardEpoch};
 
 /// Slot `id`'s span in a flat arena whose slots end at `ends[id]`, each
 /// starting where the previous one ends.
@@ -68,50 +59,21 @@ fn ascii_lowercase(host: &str) -> Cow<'_, str> {
     }
 }
 
-/// Whether `text` holds `keyword` with ASCII case folded on both
-/// sides: what `text.to_ascii_lowercase().contains(&keyword.to_ascii_lowercase())`
-/// answers, without either copy. Every single-keyword query matches
-/// through here, and the sweep's folding automaton agrees with it.
-///
-/// A candidate start is one whose byte matches the keyword's first
-/// byte and whose byte `len - 1` further on matches its last. Starts are
-/// tested 32 at a time in a loop the compiler vectorizes (the last
-/// block overlaps the one before it), and only candidates are compared
-/// in full.
-fn contains_folded(text: &str, keyword: &str) -> bool {
-    /// Starts tested per block.
-    const BLOCK: usize = 32;
-    let (text, keyword) = (text.as_bytes(), keyword.as_bytes());
-    let (Some(&first), Some(&last)) = (keyword.first(), keyword.last()) else {
-        return true;
-    };
-    let Some(last_start) = text.len().checked_sub(keyword.len()) else {
-        return false;
-    };
-    // `b | case == want` holds for both cases of an ASCII letter and
-    // only for the byte itself otherwise.
-    let probe = |k: u8| {
-        let case = if k.is_ascii_alphabetic() { 0x20 } else { 0 };
-        (case, k | case)
-    };
-    let ((case0, want0), (case1, want1)) = (probe(first), probe(last));
-    let tail = keyword.len() - 1;
-    let starts = last_start + 1;
-    let candidate = |head: u8, end: u8| ((head | case0) == want0) & ((end | case1) == want1);
-    let matches_at = |i: usize| text[i..i + keyword.len()].eq_ignore_ascii_case(keyword);
-    if starts < BLOCK {
-        return (0..starts).any(|i| candidate(text[i], text[i + tail]) && matches_at(i));
+/// Post arena id `id` under `sym`, growing the sym-indexed `postings`
+/// to reach it.
+fn post(postings: &mut Vec<DenseBitSet>, sym: Sym, id: usize) {
+    let slot = sym.index();
+    if slot >= postings.len() {
+        postings.resize_with(slot + 1, DenseBitSet::default);
     }
-    let block = |at: usize| {
-        let heads = &text[at..at + BLOCK];
-        let ends = &text[at + tail..at + tail + BLOCK];
-        let mut hits = [false; BLOCK];
-        for j in 0..BLOCK {
-            hits[j] = candidate(heads[j], ends[j]);
-        }
-        hits.contains(&true) && (0..BLOCK).any(|j| hits[j] && matches_at(at + j))
-    };
-    (0..starts / BLOCK).any(|n| block(n * BLOCK)) || (starts % BLOCK != 0 && block(starts - BLOCK))
+    postings[slot].insert(id);
+}
+
+/// Clear arena id `id` from the posting under `sym`.
+fn unpost(postings: &mut [DenseBitSet], sym: Sym, id: usize) {
+    if let Some(posting) = postings.get_mut(sym.index()) {
+        posting.remove(id);
+    }
 }
 
 /// A built scan index (the Shodan analog).
@@ -119,15 +81,21 @@ fn contains_folded(text: &str, keyword: &str) -> bool {
 pub struct ScanIndex {
     /// Record arena, append-only between compactions. Holds retired
     /// (tombstoned) entries until [`compact`](Self::compact) runs. Each
-    /// record's own buffer is the text every query matches against.
+    /// record's own buffer is the text the sweep matches against.
     records: Vec<ScanRecord>,
     /// Live arena ids (tombstoned slots are absent).
     live: DenseBitSet,
-    /// The posting shards; `shard_of[id]` names each record's shard.
-    shards: Vec<IndexShard>,
-    shard_of: Vec<u16>,
     /// Dense ids for hostnames, country codes and suffix labels.
     labels: Interner,
+    /// Live arena ids per country label (verbatim record value) and per
+    /// lowercased hostname dot-suffix, indexed by the label's [`Sym`].
+    /// Every suffix level is posted, so `gw.isp.example.com.tr` appears
+    /// under `isp.example.com.tr`, `example.com.tr`, `com.tr` and `tr`
+    /// and multi-label ccTLDs need no special casing at query time. A
+    /// slot whose sym labels nothing of that kind is an empty set that
+    /// holds no words.
+    by_country: Vec<DenseBitSet>,
+    by_suffix: Vec<DenseBitSet>,
     /// Each record's posting keys, memoized at ingest so retirement
     /// clears postings without re-deriving them from hostname strings:
     /// its country sym, and its sorted distinct suffix syms back to back
@@ -174,8 +142,6 @@ pub struct DeltaStats {
     /// Live records tombstoned (explicit retirements plus re-crawled
     /// endpoints whose previous banners were superseded).
     pub retired: usize,
-    /// Shards whose postings changed.
-    pub shards_touched: usize,
 }
 
 /// What a batched query over one keyword table found, cached until the
@@ -202,9 +168,9 @@ impl Clone for ScanIndex {
         ScanIndex {
             records: self.records.clone(),
             live: self.live.clone(),
-            shards: self.shards.clone(),
-            shard_of: self.shard_of.clone(),
             labels: self.labels.clone(),
+            by_country: self.by_country.clone(),
+            by_suffix: self.by_suffix.clone(),
             countries: self.countries.clone(),
             suffixes: self.suffixes.clone(),
             suffix_ends: self.suffix_ends.clone(),
@@ -219,23 +185,15 @@ impl Clone for ScanIndex {
 }
 
 impl ScanIndex {
-    /// Build a sharded index from crawler records with the default
-    /// shard count, posting each record into the per-shard bitsets.
+    /// Build an index from crawler records, posting each record under
+    /// its country and hostname suffixes.
     pub fn build(records: Vec<ScanRecord>) -> Self {
-        Self::build_with(records, ShardConfig::default())
-    }
-
-    /// As [`build`](Self::build) with an explicit shard count. Query
-    /// results are shard-count-invariant; the count only changes
-    /// mutation locality and parallel sweep chunking.
-    pub fn build_with(records: Vec<ScanRecord>, config: ShardConfig) -> Self {
-        let shards = config.shards.max(1);
         let mut index = ScanIndex {
             records: Vec::new(),
             live: DenseBitSet::with_bits(records.len()),
-            shards: vec![IndexShard::default(); shards],
-            shard_of: Vec::new(),
             labels: Interner::new(),
+            by_country: Vec::new(),
+            by_suffix: Vec::new(),
             countries: Vec::new(),
             suffixes: Vec::new(),
             suffix_ends: Vec::new(),
@@ -253,22 +211,19 @@ impl ScanIndex {
         index
     }
 
-    /// Append one record: keep it in the arena, post it into its
-    /// shard, index its endpoint. Returns the arena id. A record adds no
-    /// heap object of its own: its interned labels go into the
-    /// interner's arena (a hostname with uppercase bytes is lowercased
-    /// into a temporary copy first).
-    fn ingest(&mut self, record: ScanRecord) -> usize {
+    /// Append one record: keep it in the arena, post it, index its
+    /// endpoint. A record adds no heap object of its own: its interned
+    /// labels go into the interner's arena (a hostname with uppercase
+    /// bytes is lowercased into a temporary copy first).
+    fn ingest(&mut self, record: ScanRecord) {
         let id = self.records.len();
         let country = record.country().map(|c| self.labels.intern(c));
-        // The shard hashes the country code, falling back to the first
-        // lowercased hostname, so a country's re-crawl delta lands in
-        // one shard.
-        let mut shard_key = record.country().map(|c| fnv1a(c.as_bytes()));
+        if let Some(c) = country {
+            post(&mut self.by_country, c, id);
+        }
         let first_suffix = self.suffixes.len();
         for hostname in record.hostnames() {
             let lower = ascii_lowercase(hostname);
-            shard_key.get_or_insert_with(|| fnv1a(lower.as_bytes()));
             // Hostnames get dense ids too (debug/stats surface); the
             // postings key on every dot-suffix, so a record with
             // hostname `gw.isp.qa` posts under `isp.qa` and `qa`.
@@ -282,16 +237,14 @@ impl ScanIndex {
         }
         let suffixes = &mut self.suffixes[first_suffix..];
         suffixes.sort_unstable();
-        let shard_count = self.shards.len().max(1) as u64;
-        let shard = (shard_key.unwrap_or_else(|| fnv1a(b"")) % shard_count) as u16;
-        self.shards[shard as usize].insert(id, country, suffixes);
+        for &s in suffixes.iter() {
+            post(&mut self.by_suffix, s, id);
+        }
         self.suffix_ends.push(self.suffixes.len());
         self.countries.push(country);
-        self.shard_of.push(shard);
         self.live.insert(id);
         self.by_endpoint.insert((record.ip(), record.port(), id));
         self.records.push(record);
-        id
     }
 
     /// Pre-size every per-record arena for `additional` expected
@@ -301,16 +254,15 @@ impl ScanIndex {
     /// full-arena copy on its first append). Never changes results.
     pub fn reserve(&mut self, additional: usize) {
         self.records.reserve(additional);
-        self.shard_of.reserve(additional);
         self.countries.reserve(additional);
         self.suffix_ends.reserve(additional);
     }
 
     /// Apply a re-crawl delta: tombstone `retirements` (and any live
     /// records at an added record's endpoint — a re-crawl supersedes
-    /// the previous capture), append `adds`, bump the epoch, and mark
-    /// the touched shards. Cost is proportional to the delta, not the
-    /// index; the cached sweep plan is invalidated.
+    /// the previous capture), append `adds` and bump the epoch. Cost is
+    /// proportional to the delta, not the index; the cached sweep plan
+    /// is invalidated.
     pub fn apply_delta(
         &mut self,
         adds: Vec<ScanRecord>,
@@ -318,29 +270,22 @@ impl ScanIndex {
     ) -> DeltaStats {
         self.epoch += 1;
         *self.plan.lock() = None;
-        let mut touched: BTreeSet<u16> = BTreeSet::new();
         let mut retired = 0;
         for (ip, port, path) in retirements {
-            retired += self.retire_endpoint(*ip, *port, path, &mut touched);
+            retired += self.retire_endpoint(*ip, *port, path);
         }
         let added = adds.len();
         // Grow the arenas once for the whole delta rather than by
         // repeated doubling.
         self.reserve(adds.len());
         for record in adds {
-            retired +=
-                self.retire_endpoint(record.ip(), record.port(), record.path(), &mut touched);
-            let id = self.ingest(record);
-            touched.insert(self.shard_of[id]);
-        }
-        for &s in &touched {
-            self.shards[s as usize].touch(self.epoch);
+            retired += self.retire_endpoint(record.ip(), record.port(), record.path());
+            self.ingest(record);
         }
         DeltaStats {
             epoch: self.epoch,
             added,
             retired,
-            shards_touched: touched.len(),
         }
     }
 
@@ -356,13 +301,7 @@ impl ScanIndex {
     /// Tombstone every live record at `(ip, port, path)`: clear its
     /// postings and drop it from the live set. The arena slot stays
     /// until [`compact`](Self::compact).
-    fn retire_endpoint(
-        &mut self,
-        ip: IpAddr,
-        port: u16,
-        path: &str,
-        touched: &mut BTreeSet<u16>,
-    ) -> usize {
+    fn retire_endpoint(&mut self, ip: IpAddr, port: u16, path: &str) -> usize {
         let mut n = 0;
         let mut from = 0;
         while let Some(id) = self.endpoint_id(ip, port, path, from) {
@@ -371,10 +310,12 @@ impl ScanIndex {
             if !self.live.remove(id) {
                 continue;
             }
-            let shard = self.shard_of[id];
-            let suffixes = &self.suffixes[span(&self.suffix_ends, id)];
-            self.shards[shard as usize].retire(id, self.countries[id], suffixes);
-            touched.insert(shard);
+            if let Some(c) = self.countries[id] {
+                unpost(&mut self.by_country, c, id);
+            }
+            for &s in &self.suffixes[span(&self.suffix_ends, id)] {
+                unpost(&mut self.by_suffix, s, id);
+            }
             self.retired += 1;
             n += 1;
         }
@@ -390,7 +331,6 @@ impl ScanIndex {
         if self.retired == 0 {
             return 0;
         }
-        let shards = self.shards.len().max(1);
         let freed = self.records.len() - self.live.len();
         let live: Vec<ScanRecord> = std::mem::take(&mut self.records)
             .into_iter()
@@ -399,12 +339,8 @@ impl ScanIndex {
             .map(|(_, record)| record)
             .collect();
         let epoch = self.epoch + 1;
-        let mut rebuilt = ScanIndex::build_with(live, ShardConfig { shards });
-        rebuilt.epoch = epoch;
-        for s in &mut rebuilt.shards {
-            s.touch(epoch);
-        }
-        *self = rebuilt;
+        *self = ScanIndex::build(live);
+        self.epoch = epoch;
         freed
     }
 
@@ -436,12 +372,7 @@ impl ScanIndex {
             let j = rng.gen_range(0..=i);
             records.swap(i, j);
         }
-        ScanIndex::build_with(
-            records,
-            ShardConfig {
-                shards: self.shards.len().max(1),
-            },
-        )
+        ScanIndex::build(records)
     }
 
     /// Number of live records.
@@ -460,23 +391,9 @@ impl ScanIndex {
         self.epoch
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Tombstoned arena slots awaiting compaction.
     pub fn tombstones(&self) -> usize {
         self.retired
-    }
-
-    /// Per-shard epoch/occupancy summaries, in shard order.
-    pub fn shard_epochs(&self) -> Vec<ShardEpoch> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.epoch_of(i as u16))
-            .collect()
     }
 
     /// The label interner (hostnames, country codes, suffixes).
@@ -484,9 +401,16 @@ impl ScanIndex {
         &self.labels
     }
 
-    /// Approximate heap bytes held by posting bitsets across shards.
+    /// Approximate heap bytes held by the postings: both vectors' slots
+    /// and every posting bitset's words.
     pub fn posting_bytes(&self) -> usize {
-        self.shards.iter().map(IndexShard::posting_bytes).sum()
+        [&self.by_country, &self.by_suffix]
+            .into_iter()
+            .map(|postings| {
+                postings.capacity() * std::mem::size_of::<DenseBitSet>()
+                    + postings.iter().map(DenseBitSet::heap_bytes).sum::<usize>()
+            })
+            .sum()
     }
 
     /// `(hits, misses)` of the cached sweep-plan lookup since this
@@ -498,107 +422,23 @@ impl ScanIndex {
         )
     }
 
-    /// Keyword search: ASCII-case-insensitive substring match over each
-    /// live record's searchable text (banner, body snippet, hostnames,
-    /// `port/path`).
-    pub fn search(&self, keyword: &str) -> Vec<&ScanRecord> {
-        self.search_ids(keyword)
-            .into_iter()
-            .map(|i| &self.records[i])
-            .collect()
-    }
-
-    /// Arena ids of the live records matching `keyword`, ascending.
-    /// Pair with [`records`](Self::records).
-    pub fn search_ids(&self, keyword: &str) -> Vec<usize> {
-        self.live
-            .iter()
-            .filter(|&i| self.matches(i, keyword))
-            .collect()
-    }
-
-    /// Whether the record at arena id `id` matches `keyword`.
-    fn matches(&self, id: usize, keyword: &str) -> bool {
-        contains_folded(self.records[id].searchable_text(), keyword)
-    }
-
-    /// Union the `(country_code, cctld)` scope postings into `scope`
-    /// across every shard (word-wise bitset OR).
-    fn scope_union_into(&self, country_code: &str, cctld: &str, scope: &mut DenseBitSet) {
-        let cc = country_code.to_ascii_uppercase();
-        let tld = cctld.trim_start_matches('.').to_ascii_lowercase();
-        if let Some(sym) = self.labels.get(&cc) {
-            for shard in &self.shards {
-                if let Some(p) = shard.country_posting(sym) {
-                    scope.union_with(p);
-                }
-            }
-        }
-        if let Some(sym) = self.labels.get(&tld) {
-            for shard in &self.shards {
-                if let Some(p) = shard.suffix_posting(sym) {
-                    scope.union_with(p);
-                }
-            }
-        }
-    }
-
-    /// Arena ids in scope for one `(country_code, cctld)` pair:
-    /// the cross-shard union of the country and ccTLD postings,
-    /// ascending (bitset iteration *is* the sorted merge).
-    fn scope_ids(&self, country_code: &str, cctld: &str) -> Vec<u32> {
-        let mut scope = DenseBitSet::with_bits(self.records.len());
-        self.scope_union_into(country_code, cctld, &mut scope);
-        scope.to_vec()
-    }
-
-    /// Keyword search restricted to one country's footprint — the
-    /// paper's "keyword + ccTLD" query form. A record qualifies when the
-    /// keyword matches *and* either a hostname carries the ccTLD or the
-    /// crawler's country metadata matches `country_code`. Served from
-    /// the posting bitsets: only in-scope records are scanned.
-    pub fn search_in_country(
-        &self,
-        keyword: &str,
-        country_code: &str,
-        cctld: &str,
-    ) -> Vec<&ScanRecord> {
-        self.scope_ids(country_code, cctld)
-            .into_iter()
-            .filter(|&i| self.matches(i as usize, keyword))
-            .map(|i| &self.records[i as usize])
-            .collect()
-    }
-
-    /// Union of `search_in_country` over a whole ccTLD table, as the
-    /// paper runs each keyword against every country code. Returns
-    /// distinct endpoints in first-seen order, deduplicated by record
-    /// index (records are unique per `(ip, port, path)`).
-    pub fn search_all_countries<'a, I>(&self, keyword: &str, cctlds: I) -> Vec<&ScanRecord>
-    where
-        I: IntoIterator<Item = (&'a str, &'a str)>,
-    {
-        let mut seen = vec![false; self.records.len()];
-        let mut out = Vec::new();
-        for (cc, tld) in cctlds {
-            for i in self.scope_ids(cc, tld) {
-                let i = i as usize;
-                if !seen[i] && self.matches(i, keyword) {
-                    seen[i] = true;
-                    out.push(&self.records[i]);
-                }
-            }
-        }
-        out
+    /// The posting for `label` in `postings`, if the label is interned
+    /// and has a slot there.
+    fn posting<'p>(&self, postings: &'p [DenseBitSet], label: &str) -> Option<&'p DenseBitSet> {
+        self.labels
+            .get(label)
+            .and_then(|sym| postings.get(sym.index()))
     }
 
     /// The batched query the identify stage runs: every product's
     /// keyword list crossed with every `(country_code, cctld)` pair, in
-    /// one automaton pass over each record. Returns, per product slug,
-    /// the candidate addresses and the keywords (keyword-table order)
-    /// that hit them. Each live record's matches are cached on the index
-    /// per keyword table until the next delta, so a repeat sweep scans
-    /// nothing.
+    /// one automaton pass over each record. A record is in scope for a
+    /// pair when its country metadata is `country_code` or one of its
+    /// hostnames ends in the ccTLD. Returns, per product slug, the
+    /// candidate addresses and the keywords (keyword-table order) that
+    /// hit them; keywords match ASCII-case-insensitively. Each live
+    /// record's matches are cached on the index per keyword table until
+    /// the next delta, so a repeat sweep scans nothing.
     pub fn search_products<'a, I>(
         &self,
         table: &[ProductKeywords],
@@ -624,9 +464,19 @@ impl ScanIndex {
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
+        // The scope: the union of every pair's country and ccTLD
+        // postings (word-wise bitset OR).
         let mut scope = DenseBitSet::with_bits(self.records.len());
         for (cc, tld) in cctlds {
-            self.scope_union_into(cc, tld, &mut scope);
+            let cc = cc.to_ascii_uppercase();
+            let tld = tld.trim_start_matches('.').to_ascii_lowercase();
+            let postings = [
+                self.posting(&self.by_country, &cc),
+                self.posting(&self.by_suffix, &tld),
+            ];
+            for posting in postings.into_iter().flatten() {
+                scope.union_with(posting);
+            }
         }
         let mut slot = self.plan.lock();
         let plan = self.sweep_plan(&mut slot, table, threads.max(1));
@@ -710,7 +560,7 @@ impl ScanIndex {
             }
         }
         // The automaton folds ASCII case in its class map, so it matches
-        // each record's raw text as `contains_folded` does.
+        // each record's raw text as a lowercased copy would match.
         let automaton = Automaton::new(needles, true);
         let scan = |ids: &[u32]| -> Vec<(u32, Vec<usize>)> {
             let mut hit = Vec::new();
@@ -730,18 +580,6 @@ impl ScanIndex {
             id_to_entry,
             matches: crate::merge::ordered_parallel(&self.live.to_vec(), threads, scan),
         }
-    }
-
-    /// Distinct addresses matching `keyword`, ascending.
-    pub fn matching_ips(&self, keyword: &str) -> Vec<IpAddr> {
-        let mut out: Vec<IpAddr> = self
-            .search(keyword)
-            .into_iter()
-            .map(ScanRecord::ip)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Aggregate statistics over the live records.
@@ -771,7 +609,6 @@ mod tests {
     use crate::keywords::{ProductKeywords, KEYWORD_TABLE};
     use crate::record::RecordParts;
     use filterwatch_netsim::SimTime;
-    use filterwatch_telemetry::wire::Wire;
 
     fn rec(ip: &str, port: u16, banner: &str, host: &str, country: &str) -> ScanRecord {
         ScanRecord::new(RecordParts {
@@ -809,6 +646,9 @@ mod tests {
             .collect()
     }
 
+    /// Every scope of [`index`].
+    const PAIRS: [(&str, &str); 4] = [("SY", "sy"), ("QA", "qa"), ("SE", "se"), ("US", "us")];
+
     fn index() -> ScanIndex {
         ScanIndex::build(vec![
             rec("5.0.0.1", 80, "Server: ProxySG", "gw.example.sy", "SY"),
@@ -818,12 +658,25 @@ mod tests {
         ])
     }
 
+    /// The candidate addresses of a sweep for `keyword` alone over
+    /// `pairs`, ascending. The one-product table is leaked because
+    /// [`ProductKeywords`] holds `'static` slices.
+    fn sweep_one(idx: &ScanIndex, keyword: &str, pairs: &[(&str, &str)]) -> Vec<String> {
+        let keyword: &'static str = Box::leak(keyword.into());
+        let table = [ProductKeywords {
+            product: "probe",
+            keywords: Box::leak(Box::new([keyword])),
+        }];
+        let hits = idx.search_products(&table, pairs.iter().copied());
+        hits["probe"].keys().map(IpAddr::to_string).collect()
+    }
+
     #[test]
     fn keyword_search_is_case_insensitive() {
         let idx = index();
-        assert_eq!(idx.search("proxysg").len(), 2);
-        assert_eq!(idx.search("NETSWEEPER").len(), 1);
-        assert_eq!(idx.search("nothing").len(), 0);
+        assert_eq!(sweep_one(&idx, "proxysg", &PAIRS).len(), 2);
+        assert_eq!(sweep_one(&idx, "NETSWEEPER", &PAIRS), ["5.0.1.1"]);
+        assert!(sweep_one(&idx, "nothing", &PAIRS).is_empty());
     }
 
     #[test]
@@ -840,10 +693,12 @@ mod tests {
 
     #[test]
     fn folding_substring_test_equals_lowercased_contains() {
-        // Texts longer than one block, with matches straddling a block
-        // edge and at the very end.
+        // The sweep's folding automaton against a lowercased `contains`,
+        // over banners of several lengths, with matches at either end,
+        // and punctuation 0x20 apart (`@` and `` ` ``, `[` and `{`) and
+        // non-ASCII letters, none of which fold.
         let long = format!("{}ProxySG{}@[`{{", "x".repeat(29), "y".repeat(40));
-        let texts = [
+        let banners = [
             "",
             "a",
             "ProxySG",
@@ -853,18 +708,32 @@ mod tests {
             &long,
         ];
         let keywords = [
-            "", "proxysg", "PROXYSG", "sgx", "ünï", "Ü", "y", "proxysgg", "@[`{", "`{", "@{", "x",
+            "proxysg", "PROXYSG", "sgx", "ünï", "Ü", "y", "proxysgg", "@[`{", "`{", "@{", "x",
             "yy@[",
         ];
-        for text in texts {
-            for keyword in keywords {
-                assert_eq!(
-                    contains_folded(text, keyword),
-                    text.to_ascii_lowercase()
-                        .contains(&keyword.to_ascii_lowercase()),
-                    "{text:?} / {keyword:?}"
-                );
-            }
+        let idx = ScanIndex::build(
+            banners
+                .iter()
+                .enumerate()
+                .map(|(i, banner)| rec(&format!("5.0.0.{i}"), 80, banner, "gw.isp.qa", "QA"))
+                .collect(),
+        );
+        for keyword in keywords {
+            let expected: Vec<String> = idx
+                .records()
+                .iter()
+                .filter(|r| {
+                    r.searchable_text()
+                        .to_ascii_lowercase()
+                        .contains(&keyword.to_ascii_lowercase())
+                })
+                .map(|r| r.ip().to_string())
+                .collect();
+            assert_eq!(
+                sweep_one(&idx, keyword, &[("QA", "qa")]),
+                expected,
+                "{keyword:?}"
+            );
         }
     }
 
@@ -884,30 +753,23 @@ mod tests {
             captured_at: SimTime::ZERO,
         })]);
         assert!(idx.records()[0].searchable_text().ends_with("proxys"));
-        assert!(idx.search("proxysg").is_empty());
-        assert!(idx.search_ids("PROXYSG").is_empty());
-        assert!(idx.search_in_country("proxysg", "G", "sy").is_empty());
-        assert!(idx
-            .search_all_countries("proxysg", [("G", "sy")])
-            .is_empty());
-        assert!(idx.matching_ips("proxysg").is_empty());
+        assert!(sweep_one(&idx, "proxysg", &[("G", "sy")]).is_empty());
+        assert!(sweep_one(&idx, "PROXYSG", &[("G", "sy")]).is_empty());
         let hits = idx.search_products(KEYWORD_TABLE, [("G", "sy")]);
         assert!(hits.values().all(BTreeMap::is_empty));
         // The body's own text still matches, in the record's scope.
-        assert_eq!(idx.search_in_country("proxys", "G", "zz").len(), 1);
+        assert_eq!(sweep_one(&idx, "proxys", &[("G", "zz")]), ["5.0.0.1"]);
     }
 
     #[test]
     fn country_scoped_search() {
         let idx = index();
-        let sy = idx.search_in_country("proxysg", "SY", "sy");
-        assert_eq!(sy.len(), 1);
-        assert_eq!(sy[0].ip().to_string(), "5.0.0.1");
+        assert_eq!(sweep_one(&idx, "proxysg", &[("SY", "sy")]), ["5.0.0.1"]);
         // ccTLD match works even if metadata were missing: the .qa
         // hostname qualifies the record for QA.
-        let qa = idx.search_in_country("netsweeper", "QA", "qa");
-        assert_eq!(qa.len(), 1);
-        assert!(idx.search_in_country("proxysg", "QA", "qa").is_empty());
+        assert_eq!(sweep_one(&idx, "netsweeper", &[("ZZ", "qa")]), ["5.0.1.1"]);
+        assert_eq!(sweep_one(&idx, "netsweeper", &[("QA", "zz")]), ["5.0.1.1"]);
+        assert!(sweep_one(&idx, "proxysg", &[("QA", "qa")]).is_empty());
     }
 
     #[test]
@@ -919,23 +781,22 @@ mod tests {
             "gw.example.co.uk",
             "GB",
         )]);
-        assert_eq!(idx.search_in_country("proxysg", "ZZ", "co.uk").len(), 1);
-        assert_eq!(idx.search_in_country("proxysg", "ZZ", "uk").len(), 1);
-        assert!(idx.search_in_country("proxysg", "ZZ", "o.uk").is_empty());
+        assert_eq!(sweep_one(&idx, "proxysg", &[("ZZ", "co.uk")]).len(), 1);
+        assert_eq!(sweep_one(&idx, "proxysg", &[("ZZ", ".UK")]).len(), 1);
+        assert!(sweep_one(&idx, "proxysg", &[("ZZ", "o.uk")]).is_empty());
     }
 
     #[test]
     fn union_over_cctlds_deduplicates() {
         let idx = index();
-        let hits = idx.search_all_countries("proxysg", [("SY", "sy"), ("US", "us"), ("SY", "sy")]);
-        assert_eq!(hits.len(), 2);
+        let hits = sweep_one(&idx, "proxysg", &[("SY", "sy"), ("US", "us"), ("SY", "sy")]);
+        assert_eq!(hits, ["5.0.0.1", "5.0.3.1"]);
     }
 
     #[test]
     fn batched_sweep_matches_per_keyword_queries() {
         let idx = index();
-        let pairs = [("SY", "sy"), ("QA", "qa"), ("SE", "se"), ("US", "us")];
-        let hits = idx.search_products(KEYWORD_TABLE, pairs);
+        let hits = idx.search_products(KEYWORD_TABLE, PAIRS);
         let bluecoat = &hits["bluecoat"];
         assert_eq!(bluecoat.len(), 2);
         assert_eq!(
@@ -966,9 +827,8 @@ mod tests {
         // One index each, so that both sweeps compile a plan and scan
         // every record rather than the second reading the first's plan.
         let (serial_idx, parallel_idx) = (index(), index());
-        let pairs = [("SY", "sy"), ("QA", "qa"), ("SE", "se"), ("US", "us")];
-        let serial = serial_idx.search_products_with_threads(KEYWORD_TABLE, pairs, 1);
-        let parallel = parallel_idx.search_products_with_threads(KEYWORD_TABLE, pairs, 4);
+        let serial = serial_idx.search_products_with_threads(KEYWORD_TABLE, PAIRS, 1);
+        let parallel = parallel_idx.search_products_with_threads(KEYWORD_TABLE, PAIRS, 4);
         assert_eq!(serial_idx.sweep_cache_stats(), (0, 1));
         assert_eq!(parallel_idx.sweep_cache_stats(), (0, 1));
         assert_eq!(serial, parallel);
@@ -1000,37 +860,21 @@ mod tests {
         assert_eq!(first, again);
         // Query results are order-insensitive: the batched sweep over the
         // shuffled index equals the sweep over the original.
-        let pairs = [("SY", "sy"), ("QA", "qa"), ("SE", "se"), ("US", "us")];
         assert_eq!(
-            idx.search_products(KEYWORD_TABLE, pairs),
-            shuffled.search_products(KEYWORD_TABLE, pairs)
+            idx.search_products(KEYWORD_TABLE, PAIRS),
+            shuffled.search_products(KEYWORD_TABLE, PAIRS)
         );
     }
 
     #[test]
-    fn matching_ips_deduplicates_ports() {
+    fn sweep_deduplicates_ports() {
         let mut records = vec![
             rec("5.0.0.1", 80, "x proxysg", "a.example.sy", "SY"),
             rec("5.0.0.1", 8080, "y proxysg", "a.example.sy", "SY"),
         ];
         records.sort_by_key(|a| (a.ip(), a.port()));
         let idx = ScanIndex::build(records);
-        assert_eq!(idx.matching_ips("proxysg").len(), 1);
-    }
-
-    #[test]
-    fn shard_count_does_not_change_results() {
-        let records = crate::synth::synth_records(200, 13);
-        let pairs: Vec<(&str, &str)> = crate::synth::SYNTH_COUNTRIES.to_vec();
-        let one = ScanIndex::build_with(records.clone(), ShardConfig { shards: 1 });
-        let many = ScanIndex::build_with(records, ShardConfig { shards: 13 });
-        assert_eq!(
-            one.search_products(KEYWORD_TABLE, pairs.iter().copied()),
-            many.search_products(KEYWORD_TABLE, pairs.iter().copied())
-        );
-        assert_eq!(one.search_ids("netsweeper"), many.search_ids("netsweeper"));
-        assert_eq!(one.stats(), many.stats());
-        assert_eq!(many.shard_count(), 13);
+        assert_eq!(sweep_one(&idx, "proxysg", &[("SY", "sy")]), ["5.0.0.1"]);
     }
 
     #[test]
@@ -1041,21 +885,22 @@ mod tests {
         let recrawl = rec("5.0.2.1", 80, "Server: ProxySG", "www.plain.se", "SE");
         let gone = ("5.0.3.1".parse().unwrap(), 80, "/".to_string());
         let stats = idx.apply_delta(vec![recrawl], &[gone]);
-        assert_eq!(stats.epoch, 1);
-        assert_eq!(stats.added, 1);
-        assert_eq!(stats.retired, 2);
-        assert!(stats.shards_touched >= 1 && stats.shards_touched <= idx.shard_count());
+        assert_eq!(
+            stats,
+            DeltaStats {
+                epoch: 1,
+                added: 1,
+                retired: 2,
+            }
+        );
         assert_eq!(idx.epoch(), 1);
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.tombstones(), 2);
         // The US ProxySG is gone; the re-crawled SE endpoint now hits.
-        assert_eq!(idx.search("proxysg").len(), 2);
-        assert_eq!(idx.search_in_country("proxysg", "SE", "se").len(), 1);
-        assert!(idx.search_in_country("proxysg", "US", "us").is_empty());
-        assert!(idx.search("apache").is_empty());
-        // Only the touched shards carry the new epoch.
-        let touched = idx.shard_epochs().iter().filter(|e| e.epoch == 1).count();
-        assert_eq!(touched, stats.shards_touched);
+        assert_eq!(sweep_one(&idx, "proxysg", &PAIRS), ["5.0.0.1", "5.0.2.1"]);
+        assert_eq!(sweep_one(&idx, "proxysg", &[("SE", "se")]), ["5.0.2.1"]);
+        assert!(sweep_one(&idx, "proxysg", &[("US", "us")]).is_empty());
+        assert!(sweep_one(&idx, "apache", &PAIRS).is_empty());
     }
 
     #[test]
@@ -1084,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_plan_is_cached_until_epoch_bump() {
+    fn sweep_plan_is_cached_until_the_index_changes() {
         let idx = index();
         let pairs = [("SY", "sy"), ("QA", "qa")];
         assert_eq!(idx.sweep_cache_stats(), (0, 0));
@@ -1159,19 +1004,42 @@ mod tests {
     }
 
     #[test]
-    fn interner_and_shard_surfaces_are_consistent() {
-        let idx = index();
-        let labels = idx.interner();
-        assert!(labels.get("QA").is_some());
-        assert!(labels.get("isp.qa").is_some());
-        assert!(labels.get("gw.isp.qa").is_some());
-        let epochs = idx.shard_epochs();
-        assert_eq!(epochs.len(), idx.shard_count());
-        assert_eq!(epochs.iter().map(|e| e.live).sum::<usize>(), idx.len());
-        assert!(idx.posting_bytes() > 0);
-        for e in &epochs {
-            let line = e.to_line();
-            assert_eq!(crate::shard::ShardEpoch::parse_line(&line), Ok(*e));
+    fn interner_and_posting_surfaces_are_consistent() {
+        // Every posting holds exactly the live records with its label:
+        // after the build, after a delta that retires and re-crawls, and
+        // after compaction.
+        fn check(idx: &ScanIndex) {
+            let labels = idx.interner();
+            for (id, r) in idx.records().iter().enumerate() {
+                let live = idx.live.contains(id);
+                let c = labels.get(r.country().unwrap()).unwrap();
+                assert_eq!(idx.by_country[c.index()].contains(id), live);
+                for host in r.hostnames() {
+                    assert!(labels.get(host).is_some());
+                    for (pos, _) in host.match_indices('.') {
+                        let s = labels.get(&host[pos + 1..]).unwrap();
+                        assert_eq!(idx.by_suffix[s.index()].contains(id), live);
+                    }
+                }
+            }
+            let posted =
+                |postings: &[DenseBitSet]| postings.iter().map(DenseBitSet::len).sum::<usize>();
+            assert_eq!(posted(&idx.by_country), idx.len());
+            assert!(posted(&idx.by_suffix) >= idx.len());
+            assert!(idx.posting_bytes() > 0);
         }
+        let mut idx = index();
+        assert!(idx.interner().get("isp.qa").is_some());
+        check(&idx);
+        let recrawl = rec("5.0.2.1", 80, "Server: ProxySG", "www.plain.se", "SE");
+        let gone = ("5.0.3.1".parse().unwrap(), 80, "/".to_string());
+        idx.apply_delta(vec![recrawl], &[gone]);
+        check(&idx);
+        // A sym that labels no country (a hostname here) holds no words.
+        let host = idx.interner().get("gw.isp.qa").unwrap();
+        let slot = idx.by_country.get(host.index());
+        assert_eq!(slot.map_or(0, DenseBitSet::heap_bytes), 0);
+        idx.compact();
+        check(&idx);
     }
 }

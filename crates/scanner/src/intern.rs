@@ -1,7 +1,7 @@
 //! Deterministic string interning for index labels.
 //!
 //! Hostnames, country codes and ccTLD suffixes repeat heavily across a
-//! banner corpus; the sharded index stores each distinct label once and
+//! banner corpus; the index stores each distinct label once and
 //! refers to it by a dense [`Sym`]. Determinism contract: ids are
 //! assigned in insertion order (first-seen wins), so two indexes built
 //! from the same record stream intern identically, and all rendering
@@ -49,7 +49,7 @@ const EMPTY: Slot = Slot {
 const MIN_SLOTS: usize = 16;
 
 /// FNV-1a over the label bytes — stable across runs and platforms.
-/// Also used for shard assignment and sweep-plan fingerprints.
+/// Also used for sweep-plan fingerprints.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -14,13 +14,14 @@
 //!   (and the `/webadmin/` path on 8080, as crawlers that follow links
 //!   would record) and capturing status line + headers + a body snippet
 //!   per responsive endpoint;
-//! * [`ScanIndex`] — the resulting keyword-searchable index: sharded
-//!   ([`shard`]), interned ([`intern`]), bitset-posted ([`bitset`]),
-//!   incrementally ingestable via [`ScanIndex::apply_delta`], with
-//!   country/ccTLD-scoped queries and a cached per-epoch sweep plan;
+//! * [`ScanIndex`] — the resulting keyword-searchable index: interned
+//!   ([`intern`]), bitset-posted by country and hostname suffix
+//!   ([`bitset`]), incrementally ingestable via
+//!   [`ScanIndex::apply_delta`], and queried by one batched keyword ×
+//!   ccTLD sweep whose plan is cached per keyword table;
 //! * [`keywords`] — the Table 2 keyword table per product;
 //! * [`synth`] — a deterministic synthetic banner generator for
-//!   exercising shard boundaries at 10⁴–10⁶ records.
+//!   exercising the index at 10⁴–10⁶ records.
 //!
 //! Snapshots serialize via [`dump`] for longitudinal comparison (what
 //! appeared/disappeared between campaigns — the §2.2 vendor-withdrawal
@@ -39,7 +40,6 @@ pub mod intern;
 pub mod keywords;
 pub mod merge;
 mod record;
-pub mod shard;
 pub mod synth;
 
 pub use bitset::DenseBitSet;
@@ -49,5 +49,4 @@ pub use engine::ScanEngine;
 pub use index::{DeltaStats, IndexStats, ProductHits, ScanIndex};
 pub use intern::{Interner, Sym};
 pub use record::{RecordParts, ScanRecord};
-pub use shard::{IndexShard, ShardConfig, ShardEpoch};
 pub use synth::{synth_churn, synth_records, synth_records_with, SYNTH_COUNTRIES};

@@ -1,7 +1,7 @@
 //! Deterministic synthetic banner corpus for scale testing.
 //!
 //! The paper-world corpus tops out around 260 records — fine for the
-//! pinned-seed tables, useless for exercising shard boundaries or for
+//! pinned-seed tables, useless for exercising the postings or for
 //! benchmarking the sweep at Shodan-like sizes. This generator produces
 //! 10⁴/10⁵/10⁶-record corpora that are:
 //!
@@ -12,7 +12,7 @@
 //!   `mcafee-agent`, …) that share prefixes with Table-2 keywords, so a
 //!   per-keyword `contains` scan pays for restarts that the fused
 //!   automaton does not;
-//! * **shard-shaped** — countries cycle through a pool that includes
+//! * **scope-shaped** — countries cycle through a pool that includes
 //!   multi-label ccTLDs (`com.tr`, `co.uk`, …) with a bounded ISP label
 //!   set, so suffix postings stay compact while covering every suffix
 //!   level.

@@ -3,7 +3,8 @@
 //! harness in `filterwatch-testkit`.
 
 use filterwatch_netsim::{IpAddr, SimTime};
-use filterwatch_scanner::{diff, keywords, merge, RecordParts, ScanIndex, ScanRecord, ShardConfig};
+use filterwatch_scanner::keywords::{self, ProductKeywords};
+use filterwatch_scanner::{diff, merge, RecordParts, ScanIndex, ScanRecord};
 use proptest::prelude::*;
 
 /// The `(ip, port, path)` key a re-crawl delta retires by.
@@ -61,6 +62,34 @@ fn has_keyword(r: &ScanRecord) -> bool {
         .iter()
         .flat_map(|p| p.keywords)
         .any(|kw| text.contains(&kw.to_ascii_lowercase()))
+}
+
+/// The candidate addresses of a sweep for `keyword` alone over
+/// `pairs`, ascending. The one-product table is leaked because
+/// [`ProductKeywords`] holds `'static` slices.
+fn sweep_one(index: &ScanIndex, keyword: &str, pairs: &[(&str, &str)]) -> Vec<IpAddr> {
+    let keyword: &'static str = Box::leak(keyword.into());
+    let table = [ProductKeywords {
+        product: "probe",
+        keywords: Box::leak(Box::new([keyword])),
+    }];
+    let hits = index.search_products(&table, pairs.iter().copied());
+    hits["probe"].keys().copied().collect()
+}
+
+/// Half the draws of `pick` name one of `index`'s records and the
+/// other half none, so a property sees scopes and keywords taken from
+/// the records as well as ones drawn on their own.
+fn picked(index: &ScanIndex, pick: usize) -> Option<&ScanRecord> {
+    index
+        .records()
+        .get(pick % (2 * index.records().len()).max(1))
+}
+
+/// The distinct addresses of `records`, ascending.
+fn addresses<'r>(records: impl Iterator<Item = &'r ScanRecord>) -> Vec<IpAddr> {
+    let set: std::collections::BTreeSet<IpAddr> = records.map(ScanRecord::ip).collect();
+    set.into_iter().collect()
 }
 
 /// A re-crawl of `old`'s endpoint that flips whether the record holds
@@ -297,26 +326,42 @@ proptest! {
         prop_assert_eq!(d2.disappeared.len(), distinct.len());
     }
 
-    /// Keyword search returns exactly the records whose lowercased
-    /// searchable text contains the keyword; each record's searchable
-    /// text is the raw-case reference formatted from its fields.
+    /// A sweep for one keyword returns exactly the addresses of the
+    /// records whose lowercased searchable text contains the keyword,
+    /// with a scope that holds every record that has a country or a
+    /// hostname; each record's searchable text is the raw-case reference
+    /// formatted from its fields. A picked record lends its first
+    /// hostname label as the keyword, so the sweep has a hit to find.
     #[test]
-    fn search_soundness(records in proptest::collection::vec(any_record(), 0..15), kw in "[a-zA-Z]{2,6}") {
+    fn search_soundness(
+        records in proptest::collection::vec(any_record(), 0..15),
+        kw in "[a-zA-Z]{2,6}",
+        pick in any::<usize>(),
+    ) {
         let index = ScanIndex::build(records);
         for record in index.records() {
             prop_assert_eq!(record.searchable_text(), reference_text(record));
         }
-        prop_assert_eq!(index.search(&kw).len(), index.search_ids(&kw).len());
-        let lower = kw.to_ascii_lowercase();
-        let brute: Vec<usize> = (0..index.records().len())
-            .filter(|&id| {
-                index.records()[id]
-                    .searchable_text()
-                    .to_ascii_lowercase()
-                    .contains(&lower)
+        let label = picked(&index, pick)
+            .and_then(|r| r.hostnames().next())
+            .and_then(|h| h.split('.').next())
+            .filter(|l| !l.is_empty());
+        let kw = label.unwrap_or(&kw);
+        // Each record's country and its first hostname's last label.
+        let pairs: Vec<(&str, &str)> = index
+            .records()
+            .iter()
+            .map(|r| {
+                let tld = r.hostnames().next().and_then(|h| h.rsplit('.').next());
+                (r.country().unwrap_or(""), tld.unwrap_or(""))
             })
             .collect();
-        prop_assert_eq!(index.search_ids(&kw), brute);
+        let lower = kw.to_ascii_lowercase();
+        let brute = addresses(index.records().iter().filter(|r| {
+            (r.country().is_some() || r.hostnames().next().is_some())
+                && r.searchable_text().to_ascii_lowercase().contains(&lower)
+        }));
+        prop_assert_eq!(sweep_one(&index, kw, &pairs), brute);
     }
 
     /// Stats totals agree with the record list.
@@ -331,27 +376,33 @@ proptest! {
         prop_assert!(stats.addresses <= stats.records.max(1));
     }
 
-    /// The posting-list country search equals the brute-force
-    /// predicate from the seed implementation, record for record.
+    /// A sweep for one keyword in one `(country, ccTLD)` scope equals
+    /// the brute-force predicate from the seed implementation, address
+    /// for address. A picked record lends its country and its first
+    /// hostname's last label to the scope, so both arms of the scope
+    /// hold records.
     #[test]
     fn country_search_equals_bruteforce(
         records in proptest::collection::vec(any_record(), 0..25),
         kw in "[a-z]{1,4}",
         cc in "[A-Z]{2}",
         tld in "[a-z]{2,3}",
+        pick in any::<usize>(),
     ) {
         let index = ScanIndex::build(records);
-        let fast: Vec<&ScanRecord> = index.search_in_country(&kw, &cc, &tld);
+        let picked = picked(&index, pick);
+        let cc = picked.and_then(ScanRecord::country).unwrap_or(&cc);
+        let tld = picked
+            .and_then(|r| r.hostnames().next())
+            .and_then(|h| h.rsplit('.').next())
+            .map_or(tld.clone(), str::to_ascii_lowercase);
+        let fast = sweep_one(&index, &kw, &[(cc, &tld)]);
         let suffix = format!(".{}", tld);
-        let brute: Vec<&ScanRecord> = index
-            .records()
-            .iter()
-            .filter(|r| {
-                r.searchable_text().to_ascii_lowercase().contains(&kw)
-                    && (r.country() == Some(cc.as_str())
-                        || r.hostnames().any(|h| h.to_ascii_lowercase().ends_with(&suffix)))
-            })
-            .collect();
+        let brute = addresses(index.records().iter().filter(|r| {
+            r.searchable_text().to_ascii_lowercase().contains(&kw)
+                && (r.country() == Some(cc)
+                    || r.hostnames().any(|h| h.to_ascii_lowercase().ends_with(&suffix)))
+        }));
         prop_assert_eq!(fast, brute);
     }
 
@@ -442,30 +493,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Shard count never changes what queries return — only where the
-    /// postings live.
-    #[test]
-    fn shard_count_invariance(
-        records in proptest::collection::vec(any_record(), 0..30),
-        shards in 1usize..12,
-        kw in "[a-z]{1,4}",
-    ) {
-        let sharded = ScanIndex::build_with(records.clone(), ShardConfig { shards });
-        let flat = ScanIndex::build_with(records, ShardConfig { shards: 1 });
-        prop_assert_eq!(sharded.to_dump(), flat.to_dump());
-        prop_assert_eq!(sharded.stats(), flat.stats());
-        prop_assert_eq!(sharded.search_ids(&kw), flat.search_ids(&kw));
-        prop_assert_eq!(
-            sharded.search_in_country(&kw, "QA", "qa"),
-            flat.search_in_country(&kw, "QA", "qa")
-        );
-        let pairs: Vec<(&str, &str)> = vec![("QA", "qa"), ("SY", "sy"), ("US", "us")];
-        prop_assert_eq!(
-            sharded.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied()),
-            flat.search_products(keywords::KEYWORD_TABLE, pairs.iter().copied())
-        );
     }
 
     /// The spawn helper is ordered by construction: for a per-item

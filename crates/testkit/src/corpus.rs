@@ -10,9 +10,9 @@
 //! posting lists.
 //!
 //! Everything here is a pure function of the plan: same seed and
-//! `corpus_scale`, byte-identical records and index.
+//! `corpus_scale`, byte-identical records.
 
-use filterwatch_scanner::{synth_records_with, ScanIndex, ScanRecord, ShardConfig};
+use filterwatch_scanner::{synth_records_with, ScanRecord};
 
 use crate::plan::{ScenarioPlan, COUNTRY_POOL};
 
@@ -29,11 +29,6 @@ pub fn synth_corpus(plan: &ScenarioPlan) -> Vec<ScanRecord> {
         .map(|&(cc, _, cctld)| (cc, cctld))
         .collect();
     synth_records_with(plan.corpus_scale, plan.seed, CORPUS_IP_BASE, &countries)
-}
-
-/// Mint the corpus and build it into a sharded scan index in one step.
-pub fn synth_corpus_index(plan: &ScenarioPlan, shards: usize) -> ScanIndex {
-    ScanIndex::build_with(synth_corpus(plan), ShardConfig { shards })
 }
 
 #[cfg(test)]
@@ -80,15 +75,5 @@ mod tests {
                 .any(|h| h.ends_with(".com.tr") || h.ends_with(".co.uk"));
         }
         assert!(multi_label, "no multi-label ccTLD hostname in 400 records");
-    }
-
-    #[test]
-    fn index_matches_a_by_hand_build() {
-        let plan = scaled(9, 300);
-        let index = synth_corpus_index(&plan, 8);
-        let by_hand = ScanIndex::build(synth_corpus(&plan));
-        assert_eq!(index.to_dump(), by_hand.to_dump());
-        assert_eq!(index.len(), 300);
-        assert_eq!(index.shard_count(), 8);
     }
 }

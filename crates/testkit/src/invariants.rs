@@ -15,13 +15,9 @@
 //! 4. **Holdout integrity** — a case is confirmed iff the majority of
 //!    its *submitted* half blocked, and the held-out half never blocks
 //!    (its domains are structurally unknown to every vendor).
-//! 5. **Shard invariance** — repartitioning the scan index across any
-//!    shard count leaves the identify installations table
-//!    byte-identical (sharding is a layout choice, never a semantic
-//!    one).
 
 use filterwatch_core::identify::IdentifyPipeline;
-use filterwatch_scanner::{ScanEngine, ScanIndex, ShardConfig};
+use filterwatch_scanner::ScanEngine;
 
 use crate::plan::{FaultPlan, ScenarioPlan};
 use crate::runner::{run_campaign, run_campaign_with, RunConfig};
@@ -94,32 +90,6 @@ pub fn check_permutation_invariance(plan: &ScenarioPlan) -> Result<(), Violation
                     "shuffle seed {shuffle_seed}: {}",
                     first_diff(&base, &permuted)
                 ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Invariant 5: identify tables are independent of how the scan index
-/// is sharded — a single flat shard and a wide partitioning must
-/// render the same installations, byte for byte.
-pub fn check_shard_invariance(plan: &ScenarioPlan) -> Result<(), Violation> {
-    let gw = build_world(plan);
-    let index = ScanEngine::new().scan(&gw.net);
-    let pipeline = IdentifyPipeline::new();
-    let base = pipeline
-        .run_on_index(&gw.net, &index)
-        .render_installations();
-    for shards in [1usize, 3, 16] {
-        let repartitioned = ScanIndex::build_with(index.records().to_vec(), ShardConfig { shards });
-        let rendered = pipeline
-            .run_on_index(&gw.net, &repartitioned)
-            .render_installations();
-        if rendered != base {
-            return Err(violation(
-                "shard-invariance",
-                plan,
-                format!("{shards} shard(s): {}", first_diff(&base, &rendered)),
             ));
         }
     }
@@ -276,7 +246,6 @@ pub fn check_holdout_integrity(plan: &ScenarioPlan) -> Result<(), Violation> {
 /// Every invariant, on one plan.
 pub fn check_plan(plan: &ScenarioPlan) -> Result<(), Violation> {
     check_permutation_invariance(plan)?;
-    check_shard_invariance(plan)?;
     check_bystander_indifference(plan)?;
     check_fault_degradation(plan)?;
     check_holdout_integrity(plan)?;

@@ -43,7 +43,7 @@ pub mod strategies;
 pub mod wire;
 pub mod worldgen;
 
-pub use corpus::{synth_corpus, synth_corpus_index};
+pub use corpus::synth_corpus;
 pub use differential::{minimize, parse_seeds, run_seed, seeds_from_env, Divergence};
 pub use golden::{check_golden, golden_path, update_mode, UPDATE_ENV};
 pub use invariants::{check_plan, check_seed, Violation};

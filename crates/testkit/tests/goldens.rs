@@ -203,8 +203,8 @@ fn pin_log(out: &mut String, name: &str, text: &str) {
 }
 
 /// Pin every wire format the workspace writes: checkpoint, trace,
-/// telemetry event, flow-log, kernel event-log, scan dump, interner,
-/// shard-epoch and measurement-quality lines from real runs, plus one
+/// telemetry event, flow-log, kernel event-log, scan dump, interner
+/// and measurement-quality lines from real runs, plus one
 /// hand-built value of every token enum variant (clean runs never emit
 /// `outage:`, `truncated`, `breaker-skip:` or `dnsfail:injected`).
 #[test]
@@ -284,12 +284,6 @@ fn wire_formats_golden() {
         "interner (paper world)",
         &(index.interner().to_line() + "\n"),
     );
-    let epochs: String = index
-        .shard_epochs()
-        .iter()
-        .map(|e| e.to_line() + "\n")
-        .collect();
-    pin_log(&mut out, "shard epochs (paper world)", &epochs);
 
     let chaos = Campaign::demo(DEFAULT_SEED)
         .with_resilience(ResilienceConfig::chaos())

@@ -17,7 +17,7 @@ use filterwatch_netsim::{EventKind, EventRecord, FlowDisposition, FlowRecord, Ip
 use filterwatch_orchestrator::{
     CampaignCheckpoint, CampaignDescriptor, CampaignKind, CaseCkpt, StageHead, StageState,
 };
-use filterwatch_scanner::{Interner, RecordParts, ScanIndex, ScanRecord, ShardEpoch};
+use filterwatch_scanner::{Interner, RecordParts, ScanIndex, ScanRecord};
 use filterwatch_telemetry::wire::Wire;
 use filterwatch_telemetry::Event;
 use filterwatch_testkit::wire::{check_tokens, check_wire};
@@ -335,17 +335,6 @@ proptest! {
     #[test]
     fn quality_lines_round_trip(quality in any_quality(), junk in JUNK) {
         pass(check_wire(&quality, &junk));
-    }
-
-    #[test]
-    fn shard_epoch_lines_round_trip(
-        shard in any::<u16>(),
-        epoch in any::<u64>(),
-        live in any::<usize>(),
-        tombstones in any::<usize>(),
-        junk in JUNK,
-    ) {
-        pass(check_wire(&ShardEpoch { shard, epoch, live, tombstones }, &junk));
     }
 
     #[test]

@@ -2,23 +2,37 @@
 //! keyword search, fingerprint validation, geolocation — including the
 //! Table 2 confusion matrix (no product is mistaken for another).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use filterwatch_core::geo::{build_asndb, build_geodb};
 use filterwatch_core::identify::IdentifyPipeline;
 use filterwatch_core::{World, DEFAULT_SEED};
 use filterwatch_fingerprint::FingerprintEngine;
+use filterwatch_netsim::Internet;
 use filterwatch_products::ProductKind;
-use filterwatch_scanner::{keywords, ScanEngine};
+use filterwatch_scanner::{keywords, ProductHits, ScanEngine, ScanIndex};
+
+/// The sweep identify runs: every Table 2 keyword over the registry's
+/// `(country, ccTLD)` pairs.
+fn sweep(net: &Internet, index: &ScanIndex) -> BTreeMap<String, ProductHits> {
+    let pairs = net
+        .registry()
+        .countries()
+        .map(|c| (c.code.as_str(), c.cctld.as_str()));
+    index.search_products(keywords::KEYWORD_TABLE, pairs)
+}
 
 #[test]
 fn scan_index_contains_all_table2_keywords() {
     let world = World::paper(DEFAULT_SEED);
     let index = ScanEngine::new().scan(&world.net);
+    let hits = sweep(&world.net, &index);
     for entry in keywords::KEYWORD_TABLE {
         for kw in entry.keywords {
             assert!(
-                !index.search(kw).is_empty(),
+                hits[entry.product]
+                    .values()
+                    .any(|found| found.iter().any(|k| k == kw)),
                 "keyword {kw:?} for {} finds nothing",
                 entry.product
             );
@@ -34,13 +48,14 @@ fn confusion_matrix_is_diagonal() {
     let index = ScanEngine::new().scan(&world.net);
     let engine = FingerprintEngine::new();
 
+    let hits = sweep(&world.net, &index);
     let mut matrix: BTreeMap<(&str, &str), usize> = BTreeMap::new();
-    for entry in keywords::KEYWORD_TABLE {
-        for kw in entry.keywords {
-            for ip in index.matching_ips(kw) {
-                for finding in engine.identify(&world.net, ip) {
-                    *matrix.entry((entry.product, finding.product)).or_default() += 1;
-                }
+    for (searched, candidates) in &hits {
+        for &ip in candidates.keys() {
+            for finding in engine.identify(&world.net, ip) {
+                *matrix
+                    .entry((searched.as_str(), finding.product))
+                    .or_default() += 1;
             }
         }
     }
@@ -169,17 +184,19 @@ fn scan_only_sees_externally_visible_surface() {
     let v = ScanEngine::new().scan(&visible.net);
     let h = ScanEngine::new().scan(&hidden.net);
     assert!(v.len() > h.len());
-    for entry in keywords::KEYWORD_TABLE {
-        for kw in entry.keywords {
-            let hits = h.search(kw);
-            // The vendor's own public sites may still mention product
-            // names; no *console* endpoints remain.
-            for rec in hits {
-                assert!(
-                    rec.hostnames().all(|n| !n.starts_with("gw.")),
-                    "console leaked: {rec}"
-                );
-            }
+    // The vendor's own public sites may still mention product names; no
+    // *console* endpoints remain among the candidates.
+    let candidates: BTreeSet<_> = sweep(&hidden.net, &h)
+        .values()
+        .flat_map(|hits| hits.keys().copied())
+        .collect();
+    assert!(!candidates.is_empty());
+    for rec in h.records() {
+        if candidates.contains(&rec.ip()) {
+            assert!(
+                rec.hostnames().all(|n| !n.starts_with("gw.")),
+                "console leaked: {rec}"
+            );
         }
     }
 }
