@@ -202,6 +202,47 @@ fn pin_log(out: &mut String, name: &str, text: &str) {
     }
 }
 
+/// Append one surface's line count and FNV-1a digest as a single line.
+fn pin_digest(out: &mut String, name: &str, text: &str) {
+    out.push_str(&format!(
+        "{name}: lines {} fnv1a {:016x}\n",
+        text.lines().count(),
+        fnv1a64(text)
+    ));
+}
+
+/// Pin what every fetch leaves behind, by digest: for plan seeds 0–9,
+/// the generated campaign's report, its flow log and its rendered trace
+/// forest; and the full-trace demo campaign's markdown report and trace
+/// forest. Every observable effect of the fetch path lands in one of
+/// these, so a change to how a fetch runs that moves any byte of them
+/// shows up here.
+#[test]
+fn fetch_surfaces_golden() {
+    use filterwatch_testkit::{run_campaign_forensic, RunConfig};
+    use filterwatch_trace::{build_forest, render_forest, TraceMode};
+
+    let mut out = String::from("# fetch surfaces\n");
+    for seed in 0u64..10 {
+        let plan = plan_for_seed(seed);
+        let run = run_campaign_forensic(&plan, &RunConfig::for_plan(&plan));
+        let flows: String = run.flow_lines.iter().map(|l| format!("{l}\n")).collect();
+        out.push_str(&format!("\n## plan seed {seed}\n"));
+        pin_digest(&mut out, "report", &run.report.stable_text());
+        pin_digest(&mut out, "flow log", &flows);
+        pin_digest(&mut out, "trace forest", &run.trace_forest);
+    }
+    let demo = Campaign::demo(0).with_trace(TraceMode::Full).run();
+    out.push_str("\n## demo campaign (seed 0, full trace)\n");
+    pin_digest(&mut out, "report", &demo.to_markdown());
+    pin_digest(
+        &mut out,
+        "trace forest",
+        &render_forest(&build_forest(&demo.trace)),
+    );
+    check_golden("fetch-surfaces", &out).unwrap_or_else(|e| panic!("{e}"));
+}
+
 /// Pin every wire format the workspace writes: checkpoint, trace,
 /// telemetry event, flow-log, kernel event-log, scan dump, interner
 /// and measurement-quality lines from real runs, plus one
