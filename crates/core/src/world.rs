@@ -18,9 +18,7 @@ use std::sync::Arc;
 use filterwatch_http::Url;
 use filterwatch_measure::{MeasurementClient, ResilienceConfig};
 use filterwatch_netsim::service::{AdultImageSite, GlypeProxySite, StaticSite};
-use filterwatch_netsim::{
-    FaultProfile, FetchPath, Internet, IpAddr, NetworkId, NetworkSpec, VantageId,
-};
+use filterwatch_netsim::{FaultProfile, Internet, IpAddr, NetworkId, NetworkSpec, VantageId};
 use filterwatch_products::bluecoat::{
     BlueCoatProxy, CfAuthPortal, ProxySgConsole, ProxySgIntercept,
 };
@@ -50,10 +48,6 @@ pub struct WorldOptions {
     pub console_visibility: f64,
     /// URLs per category on the test lists.
     pub list_urls_per_category: usize,
-    /// Which netsim fetch machinery every flow runs through: the event
-    /// kernel (default) or the direct-call differential oracle. Must
-    /// never change a byte of any stage output.
-    pub fetch_path: FetchPath,
 }
 
 impl Default for WorldOptions {
@@ -65,7 +59,6 @@ impl Default for WorldOptions {
             reject_flaggable_submissions: false,
             console_visibility: 1.0,
             list_urls_per_category: 2,
-            fetch_path: FetchPath::default(),
         }
     }
 }
@@ -278,7 +271,6 @@ impl World {
     pub fn build(options: WorldOptions) -> World {
         let seed = options.seed;
         let mut net = Internet::new(seed);
-        net.set_fetch_path(options.fetch_path);
 
         for &(code, name, tld) in COUNTRIES {
             net.registry_mut().register_country(code, name, tld);

@@ -1,12 +1,13 @@
-//! The discrete-event core: a deterministic event queue on virtual time.
+//! A deterministic event queue on virtual time.
 //!
-//! Everything that *happens* in the simulated Internet — DNS lookups,
-//! fault draws, middlebox hops, origin replies, parked orchestrator
-//! deadlines — is an entry in an [`EventQueue`]: a `(time, seq)`-ordered
-//! priority queue where `seq` is a monotone insertion sequence. Two
-//! events at the same virtual instant always pop in the order they were
-//! scheduled, which is the tie-break that makes identical seeds replay
-//! byte-identically no matter how many flows are in flight.
+//! An [`EventQueue`] is a `(time, seq)`-ordered priority queue where
+//! `seq` is a monotone insertion sequence. Two events at the same
+//! virtual instant always pop in the order they were scheduled, which
+//! is the tie-break that makes identical seeds replay byte-identically.
+//! The orchestrator's scheduler parks each campaign's `Wait` deadline
+//! on one, so crash/resume replays release parked campaigns in the
+//! same order. A fetch is not an event: it runs straight through on
+//! the caller's thread (see [`Internet::fetch_as`](crate::Internet::fetch_as)).
 //!
 //! The queue never moves the clock itself: callers pop events (or pop
 //! everything due up to an externally advanced `now`) and dispatch them.

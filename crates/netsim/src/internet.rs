@@ -1,7 +1,7 @@
 //! The simulated Internet: topology, routing and the fetch path.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use filterwatch_http::{Request, Response, Url};
@@ -11,11 +11,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 
 use crate::dns::Dns;
-use crate::event::{EventId, EventQueue};
 use crate::fault::{Fault, FaultProfile};
 use crate::flowlog::{FlowDisposition, FlowRecord};
 use crate::ip::{Cidr, IpAddr};
-use crate::kernel::{EventRecord, FlowId, FlowState, Kernel, SimEvent};
 use crate::middlebox::{Chain, FlowCtx, Middlebox, Verdict};
 use crate::outcome::FetchOutcome;
 use crate::registry::{Asn, CountryCode, Registry};
@@ -23,24 +21,6 @@ use crate::rng::labelled_rng;
 use crate::service::{Service, ServiceCtx};
 use crate::time::SimTime;
 use crate::vantage::{Vantage, VantageId};
-
-/// Which implementation carries a fetch.
-///
-/// [`FetchPath::Event`] (the default) schedules the flow's stages —
-/// DNS, fault draw, middlebox hops, origin reply, response path — as
-/// typed events on the central `(time, seq)`-ordered queue and drives
-/// the loop to quiescence. [`FetchPath::DirectReference`] is the
-/// original nested-call implementation, retained solely as the oracle
-/// for the old-vs-new differential battery: the testkit runs both paths
-/// and asserts byte-identical tables, flow logs and trace forests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FetchPath {
-    /// The discrete-event core (default).
-    #[default]
-    Event,
-    /// The legacy direct-call chain, kept as the differential oracle.
-    DirectReference,
-}
 
 /// Handle to a network (ISP) in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,8 +129,6 @@ pub struct Internet {
     flow_log_enabled: std::sync::atomic::AtomicBool,
     telemetry: TelemetryHandle,
     tracer: TraceHandle,
-    kernel: Mutex<Kernel>,
-    fetch_path: AtomicU8,
 }
 
 /// Source address used for scanner probes (outside all simulated networks).
@@ -172,23 +150,6 @@ impl Internet {
             flow_log_enabled: std::sync::atomic::AtomicBool::new(false),
             telemetry: TelemetryHandle::disabled(),
             tracer: TraceHandle::disabled(),
-            kernel: Mutex::new(Kernel::new()),
-            fetch_path: AtomicU8::new(FetchPath::Event as u8),
-        }
-    }
-
-    /// Select which implementation carries subsequent fetches. The
-    /// event core is the default; [`FetchPath::DirectReference`] exists
-    /// for the old-vs-new differential battery.
-    pub fn set_fetch_path(&self, path: FetchPath) {
-        self.fetch_path.store(path as u8, Ordering::Relaxed);
-    }
-
-    /// The currently selected fetch implementation.
-    pub fn fetch_path(&self) -> FetchPath {
-        match self.fetch_path.load(Ordering::Relaxed) {
-            x if x == FetchPath::DirectReference as u8 => FetchPath::DirectReference,
-            _ => FetchPath::Event,
         }
     }
 
@@ -236,24 +197,6 @@ impl Internet {
         let n = log.len();
         log.clear();
         n
-    }
-
-    /// Enable or disable the kernel event log (disabled by default;
-    /// logging every dispatched event costs memory on long campaigns).
-    /// Only fetches carried by [`FetchPath::Event`] dispatch events.
-    pub fn set_event_log(&self, enabled: bool) {
-        self.kernel.lock().set_event_log(enabled);
-    }
-
-    /// Snapshot the kernel event log.
-    pub fn event_log(&self) -> Vec<EventRecord> {
-        self.kernel.lock().event_log()
-    }
-
-    /// Clear the kernel event log, returning how many records were
-    /// dropped.
-    pub fn clear_event_log(&self) -> usize {
-        self.kernel.lock().clear_event_log()
     }
 
     fn log_flow(
@@ -513,349 +456,28 @@ impl Internet {
     /// origin service, and carry the response back.
     pub fn fetch(&self, vantage: VantageId, url: &Url) -> FetchOutcome {
         let v = &self.vantages[vantage.0];
-        self.fetch_as(v.network, v.ip, Request::get(url.clone()))
+        self.fetch_as(v.network, v.ip, &Request::get(url.clone()))
     }
 
     /// Fetch an arbitrary request as the given vantage point.
     pub fn fetch_request(&self, vantage: VantageId, req: &Request) -> FetchOutcome {
         let v = &self.vantages[vantage.0];
-        self.fetch_as(v.network, v.ip, req.clone())
+        self.fetch_as(v.network, v.ip, req)
     }
 
-    /// Fetch a request as a client at `client_ip` inside `net`.
-    ///
-    /// This is the facade over the event core: it opens a flow,
-    /// drives the event loop to quiescence, and returns the flow's
-    /// outcome — so callers written against the old synchronous API
-    /// work unchanged. Under [`FetchPath::DirectReference`] the legacy
-    /// nested-call implementation runs instead (differential oracle).
-    pub fn fetch_as(&self, net: NetworkId, client_ip: IpAddr, req: Request) -> FetchOutcome {
+    /// Fetch a request as a client at `client_ip` inside `net`: resolve,
+    /// consult the network's fault profile, walk its middlebox chain,
+    /// hit the origin service and carry the response back. The fetch
+    /// runs to completion before it returns and records its wall time
+    /// in the `fetch.wall_nanos` histogram.
+    pub fn fetch_as(&self, net: NetworkId, client_ip: IpAddr, req: &Request) -> FetchOutcome {
         self.telemetry
-            .observe_timed("fetch.wall_nanos", "", || match self.fetch_path() {
-                FetchPath::Event => self.fetch_as_event(net, client_ip, req),
-                FetchPath::DirectReference => self.fetch_as_direct(net, client_ip, &req),
-            })
+            .observe_timed("fetch.wall_nanos", "", || self.carry(net, client_ip, req))
     }
 
-    /// Carry one fetch through the event core, synchronously: open the
-    /// flow, drain the queue, take the outcome. Any other flows already
-    /// in flight (opened via [`Internet::start_fetch_as`]) advance too.
-    fn fetch_as_event(&self, net: NetworkId, client_ip: IpAddr, req: Request) -> FetchOutcome {
-        let mut kernel = self.kernel.lock();
-        let id = kernel.open_flow(net, client_ip, req, self.now());
-        self.drain_events(&mut kernel);
-        // Every event path sets an outcome before the queue drains dry,
-        // so the fallback is unreachable; Timeout is the conservative
-        // reading of "the simulation lost the flow".
-        kernel.close_flow(id).unwrap_or(FetchOutcome::Timeout)
-    }
-
-    /// Open a flow through the event core without driving it: the
-    /// flow's first event is queued at the current virtual time and
-    /// will advance on the next [`Internet::run_to_quiescence`] (or any
-    /// facade fetch). Many flows may be opened before any is driven;
-    /// they then advance interleaved, round-robin by queue order.
-    pub fn start_fetch_as(&self, net: NetworkId, client_ip: IpAddr, req: Request) -> FlowId {
-        self.kernel
-            .lock()
-            .open_flow(net, client_ip, req, self.now())
-    }
-
-    /// Open a flow for `url` as a vantage point (see
-    /// [`Internet::start_fetch_as`]).
-    pub fn start_fetch(&self, vantage: VantageId, url: &Url) -> FlowId {
-        let v = &self.vantages[vantage.0];
-        self.start_fetch_as(v.network, v.ip, Request::get(url.clone()))
-    }
-
-    /// Dispatch events until the queue is empty. All currently
-    /// in-flight flows run to completion.
-    pub fn run_to_quiescence(&self) {
-        let mut kernel = self.kernel.lock();
-        self.drain_events(&mut kernel);
-    }
-
-    /// Take the outcome of a completed flow, freeing its slot. Returns
-    /// `None` while the flow is still in flight (or if the id is
-    /// unknown / already taken).
-    pub fn take_outcome(&self, flow: FlowId) -> Option<FetchOutcome> {
-        self.kernel.lock().close_flow(flow)
-    }
-
-    /// Number of flows currently in flight on the event core.
-    pub fn flows_in_flight(&self) -> usize {
-        self.kernel.lock().in_flight()
-    }
-
-    /// Number of events pending on the central queue.
-    pub fn pending_events(&self) -> usize {
-        self.kernel.lock().queue.len()
-    }
-
-    /// Carry a batch of fetches concurrently through the event core:
-    /// all flows are opened first (so their stages interleave on the
-    /// queue), then the loop runs to quiescence, and outcomes come back
-    /// in input order.
-    pub fn fetch_batch(&self, requests: &[(NetworkId, IpAddr, Request)]) -> Vec<FetchOutcome> {
-        let mut kernel = self.kernel.lock();
-        let ids: Vec<FlowId> = requests
-            .iter()
-            .map(|(net, ip, req)| kernel.open_flow(*net, *ip, req.clone(), self.now()))
-            .collect();
-        self.drain_events(&mut kernel);
-        ids.into_iter()
-            .map(|id| kernel.close_flow(id).unwrap_or(FetchOutcome::Timeout))
-            .collect()
-    }
-
-    fn drain_events(&self, kernel: &mut Kernel) {
-        while let Some((at, id, ev)) = kernel.queue.pop() {
-            self.dispatch(kernel, at, id, ev);
-        }
-    }
-
-    /// Dispatch one event: advance its flow by exactly one stage,
-    /// emitting the same trace points / flow-log records / telemetry
-    /// the direct path emits at the equivalent site.
-    fn dispatch(&self, kernel: &mut Kernel, at: SimTime, id: EventId, ev: SimEvent) {
-        let flow_id = ev.flow();
-        let Some((st, queue)) = kernel.dispatch_slot(at, id, &ev) else {
-            return;
-        };
-        match ev {
-            SimEvent::Dns(_) => self.ev_dns(queue, flow_id, st),
-            SimEvent::Fault(_) => self.ev_fault(queue, flow_id, st),
-            SimEvent::MbHop(_, hop) => self.ev_mb_hop(queue, flow_id, st, hop),
-            SimEvent::Origin(_) => self.ev_origin(queue, flow_id, st),
-            SimEvent::Response(_) => self.ev_response(st),
-        }
-    }
-
-    /// Stage 1: DNS.
-    fn ev_dns(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
-        let network = &self.networks[st.net.0];
-        match self.dns.resolve(st.req.url.host()) {
-            None => {
-                self.tracer.point(
-                    StepKind::Dns,
-                    self.now().secs(),
-                    &[("host", &st.req.url.host()), ("outcome", &"fail")],
-                );
-                self.log_flow(
-                    network,
-                    st.client_ip,
-                    &st.req.url,
-                    FlowDisposition::DnsFailure,
-                );
-                st.outcome = Some(FetchOutcome::DnsFailure);
-            }
-            Some(dest_ip) => {
-                self.tracer.point(
-                    StepKind::Dns,
-                    self.now().secs(),
-                    &[
-                        ("host", &st.req.url.host()),
-                        ("ip", &dest_ip),
-                        ("outcome", &"ok"),
-                    ],
-                );
-                st.dest_ip = Some(dest_ip);
-                queue.schedule(self.now(), SimEvent::Fault(id));
-            }
-        }
-    }
-
-    /// Stage 2: access-path faults. Deterministic outage windows are
-    /// checked first (no RNG draw); probabilistic faults each draw only
-    /// when their probability is non-zero — exactly one consultation of
-    /// the shared fault stream per flow, same as the direct path.
-    fn ev_fault(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
-        let network = &self.networks[st.net.0];
-        if let Some(fault) = network.faults.sample_at(self.now(), &mut *self.rng.lock()) {
-            let (outcome, disposition) = match fault {
-                Fault::Timeout => (FetchOutcome::Timeout, FlowDisposition::PathFault("timeout")),
-                Fault::Reset => (FetchOutcome::Reset, FlowDisposition::PathFault("reset")),
-                Fault::DnsFailure => (
-                    FetchOutcome::DnsFailure,
-                    FlowDisposition::InjectedDnsFailure,
-                ),
-                Fault::Truncated => (FetchOutcome::Truncated, FlowDisposition::Truncated),
-                Fault::Outage { resumes_at } => (
-                    FetchOutcome::Timeout,
-                    FlowDisposition::Outage {
-                        resumes_at_secs: resumes_at.secs(),
-                    },
-                ),
-            };
-            let kind = match &disposition {
-                FlowDisposition::PathFault(kind) => kind,
-                FlowDisposition::InjectedDnsFailure => "dns-failure",
-                FlowDisposition::Truncated => "truncated",
-                FlowDisposition::Outage { .. } => "outage",
-                _ => "other",
-            };
-            match &disposition {
-                FlowDisposition::Outage { resumes_at_secs } => self.tracer.point(
-                    StepKind::PathFault,
-                    self.now().secs(),
-                    &[("kind", &kind), ("resumes-at", resumes_at_secs)],
-                ),
-                _ => self
-                    .tracer
-                    .point(StepKind::PathFault, self.now().secs(), &[("kind", &kind)]),
-            }
-            self.log_flow(network, st.client_ip, &st.req.url, disposition);
-            st.outcome = Some(outcome);
-        } else {
-            queue.schedule(self.now(), SimEvent::MbHop(id, 0));
-        }
-    }
-
-    /// Stage 3 (one event per hop): present the request to middlebox
-    /// `hop`; forward to the next hop, or render the chain's verdict.
-    fn ev_mb_hop(
-        &self,
-        queue: &mut EventQueue<SimEvent>,
-        id: FlowId,
-        st: &mut FlowState,
-        hop: usize,
-    ) {
-        let network = &self.networks[st.net.0];
-        let flow = FlowCtx {
-            now: self.now(),
-            client_ip: st.client_ip,
-        };
-        let decider = network.chain.name_at(hop).unwrap_or_default();
-        match network.chain.request_at(hop, &st.req, &flow) {
-            // Past the end of the chain: every box forwarded.
-            None => {
-                st.passed = hop;
-                queue.schedule(self.now(), SimEvent::Origin(id));
-            }
-            Some(Verdict::Forward) => {
-                self.tracer.point(
-                    StepKind::MbHop,
-                    self.now().secs(),
-                    &[("middlebox", &decider), ("action", &"forward")],
-                );
-                st.passed = hop + 1;
-                queue.schedule(self.now(), SimEvent::MbHop(id, hop + 1));
-            }
-            Some(Verdict::Respond(resp)) => {
-                let resp = network.chain.run_response(&st.req, *resp, &flow, hop);
-                self.tracer.point(
-                    StepKind::MbHop,
-                    self.now().secs(),
-                    &[
-                        ("middlebox", &decider),
-                        ("action", &"respond"),
-                        ("status", &resp.status.code()),
-                    ],
-                );
-                self.log_flow(
-                    network,
-                    st.client_ip,
-                    &st.req.url,
-                    FlowDisposition::Intercepted {
-                        middlebox: decider.to_string(),
-                        status: resp.status.code(),
-                    },
-                );
-                st.outcome = Some(FetchOutcome::Ok(resp));
-            }
-            Some(Verdict::Drop) => {
-                self.tracer.point(
-                    StepKind::MbHop,
-                    self.now().secs(),
-                    &[("middlebox", &decider), ("action", &"drop")],
-                );
-                self.log_flow(
-                    network,
-                    st.client_ip,
-                    &st.req.url,
-                    FlowDisposition::DroppedBy(decider.to_string()),
-                );
-                st.outcome = Some(FetchOutcome::Timeout);
-            }
-            Some(Verdict::Reset) => {
-                self.tracer.point(
-                    StepKind::MbHop,
-                    self.now().secs(),
-                    &[("middlebox", &decider), ("action", &"reset")],
-                );
-                self.log_flow(
-                    network,
-                    st.client_ip,
-                    &st.req.url,
-                    FlowDisposition::ResetBy(decider.to_string()),
-                );
-                st.outcome = Some(FetchOutcome::Reset);
-            }
-        }
-    }
-
-    /// Stage 4: origin service connect.
-    fn ev_origin(&self, queue: &mut EventQueue<SimEvent>, id: FlowId, st: &mut FlowState) {
-        let network = &self.networks[st.net.0];
-        let resp = st
-            .dest_ip
-            .and_then(|ip| self.origin_response(ip, st.req.url.port(), &st.req, st.client_ip));
-        match resp {
-            None => {
-                self.tracer.point(
-                    StepKind::OriginReply,
-                    self.now().secs(),
-                    &[("error", &"connect-failed")],
-                );
-                self.log_flow(
-                    network,
-                    st.client_ip,
-                    &st.req.url,
-                    FlowDisposition::ConnectFailed,
-                );
-                st.outcome = Some(FetchOutcome::ConnectFailed);
-            }
-            Some(resp) => {
-                st.pending_resp = Some(resp);
-                queue.schedule(self.now(), SimEvent::Response(id));
-            }
-        }
-    }
-
-    /// Stage 5: the response path back through the chain.
-    fn ev_response(&self, st: &mut FlowState) {
-        let network = &self.networks[st.net.0];
-        let flow = FlowCtx {
-            now: self.now(),
-            client_ip: st.client_ip,
-        };
-        match st.pending_resp.take() {
-            Some(resp) => {
-                let resp = network.chain.run_response(&st.req, resp, &flow, st.passed);
-                self.tracer.point(
-                    StepKind::OriginReply,
-                    self.now().secs(),
-                    &[("status", &resp.status.code())],
-                );
-                self.log_flow(
-                    network,
-                    st.client_ip,
-                    &st.req.url,
-                    FlowDisposition::Origin(resp.status.code()),
-                );
-                st.outcome = Some(FetchOutcome::Ok(resp));
-            }
-            // Unreachable by construction: Response is only
-            // scheduled after a response is parked.
-            None => st.outcome = Some(FetchOutcome::ConnectFailed),
-        }
-    }
-
-    /// The legacy synchronous fetch implementation, retained as the
-    /// oracle for the old-vs-new differential battery (select it with
-    /// [`FetchPath::DirectReference`]). The event core's dispatch
-    /// handlers above mirror this function block for block.
-    fn fetch_as_direct(&self, net: NetworkId, client_ip: IpAddr, req: &Request) -> FetchOutcome {
+    /// The fetch itself, stage by stage. Each stage emits its trace
+    /// point and, when it ends the flow, its flow-log record.
+    fn carry(&self, net: NetworkId, client_ip: IpAddr, req: &Request) -> FetchOutcome {
         let network = &self.networks[net.0];
 
         // 1. DNS.
@@ -1521,133 +1143,6 @@ mod tests {
         let (mut d, _, isp) = world();
         d.attach_middlebox(isp, Arc::new(BlockAll));
         assert_ne!(a.topology_digest(), d.topology_digest());
-    }
-
-    #[test]
-    fn both_fetch_paths_render_identical_flow_logs() {
-        let build = || {
-            let (mut net, lab, isp) = world();
-            let ip = net.alloc_ip(lab).unwrap();
-            net.add_host(ip, lab, &["www.site.ca"]);
-            net.add_service(ip, 80, Box::new(StaticSite::new("Site", "")));
-            net.attach_middlebox(isp, Arc::new(BlockAll));
-            net.set_flow_log(true);
-            let field = net.add_vantage("field", isp);
-            let lab_vp = net.add_vantage("lab", lab);
-            (net, field, lab_vp)
-        };
-        let run = |path: FetchPath| {
-            let (net, field, lab_vp) = build();
-            net.set_fetch_path(path);
-            assert_eq!(net.fetch_path(), path);
-            let mut out = Vec::new();
-            for url in ["http://www.site.ca/", "http://nosuch.example/"] {
-                let url = Url::parse(url).unwrap();
-                out.push(format!("{:?}", net.fetch(field, &url)));
-                out.push(format!("{:?}", net.fetch(lab_vp, &url)));
-            }
-            let log: Vec<String> = net.flow_log().iter().map(FlowRecord::to_line).collect();
-            (out, log)
-        };
-        assert_eq!(run(FetchPath::Event), run(FetchPath::DirectReference));
-    }
-
-    #[test]
-    fn batch_flows_interleave_and_return_in_input_order() {
-        let (mut net, lab, isp) = world();
-        let ip = net.alloc_ip(lab).unwrap();
-        net.add_host(ip, lab, &["www.site.ca"]);
-        net.add_service(ip, 80, Box::new(StaticSite::new("Site", "ok")));
-        net.attach_middlebox(isp, Arc::new(BlockAll));
-        let lab_client = net.alloc_ip(lab).unwrap();
-        let isp_client = net.network(isp).cidrs[0].first();
-
-        let url = Url::parse("http://www.site.ca/").unwrap();
-        let batch: Vec<(NetworkId, IpAddr, Request)> = vec![
-            (lab, lab_client, Request::get(url.clone())),
-            (isp, isp_client, Request::get(url.clone())),
-            (
-                lab,
-                lab_client,
-                Request::get(Url::parse("http://nosuch.example/").unwrap()),
-            ),
-        ];
-        let outcomes = net.fetch_batch(&batch);
-        assert_eq!(outcomes.len(), 3);
-        assert!(outcomes[0].is_ok(), "lab sees the origin");
-        assert_eq!(
-            outcomes[1].response().map(|r| r.status.code()),
-            Some(403),
-            "isp client is intercepted"
-        );
-        assert_eq!(outcomes[2], FetchOutcome::DnsFailure);
-        assert_eq!(net.flows_in_flight(), 0, "batch closes every flow");
-        assert_eq!(net.pending_events(), 0);
-    }
-
-    #[test]
-    fn started_flows_park_until_driven_to_quiescence() {
-        let (mut net, lab, _) = world();
-        let ip = net.alloc_ip(lab).unwrap();
-        net.add_host(ip, lab, &["www.site.ca"]);
-        net.add_service(ip, 80, Box::new(StaticSite::new("Site", "")));
-        let vp = net.add_vantage("t", lab);
-
-        let url = Url::parse("http://www.site.ca/").unwrap();
-        let a = net.start_fetch(vp, &url);
-        let b = net.start_fetch(vp, &Url::parse("http://nosuch.example/").unwrap());
-        assert_eq!(net.flows_in_flight(), 2);
-        assert_eq!(net.pending_events(), 2, "one opening event per flow");
-        assert_eq!(net.take_outcome(a), None, "not driven yet");
-
-        net.run_to_quiescence();
-        assert_eq!(net.pending_events(), 0);
-        assert!(net.take_outcome(a).map(|o| o.is_ok()).unwrap_or(false));
-        assert_eq!(net.take_outcome(b), Some(FetchOutcome::DnsFailure));
-        assert_eq!(net.take_outcome(b), None, "outcomes are taken once");
-        assert_eq!(net.flows_in_flight(), 0);
-    }
-
-    #[test]
-    fn event_log_records_dispatches_in_queue_order() {
-        let (mut net, lab, isp) = world();
-        let ip = net.alloc_ip(lab).unwrap();
-        net.add_host(ip, lab, &["www.site.ca"]);
-        net.add_service(ip, 80, Box::new(StaticSite::new("Site", "")));
-        net.attach_middlebox(isp, Arc::new(BlockAll));
-        let field = net.add_vantage("field", isp);
-        let lab_vp = net.add_vantage("lab", lab);
-        let url = Url::parse("http://www.site.ca/").unwrap();
-
-        // Disabled by default.
-        let _ = net.fetch(lab_vp, &url);
-        assert!(net.event_log().is_empty());
-
-        net.set_event_log(true);
-        let _ = net.fetch(lab_vp, &url);
-        let _ = net.fetch(field, &url);
-        let log = net.event_log();
-        // Clean lab fetch: dns, fault, hop past empty chain, origin,
-        // response. Intercepted isp fetch: dns, fault, hop 0 responds.
-        let kinds: Vec<&str> = log.iter().map(|r| r.kind.to_token()).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "dns", "fault", "mb-hop", "origin", "response", // lab flow
-                "dns", "fault", "mb-hop" // isp flow, blocked at hop 0
-            ]
-        );
-        // Sequence numbers strictly increase; each line parses back.
-        assert!(log.windows(2).all(|w| w[0].seq < w[1].seq));
-        for rec in &log {
-            assert_eq!(
-                crate::kernel::EventRecord::parse_line(&rec.to_line()),
-                Ok(rec.clone())
-            );
-        }
-        assert_ne!(log[0].flow, log[5].flow, "flow tags distinguish flows");
-        assert_eq!(net.clear_event_log(), 8);
-        assert!(net.event_log().is_empty());
     }
 
     #[test]

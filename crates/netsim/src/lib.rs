@@ -18,7 +18,9 @@
 //! * vantage points ([`vantage`]) — "testers" attached to a network, from
 //!   which URL fetches originate (the field clients and the Toronto lab);
 //! * a virtual [`clock`](time) measured in seconds/days, so
-//!   submit-and-retest-in-3-days protocols run instantly;
+//!   submit-and-retest-in-3-days protocols run instantly, and a
+//!   `(time, seq)`-ordered [`event`] queue on it, where the
+//!   orchestrator parks campaign deadlines;
 //! * seeded randomness and per-network [`fault`] injection (packet drop,
 //!   TCP reset, transient DNS failure, truncation, latency jitter and
 //!   deterministic outage windows on the virtual clock), reproducing the
@@ -31,8 +33,11 @@
 //!
 //! Fetches take `&self` — services and middleboxes use interior
 //! mutability where they are stateful — so a scanner may probe the
-//! simulated address space from many threads. Topology changes
-//! (adding hosts, registering domains) take `&mut self`.
+//! simulated address space from many threads. A fetch runs straight
+//! through on the caller's thread; of the `Internet`'s own state it
+//! locks only the shared fault RNG and whichever recorders are switched
+//! on. Topology changes (adding hosts, registering domains) take
+//! `&mut self`.
 //!
 //! # Example
 //!
@@ -60,7 +65,6 @@ pub mod fault;
 pub mod flowlog;
 pub mod internet;
 pub mod ip;
-pub mod kernel;
 pub mod middlebox;
 pub mod outcome;
 pub mod registry;
@@ -73,9 +77,8 @@ pub use dns::Dns;
 pub use event::{EventId, EventQueue};
 pub use fault::{Fault, FaultProfile, FaultProfileError, OutageWindow};
 pub use flowlog::{FlowDisposition, FlowRecord};
-pub use internet::{FetchPath, Host, Internet, Network, NetworkId, NetworkSpec};
+pub use internet::{Host, Internet, Network, NetworkId, NetworkSpec};
 pub use ip::{Cidr, IpAddr};
-pub use kernel::{EventKind, EventRecord, FlowId};
 pub use middlebox::{Flapping, FlowCtx, Middlebox, Verdict};
 pub use outcome::FetchOutcome;
 pub use registry::{Asn, CountryCode, Registry};

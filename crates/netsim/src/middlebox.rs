@@ -110,15 +110,6 @@ impl Chain {
         (Verdict::Forward, self.boxes.len())
     }
 
-    /// Present the request to box `i` alone — the event core's per-hop
-    /// entry point. Returns `None` when `i` is past the end of the
-    /// chain. Dispatching hop-by-hop through this accessor visits boxes
-    /// in exactly the order [`Chain::run_request`] does, so the two
-    /// paths render identical verdicts and side effects.
-    pub(crate) fn request_at(&self, i: usize, req: &Request, ctx: &FlowCtx) -> Option<Verdict> {
-        self.boxes.get(i).map(|mb| mb.process_request(req, ctx))
-    }
-
     /// Run a response back through the first `upto` boxes, in reverse.
     pub fn run_response(
         &self,

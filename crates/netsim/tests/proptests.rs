@@ -4,10 +4,9 @@ use filterwatch_http::{Request, Response, Url};
 use filterwatch_netsim::middlebox::Chain;
 use filterwatch_netsim::service::StaticSite;
 use filterwatch_netsim::{
-    Cidr, Dns, Fault, FaultProfile, FlowCtx, FlowRecord, Internet, IpAddr, Middlebox, NetworkSpec,
-    SimTime, Verdict,
+    Cidr, Dns, Fault, FaultProfile, FlowCtx, Internet, IpAddr, Middlebox, NetworkSpec, SimTime,
+    Verdict,
 };
-use filterwatch_telemetry::wire::Wire;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -345,65 +344,6 @@ proptest! {
             prop_assert_eq!(Some((at.secs(), id.value())), model.pop_first());
         }
         prop_assert!(model.is_empty());
-    }
-
-    /// The event core and the legacy direct-call path are
-    /// observationally identical: same outcomes and byte-identical flow
-    /// logs over arbitrary worlds — clean or lossy fault profiles,
-    /// with or without a blocking middlebox, resolving and
-    /// non-resolving names.
-    #[test]
-    fn event_and_direct_paths_agree(
-        seed in any::<u64>(),
-        hosts in proptest::collection::btree_set("[a-z]{1,6}", 1..5),
-        drop_prob in 0.0f64..=1.0,
-        block_at in proptest::option::of(0usize..3),
-    ) {
-        use filterwatch_netsim::FetchPath;
-        let hosts: Vec<String> = hosts.into_iter().collect();
-        // Two worlds from the same recipe (so the shared fault RNG
-        // streams start identical), one per path.
-        let run = |path: FetchPath| {
-            let mut net = Internet::new(seed);
-            net.registry_mut().register_country("XX", "Testland", "xx");
-            let asn = net.registry_mut().register_as(64512, "TEST", "XX");
-            let prefix = net.registry_mut().allocate_prefix(asn, 1).unwrap();
-            let netid = net
-                .add_network(NetworkSpec::new("t", asn, "XX")
-                .with_cidr(prefix)
-                .with_faults(FaultProfile::lossy(drop_prob)));
-            for (i, h) in hosts.iter().enumerate() {
-                let ip = net.alloc_ip(netid).unwrap();
-                net.add_host(ip, netid, &[&format!("{h}.xx")]);
-                // Every other host actually serves, so connect failures
-                // are exercised too.
-                if i % 2 == 0 {
-                    net.add_service(ip, 80, Box::new(StaticSite::new(h, "<p>x</p>")));
-                }
-            }
-            for i in 0..3 {
-                net.attach_middlebox(netid, Arc::new(Tagged {
-                    name: format!("box{i}"),
-                    blocks: block_at == Some(i),
-                }));
-            }
-            net.set_flow_log(true);
-            net.set_fetch_path(path);
-            let vp = net.add_vantage("v", netid);
-            let mut outcomes = Vec::new();
-            for h in &hosts {
-                let url = Url::parse(&format!("http://{h}.xx/")).unwrap();
-                outcomes.push(format!("{:?}", net.fetch(vp, &url)));
-            }
-            // A name that never resolves.
-            let url = Url::parse("http://unregistered.example/").unwrap();
-            outcomes.push(format!("{:?}", net.fetch(vp, &url)));
-            let log: Vec<String> = net.flow_log().iter().map(FlowRecord::to_line).collect();
-            (outcomes, log)
-        };
-        let event = run(FetchPath::Event);
-        let direct = run(FetchPath::DirectReference);
-        prop_assert_eq!(event, direct);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The one wire codec every line format in the workspace is built on.
 //!
-//! Checkpoints, flow and kernel event logs, trace and telemetry event
-//! logs, verdict lines, scan dumps and interner lines all encode
-//! through this module, so they share:
+//! Checkpoints, flow logs, trace and telemetry event logs, verdict
+//! lines, scan dumps and interner lines all encode through this module,
+//! so they share:
 //!
 //! * **one escaping table** ([`escape`]/[`unescape`]): every field
 //!   escapes `\\`, tab, newline and CR as `\\\\`, `\t`, `\n`, `\r`. An

@@ -12,10 +12,8 @@
 use filterwatch_core::identify::IdentifyPipeline;
 use filterwatch_scanner::{keywords, ScanEngine, ScanIndex};
 
-use filterwatch_netsim::FetchPath;
-
 use crate::plan::{FaultPlan, ScenarioPlan};
-use crate::runner::{run_campaign_forensic, run_campaign_with, RunConfig};
+use crate::runner::{run_campaign_with, RunConfig};
 use crate::strategies::plan_for_seed;
 use crate::worldgen::build_world;
 
@@ -135,32 +133,6 @@ pub fn check_delta_vs_rebuild(plan: &ScenarioPlan) -> Result<(), String> {
     )
 }
 
-/// The event kernel and the direct-call oracle must agree on every
-/// observation surface — report, flow log, and trace forest — byte for
-/// byte.
-pub fn check_direct_vs_event(plan: &ScenarioPlan) -> Result<(), String> {
-    let mut config = RunConfig::for_plan(plan);
-    config.fetch_path = FetchPath::Event;
-    let event = run_campaign_forensic(plan, &config);
-    config.fetch_path = FetchPath::DirectReference;
-    let direct = run_campaign_forensic(plan, &config);
-    diff_or_ok(
-        "event vs direct report",
-        &event.report.stable_text(),
-        &direct.report.stable_text(),
-    )?;
-    diff_or_ok(
-        "event vs direct flow log",
-        &event.flow_lines.join("\n"),
-        &direct.flow_lines.join("\n"),
-    )?;
-    diff_or_ok(
-        "event vs direct trace forest",
-        &event.trace_forest,
-        &direct.trace_forest,
-    )
-}
-
 /// A zero-rate fault profile must behave exactly like no profile.
 pub fn check_zero_rate_faults(plan: &ScenarioPlan) -> Result<(), String> {
     let mut clean = plan.clone();
@@ -182,7 +154,6 @@ pub fn checks() -> Vec<Check> {
         ("delta-vs-rebuild", check_delta_vs_rebuild),
         ("telemetry-transparency", check_telemetry_transparency),
         ("zero-rate-faults", check_zero_rate_faults),
-        ("direct-vs-event", check_direct_vs_event),
     ]
 }
 

@@ -145,7 +145,6 @@ pub fn check_fault_degradation(plan: &ScenarioPlan) -> Result<(), Violation> {
     let config = RunConfig {
         resilience: filterwatch_measure::ResilienceConfig::chaos(),
         telemetry: false,
-        fetch_path: filterwatch_netsim::FetchPath::default(),
     };
     let clean_report = run_campaign_with(&clean, &config);
     let faulted_report = run_campaign_with(&faulted, &config);

@@ -161,7 +161,7 @@ pub struct ScenarioPlan {
     /// over fresh ASes (one per 32 hosts), after everything else — so a
     /// scaled world is a strict superset of the unscaled one. 0 (the
     /// default) adds nothing and leaves every allocation untouched.
-    /// This is the event-core scale knob: 10⁵ hosts / multi-thousand
+    /// This is the world-scale knob: 10⁵ hosts / multi-thousand
     /// ASes is the intended top rung. Capped at 10⁶.
     pub host_scale: usize,
 }

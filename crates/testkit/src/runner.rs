@@ -9,7 +9,6 @@
 
 use filterwatch_core::identify::IdentifyPipeline;
 use filterwatch_measure::ResilienceConfig;
-use filterwatch_netsim::FetchPath;
 use filterwatch_products::{ProductKind, SubmitterProfile};
 use filterwatch_scanner::ScanEngine;
 use filterwatch_telemetry::wire::Wire;
@@ -33,10 +32,6 @@ pub struct RunConfig {
     pub resilience: ResilienceConfig,
     /// Attach an enabled telemetry collector to the world.
     pub telemetry: bool,
-    /// Which netsim fetch machinery drives every flow — the event
-    /// kernel (default) or the direct-call differential oracle. Must
-    /// never change a byte of any report.
-    pub fetch_path: FetchPath,
 }
 
 impl RunConfig {
@@ -51,7 +46,6 @@ impl RunConfig {
                 ResilienceConfig::chaos()
             },
             telemetry: false,
-            fetch_path: FetchPath::default(),
         }
     }
 }
@@ -274,7 +268,6 @@ pub fn run_campaign(plan: &ScenarioPlan) -> GeneratedReport {
 /// byte-identical.
 pub fn run_campaign_with(plan: &ScenarioPlan, config: &RunConfig) -> GeneratedReport {
     let mut gw = build_world(plan);
-    gw.net.set_fetch_path(config.fetch_path);
     if config.telemetry {
         gw.net.set_telemetry(TelemetryHandle::enabled());
     }
@@ -310,10 +303,9 @@ fn drive_campaign(gw: &mut GeneratedWorld, config: &RunConfig) -> GeneratedRepor
 
 /// Everything a campaign run leaves behind when every observation
 /// surface is switched on: the report plus the raw per-flow log and the
-/// rendered causal trace forest. The old-vs-new differential battery
-/// byte-compares all three across [`FetchPath`] values — agreement on
-/// the report alone would still let the event kernel reorder or drop
-/// interior observations.
+/// rendered causal trace forest. The `fetch-surfaces` golden pins all
+/// three, since agreement on the report alone would still let a change
+/// to the fetch path reorder or drop interior observations.
 #[derive(Debug, Clone)]
 pub struct CampaignForensics {
     /// The campaign report (same surface as [`run_campaign_with`]).
@@ -328,7 +320,6 @@ pub struct CampaignForensics {
 /// the report together with both observation surfaces.
 pub fn run_campaign_forensic(plan: &ScenarioPlan, config: &RunConfig) -> CampaignForensics {
     let mut gw = build_world(plan);
-    gw.net.set_fetch_path(config.fetch_path);
     if config.telemetry {
         gw.net.set_telemetry(TelemetryHandle::enabled());
     }

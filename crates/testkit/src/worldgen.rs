@@ -289,7 +289,7 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
 }
 
 /// Hosts per scale AS: 10⁵ hosts spread one /24 at a time yields the
-/// multi-thousand-AS topology the event-core scale rung calls for.
+/// multi-thousand-AS topology the scale rung calls for.
 const SCALE_HOSTS_PER_AS: usize = 32;
 
 /// Every Nth scale host binds a service; the rest are bare DNS + address

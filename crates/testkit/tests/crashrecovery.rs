@@ -11,15 +11,14 @@
 //! The sweep honours `FILTERWATCH_SEEDS` (comma-separated) so CI can
 //! widen or narrow the battery without a code change.
 
-use filterwatch_netsim::FetchPath;
 use filterwatch_orchestrator::{
     CampaignCheckpoint, CampaignDescriptor, CampaignKind, CrashPlan, Orchestrator, Outcome,
     ResumeError,
 };
 use filterwatch_telemetry::wire::Wire;
 use filterwatch_testkit::{
-    plan_for_seed, resume_generated_campaign, run_campaign, run_campaign_with,
-    run_generated_campaign, seeds_from_env, GeneratedDriver, RunConfig,
+    plan_for_seed, resume_generated_campaign, run_campaign, run_generated_campaign, seeds_from_env,
+    GeneratedDriver,
 };
 
 const BATTERY: &[u64] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
@@ -64,43 +63,6 @@ fn kill_at_every_checkpoint_boundary_resumes_byte_identical() {
                     .to_line()
             );
         }
-    }
-}
-
-/// The battery above runs entirely on the event core (the default
-/// fetch path). Close the loop against the retired machinery: the
-/// orchestrated event-core run — and a resume from a `Wait` boundary,
-/// whose deadline is parked on the event queue's virtual clock — must
-/// be byte-identical to a direct-call oracle run that never touches
-/// the queue at all.
-#[test]
-fn wait_parked_event_core_resumes_match_the_direct_oracle() {
-    for seed in seeds_from_env(&[0, 4, 9]).expect("seed list") {
-        let descriptor = CampaignDescriptor::new(CampaignKind::Generated, seed);
-        let (reference, checkpoints) =
-            run_generated_campaign(descriptor).expect("uninterrupted run");
-
-        let plan = plan_for_seed(seed);
-        let mut config = RunConfig::for_plan(&plan);
-        config.fetch_path = FetchPath::DirectReference;
-        let oracle = run_campaign_with(&plan, &config).comparable_text();
-        assert_eq!(
-            reference.comparable_text(),
-            oracle,
-            "seed {seed}: event core diverged from the direct oracle"
-        );
-
-        let wait = checkpoints
-            .iter()
-            .find(|c| c.contains("wait:"))
-            .expect("some checkpoint stops at a wait boundary");
-        let resumed = resume_generated_campaign(wait)
-            .unwrap_or_else(|e| panic!("seed {seed}: resume from wait boundary: {e}"));
-        assert_eq!(
-            resumed.comparable_text(),
-            oracle,
-            "seed {seed}: wait-parked resume diverged from the direct oracle"
-        );
     }
 }
 

@@ -244,14 +244,14 @@ fn fetch_surfaces_golden() {
 }
 
 /// Pin every wire format the workspace writes: checkpoint, trace,
-/// telemetry event, flow-log, kernel event-log, scan dump, interner
-/// and measurement-quality lines from real runs, plus one
+/// telemetry event, flow-log, scan dump, interner and
+/// measurement-quality lines from real runs, plus one
 /// hand-built value of every token enum variant (clean runs never emit
 /// `outage:`, `truncated`, `breaker-skip:` or `dnsfail:injected`).
 #[test]
 fn wire_formats_golden() {
     use filterwatch_measure::{ResilienceConfig, VerdictLabel};
-    use filterwatch_netsim::{EventKind, FaultProfile, FlowDisposition};
+    use filterwatch_netsim::{FaultProfile, FlowDisposition};
     use filterwatch_orchestrator::{
         run_paper_campaign, CampaignDescriptor, CampaignKind, StageState,
     };
@@ -288,12 +288,11 @@ fn wire_formats_golden() {
     );
 
     // The generated campaign for plan seed 1, driven stage by stage so
-    // the world (and its flow and kernel event logs) stays in reach.
+    // the world (and its flow log) stays in reach.
     let plan = plan_for_seed(1);
     let config = RunConfig::for_plan(&plan);
     let mut gw = filterwatch_testkit::build_world(&plan);
     gw.net.set_flow_log(true);
-    gw.net.set_event_log(true);
     identify_stage(&gw);
     sweep_stage(&gw, &config);
     for i in 0..gw.plan.deployments.len() {
@@ -309,13 +308,6 @@ fn wire_formats_golden() {
         .map(|r| r.to_line() + "\n")
         .collect();
     pin_log(&mut out, "flow log (plan seed 1)", &flows);
-    let events: String = gw
-        .net
-        .event_log()
-        .iter()
-        .map(|r| r.to_line() + "\n")
-        .collect();
-    pin_log(&mut out, "kernel event log (plan seed 1)", &events);
 
     let world = filterwatch_core::World::paper(DEFAULT_SEED);
     let index = ScanEngine::new().scan(&world.net);
@@ -374,8 +366,6 @@ fn wire_formats_golden() {
     let lines = |tokens: Vec<&str>| -> String { tokens.iter().map(|t| format!("{t}\n")).collect() };
     let steps = lines(StepKind::ALL.iter().map(StepKind::to_token).collect());
     pin_log(&mut out, "step kinds", &steps);
-    let kinds = lines(EventKind::ALL.iter().map(EventKind::to_token).collect());
-    pin_log(&mut out, "kernel event kinds", &kinds);
     let kinds = lines(
         CampaignKind::ALL
             .iter()

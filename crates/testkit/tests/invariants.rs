@@ -6,7 +6,11 @@
 //! consecutive runs of this file produce byte-identical campaign
 //! renderings.
 
-use filterwatch_testkit::{check_seed, plan_for_seed, run_campaign};
+use filterwatch_testkit::runner::{identify_stage, sweep_stage};
+use filterwatch_testkit::{
+    build_world, check_seed, plan_for_seed, run_campaign, FaultPlan, RunConfig,
+};
+use filterwatch_urllists::TestList;
 
 /// The pinned seed battery: at least eight generated worlds.
 const SEEDS: [u64; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 11, 19];
@@ -32,5 +36,57 @@ fn generated_campaigns_are_deterministic_run_to_run() {
 fn plans_regenerate_identically() {
     for &seed in &SEEDS {
         assert_eq!(plan_for_seed(seed), plan_for_seed(seed));
+    }
+}
+
+/// Metamorphic invariant: at one virtual instant, the order in which
+/// URLs are fetched must never leak into any outcome or any later
+/// campaign table. Clean plans only — fault sampling and flapping draw
+/// from order-sensitive RNG streams by design, so only the
+/// zero-probability world makes the invariant exact.
+#[test]
+fn fetch_order_never_changes_campaign_tables() {
+    for seed in [0u64, 2, 5] {
+        let mut plan = plan_for_seed(seed);
+        plan.fault = FaultPlan::Clean;
+        for d in &mut plan.deployments {
+            d.flapping = None;
+        }
+        let config = RunConfig::for_plan(&plan);
+        let urls: Vec<filterwatch_http::Url> = TestList::global(plan.urls_per_category)
+            .urls
+            .iter()
+            .map(|t| filterwatch_http::Url::parse(&t.url).expect("list URL"))
+            .collect();
+
+        // Fetch every URL in `order` without moving the clock, keep the
+        // outcomes by URL index, then run the identify and sweep stages
+        // on the world that prologue just exercised.
+        let run_in_order = |order: &[usize]| -> (Vec<String>, String, Vec<String>) {
+            let gw = build_world(&plan);
+            let start = gw.net.now();
+            let mut outcomes = vec![String::new(); urls.len()];
+            for &i in order {
+                outcomes[i] = format!("{:?}", gw.net.fetch(gw.vantages[0], &urls[i]));
+            }
+            assert_eq!(gw.net.now(), start, "a fetch moved the clock");
+            (outcomes, identify_stage(&gw), sweep_stage(&gw, &config))
+        };
+
+        let n = urls.len();
+        let identity: Vec<usize> = (0..n).collect();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        let interleaved: Vec<usize> = (0..n).step_by(2).chain((1..n).step_by(2)).collect();
+        let reference = run_in_order(&identity);
+        assert_eq!(
+            reference,
+            run_in_order(&reversed),
+            "seed {seed}: reversed fetch order changed results"
+        );
+        assert_eq!(
+            reference,
+            run_in_order(&interleaved),
+            "seed {seed}: interleaved fetch order changed results"
+        );
     }
 }

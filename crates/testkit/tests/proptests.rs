@@ -13,7 +13,7 @@
 
 use filterwatch_measure::{MeasurementQuality, VerdictLabel, VerdictLine};
 use filterwatch_netsim::flowlog::DispositionHead;
-use filterwatch_netsim::{EventKind, EventRecord, FlowDisposition, FlowRecord, IpAddr, SimTime};
+use filterwatch_netsim::{FlowDisposition, FlowRecord, IpAddr, SimTime};
 use filterwatch_orchestrator::{
     CampaignCheckpoint, CampaignDescriptor, CampaignKind, CaseCkpt, StageHead, StageState,
 };
@@ -298,19 +298,6 @@ proptest! {
     }
 
     #[test]
-    fn event_record_lines_round_trip(
-        at in any::<u64>(),
-        seq in any::<u64>(),
-        kind in any_of(EventKind::ALL),
-        flow in any::<u64>(),
-        detail in text(),
-        junk in JUNK,
-    ) {
-        let record = EventRecord { at: SimTime::from_secs(at), seq, kind, flow, detail };
-        pass(check_wire(&record, &junk));
-    }
-
-    #[test]
     fn wire_line_round_trips(event in any_trace_event(), junk in JUNK) {
         pass(check_wire(&event, &junk));
     }
@@ -428,11 +415,5 @@ fn step_token_round_trips() {
 
 #[test]
 fn token_tables_round_trip() {
-    check_tables!(
-        EventKind,
-        CampaignKind,
-        VerdictLabel,
-        DispositionHead,
-        StageHead
-    );
+    check_tables!(CampaignKind, VerdictLabel, DispositionHead, StageHead);
 }
