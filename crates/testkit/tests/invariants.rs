@@ -4,7 +4,8 @@
 //! topology, deployments, fault profile); each must satisfy all four
 //! invariants, and the whole harness must be deterministic — two
 //! consecutive runs of this file produce byte-identical campaign
-//! renderings.
+//! renderings. On clean plans, the order of fetches made at one
+//! virtual instant must not change any outcome or table either.
 
 use filterwatch_testkit::runner::{identify_stage, sweep_stage};
 use filterwatch_testkit::{
