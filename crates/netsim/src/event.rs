@@ -6,8 +6,7 @@
 //! is the tie-break that makes identical seeds replay byte-identically.
 //! The orchestrator's scheduler parks each campaign's `Wait` deadline
 //! on one, so crash/resume replays release parked campaigns in the
-//! same order. A fetch is not an event: it runs straight through on
-//! the caller's thread (see [`Internet::fetch_as`](crate::Internet::fetch_as)).
+//! same order.
 //!
 //! The queue never moves the clock itself: callers pop events (or pop
 //! everything due up to an externally advanced `now`) and dispatch them.
