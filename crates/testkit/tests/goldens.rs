@@ -243,6 +243,56 @@ fn fetch_surfaces_golden() {
     check_golden("fetch-surfaces", &out).unwrap_or_else(|e| panic!("{e}"));
 }
 
+/// Pin the scan index through a re-crawl delta: for the paper world at
+/// seeds 5 and 23, the lines `tables index` prints after the scan, after
+/// a `synth_churn` delta of 1% appeared and 1% retired endpoints (with
+/// its `DeltaStats`) and after compaction, plus the digest of the
+/// post-delta dump, which lists the live records in arena order.
+#[test]
+fn index_delta_golden() {
+    use filterwatch_scanner::{synth_churn, ScanEngine, ScanIndex};
+
+    fn readout(out: &mut String, index: &ScanIndex) {
+        out.push_str(&format!(
+            "records: {} live / {} arena; epoch: {}; tombstones: {}\n\
+             interner: {} label(s); posting lists: {} byte(s)\n",
+            index.len(),
+            index.records().len(),
+            index.epoch(),
+            index.tombstones(),
+            index.interner().len(),
+            index.posting_bytes(),
+        ));
+    }
+
+    let mut out = String::from("# index delta\n");
+    for seed in [5u64, 23] {
+        let world = filterwatch_core::World::paper(seed);
+        let mut index = ScanEngine::new().scan(&world.net);
+        out.push_str(&format!("\n## seed {seed}\npaper-world scan index:\n"));
+        readout(&mut out, &index);
+
+        let base = index.records().to_vec();
+        let churn = base.len().div_ceil(100);
+        let (adds, retirements) = synth_churn(&base, churn, churn, seed);
+        let stats = index.apply_delta(adds, &retirements);
+        out.push_str(&format!(
+            "\nafter a {churn}+{churn} churn delta (epoch {}, {} added, {} retired):\n",
+            stats.epoch, stats.added, stats.retired
+        ));
+        readout(&mut out, &index);
+        let dump = index.to_dump();
+
+        let freed = index.compact();
+        out.push_str(&format!(
+            "\nafter compaction ({freed} slot(s) reclaimed):\n"
+        ));
+        readout(&mut out, &index);
+        pin_digest(&mut out, "post-delta dump", &dump);
+    }
+    check_golden("index-delta", &out).unwrap_or_else(|e| panic!("{e}"));
+}
+
 /// Pin every wire format the workspace writes: checkpoint, trace,
 /// telemetry event, flow-log, scan dump, interner and
 /// measurement-quality lines from real runs, plus one
