@@ -240,7 +240,6 @@ fn corrupted_geodb(registry: &filterwatch_netsim::Registry, seed: u64, error_rat
         };
         db.add_range(cidr.first().value(), cidr.last().value(), &country);
     }
-    db.finish();
     db
 }
 

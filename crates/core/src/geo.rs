@@ -24,7 +24,6 @@ pub fn build_geodb(registry: &Registry) -> GeoDb {
             );
         }
     }
-    db.finish();
     db
 }
 
@@ -42,7 +41,6 @@ pub fn build_asndb(registry: &Registry) -> AsnDb {
             );
         }
     }
-    db.finish();
     db
 }
 

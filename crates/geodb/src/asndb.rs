@@ -39,11 +39,6 @@ impl AsnDb {
         );
     }
 
-    /// Finalize after bulk loading.
-    pub fn finish(&mut self) {
-        self.map.finish();
-    }
-
     /// The record covering `ip`, if any.
     pub fn lookup(&self, ip: u32) -> Option<&AsnRecord> {
         self.map.get(ip)
@@ -84,7 +79,6 @@ mod tests {
         let mut db = AsnDb::new();
         db.add_range(0x0500_0000, 0x0500_03FF, 5384, "EMIRATES-INTERNET", "ae");
         db.add_range(0x0500_0400, 0x0500_07FF, 12486, "YEMENNET", "YE");
-        db.finish();
         db
     }
 

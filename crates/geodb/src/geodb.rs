@@ -22,11 +22,6 @@ impl GeoDb {
         self.map.insert(start, end, country.to_ascii_uppercase());
     }
 
-    /// Finalize after bulk loading.
-    pub fn finish(&mut self) {
-        self.map.finish();
-    }
-
     /// Country code for an address, if covered.
     pub fn lookup(&self, ip: u32) -> Option<&str> {
         self.map.get(ip).map(String::as_str)
@@ -51,7 +46,6 @@ mod tests {
     fn lookup_normalizes_to_uppercase() {
         let mut db = GeoDb::new();
         db.add_range(0x0500_0000, 0x0500_00FF, "qa");
-        db.finish();
         assert_eq!(db.lookup(0x0500_0080), Some("QA"));
         assert_eq!(db.lookup(0x0500_0100), None);
     }
@@ -62,7 +56,6 @@ mod tests {
         db.add_range(100, 199, "SA");
         db.add_range(200, 299, "AE");
         db.add_range(300, 399, "YE");
-        db.finish();
         assert_eq!(db.lookup(150), Some("SA"));
         assert_eq!(db.lookup(250), Some("AE"));
         assert_eq!(db.lookup(350), Some("YE"));

@@ -4,17 +4,13 @@
 /// `O(log n)` point lookup.
 #[derive(Debug, Clone)]
 pub struct IntervalMap<V> {
-    /// Ranges sorted by start; maintained disjoint by `insert`.
+    /// Ranges sorted by start; kept sorted and disjoint by `insert`.
     ranges: Vec<(u32, u32, V)>,
-    sorted: bool,
 }
 
 impl<V> Default for IntervalMap<V> {
     fn default() -> Self {
-        IntervalMap {
-            ranges: Vec::new(),
-            sorted: true,
-        }
+        IntervalMap { ranges: Vec::new() }
     }
 }
 
@@ -24,53 +20,31 @@ impl<V: Clone> IntervalMap<V> {
         IntervalMap::default()
     }
 
-    /// Insert an inclusive range.
+    /// Insert an inclusive range at its sorted slot. The map is disjoint,
+    /// so an overlap can only reach the slot's two neighbours. Ranges
+    /// inserted in ascending order are appended.
     ///
     /// # Panics
     /// If `start > end` or the range overlaps an existing one.
     pub fn insert(&mut self, start: u32, end: u32, value: V) {
         assert!(start <= end, "inverted range {start}..={end}");
-        for &(s, e, _) in &self.ranges {
+        let slot = self.ranges.partition_point(|&(s, _, _)| s < start);
+        let before = slot.checked_sub(1).map(|i| &self.ranges[i]);
+        let neighbours = before.into_iter().chain(self.ranges.get(slot));
+        for &(s, e, _) in neighbours {
             assert!(
                 end < s || start > e,
                 "range {start}..={end} overlaps existing {s}..={e}"
             );
         }
-        self.ranges.push((start, end, value));
-        self.sorted = false;
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.ranges.sort_by_key(|&(s, _, _)| s);
-            self.sorted = true;
-        }
-    }
-
-    /// Finalize construction (sorts the ranges). Called automatically by
-    /// lookups via interior re-sorting during build phases in practice —
-    /// call it once after bulk inserts for clarity.
-    pub fn finish(&mut self) {
-        self.ensure_sorted();
+        self.ranges.insert(slot, (start, end, value));
     }
 
     /// Look up the value covering `key`.
     pub fn get(&self, key: u32) -> Option<&V> {
-        // Binary search requires sortedness; fall back to linear scan if
-        // `finish` has not been called since the last insert.
-        if self.sorted {
-            let idx = self.ranges.partition_point(|&(s, _, _)| s <= key);
-            if idx == 0 {
-                return None;
-            }
-            let (s, e, ref v) = self.ranges[idx - 1];
-            (s <= key && key <= e).then_some(v)
-        } else {
-            self.ranges
-                .iter()
-                .find(|&&(s, e, _)| s <= key && key <= e)
-                .map(|(_, _, v)| v)
-        }
+        let idx = self.ranges.partition_point(|&(s, _, _)| s <= key);
+        let (s, e, ref v) = *self.ranges.get(idx.checked_sub(1)?)?;
+        (s <= key && key <= e).then_some(v)
     }
 
     /// Number of ranges.
@@ -83,8 +57,7 @@ impl<V: Clone> IntervalMap<V> {
         self.ranges.is_empty()
     }
 
-    /// Iterate ranges as `(start, end, value)` (insertion order until
-    /// `finish`, sorted after).
+    /// Iterate ranges as `(start, end, value)`, ascending by start.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, &V)> {
         self.ranges.iter().map(|(s, e, v)| (*s, *e, v))
     }
@@ -95,19 +68,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookup_sorted_and_unsorted() {
+    fn lookup_out_of_order_inserts() {
         let mut m = IntervalMap::new();
         m.insert(100, 199, "b");
         m.insert(0, 99, "a");
-        // Unsorted path.
-        assert_eq!(m.get(150), Some(&"b"));
-        m.finish();
-        // Sorted path.
         assert_eq!(m.get(0), Some(&"a"));
         assert_eq!(m.get(99), Some(&"a"));
         assert_eq!(m.get(100), Some(&"b"));
+        assert_eq!(m.get(150), Some(&"b"));
         assert_eq!(m.get(199), Some(&"b"));
         assert_eq!(m.get(200), None);
+        let starts: Vec<u32> = m.iter().map(|(s, _, _)| s).collect();
+        assert_eq!(starts, [0, 100]);
     }
 
     #[test]
@@ -125,6 +97,39 @@ mod tests {
         m.insert(10, 20, ());
     }
 
+    /// `[20, 29]` and `[40, 49]`, inserted out of order, to probe
+    /// overlaps on either side of a slot.
+    fn two_ranges() -> IntervalMap<()> {
+        let mut m = IntervalMap::new();
+        m.insert(40, 49, ());
+        m.insert(20, 29, ());
+        m
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps existing 20..=29")]
+    fn overlap_starting_inside_the_predecessor_rejected() {
+        two_ranges().insert(25, 35, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps existing 40..=49")]
+    fn overlap_reaching_into_the_successor_rejected() {
+        two_ranges().insert(35, 40, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps existing 20..=29")]
+    fn overlap_spanning_several_ranges_rejected() {
+        two_ranges().insert(10, 60, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps existing 40..=49")]
+    fn overlap_sharing_a_start_rejected() {
+        two_ranges().insert(40, 40, ());
+    }
+
     #[test]
     #[should_panic(expected = "inverted")]
     fn inverted_rejected() {
@@ -135,20 +140,22 @@ mod tests {
     #[test]
     fn adjacent_ranges_ok() {
         let mut m = IntervalMap::new();
-        m.insert(0, 9, 'a');
         m.insert(10, 19, 'b');
-        m.finish();
+        m.insert(0, 9, 'a');
+        m.insert(20, 29, 'c');
         assert_eq!(m.get(9), Some(&'a'));
         assert_eq!(m.get(10), Some(&'b'));
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.get(20), Some(&'c'));
+        assert_eq!(m.len(), 3);
     }
 
     #[test]
     fn full_u32_boundaries() {
         let mut m = IntervalMap::new();
         m.insert(u32::MAX - 1, u32::MAX, 'z');
-        m.finish();
+        m.insert(0, 0, 'a');
         assert_eq!(m.get(u32::MAX), Some(&'z'));
-        assert_eq!(m.get(0), None);
+        assert_eq!(m.get(0), Some(&'a'));
+        assert_eq!(m.get(1), None);
     }
 }

@@ -22,7 +22,6 @@ proptest! {
         for (i, &(s, e)) in ranges.iter().enumerate() {
             map.insert(s, e, i);
         }
-        map.finish();
         for (i, &(s, e)) in ranges.iter().enumerate() {
             prop_assert_eq!(map.get(s), Some(&i));
             prop_assert_eq!(map.get(e), Some(&i));
@@ -37,17 +36,29 @@ proptest! {
         }
     }
 
-    /// Sorted and unsorted lookups agree.
+    /// Ranges inserted in any order answer every probe as a brute-force
+    /// scan over the ranges does: random probes and each range's edges
+    /// and their outer neighbours.
     #[test]
-    fn sorted_unsorted_agree(ranges in disjoint_ranges(6), probes in proptest::collection::vec(any::<u32>(), 20)) {
-        let mut unsorted = IntervalMap::new();
-        for (i, &(s, e)) in ranges.iter().enumerate() {
-            unsorted.insert(s, e, i);
+    fn shuffled_inserts_match_brute_force(
+        ranges in disjoint_ranges(8),
+        keys in proptest::collection::vec(any::<u64>(), 8),
+        probes in proptest::collection::vec(any::<u32>(), 20),
+    ) {
+        let mut order: Vec<usize> = (0..ranges.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let mut map = IntervalMap::new();
+        for &i in &order {
+            let (s, e) = ranges[i];
+            map.insert(s, e, i);
         }
-        let mut sorted = unsorted.clone();
-        sorted.finish();
-        for p in probes {
-            prop_assert_eq!(unsorted.get(p), sorted.get(p), "probe {}", p);
+        prop_assert_eq!(map.len(), ranges.len());
+        let edges = ranges.iter().flat_map(|&(s, e)| {
+            [s.wrapping_sub(1), s, e, e.wrapping_add(1)]
+        });
+        for p in probes.into_iter().chain(edges) {
+            let expected = ranges.iter().position(|&(s, e)| s <= p && p <= e);
+            prop_assert_eq!(map.get(p).copied(), expected, "probe {}", p);
         }
     }
 
@@ -58,7 +69,6 @@ proptest! {
         for &(s, e) in &ranges {
             db.add_range(s, e, &code);
         }
-        db.finish();
         let upper = code.to_ascii_uppercase();
         for &(s, _) in &ranges {
             prop_assert_eq!(db.lookup(s), Some(upper.as_str()));
@@ -72,7 +82,6 @@ proptest! {
         for &(s, e) in &ranges {
             db.add_range(s, e, asn, "TEST-AS", "us");
         }
-        db.finish();
         let line = db.whois_line(probe);
         let fields: Vec<&str> = line.split(" | ").collect();
         prop_assert_eq!(fields.len(), 4);

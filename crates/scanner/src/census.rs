@@ -153,8 +153,6 @@ mod tests {
                 rec.country.as_str(),
             );
         }
-        geo.finish();
-        asndb.finish();
         let index = enrich(records, &geo, &asndb, SimTime::ZERO);
         assert!(!index.is_empty());
         for r in index.records() {
