@@ -69,6 +69,9 @@ fn post(postings: &mut Vec<DenseBitSet>, sym: Sym, id: usize) {
     postings[slot].insert(id);
 }
 
+/// One record's endpoint in the endpoint column: `(ip, port, arena id)`.
+type Endpoint = (IpAddr, u16, u32);
+
 /// Clear arena id `id` from the posting under `sym`.
 fn unpost(postings: &mut [DenseBitSet], sym: Sym, id: usize) {
     if let Some(posting) = postings.get_mut(sym.index()) {
@@ -103,10 +106,10 @@ pub struct ScanIndex {
     countries: Vec<Option<Sym>>,
     suffixes: Vec<Sym>,
     suffix_ends: Vec<usize>,
-    /// `(ip, port, arena id)` of every live record. Re-crawl deltas
-    /// retire by `(ip, port, path)`: walk the `(ip, port)` range and
-    /// keep the ids whose record has that path.
-    by_endpoint: BTreeSet<(IpAddr, u16, usize)>,
+    /// `(ip, port, arena id)` of every live record, sorted. Re-crawl
+    /// deltas retire by `(ip, port, path)`: binary-search the
+    /// `(ip, port)` run and keep the ids whose record has that path.
+    by_endpoint: Vec<Endpoint>,
     /// Bumped once per delta/compaction.
     epoch: u64,
     /// Tombstoned arena slots not yet compacted.
@@ -197,7 +200,7 @@ impl ScanIndex {
             countries: Vec::new(),
             suffixes: Vec::new(),
             suffix_ends: Vec::new(),
-            by_endpoint: BTreeSet::new(),
+            by_endpoint: Vec::new(),
             epoch: 0,
             retired: 0,
             plan: Mutex::new(None),
@@ -208,13 +211,24 @@ impl ScanIndex {
         for record in records {
             index.ingest(record);
         }
+        index.by_endpoint = (0..index.records.len())
+            .map(|id| index.endpoint(id))
+            .collect();
+        index.by_endpoint.sort_unstable();
         index
     }
 
-    /// Append one record: keep it in the arena, post it, index its
-    /// endpoint. A record adds no heap object of its own: its interned
-    /// labels go into the interner's arena (a hostname with uppercase
-    /// bytes is lowercased into a temporary copy first).
+    /// Arena id `id`'s entry in the endpoint column.
+    fn endpoint(&self, id: usize) -> Endpoint {
+        let record = &self.records[id];
+        (record.ip(), record.port(), id as u32)
+    }
+
+    /// Append one record: keep it in the arena and post it; the caller
+    /// enters its endpoint in the column. A record adds no heap object
+    /// of its own: its interned labels go into the interner's arena (a
+    /// hostname with uppercase bytes is lowercased into a temporary copy
+    /// first).
     fn ingest(&mut self, record: ScanRecord) {
         let id = self.records.len();
         let country = record.country().map(|c| self.labels.intern(c));
@@ -243,7 +257,6 @@ impl ScanIndex {
         self.suffix_ends.push(self.suffixes.len());
         self.countries.push(country);
         self.live.insert(id);
-        self.by_endpoint.insert((record.ip(), record.port(), id));
         self.records.push(record);
     }
 
@@ -260,9 +273,11 @@ impl ScanIndex {
 
     /// Apply a re-crawl delta: tombstone `retirements` (and any live
     /// records at an added record's endpoint — a re-crawl supersedes
-    /// the previous capture), append `adds` and bump the epoch. Cost is
-    /// proportional to the delta, not the index; the cached sweep plan
-    /// is invalidated.
+    /// the previous capture, and of several adds at one endpoint the
+    /// last wins), append `adds` and bump the epoch. Each retirement is
+    /// a binary search in the endpoint column; then the adds' keys are
+    /// sorted and merged with the column in one pass over its 12 bytes
+    /// per live record. The cached sweep plan is invalidated.
     pub fn apply_delta(
         &mut self,
         adds: Vec<ScanRecord>,
@@ -270,56 +285,104 @@ impl ScanIndex {
     ) -> DeltaStats {
         self.epoch += 1;
         *self.plan.lock() = None;
-        let mut retired = 0;
+        let tombstones = self.retired;
         for (ip, port, path) in retirements {
-            retired += self.retire_endpoint(*ip, *port, path);
+            self.retire_endpoint(*ip, *port, path);
         }
+        let first = self.records.len();
         let added = adds.len();
         // Grow the arenas once for the whole delta rather than by
         // repeated doubling.
         self.reserve(adds.len());
         for record in adds {
-            retired += self.retire_endpoint(record.ip(), record.port(), record.path());
             self.ingest(record);
+        }
+        if self.retired > tombstones || added > 0 {
+            self.merge_endpoints(first);
         }
         DeltaStats {
             epoch: self.epoch,
             added,
-            retired,
+            retired: self.retired - tombstones,
         }
     }
 
-    /// The first live record at `(ip, port, path)` with arena id
-    /// `from` or above.
-    fn endpoint_id(&self, ip: IpAddr, port: u16, path: &str, from: usize) -> Option<usize> {
-        self.by_endpoint
-            .range((ip, port, from)..=(ip, port, usize::MAX))
-            .map(|&(_, _, id)| id)
-            .find(|&id| self.records[id].path() == path)
+    /// Tombstone every live record at `(ip, port, path)`. Its column
+    /// entry stays until the next [`merge_endpoints`](Self::merge_endpoints).
+    fn retire_endpoint(&mut self, ip: IpAddr, port: u16, path: &str) {
+        let mut at = self
+            .by_endpoint
+            .partition_point(|&(i, p, _)| (i, p) < (ip, port));
+        while let Some(&(i, p, id)) = self.by_endpoint.get(at) {
+            if (i, p) != (ip, port) {
+                break;
+            }
+            if self.records[id as usize].path() == path {
+                self.tombstone(id as usize);
+            }
+            at += 1;
+        }
     }
 
-    /// Tombstone every live record at `(ip, port, path)`: clear its
-    /// postings and drop it from the live set. The arena slot stays
-    /// until [`compact`](Self::compact).
-    fn retire_endpoint(&mut self, ip: IpAddr, port: u16, path: &str) -> usize {
-        let mut n = 0;
-        let mut from = 0;
-        while let Some(id) = self.endpoint_id(ip, port, path, from) {
-            from = id + 1;
-            self.by_endpoint.remove(&(ip, port, id));
-            if !self.live.remove(id) {
+    /// Merge the endpoints of arena ids `first..`, the records a delta
+    /// just appended, into the sorted column in one pass. The pass drops
+    /// tombstoned entries and tombstones every record that a later add
+    /// at the same `(ip, port, path)` supersedes. The merged column is
+    /// one allocation: the adds' sorted keys sit at its tail, and the
+    /// merge writes from the front, never past the next unread add.
+    fn merge_endpoints(&mut self, first: usize) {
+        let old = std::mem::take(&mut self.by_endpoint);
+        let tail = old.len();
+        let mut column = vec![(IpAddr(0), 0, 0); tail + self.records.len() - first];
+        for (slot, id) in column[tail..].iter_mut().zip(first..) {
+            *slot = self.endpoint(id);
+        }
+        column[tail..].sort_unstable();
+        let (mut i, mut j, mut kept) = (0, tail, 0);
+        while i < tail || j < column.len() {
+            // Within one `(ip, port)` run the old entries come first:
+            // every add has a higher arena id.
+            let entry = if j == column.len() || (i < tail && old[i] < column[j]) {
+                i += 1;
+                old[i - 1]
+            } else {
+                j += 1;
+                column[j - 1]
+            };
+            let (ip, port, id) = entry;
+            if !self.live.contains(id as usize) {
                 continue;
             }
-            if let Some(c) = self.countries[id] {
-                unpost(&mut self.by_country, c, id);
+            let path = self.records[id as usize].path();
+            let superseded = column[j..]
+                .iter()
+                .take_while(|&&(i, p, _)| (i, p) == (ip, port))
+                .any(|&(_, _, later)| self.records[later as usize].path() == path);
+            if superseded {
+                self.tombstone(id as usize);
+            } else {
+                column[kept] = entry;
+                kept += 1;
             }
-            for &s in &self.suffixes[span(&self.suffix_ends, id)] {
-                unpost(&mut self.by_suffix, s, id);
-            }
-            self.retired += 1;
-            n += 1;
         }
-        n
+        column.truncate(kept);
+        self.by_endpoint = column;
+    }
+
+    /// Tombstone arena id `id` if it is live: clear its postings and
+    /// drop it from the live set. The arena slot stays until
+    /// [`compact`](Self::compact).
+    fn tombstone(&mut self, id: usize) {
+        if !self.live.remove(id) {
+            return;
+        }
+        if let Some(c) = self.countries[id] {
+            unpost(&mut self.by_country, c, id);
+        }
+        for &s in &self.suffixes[span(&self.suffix_ends, id)] {
+            unpost(&mut self.by_suffix, s, id);
+        }
+        self.retired += 1;
     }
 
     /// Reclaim tombstoned arena slots by rebuilding over the live

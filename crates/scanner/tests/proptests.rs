@@ -14,21 +14,27 @@ fn endpoint_key(r: &ScanRecord) -> (IpAddr, u16, String) {
 
 /// Reference semantics of `apply_delta` on a plain record list:
 /// retirements drop every record at the key; each add supersedes any
-/// record at its own key and appends.
+/// record at its own key and appends. Returns the new list and how
+/// many records were dropped.
 fn model_apply(
     mut records: Vec<ScanRecord>,
     adds: &[ScanRecord],
     retires: &[(IpAddr, u16, String)],
-) -> Vec<ScanRecord> {
-    for key in retires {
+) -> (Vec<ScanRecord>, usize) {
+    let mut dropped = 0;
+    let mut drop_key = |records: &mut Vec<ScanRecord>, key: &(IpAddr, u16, String)| {
+        let before = records.len();
         records.retain(|r| endpoint_key(r) != *key);
+        dropped += before - records.len();
+    };
+    for key in retires {
+        drop_key(&mut records, key);
     }
     for add in adds {
-        let key = endpoint_key(add);
-        records.retain(|r| endpoint_key(r) != key);
+        drop_key(&mut records, &endpoint_key(add));
         records.push(add.clone());
     }
-    records
+    (records, dropped)
 }
 
 /// A record's searchable text, formatted here from its fields in raw
@@ -255,12 +261,14 @@ fn any_fields() -> impl Strategy<Value = Fields> {
 
 /// One re-crawl delta as choices resolved against the model list:
 /// endpoints to re-crawl (with a banner pick), fresh records, endpoints
-/// to retire, and whether to sweep right after it.
+/// to retire, and whether to sweep right after it. Re-crawls pick from
+/// the first three model records, so one delta often re-crawls an
+/// endpoint twice and the last add must win.
 type DeltaChoice = (Vec<(usize, usize)>, Vec<ScanRecord>, Vec<usize>, bool);
 
 fn any_delta() -> impl Strategy<Value = DeltaChoice> {
     (
-        proptest::collection::vec((any::<usize>(), any::<usize>()), 0..5),
+        proptest::collection::vec((0..3usize, any::<usize>()), 0..5),
         proptest::collection::vec(any_record(), 0..6),
         proptest::collection::vec(any::<usize>(), 0..4),
         any::<bool>(),
@@ -438,7 +446,8 @@ proptest! {
     /// first sweep runs before any delta, so a sweep after a delta that
     /// read a stale plan would show; re-crawls flip records into and
     /// out of the match set. Every sweep equals the sweep of a scratch
-    /// build.
+    /// build. Each delta retires as many records as the model drops,
+    /// and the tombstones add up until compaction frees them.
     #[test]
     fn delta_equals_scratch(
         base in proptest::collection::vec(any_record(), 0..25),
@@ -452,6 +461,7 @@ proptest! {
         let mut delta = ScanIndex::build(base.clone());
         prop_assert_eq!(sweep(&delta), sweep(&ScanIndex::build(base.clone())));
         let mut model = base;
+        let mut tombstones = 0;
         let last = deltas.len() - 1;
         let compact_at = compact_pick % last;
         for (step, (recrawls, fresh, retire_sel, sweep_now)) in deltas.into_iter().enumerate() {
@@ -475,7 +485,11 @@ proptest! {
             let stats = delta.apply_delta(adds.clone(), &retires);
             prop_assert_eq!(stats.epoch, before + 1);
             prop_assert_eq!(stats.added, adds.len());
-            model = model_apply(model, &adds, &retires);
+            let dropped;
+            (model, dropped) = model_apply(model, &adds, &retires);
+            prop_assert_eq!(stats.retired, dropped);
+            tombstones += dropped;
+            prop_assert_eq!(delta.tombstones(), tombstones);
 
             let scratch = ScanIndex::build(model.clone());
             prop_assert_eq!(delta.to_dump(), scratch.to_dump());
@@ -485,7 +499,8 @@ proptest! {
                 prop_assert_eq!(sweep(&delta), sweep(&scratch), "after delta {}", step);
             }
             if step == compact_at {
-                delta.compact();
+                prop_assert_eq!(delta.compact(), tombstones);
+                tombstones = 0;
                 prop_assert_eq!(delta.records(), scratch.records());
                 prop_assert_eq!(delta.tombstones(), 0);
                 if sweep_now {
