@@ -353,11 +353,14 @@ impl ScanIndex {
             if !self.live.contains(id as usize) {
                 continue;
             }
-            let path = self.records[id as usize].path();
+            // Paths are read only where a later add shares the
+            // `(ip, port)`: reading one touches the record's buffer.
             let superseded = column[j..]
                 .iter()
                 .take_while(|&&(i, p, _)| (i, p) == (ip, port))
-                .any(|&(_, _, later)| self.records[later as usize].path() == path);
+                .any(|&(_, _, later)| {
+                    self.records[later as usize].path() == self.records[id as usize].path()
+                });
             if superseded {
                 self.tombstone(id as usize);
             } else {
