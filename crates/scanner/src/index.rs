@@ -69,15 +69,15 @@ fn post(postings: &mut Vec<DenseBitSet>, sym: Sym, id: usize) {
     postings[slot].insert(id);
 }
 
-/// One record's endpoint in the endpoint column: `(ip, port, arena id)`.
-type Endpoint = (IpAddr, u16, u32);
-
 /// Clear arena id `id` from the posting under `sym`.
 fn unpost(postings: &mut [DenseBitSet], sym: Sym, id: usize) {
     if let Some(posting) = postings.get_mut(sym.index()) {
         posting.remove(id);
     }
 }
+
+/// One record's endpoint in the endpoint column: `(ip, port, arena id)`.
+type Endpoint = (IpAddr, u16, u32);
 
 /// A built scan index (the Shodan analog).
 #[derive(Debug)]
@@ -285,7 +285,7 @@ impl ScanIndex {
     ) -> DeltaStats {
         self.epoch += 1;
         *self.plan.lock() = None;
-        let tombstones = self.retired;
+        let retired_before = self.retired;
         for (ip, port, path) in retirements {
             self.retire_endpoint(*ip, *port, path);
         }
@@ -297,13 +297,13 @@ impl ScanIndex {
         for record in adds {
             self.ingest(record);
         }
-        if self.retired > tombstones || added > 0 {
+        if self.retired > retired_before || added > 0 {
             self.merge_endpoints(first);
         }
         DeltaStats {
             epoch: self.epoch,
             added,
-            retired: self.retired - tombstones,
+            retired: self.retired - retired_before,
         }
     }
 
@@ -357,7 +357,7 @@ impl ScanIndex {
             // `(ip, port)`: reading one touches the record's buffer.
             let superseded = column[j..]
                 .iter()
-                .take_while(|&&(i, p, _)| (i, p) == (ip, port))
+                .take_while(|later| (later.0, later.1) == (ip, port))
                 .any(|&(_, _, later)| {
                     self.records[later as usize].path() == self.records[id as usize].path()
                 });
