@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use filterwatch_core::campaign::Campaign;
 use filterwatch_core::DEFAULT_SEED;
 use filterwatch_orchestrator::{
-    resume_paper_campaign, CampaignCheckpoint, CampaignDescriptor, CampaignKind, CrashPlan,
+    resume_orchestrated, CampaignCheckpoint, CampaignDescriptor, CampaignKind, CrashPlan,
     Orchestrator, Outcome, PaperDriver,
 };
 use filterwatch_telemetry::wire::Wire;
@@ -73,7 +73,13 @@ fn bench_orchestrator(c: &mut Criterion) {
             panic!("crash plan missed");
         };
         let line = orch.checkpoints(0).last().expect("checkpoint").clone();
-        b.iter(|| black_box(resume_paper_campaign(black_box(&line)).expect("resume")))
+        b.iter(|| {
+            black_box(
+                resume_orchestrated(black_box(&line), PaperDriver::new)
+                    .expect("resume")
+                    .into_report(),
+            )
+        })
     });
 }
 

@@ -542,7 +542,9 @@ fn orchestrate(seed: u64) {
 /// and print the identify/confirm tables. They are byte-identical to
 /// the uninterrupted run's.
 fn resume(arg: &str) {
-    use filterwatch_orchestrator::{resume_paper_campaign, CampaignCheckpoint, CampaignKind};
+    use filterwatch_orchestrator::{
+        resume_orchestrated, CampaignCheckpoint, CampaignKind, PaperDriver,
+    };
 
     let line = match std::fs::read_to_string(arg) {
         Ok(contents) => match contents.lines().rev().find(|l| !l.trim().is_empty()) {
@@ -561,7 +563,7 @@ fn resume(arg: &str) {
     if ckpt.descriptor.kind == CampaignKind::Generated {
         eprintln!(
             "error: generated campaigns resume via filterwatch-testkit's \
-             resume_generated_campaign (the world generator lives there)"
+             GeneratedDriver (the world generator lives there)"
         );
         std::process::exit(1);
     }
@@ -573,10 +575,12 @@ fn resume(arg: &str) {
         ckpt.clock_secs,
         ckpt.cases.len()
     );
-    let report = resume_paper_campaign(&line).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let report = resume_orchestrated(&line, PaperDriver::new)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
+        .into_report();
     println!();
     println!("## identify");
     print!("{}", report.identify_table());

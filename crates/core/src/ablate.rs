@@ -19,10 +19,10 @@ use filterwatch_products::license::LicensePool;
 use filterwatch_products::{ProductKind, SubmitterProfile};
 use filterwatch_scanner::ScanEngine;
 
-use crate::confirm::{run_case_study, CaseStudySpec};
+use crate::confirm::{run_case_study, CaseStudySpec, SiteAccess};
 use crate::identify::IdentifyPipeline;
 use crate::report::TextTable;
-use crate::world::{SiteKind, World, WorldOptions};
+use crate::world::{CampaignWorld, SiteKind, World, WorldOptions};
 
 /// One row of the visibility sweep.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ fn probe_spec() -> CaseStudySpec {
         n_sites: 6,
         n_submit: 3,
         category_label: "Pornography".into(),
-        pre_verify: true,
+        access: SiteAccess::VerifyFirst,
         wait_days: 4,
         retest_runs: 1,
         submitter: SubmitterProfile::COVERT,
@@ -114,7 +114,7 @@ pub fn acceptance_sweep(seed: u64, rates: &[f64]) -> Vec<AcceptanceRow> {
                 n_sites: 12,
                 n_submit: 6,
                 category_label: "Proxy anonymizer".into(),
-                pre_verify: false,
+                access: SiteAccess::AfterSubmit,
                 wait_days: 4,
                 retest_runs: 1,
                 submitter: SubmitterProfile::COVERT,

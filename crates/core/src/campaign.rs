@@ -292,7 +292,7 @@ impl CampaignRun {
     #[allow(clippy::expect_used)]
     pub fn retest(&mut self) {
         let case = self.current_case.take().expect("announce_wait first");
-        let result = crate::confirm::retest_case(&mut self.world, case);
+        let result = crate::confirm::retest_case(&self.world, case);
         self.confirmations.push(result);
     }
 

@@ -15,7 +15,7 @@ use filterwatch_measure::MeasurementQuality;
 use filterwatch_urllists::{Category, TestList};
 
 use crate::report::TextTable;
-use crate::world::World;
+use crate::world::{CampaignWorld, World};
 
 /// The six protected-content columns of Table 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

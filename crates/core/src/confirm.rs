@@ -6,11 +6,28 @@
 //! the appropriate URL filter vendor. After 3-5 days, we retest the
 //! sites and observe whether or not the submitted sites are blocked."
 
-use filterwatch_measure::{MeasurementClient, MeasurementQuality};
+use filterwatch_measure::{MeasurementClient, MeasurementQuality, UrlVerdict};
 use filterwatch_products::{ProductKind, SubmitterProfile};
 
 use crate::report::TextTable;
-use crate::world::{ControlledSite, SiteKind, World};
+use crate::world::{CampaignWorld, ControlledSite, SiteKind, World};
+
+/// When a case study touches its sites from inside the ISP before the
+/// retest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SiteAccess {
+    /// Test every site in-country before submitting, counting how many
+    /// are accessible (the paper's default ordering).
+    VerifyFirst,
+    /// Submit first, then access every site in-country. Netsweeper
+    /// needs this: accessing the sites queues them for categorization
+    /// (§4.4), so the paper "operates on the assumption that none of
+    /// our sites will be blocked prior".
+    AfterSubmit,
+    /// No in-country access before the retest, for studies whose
+    /// pre-submission picture comes from a test-list sweep instead.
+    RetestOnly,
+}
 
 /// Parameters of one case study (one Table 3 row).
 #[derive(Debug, Clone)]
@@ -31,11 +48,8 @@ pub struct CaseStudySpec {
     pub n_submit: usize,
     /// Category label for the report row.
     pub category_label: String,
-    /// Verify accessibility before submitting. For Netsweeper this must
-    /// be `false`: accessing the sites queues them for categorization
-    /// (§4.4), so the paper submits first and "operates on the
-    /// assumption that none of our sites will be blocked prior".
-    pub pre_verify: bool,
+    /// When the sites are accessed in-country before the retest.
+    pub access: SiteAccess,
     /// Days to wait before the retest (the paper's 3–5).
     pub wait_days: u64,
     /// Retest repetitions per site; >1 for ISPs with inconsistent
@@ -52,7 +66,7 @@ pub struct CaseStudyResult {
     /// The spec that produced this result.
     pub spec: CaseStudySpec,
     /// Of the created sites, how many were accessible before submission
-    /// (`None` when pre-verification was skipped).
+    /// (`None` unless the access order is [`SiteAccess::VerifyFirst`]).
     pub accessible_before: Option<usize>,
     /// Submissions the vendor channel acknowledged as accepted.
     pub submissions_accepted: usize,
@@ -65,6 +79,9 @@ pub struct CaseStudyResult {
     /// Retest verdicts the machinery declined to render (quorum
     /// disagreement or breaker skips); zero on clean paths.
     pub retest_inconclusive: usize,
+    /// Every retest verdict, run by run, each run in site order
+    /// (submitted sites first).
+    pub retest_verdicts: Vec<UrlVerdict>,
     /// Measurement-quality counters the case study's client accumulated
     /// (retries, breaker trips, quorum trials).
     pub quality: MeasurementQuality,
@@ -109,19 +126,20 @@ pub struct CaseInProgress {
 }
 
 /// Baseline stage: open the case's telemetry/trace scopes, create the
-/// controlled sites, and (unless the vendor ordering forbids it)
-/// pre-verify their accessibility from the in-country vantage.
-pub fn begin_case(world: &mut World, spec: &CaseStudySpec) -> CaseInProgress {
+/// controlled sites, and (for [`SiteAccess::VerifyFirst`]) verify their
+/// accessibility from the in-country vantage.
+pub fn begin_case(world: &mut impl CampaignWorld, spec: &CaseStudySpec) -> CaseInProgress {
     assert!(
         spec.n_submit <= spec.n_sites,
         "cannot submit more than created"
     );
-    let telemetry = world.net.telemetry().clone();
-    let tracer = world.net.tracer().clone();
+    let telemetry = world.net().telemetry().clone();
+    let tracer = world.net().tracer().clone();
+    let now = world.net().now().secs();
     let case_label = spec.label.to_lowercase().replace([' ', '/'], "-");
     let case_scope = tracer.open(
         filterwatch_trace::StepKind::Case,
-        world.net.now().secs(),
+        now,
         &[
             ("case", &case_label),
             ("isp", &spec.isp),
@@ -131,31 +149,27 @@ pub fn begin_case(world: &mut World, spec: &CaseStudySpec) -> CaseInProgress {
     let submit_span = telemetry.span_start(
         filterwatch_telemetry::stage::CONFIRM_SUBMIT,
         &spec.label,
-        world.net.now().secs(),
+        now,
     );
     let submit_scope = tracer.open(
         filterwatch_trace::StepKind::Stage,
-        world.net.now().secs(),
+        now,
         &[("name", &"confirm.submit")],
     );
     let sites = world.create_controlled_sites(spec.site_kind, spec.n_sites);
     let client = world.client(&spec.isp);
 
-    // Pre-verification (or the Netsweeper ordering: submit first).
-    let accessible_before = if spec.pre_verify {
-        let accessible = sites
+    let accessible_before = (spec.access == SiteAccess::VerifyFirst).then(|| {
+        sites
             .iter()
             .filter(|s| {
                 client
-                    .test_url(&world.net, &s.test_url())
+                    .test_url(world.net(), &s.test_url())
                     .verdict
                     .is_accessible()
             })
-            .count();
-        Some(accessible)
-    } else {
-        None
-    };
+            .count()
+    });
 
     CaseInProgress {
         spec: spec.clone(),
@@ -171,23 +185,24 @@ pub fn begin_case(world: &mut World, spec: &CaseStudySpec) -> CaseInProgress {
 }
 
 /// Submit stage: hand the first `n_submit` sites to the vendor channel,
-/// perform the in-country accesses the submit-first ordering requires,
-/// and close the submit span.
-pub fn submit_case(world: &mut World, case: &mut CaseInProgress) {
+/// perform the in-country accesses [`SiteAccess::AfterSubmit`]
+/// requires, and close the submit span.
+pub fn submit_case(world: &mut impl CampaignWorld, case: &mut CaseInProgress) {
     let spec = &case.spec;
-    let telemetry = world.net.telemetry().clone();
-    let tracer = world.net.tracer().clone();
+    let net = world.net();
+    let telemetry = net.telemetry().clone();
+    let tracer = net.tracer().clone();
 
     // Submit the first n_submit sites to the vendor.
-    let cloud = world.cloud(spec.product).clone();
-    let now = world.net.now();
+    let cloud = world.cloud(spec.product);
+    let now = net.now();
     let mut submissions_accepted = 0;
     for site in &case.sites[..spec.n_submit] {
         let submit_url = site.submit_url();
         let receipt = cloud.submit(&submit_url, spec.submitter, now);
         tracer.point(
             filterwatch_trace::StepKind::Submit,
-            world.net.now().secs(),
+            now.secs(),
             &[
                 ("url", &submit_url),
                 ("accepted", &if receipt.accepted { "yes" } else { "no" }),
@@ -200,9 +215,9 @@ pub fn submit_case(world: &mut World, case: &mut CaseInProgress) {
 
     // For the submit-first ordering, the paper still *accesses* all the
     // domains in-country (which is what queues them at Netsweeper).
-    if !spec.pre_verify {
+    if spec.access == SiteAccess::AfterSubmit {
         for site in &case.sites {
-            let _ = case.client.test_url(&world.net, &site.test_url());
+            let _ = case.client.test_url(net, &site.test_url());
         }
     }
 
@@ -218,8 +233,8 @@ pub fn submit_case(world: &mut World, case: &mut CaseInProgress) {
         spec.product.slug(),
         submissions_accepted as i64,
     );
-    tracer.close(case.submit_scope, world.net.now().secs(), &[]);
-    telemetry.span_end(case.submit_span, world.net.now().secs());
+    tracer.close(case.submit_scope, net.now().secs(), &[]);
+    telemetry.span_end(case.submit_span, net.now().secs());
     case.submissions_accepted = submissions_accepted;
 }
 
@@ -228,18 +243,19 @@ pub fn submit_case(world: &mut World, case: &mut CaseInProgress) {
 /// may begin. The caller owns the clock advance — inline for the linear
 /// driver, a deadline-queue wakeup for the orchestrator — so both reach
 /// the deadline by the same arithmetic.
-pub fn announce_wait(world: &World, case: &CaseInProgress) -> u64 {
-    world.net.tracer().point(
+pub fn announce_wait(world: &impl CampaignWorld, case: &CaseInProgress) -> u64 {
+    let net = world.net();
+    net.tracer().point(
         filterwatch_trace::StepKind::Wait,
-        world.net.now().secs(),
+        net.now().secs(),
         &[("days", &case.spec.wait_days)],
     );
-    world.net.now().plus_days(case.spec.wait_days).secs()
+    net.now().plus_days(case.spec.wait_days).secs()
 }
 
 /// Retest stage: re-fetch every site from the in-country vantage,
 /// render the §4.2 verdict, and close the case's scopes.
-pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
+pub fn retest_case(world: &impl CampaignWorld, case: CaseInProgress) -> CaseStudyResult {
     let CaseInProgress {
         spec,
         case_label,
@@ -251,25 +267,27 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
         submit_span: _,
         submit_scope: _,
     } = case;
-    let telemetry = world.net.telemetry().clone();
-    let tracer = world.net.tracer().clone();
+    let net = world.net();
+    let telemetry = net.telemetry().clone();
+    let tracer = net.tracer().clone();
     let retest_span = telemetry.span_start(
         filterwatch_telemetry::stage::CONFIRM_RETEST,
         &spec.label,
-        world.net.now().secs(),
+        net.now().secs(),
     );
     let retest_scope = tracer.open(
         filterwatch_trace::StepKind::Stage,
-        world.net.now().secs(),
+        net.now().secs(),
         &[("name", &"confirm.retest")],
     );
     // Retest: a site is blocked if any retest run blocks it.
     let mut blocked = vec![false; sites.len()];
     let mut attributed: Vec<String> = Vec::new();
     let mut retest_inconclusive = 0;
+    let mut retest_verdicts = Vec::with_capacity(sites.len() * spec.retest_runs.max(1));
     for _ in 0..spec.retest_runs.max(1) {
         for (i, site) in sites.iter().enumerate() {
-            let v = client.test_url(&world.net, &site.test_url());
+            let v = client.test_url(net, &site.test_url());
             if v.verdict.is_blocked() {
                 blocked[i] = true;
                 if let Some(p) = v.verdict.blocked_by() {
@@ -280,6 +298,7 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
             } else if v.verdict.is_inconclusive() {
                 retest_inconclusive += 1;
             }
+            retest_verdicts.push(v);
         }
     }
     let submitted_blocked = blocked[..spec.n_submit].iter().filter(|&&b| b).count();
@@ -295,7 +314,7 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
 
     telemetry.gauge_set("confirm.queue_depth", spec.product.slug(), 0);
     telemetry.event(
-        world.net.now().secs(),
+        net.now().secs(),
         "confirm.verdict",
         &[
             ("case", &case_label),
@@ -304,10 +323,10 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
             ("confirmed", &if confirmed { "yes" } else { "no" }),
         ],
     );
-    tracer.close(retest_scope, world.net.now().secs(), &[]);
+    tracer.close(retest_scope, net.now().secs(), &[]);
     tracer.point(
         filterwatch_trace::StepKind::Verdict,
-        world.net.now().secs(),
+        net.now().secs(),
         &[
             (
                 "verdict",
@@ -323,10 +342,10 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
     );
     tracer.close(
         case_scope,
-        world.net.now().secs(),
+        net.now().secs(),
         &[("confirmed", &if confirmed { "yes" } else { "no" })],
     );
-    telemetry.span_end(retest_span, world.net.now().secs());
+    telemetry.span_end(retest_span, net.now().secs());
 
     CaseStudyResult {
         spec,
@@ -336,6 +355,7 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
         holdout_blocked,
         attributed_products: attributed,
         retest_inconclusive,
+        retest_verdicts,
         quality: client.quality(),
         confirmed,
     }
@@ -343,11 +363,11 @@ pub fn retest_case(world: &mut World, case: CaseInProgress) -> CaseStudyResult {
 
 /// Run one case study against the world, advancing its virtual clock:
 /// the thin linear composition of the stage functions.
-pub fn run_case_study(world: &mut World, spec: &CaseStudySpec) -> CaseStudyResult {
+pub fn run_case_study(world: &mut impl CampaignWorld, spec: &CaseStudySpec) -> CaseStudyResult {
     let mut case = begin_case(world, spec);
     submit_case(world, &mut case);
     let _deadline = announce_wait(world, &case);
-    world.net.advance_days(spec.wait_days);
+    world.net().advance_days(spec.wait_days);
     retest_case(world, case)
 }
 
@@ -364,7 +384,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 6,
             n_submit: 3,
             category_label: "Proxy Avoidance".into(),
-            pre_verify: true,
+            access: SiteAccess::VerifyFirst,
             wait_days: 5,
             retest_runs: 1,
             submitter: covert,
@@ -378,7 +398,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 6,
             n_submit: 3,
             category_label: "Proxy Avoidance".into(),
-            pre_verify: true,
+            access: SiteAccess::VerifyFirst,
             wait_days: 5,
             retest_runs: 1,
             submitter: covert,
@@ -392,7 +412,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 10,
             n_submit: 5,
             category_label: "Pornography".into(),
-            pre_verify: true,
+            access: SiteAccess::VerifyFirst,
             wait_days: 4,
             retest_runs: 1,
             submitter: covert,
@@ -406,7 +426,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 10,
             n_submit: 5,
             category_label: "Pornography".into(),
-            pre_verify: true,
+            access: SiteAccess::VerifyFirst,
             wait_days: 4,
             retest_runs: 1,
             submitter: covert,
@@ -420,7 +440,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 10,
             n_submit: 5,
             category_label: "Pornography".into(),
-            pre_verify: true,
+            access: SiteAccess::VerifyFirst,
             wait_days: 4,
             retest_runs: 1,
             submitter: covert,
@@ -434,7 +454,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 10,
             n_submit: 5,
             category_label: "Anonymizers".into(),
-            pre_verify: true,
+            access: SiteAccess::VerifyFirst,
             wait_days: 4,
             retest_runs: 1,
             submitter: covert,
@@ -448,7 +468,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 10,
             n_submit: 5,
             category_label: "Pornography".into(),
-            pre_verify: true,
+            access: SiteAccess::VerifyFirst,
             wait_days: 4,
             retest_runs: 1,
             submitter: covert,
@@ -462,7 +482,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 12,
             n_submit: 6,
             category_label: "Proxy anonymizer".into(),
-            pre_verify: false,
+            access: SiteAccess::AfterSubmit,
             wait_days: 4,
             retest_runs: 1,
             submitter: covert,
@@ -476,7 +496,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 12,
             n_submit: 6,
             category_label: "Proxy anonymizer".into(),
-            pre_verify: false,
+            access: SiteAccess::AfterSubmit,
             wait_days: 4,
             retest_runs: 1,
             submitter: covert,
@@ -490,7 +510,7 @@ pub fn table3_specs() -> Vec<CaseStudySpec> {
             n_sites: 12,
             n_submit: 6,
             category_label: "Proxy anonymizer".into(),
-            pre_verify: false,
+            access: SiteAccess::AfterSubmit,
             wait_days: 4,
             retest_runs: 3,
             submitter: covert,
@@ -611,6 +631,27 @@ mod tests {
         let text = render_table3(&results);
         assert!(text.contains("Etisalat"));
         assert!(text.contains("5/10"));
+    }
+
+    #[test]
+    fn retest_only_fetches_nothing_before_the_retest() {
+        let mut w = World::paper(DEFAULT_SEED);
+        w.net.set_flow_log(true);
+        let spec = CaseStudySpec {
+            access: SiteAccess::RetestOnly,
+            ..table3_specs()[3].clone()
+        };
+        let flows = w.net.flow_log().len();
+        let mut case = begin_case(&mut w, &spec);
+        submit_case(&mut w, &mut case);
+        let deadline = announce_wait(&w, &case);
+        w.net.advance_secs(deadline - w.net.now().secs());
+        assert_eq!(w.net.flow_log().len(), flows, "a site was fetched early");
+        let r = retest_case(&w, case);
+        assert_eq!(r.accessible_before, None);
+        assert!(w.net.flow_log().len() > flows);
+        assert_eq!(r.retest_verdicts.len(), spec.n_sites);
+        assert!(r.confirmed, "{r:?}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use filterwatch_products::{ProductKind, SubmitterProfile};
 
-use crate::confirm::{run_case_study, CaseStudySpec};
+use crate::confirm::{run_case_study, CaseStudySpec, SiteAccess};
 use crate::identify::IdentifyPipeline;
 use crate::report::TextTable;
 use crate::world::{SiteKind, World, WorldOptions};
@@ -51,7 +51,7 @@ fn probe_spec(submitter: SubmitterProfile) -> CaseStudySpec {
         n_sites: 6,
         n_submit: 3,
         category_label: "Pornography".into(),
-        pre_verify: true,
+        access: SiteAccess::VerifyFirst,
         wait_days: 4,
         retest_runs: 1,
         submitter,

@@ -24,7 +24,7 @@
 //! # Quick start
 //!
 //! ```
-//! use filterwatch_core::confirm::{run_case_study, CaseStudySpec};
+//! use filterwatch_core::confirm::{run_case_study, CaseStudySpec, SiteAccess};
 //! use filterwatch_core::world::{SiteKind, World};
 //! use filterwatch_products::{ProductKind, SubmitterProfile};
 //!
@@ -40,7 +40,7 @@
 //!         n_sites: 4,
 //!         n_submit: 2,
 //!         category_label: "Pornography".into(),
-//!         pre_verify: true,
+//!         access: SiteAccess::VerifyFirst,
 //!         wait_days: 4,
 //!         retest_runs: 1,
 //!         submitter: SubmitterProfile::NAIVE,
@@ -62,4 +62,4 @@ pub mod report;
 pub mod world;
 
 pub use campaign::{Campaign, CampaignReport};
-pub use world::{World, WorldOptions, DEFAULT_SEED};
+pub use world::{CampaignWorld, World, WorldOptions, DEFAULT_SEED};

@@ -19,7 +19,7 @@ use filterwatch_products::taxonomy::{self, netsweeper_category_name};
 use filterwatch_products::ProductKind;
 use filterwatch_urllists::{Category, TestList};
 
-use crate::world::World;
+use crate::world::{CampaignWorld, World};
 
 /// Result of querying the Netsweeper category test site from a vantage.
 #[derive(Debug, Clone)]

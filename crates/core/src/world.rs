@@ -103,25 +103,73 @@ impl ControlledSite {
     /// The URL testers fetch. For adult-image sites this is the benign
     /// object, limiting tester exposure (§4.6); blocking is
     /// hostname-granular so the verdict is unaffected.
-    // The site's domain is a minted hostname, so its URL always parses.
-    #[allow(clippy::expect_used)]
     pub fn test_url(&self) -> Url {
         match self.kind {
-            SiteKind::ProxyService => {
-                Url::parse(&format!("http://{}/", self.domain)).expect("valid")
-            }
-            SiteKind::AdultImages => {
-                Url::parse(&format!("http://{}/benign.png", self.domain)).expect("valid")
-            }
+            SiteKind::ProxyService => self.submit_url(),
+            SiteKind::AdultImages => Url::http_at(&self.domain, 80, "/benign.png"),
         }
     }
 
     /// The URL submitted to vendors (the site root).
-    // The site's domain is a minted hostname, so its URL always parses.
-    #[allow(clippy::expect_used)]
     pub fn submit_url(&self) -> Url {
-        Url::parse(&format!("http://{}/", self.domain)).expect("valid")
+        Url::http(&self.domain)
     }
+}
+
+/// What the confirmation stages ([`confirm`](crate::confirm)) need of a
+/// world: its Internet, fresh controlled sites, an in-country client per
+/// ISP and each vendor's cloud. The paper [`World`] and the testkit's
+/// generated worlds both implement it, so one implementation of §4.2
+/// runs on every network.
+pub trait CampaignWorld {
+    /// The simulated Internet.
+    fn net(&self) -> &Internet;
+
+    /// Register a fresh researcher-controlled domain hosting `kind`
+    /// content ([`mint_controlled_site`]).
+    fn create_controlled_site(&mut self, kind: SiteKind) -> ControlledSite;
+
+    /// Create `n` controlled sites of one kind.
+    fn create_controlled_sites(&mut self, kind: SiteKind, n: usize) -> Vec<ControlledSite> {
+        (0..n).map(|_| self.create_controlled_site(kind)).collect()
+    }
+
+    /// A measurement client for an ISP's field vantage, controlled
+    /// against the lab, carrying the world's resilience configuration.
+    ///
+    /// # Panics
+    /// If the ISP has no field tester.
+    fn client(&self, isp: &str) -> MeasurementClient;
+
+    /// The vendor cloud for a product.
+    fn cloud(&self, product: ProductKind) -> &Arc<VendorCloud>;
+}
+
+/// Stand up a fresh researcher-controlled domain on `hosting` serving
+/// `kind` content, resolvable worldwide, with reviewer ground truth
+/// registered at every vendor (a reviewer visiting it would see the
+/// content regardless of vendor). Every [`CampaignWorld`] mints its
+/// sites here.
+// Running out of hosting addresses is a world-sizing bug, not bad input.
+#[allow(clippy::expect_used)]
+pub fn mint_controlled_site(
+    net: &mut Internet,
+    hosting: NetworkId,
+    forge: &mut DomainForge,
+    clouds: &BTreeMap<ProductKind, Arc<VendorCloud>>,
+    kind: SiteKind,
+) -> ControlledSite {
+    let domain = forge.mint();
+    let ip = net.alloc_ip(hosting).expect("hosting space");
+    net.add_host(ip, hosting, &[&domain]);
+    match kind {
+        SiteKind::ProxyService => net.add_service(ip, 80, Box::new(GlypeProxySite)),
+        SiteKind::AdultImages => net.add_service(ip, 80, Box::new(AdultImageSite::new())),
+    }
+    for cloud in clouds.values() {
+        cloud.register_site_profile(&domain, kind.category());
+    }
+    ControlledSite { domain, kind, ip }
 }
 
 /// The built world. See the module docs.
@@ -131,9 +179,9 @@ pub struct World {
     /// Construction options used.
     pub options: WorldOptions,
     /// Resilience configuration every stage's measurement clients
-    /// inherit ([`World::client`]). Defaults to passthrough, so the
-    /// pinned-seed experiments behave exactly as single-shot fetches;
-    /// chaos campaigns switch it to `ResilienceConfig::chaos()`.
+    /// inherit ([`CampaignWorld::client`]). Defaults to passthrough, so
+    /// the pinned-seed experiments behave exactly as single-shot
+    /// fetches; chaos campaigns switch it to `ResilienceConfig::chaos()`.
     pub resilience: ResilienceConfig,
     clouds: BTreeMap<ProductKind, Arc<VendorCloud>>,
     lab: VantageId,
@@ -682,17 +730,6 @@ impl World {
         self
     }
 
-    /// A measurement client for an ISP's field vantage, controlled
-    /// against the lab, carrying the world's resilience configuration.
-    ///
-    /// # Panics
-    /// If the ISP has no field tester.
-    pub fn client(&self, isp: &str) -> MeasurementClient {
-        MeasurementClient::new(self.field(isp), self.lab)
-            .with_resilience(self.resilience.clone())
-            .with_telemetry(self.net.telemetry().clone())
-    }
-
     /// The lab (control) vantage point.
     pub fn lab(&self) -> VantageId {
         self.lab
@@ -716,11 +753,6 @@ impl World {
         self.fields.keys().map(String::as_str).collect()
     }
 
-    /// The vendor cloud for a product.
-    pub fn cloud(&self, product: ProductKind) -> &Arc<VendorCloud> {
-        &self.clouds[&product]
-    }
-
     /// Hostname of the vendor's public submission portal.
     pub fn portal_host(product: ProductKind) -> &'static str {
         match product {
@@ -730,32 +762,31 @@ impl World {
             ProductKind::Websense => "csi.websense.com",
         }
     }
+}
 
-    /// Register a fresh researcher-controlled domain hosting `kind`
-    /// content, resolvable worldwide, with reviewer ground truth
-    /// registered at every vendor (a reviewer visiting it would see the
-    /// content regardless of vendor).
-    // Running out of hosting addresses is a world-sizing bug, not bad input.
-    #[allow(clippy::expect_used)]
-    pub fn create_controlled_site(&mut self, kind: SiteKind) -> ControlledSite {
-        let domain = self.forge.mint();
-        let ip = self.net.alloc_ip(self.hosting).expect("hosting space");
-        self.net.add_host(ip, self.hosting, &[&domain]);
-        match kind {
-            SiteKind::ProxyService => self.net.add_service(ip, 80, Box::new(GlypeProxySite)),
-            SiteKind::AdultImages => self
-                .net
-                .add_service(ip, 80, Box::new(AdultImageSite::new())),
-        }
-        for cloud in self.clouds.values() {
-            cloud.register_site_profile(&domain, kind.category());
-        }
-        ControlledSite { domain, kind, ip }
+impl CampaignWorld for World {
+    fn net(&self) -> &Internet {
+        &self.net
     }
 
-    /// Create `n` controlled sites of one kind.
-    pub fn create_controlled_sites(&mut self, kind: SiteKind, n: usize) -> Vec<ControlledSite> {
-        (0..n).map(|_| self.create_controlled_site(kind)).collect()
+    fn create_controlled_site(&mut self, kind: SiteKind) -> ControlledSite {
+        mint_controlled_site(
+            &mut self.net,
+            self.hosting,
+            &mut self.forge,
+            &self.clouds,
+            kind,
+        )
+    }
+
+    fn client(&self, isp: &str) -> MeasurementClient {
+        MeasurementClient::new(self.field(isp), self.lab)
+            .with_resilience(self.resilience.clone())
+            .with_telemetry(self.net.telemetry().clone())
+    }
+
+    fn cloud(&self, product: ProductKind) -> &Arc<VendorCloud> {
+        &self.clouds[&product]
     }
 }
 
@@ -776,14 +807,16 @@ fn console_visible(options: &WorldOptions, network: &str, product: ProductKind) 
     draw < options.console_visibility
 }
 
-fn console_host_name(network: &str, tld: &str) -> String {
+/// The host a network's Netsweeper or Websense gateway answers on: the
+/// console, and the target of in-network deny-page redirects.
+pub fn console_host_name(network: &str, tld: &str) -> String {
     format!("gw.{network}.{tld}")
 }
 
 /// Add an externally visible product console/gateway host to a network.
 // Each ISP network is allocated with room for its console.
 #[allow(clippy::expect_used)]
-fn add_console(
+pub fn add_console(
     net: &mut Internet,
     isp: NetworkId,
     name: &str,
@@ -840,7 +873,7 @@ fn add_console(
 /// only the deny path answers.
 // Each ISP network is allocated with room for its deny host.
 #[allow(clippy::expect_used)]
-fn add_hidden_deny_host(net: &mut Internet, isp: NetworkId, name: &str, tld: &str) {
+pub fn add_hidden_deny_host(net: &mut Internet, isp: NetworkId, name: &str, tld: &str) {
     let host = console_host_name(name, tld);
     let ip = net.alloc_ip(isp).expect("deny ip");
     net.add_host(ip, isp, &[&host]);

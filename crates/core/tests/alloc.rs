@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use filterwatch_core::World;
+use filterwatch_core::{CampaignWorld, World};
 use filterwatch_http::Url;
 use filterwatch_urllists::TestList;
 

@@ -38,60 +38,46 @@ pub use resume::{replay, ResumeError};
 pub use scheduler::{CampaignStatus, CrashPlan, Orchestrator, Outcome, WatchdogConfig};
 pub use stage::{CampaignDescriptor, CampaignKind, StageHead, StageState};
 
-use filterwatch_core::campaign::CampaignReport;
 use filterwatch_telemetry::wire::{Wire, WireError};
 
-/// Run one paper campaign (standard or demo) under the orchestrator,
-/// uninterrupted, returning its report plus every checkpoint line the
-/// run wrote. The tables in the report are byte-identical to
-/// [`Campaign::run`](filterwatch_core::campaign::Campaign::run) at the
-/// same descriptor — the orchestrator changes *when* stages run, never
-/// what they measure.
-pub fn run_paper_campaign(
-    descriptor: CampaignDescriptor,
-) -> Result<(CampaignReport, Vec<String>), String> {
-    let driver = PaperDriver::new(descriptor)?;
-    let mut orch = Orchestrator::new(vec![driver]);
-    match orch.run() {
-        Outcome::Complete => {}
-        Outcome::Crashed { at_checkpoint } => {
-            return Err(format!(
-                "unexpected crash at checkpoint {at_checkpoint} with no crash plan"
-            ))
-        }
-    }
-    let checkpoints = orch.checkpoints(0).to_vec();
-    let mut drivers = orch.into_drivers();
-    match drivers.pop() {
-        Some((driver, CampaignStatus::Done)) => Ok((driver.into_report(), checkpoints)),
-        Some((_, status)) => Err(format!("campaign did not finish: {status:?}")),
-        None => Err("no campaign scheduled".to_string()),
-    }
+/// Run one campaign under the orchestrator, uninterrupted, and return
+/// its finished driver plus every checkpoint line the run wrote. The
+/// driver's report is byte-identical to the linear run's at the same
+/// descriptor: the orchestrator changes *when* stages run, never what
+/// they measure.
+pub fn run_orchestrated<D: StageDriver>(driver: D) -> Result<(D, Vec<String>), String> {
+    run_to_done(Orchestrator::new(vec![driver]))
 }
 
-/// Restore a paper campaign from a checkpoint line, run it to
-/// completion, and return its report. The identify/confirm tables are
-/// byte-identical to the uninterrupted run's.
-pub fn resume_paper_campaign(checkpoint_line: &str) -> Result<CampaignReport, ResumeError> {
+/// Restore a campaign from a checkpoint line, with `build` turning the
+/// line's descriptor into a fresh driver (`PaperDriver::new`, or the
+/// testkit's `GeneratedDriver::new`), run it to completion, and return
+/// the finished driver. Its report is byte-identical to the
+/// uninterrupted run's.
+pub fn resume_orchestrated<D: StageDriver>(
+    checkpoint_line: &str,
+    build: impl FnOnce(CampaignDescriptor) -> Result<D, String>,
+) -> Result<D, ResumeError> {
     let ckpt = CampaignCheckpoint::parse_line(checkpoint_line).map_err(ResumeError::Parse)?;
-    let mut driver = PaperDriver::new(ckpt.descriptor.clone())
+    let mut driver = build(ckpt.descriptor.clone())
         .map_err(|e| ResumeError::Parse(WireError::new("campaign", e)))?;
     let stage = replay(&mut driver, &ckpt)?;
-    let mut orch = Orchestrator::with_stages(vec![(driver, stage)]);
-    match orch.run() {
-        Outcome::Complete => {}
-        Outcome::Crashed { at_checkpoint } => {
-            return Err(ResumeError::Drift(format!(
-                "unexpected crash at checkpoint {at_checkpoint} with no crash plan"
-            )))
-        }
+    run_to_done(Orchestrator::with_stages(vec![(driver, stage)]))
+        .map(|(driver, _)| driver)
+        .map_err(ResumeError::Drift)
+}
+
+/// Drive a one-campaign orchestrator to `Done`.
+fn run_to_done<D: StageDriver>(mut orch: Orchestrator<D>) -> Result<(D, Vec<String>), String> {
+    if let Outcome::Crashed { at_checkpoint } = orch.run() {
+        return Err(format!(
+            "unexpected crash at checkpoint {at_checkpoint} with no crash plan"
+        ));
     }
-    let mut drivers = orch.into_drivers();
-    match drivers.pop() {
-        Some((driver, CampaignStatus::Done)) => Ok(driver.into_report()),
-        Some((_, status)) => Err(ResumeError::Drift(format!(
-            "resumed campaign did not finish: {status:?}"
-        ))),
-        None => Err(ResumeError::Drift("no campaign scheduled".to_string())),
+    let checkpoints = orch.checkpoints(0).to_vec();
+    match orch.into_drivers().pop() {
+        Some((driver, CampaignStatus::Done)) => Ok((driver, checkpoints)),
+        Some((_, status)) => Err(format!("campaign did not finish: {status:?}")),
+        None => Err("no campaign scheduled".to_string()),
     }
 }

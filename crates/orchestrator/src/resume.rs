@@ -152,19 +152,10 @@ pub fn replay<D: StageDriver>(
 /// The canonical boundary sequence for a campaign with `cases` case
 /// studies: the order every uninterrupted run visits stages in.
 fn boundary_sequence(cases: usize) -> Vec<StageState> {
-    let mut seq = vec![StageState::Identify];
-    for case in 0..cases {
-        seq.push(StageState::Baseline { case });
-        seq.push(StageState::Submit { case });
-        seq.push(StageState::Wait {
-            case,
-            deadline_secs: 0,
-        });
-        seq.push(StageState::Retest { case });
-    }
-    seq.push(StageState::Characterize);
-    seq.push(StageState::Done);
-    seq
+    std::iter::successors(Some(StageState::Identify), |stage| {
+        (*stage != StageState::Done).then(|| stage.successor(cases))
+    })
+    .collect()
 }
 
 #[cfg(test)]

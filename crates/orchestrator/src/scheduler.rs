@@ -318,34 +318,16 @@ impl<D: StageDriver> Orchestrator<D> {
         None
     }
 
-    /// The stage after `completed` for campaign `id`.
+    /// The stage after `completed` for campaign `id`, with a `Wait`'s
+    /// deadline announced by the driver.
     fn next_stage(&mut self, id: usize, completed: &StageState) -> StageState {
-        let cases = self.slots[id].driver.case_count();
-        match *completed {
-            StageState::Identify => {
-                if cases > 0 {
-                    StageState::Baseline { case: 0 }
-                } else {
-                    StageState::Characterize
-                }
-            }
-            StageState::Baseline { case } => StageState::Submit { case },
-            StageState::Submit { case } => {
-                let deadline_secs = self.slots[id].driver.wait_deadline_secs(case);
-                StageState::Wait {
-                    case,
-                    deadline_secs,
-                }
-            }
-            StageState::Wait { case, .. } => StageState::Retest { case },
-            StageState::Retest { case } => {
-                if case + 1 < cases {
-                    StageState::Baseline { case: case + 1 }
-                } else {
-                    StageState::Characterize
-                }
-            }
-            StageState::Characterize | StageState::Done => StageState::Done,
+        let driver = &mut self.slots[id].driver;
+        match completed.successor(driver.case_count()) {
+            StageState::Wait { case, .. } => StageState::Wait {
+                case,
+                deadline_secs: driver.wait_deadline_secs(case),
+            },
+            next => next,
         }
     }
 

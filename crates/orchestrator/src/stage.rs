@@ -247,6 +247,31 @@ impl StageState {
         }
     }
 
+    /// The boundary after this one in a campaign with `cases` case
+    /// studies: the one stage order the scheduler drives and replay
+    /// retraces. A `Wait` comes back with a zero deadline, which the
+    /// scheduler fills in when it announces the wait.
+    pub(crate) fn successor(&self, cases: usize) -> StageState {
+        let case_or_characterize = |case: usize| {
+            if case < cases {
+                StageState::Baseline { case }
+            } else {
+                StageState::Characterize
+            }
+        };
+        match *self {
+            StageState::Identify => case_or_characterize(0),
+            StageState::Baseline { case } => StageState::Submit { case },
+            StageState::Submit { case } => StageState::Wait {
+                case,
+                deadline_secs: 0,
+            },
+            StageState::Wait { case, .. } => StageState::Retest { case },
+            StageState::Retest { case } => case_or_characterize(case + 1),
+            StageState::Characterize | StageState::Done => StageState::Done,
+        }
+    }
+
     /// Whether two stages are the same boundary, ignoring the `Wait`
     /// deadline payload (which replay recomputes and cross-checks).
     pub fn same_boundary(&self, other: &StageState) -> bool {

@@ -7,11 +7,11 @@
 //! must resume to byte-identical tables, and a wedged vantage must
 //! quarantine without stalling the campaigns scheduled around it.
 
-use filterwatch_core::campaign::Campaign;
+use filterwatch_core::campaign::{Campaign, CampaignReport};
 use filterwatch_orchestrator::{
-    resume_paper_campaign, run_paper_campaign, CampaignCheckpoint, CampaignDescriptor,
-    CampaignKind, CampaignStatus, CrashPlan, Orchestrator, Outcome, PaperDriver, ResumeError,
-    StageState, StallPlan, StallingDriver, WatchdogConfig,
+    resume_orchestrated, run_orchestrated, CampaignCheckpoint, CampaignDescriptor, CampaignKind,
+    CampaignStatus, CrashPlan, Orchestrator, Outcome, PaperDriver, ResumeError, StageState,
+    StallPlan, StallingDriver, WatchdogConfig,
 };
 use filterwatch_telemetry::wire::Wire;
 use filterwatch_trace::{render_profile, ProvenanceIndex, StepKind};
@@ -21,6 +21,17 @@ const SEED: u64 = 5;
 
 fn demo_descriptor(seed: u64) -> CampaignDescriptor {
     CampaignDescriptor::new(CampaignKind::Demo, seed)
+}
+
+fn run_paper_campaign(
+    descriptor: CampaignDescriptor,
+) -> Result<(CampaignReport, Vec<String>), String> {
+    let (driver, checkpoints) = run_orchestrated(PaperDriver::new(descriptor)?)?;
+    Ok((driver.into_report(), checkpoints))
+}
+
+fn resume_paper_campaign(line: &str) -> Result<CampaignReport, ResumeError> {
+    resume_orchestrated(line, PaperDriver::new).map(PaperDriver::into_report)
 }
 
 fn sequential_tables(seed: u64) -> (String, String) {

@@ -14,12 +14,16 @@
 //! - [`worldgen`] — turning a plan into a live simulated Internet:
 //!   random AS topologies across a fixed country pool, per-vendor
 //!   product deployments with visible or hidden consoles, flapping
-//!   middleboxes, pre-categorized URL lists, fault profiles;
+//!   middleboxes, pre-categorized URL lists, fault profiles; a
+//!   [`GeneratedWorld`] is a `filterwatch_core::CampaignWorld`, minting
+//!   its sites and placing its consoles with the paper world's code;
 //! - [`runner`] — the paper's identify → submit-and-retest loop on a
-//!   generated world, rendered as stable, byte-comparable text;
+//!   generated world, rendered as stable, byte-comparable text; each
+//!   case study runs through `filterwatch_core::confirm`, the same
+//!   implementation of §4.2 the paper world runs;
 //! - [`orchestrate`] — the same loop as a crash-safe resumable state
-//!   machine under the `filterwatch-orchestrator` scheduler, with the
-//!   crash-recovery battery's driver and resume entry points;
+//!   machine under the `filterwatch-orchestrator` scheduler: the
+//!   crash-recovery battery's [`GeneratedDriver`];
 //! - [`invariants`] — the metamorphic suite (permutation invariance,
 //!   bystander indifference, fault degradation, holdout integrity);
 //! - [`golden`] — checked-in snapshots with
@@ -47,11 +51,11 @@ pub use corpus::synth_corpus;
 pub use differential::{minimize, parse_seeds, run_seed, seeds_from_env, Divergence};
 pub use golden::{check_golden, golden_path, update_mode, UPDATE_ENV};
 pub use invariants::{check_plan, check_seed, Violation};
-pub use orchestrate::{resume_generated_campaign, run_generated_campaign, GeneratedDriver};
-pub use plan::{ContentKind, DeploymentPlan, FaultPlan, ScenarioPlan};
+pub use orchestrate::GeneratedDriver;
+pub use plan::{DeploymentPlan, FaultPlan, ScenarioPlan};
 pub use runner::{
     run_campaign, run_campaign_forensic, run_campaign_with, CampaignForensics, CaseOutcome,
     GeneratedReport, RunConfig,
 };
 pub use strategies::{plan_for_seed, plan_strategy};
-pub use worldgen::{build_world, GeneratedSite, GeneratedWorld};
+pub use worldgen::{build_world, GeneratedWorld};

@@ -1,33 +1,38 @@
 //! Generated-world campaigns under the orchestrator.
 //!
-//! [`GeneratedDriver`] adapts the [`runner`](crate::runner) stage
-//! functions to the orchestrator's
-//! [`StageDriver`](filterwatch_orchestrator::StageDriver) surface, so a
-//! generated campaign runs as a crash-safe resumable state machine: the
-//! scheduler owns the transitions and the checkpoints, the driver owns
-//! the world. A `generated:<seed>` descriptor rebuilds the plan through
+//! [`GeneratedDriver`] adapts a generated campaign to the
+//! orchestrator's [`StageDriver`] surface, running the same
+//! `filterwatch_core::confirm` stages as the linear
+//! [`runner`](crate::runner), so a generated campaign runs as a
+//! crash-safe resumable state machine: the scheduler owns the
+//! transitions and the checkpoints, the driver owns the world. A
+//! `generated:<seed>` descriptor rebuilds the plan through
 //! [`plan_for_seed`], which keeps checkpoints self-contained — the
-//! whole campaign identity is one short wire line.
+//! whole campaign identity is one short wire line. Run and resume one
+//! with `filterwatch_orchestrator::{run_orchestrated,
+//! resume_orchestrated}`; resuming rebuilds the driver from the
+//! checkpoint's descriptor with [`GeneratedDriver::new`].
 //!
 //! The crash-recovery battery (`tests/crashrecovery.rs`) kills one of
 //! these at every checkpoint boundary across the seed battery and
 //! byte-compares the resumed [`GeneratedReport::comparable_text`]
 //! against the uninterrupted run's.
 
-use filterwatch_measure::{MeasurementQuality, ResilienceConfig};
+use filterwatch_core::confirm::{
+    announce_wait, begin_case, retest_case, submit_case, CaseInProgress, CaseStudyResult,
+};
+use filterwatch_measure::ResilienceConfig;
 use filterwatch_orchestrator::{
-    replay, CampaignCheckpoint, CampaignDescriptor, CampaignKind, CampaignStatus, CaseCkpt,
-    Orchestrator, Outcome, ResumeError, StageDriver, StageState, StepOutcome,
+    CampaignDescriptor, CampaignKind, CaseCkpt, StageDriver, StageState, StepOutcome,
 };
 
-use filterwatch_telemetry::wire::{Wire, WireError};
+use filterwatch_telemetry::wire::Wire;
 
 use crate::runner::{
-    baseline_stage, identify_stage, retest_stage, submit_stage, sweep_stage, CaseInFlight,
-    CaseOutcome, GeneratedReport, RunConfig, WAIT_DAYS,
+    case_spec, identify_stage, sweep_stage, CaseOutcome, GeneratedReport, RunConfig,
 };
 use crate::strategies::plan_for_seed;
-use crate::worldgen::{build_world, GeneratedWorld};
+use crate::worldgen::GeneratedWorld;
 
 /// [`StageDriver`] over a generated world: the testkit's counterpart
 /// to the orchestrator's `PaperDriver`.
@@ -38,8 +43,8 @@ pub struct GeneratedDriver {
     topology_digest: u64,
     identify_table: String,
     list_lines: Vec<String>,
-    cases: Vec<CaseOutcome>,
-    current: Option<CaseInFlight>,
+    results: Vec<CaseStudyResult>,
+    current: Option<CaseInProgress>,
 }
 
 impl GeneratedDriver {
@@ -57,7 +62,7 @@ impl GeneratedDriver {
         if descriptor.chaos {
             config.resilience = ResilienceConfig::chaos();
         }
-        let gw = build_world(&plan);
+        let gw = config.build_world(&plan);
         let topology_digest = gw.net.topology_digest();
         Ok(GeneratedDriver {
             descriptor,
@@ -66,7 +71,7 @@ impl GeneratedDriver {
             topology_digest,
             identify_table: String::new(),
             list_lines: Vec::new(),
-            cases: Vec::new(),
+            results: Vec::new(),
             current: None,
         })
     }
@@ -79,7 +84,12 @@ impl GeneratedDriver {
             topology_digest: self.topology_digest,
             identify_table: self.identify_table,
             list_lines: self.list_lines,
-            cases: self.cases,
+            cases: self
+                .results
+                .iter()
+                .enumerate()
+                .map(|(i, r)| CaseOutcome::from_result(i, r))
+                .collect(),
         }
     }
 }
@@ -94,7 +104,7 @@ impl StageDriver for GeneratedDriver {
     }
 
     fn completed_cases(&self) -> usize {
-        self.cases.len()
+        self.results.len()
     }
 
     fn now_secs(&self) -> u64 {
@@ -111,16 +121,16 @@ impl StageDriver for GeneratedDriver {
             }
             StageState::Baseline { case } => {
                 assert!(self.current.is_none(), "a case is already in flight");
-                self.current = Some(baseline_stage(&mut self.gw, case));
+                let spec = case_spec(&self.gw.plan, case);
+                self.current = Some(begin_case(&mut self.gw, &spec));
             }
             StageState::Submit { .. } => {
-                let mut case = self.current.take().expect("baseline stage first");
-                submit_stage(&mut self.gw, &mut case);
-                self.current = Some(case);
+                let case = self.current.as_mut().expect("baseline stage first");
+                submit_case(&mut self.gw, case);
             }
             StageState::Retest { .. } => {
                 let case = self.current.take().expect("submit stage first");
-                self.cases.push(retest_stage(&self.gw, &self.config, case));
+                self.results.push(retest_case(&self.gw, case));
             }
             // Generated campaigns have no characterization stage; the
             // scheduler still visits the boundary so checkpoints share
@@ -132,8 +142,11 @@ impl StageDriver for GeneratedDriver {
         StepOutcome::Complete
     }
 
+    // The scheduler announces a wait only after its case's submit stage.
+    #[allow(clippy::expect_used)]
     fn wait_deadline_secs(&mut self, _case: usize) -> u64 {
-        self.gw.net.now().plus_days(WAIT_DAYS).secs()
+        let case = self.current.as_ref().expect("submit stage first");
+        announce_wait(&self.gw, case)
     }
 
     fn advance_to_secs(&mut self, deadline_secs: u64) {
@@ -144,20 +157,7 @@ impl StageDriver for GeneratedDriver {
     }
 
     fn case_checkpoint(&self, case: usize) -> CaseCkpt {
-        let c = &self.cases[case];
-        CaseCkpt {
-            index: case,
-            // Generated campaigns don't pre-verify; the sweep covers
-            // the pre-submission picture instead.
-            accessible_before: None,
-            submissions_accepted: c.submissions_accepted,
-            submitted_blocked: c.submitted_blocked,
-            holdout_blocked: c.holdout_blocked,
-            retest_inconclusive: c.retest_inconclusive,
-            confirmed: c.confirmed,
-            attributed: vec![c.product.slug().to_string()],
-            quality: MeasurementQuality::default(),
-        }
+        CaseCkpt::from_result(case, &self.results[case])
     }
 
     fn stage_vantage(&self, stage: &StageState) -> Option<String> {
@@ -165,61 +165,11 @@ impl StageDriver for GeneratedDriver {
     }
 }
 
-/// Run one generated campaign under the orchestrator, uninterrupted,
-/// returning its report plus every checkpoint line the run wrote.
-pub fn run_generated_campaign(
-    descriptor: CampaignDescriptor,
-) -> Result<(GeneratedReport, Vec<String>), String> {
-    let driver = GeneratedDriver::new(descriptor)?;
-    let mut orch = Orchestrator::new(vec![driver]);
-    match orch.run() {
-        Outcome::Complete => {}
-        Outcome::Crashed { at_checkpoint } => {
-            return Err(format!(
-                "unexpected crash at checkpoint {at_checkpoint} with no crash plan"
-            ))
-        }
-    }
-    let checkpoints = orch.checkpoints(0).to_vec();
-    let mut drivers = orch.into_drivers();
-    match drivers.pop() {
-        Some((driver, CampaignStatus::Done)) => Ok((driver.into_report(), checkpoints)),
-        Some((_, status)) => Err(format!("campaign did not finish: {status:?}")),
-        None => Err("no campaign scheduled".to_string()),
-    }
-}
-
-/// Restore a generated campaign from a checkpoint line and run it to
-/// completion. The resumed [`GeneratedReport::comparable_text`] is
-/// byte-identical to the uninterrupted run's.
-pub fn resume_generated_campaign(checkpoint_line: &str) -> Result<GeneratedReport, ResumeError> {
-    let ckpt = CampaignCheckpoint::parse_line(checkpoint_line).map_err(ResumeError::Parse)?;
-    let mut driver = GeneratedDriver::new(ckpt.descriptor.clone())
-        .map_err(|e| ResumeError::Parse(WireError::new("campaign", e)))?;
-    let stage = replay(&mut driver, &ckpt)?;
-    let mut orch = Orchestrator::with_stages(vec![(driver, stage)]);
-    match orch.run() {
-        Outcome::Complete => {}
-        Outcome::Crashed { at_checkpoint } => {
-            return Err(ResumeError::Drift(format!(
-                "unexpected crash at checkpoint {at_checkpoint} with no crash plan"
-            )))
-        }
-    }
-    let mut drivers = orch.into_drivers();
-    match drivers.pop() {
-        Some((driver, CampaignStatus::Done)) => Ok(driver.into_report()),
-        Some((_, status)) => Err(ResumeError::Drift(format!(
-            "resumed campaign did not finish: {status:?}"
-        ))),
-        None => Err(ResumeError::Drift("no campaign scheduled".to_string())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::run_campaign;
+    use filterwatch_orchestrator::{run_orchestrated, CampaignCheckpoint};
 
     #[test]
     fn generated_descriptors_only() {
@@ -231,11 +181,27 @@ mod tests {
     fn orchestrated_run_matches_linear_runner() {
         let seed = 3;
         let descriptor = CampaignDescriptor::new(CampaignKind::Generated, seed);
-        let (report, checkpoints) = run_generated_campaign(descriptor).expect("generated run");
+        let driver = GeneratedDriver::new(descriptor).expect("generated driver");
+        let (driver, checkpoints) = run_orchestrated(driver).expect("generated run");
         let linear = run_campaign(&plan_for_seed(seed));
-        assert_eq!(report.stable_text(), linear.stable_text());
+        assert_eq!(driver.into_report().stable_text(), linear.stable_text());
         // 1 initial + identify→baseline + 4 per case + characterize→done.
         let deployments = plan_for_seed(seed).deployments.len();
         assert_eq!(checkpoints.len(), 3 + 4 * deployments);
+
+        // Case checkpoints record what the retest saw: the quorum trials
+        // of this faulted plan's clients, and no attribution for case 0,
+        // which blocked nothing.
+        let last = checkpoints.last().expect("the run wrote checkpoints");
+        let cases = CampaignCheckpoint::parse_line(last)
+            .expect("own checkpoint parses")
+            .cases;
+        assert_eq!(cases.len(), deployments);
+        for case in &cases {
+            assert!(case.quality.quorum_trials > 0, "{}", case.to_line());
+        }
+        let quiet = &cases[0];
+        assert_eq!((quiet.submitted_blocked, quiet.holdout_blocked), (0, 0));
+        assert!(quiet.attributed.is_empty(), "{}", quiet.to_line());
     }
 }

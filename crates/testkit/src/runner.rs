@@ -1,13 +1,22 @@
-//! Running the paper's submit-and-retest loop on a generated world and
-//! rendering the outcome as stable text.
+//! Running the paper's identify and confirm stages on a generated world
+//! and rendering the outcome as stable text.
 //!
-//! [`run_campaign`] is the single entry point everything in the testkit
-//! byte-compares on: the invariant suite runs it on metamorphic
-//! variants of one plan, the golden framework snapshots its
-//! [`GeneratedReport::stable_text`], and the differential runner
-//! diffs it across configurations that must not matter.
+//! Each deployment's case study is a [`case_spec`] run through
+//! `filterwatch_core::confirm`, the one implementation of §4.2 that
+//! the paper world runs too; the stage functions here are thin
+//! wrappers over it. [`run_campaign`] is the single entry point
+//! everything in the testkit byte-compares on: the invariant suite
+//! runs it on metamorphic variants of one plan, the golden framework
+//! snapshots its [`GeneratedReport::stable_text`], and the
+//! differential runner diffs it across configurations that must not
+//! matter.
 
+use filterwatch_core::confirm::{
+    announce_wait, begin_case, retest_case, submit_case, CaseInProgress, CaseStudyResult,
+    CaseStudySpec, SiteAccess,
+};
 use filterwatch_core::identify::IdentifyPipeline;
+use filterwatch_core::CampaignWorld;
 use filterwatch_measure::ResilienceConfig;
 use filterwatch_products::{ProductKind, SubmitterProfile};
 use filterwatch_scanner::ScanEngine;
@@ -17,7 +26,7 @@ use filterwatch_trace::{build_forest, render_forest, TraceHandle};
 use filterwatch_urllists::TestList;
 
 use crate::plan::ScenarioPlan;
-use crate::worldgen::{build_world, GeneratedSite, GeneratedWorld};
+use crate::worldgen::{build_world, deployment_name, GeneratedWorld};
 
 /// Days waited between submission and retest — past every vendor's
 /// maximum review delay, so accepted submissions are always in effect
@@ -48,6 +57,16 @@ impl RunConfig {
             telemetry: false,
         }
     }
+
+    /// Build the plan's world with this configuration applied.
+    pub(crate) fn build_world(&self, plan: &ScenarioPlan) -> GeneratedWorld {
+        let mut gw = build_world(plan);
+        gw.resilience = self.resilience.clone();
+        if self.telemetry {
+            gw.net.set_telemetry(TelemetryHandle::enabled());
+        }
+        gw
+    }
 }
 
 /// The outcome of one deployment's case study.
@@ -73,6 +92,38 @@ pub struct CaseOutcome {
     pub confirmed: bool,
     /// Stable per-site retest lines (submitted first, then held out).
     pub retest_lines: Vec<String>,
+}
+
+impl CaseOutcome {
+    /// Fold deployment `deployment`'s case-study result into its outcome.
+    pub(crate) fn from_result(deployment: usize, r: &CaseStudyResult) -> CaseOutcome {
+        let spec = &r.spec;
+        let retest_lines = r
+            .retest_verdicts
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let side = if i % spec.n_sites < spec.n_submit {
+                    "submitted"
+                } else {
+                    "heldout"
+                };
+                format!("{side} {}", v.line().to_line())
+            })
+            .collect();
+        CaseOutcome {
+            deployment,
+            product: spec.product,
+            n_sites: spec.n_sites,
+            n_submit: spec.n_submit,
+            submissions_accepted: r.submissions_accepted,
+            submitted_blocked: r.submitted_blocked,
+            holdout_blocked: r.holdout_blocked,
+            retest_inconclusive: r.retest_inconclusive,
+            confirmed: r.confirmed,
+            retest_lines,
+        }
+    }
 }
 
 /// A full generated-campaign report.
@@ -141,18 +192,33 @@ impl GeneratedReport {
     }
 }
 
-/// One deployment's case study between baseline and retest: the minted
-/// sites and the vendor's acceptance count, riding out the review
-/// window. This is exactly the state a checkpoint boundary can fall
-/// inside of, so the orchestrator's generated-campaign driver holds one
-/// of these between stages.
-#[derive(Debug, Clone)]
+/// The §4.2 case study run against deployment `i`: its sites submitted
+/// covertly, one retest after [`WAIT_DAYS`], and no in-country access
+/// before it, since the list sweep covers the pre-submission picture.
+pub fn case_spec(plan: &ScenarioPlan, i: usize) -> CaseStudySpec {
+    let d = &plan.deployments[i];
+    let name = deployment_name(i, d);
+    CaseStudySpec {
+        label: name.clone(),
+        product: d.product,
+        isp: name,
+        date: "-".into(),
+        site_kind: d.content,
+        n_sites: d.n_sites,
+        n_submit: d.n_submit,
+        category_label: d.content.category().name().into(),
+        access: SiteAccess::RetestOnly,
+        wait_days: WAIT_DAYS,
+        retest_runs: 1,
+        submitter: SubmitterProfile::COVERT,
+    }
+}
+
+/// One deployment's case study between baseline and retest.
 pub struct CaseInFlight {
     /// Deployment index in the plan.
     pub deployment: usize,
-    spec: crate::plan::DeploymentPlan,
-    sites: Vec<GeneratedSite>,
-    submissions_accepted: usize,
+    case: CaseInProgress,
 }
 
 /// Stage 1 on a generated world: scan, identify, render installations.
@@ -163,14 +229,16 @@ pub fn identify_stage(gw: &GeneratedWorld) -> String {
 }
 
 /// Pre-submission sweep of the (pre-categorized) global list from
-/// every deployment vantage.
+/// every deployment vantage. Its clients carry the world's resilience,
+/// which the run set from its [`RunConfig`] when it built the world, so
+/// `_config` goes unused.
 // Global test-list URLs are static and always parse.
 #[allow(clippy::expect_used)]
-pub fn sweep_stage(gw: &GeneratedWorld, config: &RunConfig) -> Vec<String> {
+pub fn sweep_stage(gw: &GeneratedWorld, _config: &RunConfig) -> Vec<String> {
     let list = TestList::global(gw.plan.urls_per_category);
     let mut list_lines = Vec::new();
-    for dep in 0..gw.plan.deployments.len() {
-        let client = gw.client(dep, &config.resilience);
+    for (dep, d) in gw.plan.deployments.iter().enumerate() {
+        let client = gw.client(&deployment_name(dep, d));
         for test_url in &list.urls {
             let url = filterwatch_http::Url::parse(&test_url.url).expect("list URL");
             let v = client.test_url(&gw.net, &url);
@@ -180,78 +248,25 @@ pub fn sweep_stage(gw: &GeneratedWorld, config: &RunConfig) -> Vec<String> {
     list_lines
 }
 
-/// Stage 2a for deployment `i`: mint the case's controlled sites.
+/// Stage 2a for deployment `i`: [`begin_case`] on its [`case_spec`].
 pub fn baseline_stage(gw: &mut GeneratedWorld, i: usize) -> CaseInFlight {
-    let spec = gw.plan.deployments[i].clone();
-    let sites: Vec<GeneratedSite> = (0..spec.n_sites)
-        .map(|_| gw.mint_site(spec.content))
-        .collect();
+    let spec = case_spec(&gw.plan, i);
     CaseInFlight {
         deployment: i,
-        spec,
-        sites,
-        submissions_accepted: 0,
+        case: begin_case(gw, &spec),
     }
 }
 
-/// Stage 2b: submit the chosen subset to the vendor channel.
+/// Stage 2b: [`submit_case`].
 pub fn submit_stage(gw: &mut GeneratedWorld, case: &mut CaseInFlight) {
-    let cloud = gw.cloud(case.spec.product).clone();
-    let now = gw.net.now();
-    for site in &case.sites[..case.spec.n_submit] {
-        if cloud
-            .submit(&site.submit_url(), SubmitterProfile::COVERT, now)
-            .accepted
-        {
-            case.submissions_accepted += 1;
-        }
-    }
+    submit_case(gw, &mut case.case);
 }
 
-/// Stage 2d, after the review window: retest every site and fold the
-/// case study into its outcome.
-pub fn retest_stage(gw: &GeneratedWorld, config: &RunConfig, case: CaseInFlight) -> CaseOutcome {
-    let CaseInFlight {
-        deployment,
-        spec,
-        sites,
-        submissions_accepted,
-    } = case;
-    let client = gw.client(deployment, &config.resilience);
-    let mut blocked = vec![false; sites.len()];
-    let mut retest_inconclusive = 0;
-    let mut retest_lines = Vec::new();
-    for (s, site) in sites.iter().enumerate() {
-        let v = client.test_url(&gw.net, &site.test_url());
-        if v.verdict.is_blocked() {
-            blocked[s] = true;
-        } else if v.verdict.is_inconclusive() {
-            retest_inconclusive += 1;
-        }
-        retest_lines.push(format!(
-            "{} {}",
-            if s < spec.n_submit {
-                "submitted"
-            } else {
-                "heldout"
-            },
-            v.line().to_line()
-        ));
-    }
-    let submitted_blocked = blocked[..spec.n_submit].iter().filter(|&&b| b).count();
-    let holdout_blocked = blocked[spec.n_submit..].iter().filter(|&&b| b).count();
-    CaseOutcome {
-        deployment,
-        product: spec.product,
-        n_sites: spec.n_sites,
-        n_submit: spec.n_submit,
-        submissions_accepted,
-        submitted_blocked,
-        holdout_blocked,
-        retest_inconclusive,
-        confirmed: submitted_blocked * 2 > spec.n_submit,
-        retest_lines,
-    }
+/// Stage 2d, after the review window: [`retest_case`], folded into the
+/// deployment's outcome. The retest client is the one the baseline
+/// stage built, with the world's resilience, so `_config` goes unused.
+pub fn retest_stage(gw: &GeneratedWorld, _config: &RunConfig, case: CaseInFlight) -> CaseOutcome {
+    CaseOutcome::from_result(case.deployment, &retest_case(gw, case.case))
 }
 
 /// Run the full loop — identify, sweep the test list, then one
@@ -267,11 +282,7 @@ pub fn run_campaign(plan: &ScenarioPlan) -> GeneratedReport {
 /// scheduling, and the crash-recovery battery holds the two
 /// byte-identical.
 pub fn run_campaign_with(plan: &ScenarioPlan, config: &RunConfig) -> GeneratedReport {
-    let mut gw = build_world(plan);
-    if config.telemetry {
-        gw.net.set_telemetry(TelemetryHandle::enabled());
-    }
-    drive_campaign(&mut gw, config)
+    drive_campaign(&mut config.build_world(plan), config)
 }
 
 /// The stage driver over an already-built (and instrumented) world.
@@ -284,13 +295,15 @@ fn drive_campaign(gw: &mut GeneratedWorld, config: &RunConfig) -> GeneratedRepor
 
     // Stage 2: one case study per deployment, sequentially (the virtual
     // clock advances past the vendor review window between each).
-    let mut cases = Vec::new();
-    for i in 0..gw.plan.deployments.len() {
-        let mut case = baseline_stage(gw, i);
-        submit_stage(gw, &mut case);
-        gw.net.advance_days(WAIT_DAYS);
-        cases.push(retest_stage(gw, config, case));
-    }
+    let cases = (0..gw.plan.deployments.len())
+        .map(|i| {
+            let mut case = baseline_stage(gw, i);
+            submit_stage(gw, &mut case);
+            let deadline = announce_wait(gw, &case.case);
+            gw.net.advance_secs(deadline - gw.net.now().secs());
+            retest_stage(gw, config, case)
+        })
+        .collect();
 
     GeneratedReport {
         plan: gw.plan.clone(),
@@ -319,10 +332,7 @@ pub struct CampaignForensics {
 /// Run the full loop with the flow log and tracer enabled, returning
 /// the report together with both observation surfaces.
 pub fn run_campaign_forensic(plan: &ScenarioPlan, config: &RunConfig) -> CampaignForensics {
-    let mut gw = build_world(plan);
-    if config.telemetry {
-        gw.net.set_telemetry(TelemetryHandle::enabled());
-    }
+    let mut gw = config.build_world(plan);
     gw.net.set_flow_log(true);
     gw.net.set_tracer(TraceHandle::enabled(plan.seed));
     let report = drive_campaign(&mut gw, config);

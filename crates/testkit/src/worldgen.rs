@@ -6,57 +6,32 @@
 //! so adding a bystander to a plan perturbs no allocation made for
 //! anything else, which is exactly what the bystander-indifference
 //! invariant byte-compares on.
+//!
+//! Consoles, hidden deny hosts and controlled sites come from
+//! `filterwatch_core::world`, the same code the paper world uses, and
+//! [`GeneratedWorld`] implements core's `CampaignWorld`, so case
+//! studies run through `filterwatch_core::confirm` unchanged.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use filterwatch_core::world::{
+    add_console, add_hidden_deny_host, console_host_name, mint_controlled_site, CampaignWorld,
+    ControlledSite, SiteKind,
+};
 use filterwatch_http::Url;
 use filterwatch_measure::{MeasurementClient, ResilienceConfig};
-use filterwatch_netsim::service::{AdultImageSite, GlypeProxySite, StaticSite};
-use filterwatch_netsim::{
-    Flapping, Internet, IpAddr, Middlebox, NetworkId, NetworkSpec, VantageId,
-};
-use filterwatch_products::bluecoat::{
-    BlueCoatProxy, CfAuthPortal, ProxySgConsole, ProxySgIntercept,
-};
-use filterwatch_products::netsweeper::{NetsweeperBox, NetsweeperConsole};
-use filterwatch_products::smartfilter::{SmartFilterBox, SmartFilterConsole};
-use filterwatch_products::websense::{WebsenseBlockpage, WebsenseBox, BLOCKPAGE_PORT};
+use filterwatch_netsim::service::StaticSite;
+use filterwatch_netsim::{Flapping, Internet, Middlebox, NetworkId, NetworkSpec, VantageId};
+use filterwatch_products::bluecoat::{BlueCoatProxy, CfAuthPortal};
+use filterwatch_products::netsweeper::NetsweeperBox;
+use filterwatch_products::smartfilter::SmartFilterBox;
+use filterwatch_products::websense::WebsenseBox;
 use filterwatch_products::{taxonomy, FilterPolicy, ProductKind, VendorCloud};
 use filterwatch_urllists::{Category, DomainForge, TestList};
 
-use crate::plan::{ContentKind, DeploymentPlan, ScenarioPlan, COUNTRY_POOL, DEPLOYABLE};
-
-/// A researcher-controlled site minted on the hosting network.
-#[derive(Debug, Clone)]
-pub struct GeneratedSite {
-    /// The registered domain.
-    pub domain: String,
-    /// Hosted content kind.
-    pub content: ContentKind,
-    /// Host address.
-    pub ip: IpAddr,
-}
-
-impl GeneratedSite {
-    /// The URL testers fetch (the benign object for adult sites).
-    // The site's domain is a minted hostname, so its URL always parses.
-    #[allow(clippy::expect_used)]
-    pub fn test_url(&self) -> Url {
-        let path = match self.content {
-            ContentKind::Proxy => "/",
-            ContentKind::Adult => "/benign.png",
-        };
-        Url::parse(&format!("http://{}{path}", self.domain)).expect("valid")
-    }
-
-    /// The URL submitted to vendors.
-    // The site's domain is a minted hostname, so its URL always parses.
-    #[allow(clippy::expect_used)]
-    pub fn submit_url(&self) -> Url {
-        Url::parse(&format!("http://{}/", self.domain)).expect("valid")
-    }
-}
+use crate::plan::{DeploymentPlan, ScenarioPlan, COUNTRY_POOL, DEPLOYABLE};
+use crate::runner::RunConfig;
 
 /// The built world for a plan.
 pub struct GeneratedWorld {
@@ -70,55 +45,53 @@ pub struct GeneratedWorld {
     pub hosting: NetworkId,
     /// One field vantage per deployment, in plan order.
     pub vantages: Vec<VantageId>,
+    /// Resilience configuration every measurement client inherits
+    /// ([`CampaignWorld::client`]). [`build_world`] arms the plan's
+    /// canonical one ([`RunConfig::for_plan`]); a run replaces it with
+    /// its own [`RunConfig`]'s.
+    pub resilience: ResilienceConfig,
     clouds: BTreeMap<ProductKind, Arc<VendorCloud>>,
     forge: DomainForge,
 }
 
-impl GeneratedWorld {
-    /// The vendor cloud for a product.
-    pub fn cloud(&self, product: ProductKind) -> &Arc<VendorCloud> {
-        &self.clouds[&product]
+impl CampaignWorld for GeneratedWorld {
+    fn net(&self) -> &Internet {
+        &self.net
     }
 
-    /// A lab-controlled measurement client inside deployment `dep`.
-    pub fn client(&self, dep: usize, resilience: &ResilienceConfig) -> MeasurementClient {
-        MeasurementClient::new(self.vantages[dep], self.lab)
-            .with_resilience(resilience.clone())
+    fn create_controlled_site(&mut self, kind: SiteKind) -> ControlledSite {
+        mint_controlled_site(
+            &mut self.net,
+            self.hosting,
+            &mut self.forge,
+            &self.clouds,
+            kind,
+        )
+    }
+
+    /// `isp` names a deployment network ([`deployment_name`]).
+    // Documented panic: generated case studies name their deployment's network.
+    #[allow(clippy::panic)]
+    fn client(&self, isp: &str) -> MeasurementClient {
+        let field = self
+            .vantages
+            .iter()
+            .copied()
+            .find(|&v| self.net.network(self.net.vantage(v).network).name == isp)
+            .unwrap_or_else(|| panic!("no field vantage in {isp:?}"));
+        MeasurementClient::new(field, self.lab)
+            .with_resilience(self.resilience.clone())
             .with_telemetry(self.net.telemetry().clone())
     }
 
-    /// Mint a fresh controlled domain hosting `content`, resolvable
-    /// worldwide, with reviewer ground truth registered at every vendor.
-    // Running out of hosting addresses is a world-sizing bug, not bad input.
-    #[allow(clippy::expect_used)]
-    pub fn mint_site(&mut self, content: ContentKind) -> GeneratedSite {
-        let domain = self.forge.mint();
-        let ip = self.net.alloc_ip(self.hosting).expect("hosting space");
-        self.net.add_host(ip, self.hosting, &[&domain]);
-        match content {
-            ContentKind::Proxy => self.net.add_service(ip, 80, Box::new(GlypeProxySite)),
-            ContentKind::Adult => self
-                .net
-                .add_service(ip, 80, Box::new(AdultImageSite::new())),
-        }
-        for cloud in self.clouds.values() {
-            cloud.register_site_profile(&domain, content.category());
-        }
-        GeneratedSite {
-            domain,
-            content,
-            ip,
-        }
+    fn cloud(&self, product: ProductKind) -> &Arc<VendorCloud> {
+        &self.clouds[&product]
     }
 }
 
 /// Deployment network name (`dep0-netsweeper` style).
 pub fn deployment_name(i: usize, d: &DeploymentPlan) -> String {
     format!("dep{i}-{}", d.product.slug())
-}
-
-fn deny_host_name(name: &str, tld: &str) -> String {
-    format!("gw.{name}.{tld}")
 }
 
 /// The blocked vendor categories of a deployment's policy: its content
@@ -222,7 +195,7 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
 
         let cloud = Arc::clone(&clouds[&d.product]);
         let policy = policy_for(d);
-        let deny_host = deny_host_name(&name, tld);
+        let deny_host = console_host_name(&name, tld);
         let label = format!("{}@{name}", d.product.slug());
         let inner: Arc<dyn Middlebox> = match d.product {
             ProductKind::BlueCoat => Arc::new(BlueCoatProxy::new(&label, cloud, policy)),
@@ -248,7 +221,15 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
         };
         net.attach_middlebox(isp, boxed);
 
-        add_surface(&mut net, isp, &name, tld, d);
+        // The externally probeable surface: the product's console or
+        // gateway host. Hidden inline blockers have none; a hidden
+        // Netsweeper still serves its deny path to in-network clients.
+        // Websense is never hidden (validated upstream).
+        if d.console_visible {
+            add_console(&mut net, isp, &name, tld, d.product, false);
+        } else if d.product == ProductKind::Netsweeper {
+            add_hidden_deny_host(&mut net, isp, &name, tld);
+        }
         vantages.push(net.add_vantage(&format!("dep{i}-field"), isp));
     }
 
@@ -283,6 +264,7 @@ pub fn build_world(plan: &ScenarioPlan) -> GeneratedWorld {
         lab,
         hosting,
         vantages,
+        resilience: RunConfig::for_plan(plan).resilience,
         clouds,
         forge: DomainForge::new(filterwatch_netsim::rng::mix(seed, "testkit-forge")),
     }
@@ -331,62 +313,6 @@ fn add_scale_hosts(net: &mut Internet, plan: &ScenarioPlan) {
         }
         added += batch;
         seq += 1;
-    }
-}
-
-/// The externally probeable surface of a deployment: the product's
-/// console/gateway host. Hidden Netsweeper and Websense deployments
-/// still need their deny/block-page host to exist (in-network clients
-/// fetch it when blocked); Netsweeper hides by answering only the deny
-/// path, Websense is never hidden (validated upstream).
-// Each ISP network is allocated with room for its surfaces.
-#[allow(clippy::expect_used)]
-fn add_surface(net: &mut Internet, isp: NetworkId, name: &str, tld: &str, d: &DeploymentPlan) {
-    let host = match d.product {
-        ProductKind::BlueCoat => format!("proxy.{name}.{tld}"),
-        ProductKind::SmartFilter => format!("mwg.{name}.{tld}"),
-        ProductKind::Netsweeper | ProductKind::Websense => deny_host_name(name, tld),
-    };
-    if !d.console_visible && matches!(d.product, ProductKind::BlueCoat | ProductKind::SmartFilter) {
-        // Inline blockers: no external host at all when hidden.
-        return;
-    }
-    let ip = net.alloc_ip(isp).expect("console ip");
-    net.add_host(ip, isp, &[&host]);
-    match d.product {
-        ProductKind::BlueCoat => {
-            net.add_service(ip, 80, Box::new(ProxySgConsole));
-            net.add_service(ip, 8080, Box::new(ProxySgIntercept));
-        }
-        ProductKind::SmartFilter => net.add_service(ip, 80, Box::new(SmartFilterConsole)),
-        ProductKind::Netsweeper => {
-            if d.console_visible {
-                net.add_service(ip, 8080, Box::new(NetsweeperConsole));
-            } else {
-                net.add_service(ip, 8080, Box::new(DenyOnly));
-            }
-        }
-        ProductKind::Websense => net.add_service(ip, BLOCKPAGE_PORT, Box::new(WebsenseBlockpage)),
-    }
-}
-
-/// A Netsweeper deny host that answers only the deny path — the
-/// "properly configured" installation of §6.1: deny pages work, probes
-/// learn nothing.
-#[derive(Debug, Clone, Default)]
-struct DenyOnly;
-
-impl filterwatch_netsim::Service for DenyOnly {
-    fn handle(
-        &self,
-        req: &filterwatch_http::Request,
-        ctx: &filterwatch_netsim::ServiceCtx,
-    ) -> filterwatch_http::Response {
-        if req.url.path().starts_with("/webadmin/deny") {
-            NetsweeperConsole.handle(req, ctx)
-        } else {
-            filterwatch_http::Response::not_found()
-        }
     }
 }
 
@@ -463,11 +389,11 @@ mod tests {
             d.flapping = None;
         }
         let mut gw = build_world(&plan);
-        let site = gw.mint_site(ContentKind::Proxy);
+        let site = gw.create_controlled_site(SiteKind::ProxyService);
         assert!(gw.net.dns().resolve(&site.domain).is_some());
         // Freshly minted and never submitted: no vendor has categorized
         // it, so even the filtered path lets it through.
-        let client = gw.client(0, &ResilienceConfig::default());
+        let client = gw.client(&deployment_name(0, &plan.deployments[0]));
         let v = client.test_url(&gw.net, &site.test_url());
         assert!(v.verdict.is_accessible(), "{:?}", v.verdict);
     }

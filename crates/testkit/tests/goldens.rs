@@ -123,7 +123,7 @@ fn demo_campaign_explain_golden() {
 #[test]
 fn resumed_demo_campaign_golden() {
     use filterwatch_orchestrator::{
-        resume_paper_campaign, CampaignCheckpoint, CampaignDescriptor, CampaignKind, CrashPlan,
+        resume_orchestrated, CampaignCheckpoint, CampaignDescriptor, CampaignKind, CrashPlan,
         Orchestrator, Outcome, PaperDriver,
     };
 
@@ -147,7 +147,9 @@ fn resumed_demo_campaign_golden() {
     let stage = CampaignCheckpoint::parse_line(&line)
         .expect("own checkpoint parses")
         .stage;
-    let report = resume_paper_campaign(&line).expect("resume demo campaign");
+    let report = resume_orchestrated(&line, PaperDriver::new)
+        .expect("resume demo campaign")
+        .into_report();
 
     let rendering = format!(
         "# demo campaign resumed (seed {DEFAULT_SEED})\nresumed from: {} \
@@ -303,20 +305,17 @@ fn wire_formats_golden() {
     use filterwatch_measure::{ResilienceConfig, VerdictLabel};
     use filterwatch_netsim::{FaultProfile, FlowDisposition};
     use filterwatch_orchestrator::{
-        run_paper_campaign, CampaignDescriptor, CampaignKind, StageState,
+        run_orchestrated, CampaignDescriptor, CampaignKind, PaperDriver, StageState,
     };
     use filterwatch_scanner::ScanEngine;
-    use filterwatch_testkit::runner::{
-        baseline_stage, identify_stage, retest_stage, submit_stage, sweep_stage, RunConfig,
-        WAIT_DAYS,
-    };
+    use filterwatch_testkit::{run_campaign_forensic, RunConfig};
     use filterwatch_trace::{StepKind, TraceMode};
 
     let mut out = format!("# wire formats (seed {DEFAULT_SEED})\n");
 
-    let (_, checkpoints) =
-        run_paper_campaign(CampaignDescriptor::new(CampaignKind::Demo, DEFAULT_SEED))
-            .expect("orchestrated demo campaign");
+    let demo = PaperDriver::new(CampaignDescriptor::new(CampaignKind::Demo, DEFAULT_SEED))
+        .expect("demo driver");
+    let (_, checkpoints) = run_orchestrated(demo).expect("orchestrated demo campaign");
     pin_log(
         &mut out,
         "checkpoints (demo)",
@@ -337,26 +336,10 @@ fn wire_formats_golden() {
         &filterwatch_telemetry::event::to_dump(&traced.telemetry.events),
     );
 
-    // The generated campaign for plan seed 1, driven stage by stage so
-    // the world (and its flow log) stays in reach.
+    // The generated campaign for plan seed 1.
     let plan = plan_for_seed(1);
-    let config = RunConfig::for_plan(&plan);
-    let mut gw = filterwatch_testkit::build_world(&plan);
-    gw.net.set_flow_log(true);
-    identify_stage(&gw);
-    sweep_stage(&gw, &config);
-    for i in 0..gw.plan.deployments.len() {
-        let mut case = baseline_stage(&mut gw, i);
-        submit_stage(&mut gw, &mut case);
-        gw.net.advance_days(WAIT_DAYS);
-        retest_stage(&gw, &config, case);
-    }
-    let flows: String = gw
-        .net
-        .flow_log()
-        .iter()
-        .map(|r| r.to_line() + "\n")
-        .collect();
+    let run = run_campaign_forensic(&plan, &RunConfig::for_plan(&plan));
+    let flows: String = run.flow_lines.iter().map(|l| format!("{l}\n")).collect();
     pin_log(&mut out, "flow log (plan seed 1)", &flows);
 
     let world = filterwatch_core::World::paper(DEFAULT_SEED);

@@ -10,7 +10,7 @@
 //! proxy-service domains, submit half to the vendor's test-a-site
 //! channel, wait a few (virtual) days, and retest.
 
-use filterwatch_core::confirm::{run_case_study, CaseStudySpec};
+use filterwatch_core::confirm::{run_case_study, CaseStudySpec, SiteAccess};
 use filterwatch_core::identify::IdentifyPipeline;
 use filterwatch_core::world::SiteKind;
 use filterwatch_core::{World, DEFAULT_SEED};
@@ -51,7 +51,7 @@ fn main() {
         category_label: "Proxy anonymizer".into(),
         // Netsweeper queues accessed URLs for categorization, so we
         // submit first and skip pre-verification (§4.4).
-        pre_verify: false,
+        access: SiteAccess::AfterSubmit,
         wait_days: 4,
         retest_runs: 1,
         submitter: SubmitterProfile::COVERT,

@@ -4,7 +4,7 @@
 use filterwatch_core::confirm::{run_case_study, run_table3, table3_specs, CaseStudySpec};
 use filterwatch_core::probes::{category_probe, inconsistency_probe};
 use filterwatch_core::world::SiteKind;
-use filterwatch_core::{World, WorldOptions, DEFAULT_SEED};
+use filterwatch_core::{CampaignWorld, World, WorldOptions, DEFAULT_SEED};
 use filterwatch_measure::MeasurementClient;
 use filterwatch_products::{ProductKind, SubmitterProfile};
 use filterwatch_urllists::Category;

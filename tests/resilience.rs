@@ -7,7 +7,7 @@
 
 use filterwatch_core::characterize::characterize;
 use filterwatch_core::confirm::{run_case_study, table3_specs};
-use filterwatch_core::{Campaign, World, DEFAULT_SEED};
+use filterwatch_core::{Campaign, CampaignWorld, World, DEFAULT_SEED};
 use filterwatch_http::Url;
 use filterwatch_measure::ResilienceConfig;
 use filterwatch_netsim::{FaultProfile, FlowDisposition, SimTime};
