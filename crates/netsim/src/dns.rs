@@ -8,16 +8,27 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
+use crate::intern::Interner;
 use crate::ip::IpAddr;
 
 /// The global simulated DNS zone.
 ///
-/// Records live in `BTreeMap`s so that [`Dns::records`] iterates in
-/// hostname order — zone dumps are part of rendered world reports and
-/// must not depend on hash seeding.
+/// Exact names sit in one [`Interner`], so registering a name copies it
+/// into the table's arena and allocates nothing else, and resolving one
+/// is a single hash probe. Each name's address is kept in a column
+/// indexed by its [`Sym`](crate::intern::Sym); removing a name
+/// tombstones its entry, and registering it again revives it. Nothing
+/// renders the zone in table order: [`Dns::records`] sorts by hostname.
 #[derive(Debug, Default)]
 pub struct Dns {
-    exact: BTreeMap<String, IpAddr>,
+    /// Every exact name ever registered, normalised, in first
+    /// registration order.
+    names: Interner,
+    /// The address of each name in `names`, by id (one entry per
+    /// name); `None` once removed.
+    ips: Vec<Option<IpAddr>>,
+    /// How many entries of `ips` are `Some`.
+    live: usize,
     /// Wildcard suffix records: `*.example.info` stored as `example.info`.
     wildcard: BTreeMap<String, IpAddr>,
 }
@@ -30,7 +41,13 @@ impl Dns {
 
     /// Register an exact hostname. Overwrites any existing record.
     pub fn register(&mut self, host: &str, ip: IpAddr) {
-        self.exact.insert(normalize(host).into_owned(), ip);
+        let id = self.names.intern(&normalize(host)).index();
+        if id == self.ips.len() {
+            self.ips.push(None);
+        }
+        if self.ips[id].replace(ip).is_none() {
+            self.live += 1;
+        }
     }
 
     /// Register a wildcard: `*.suffix` (pass the bare suffix).
@@ -40,7 +57,14 @@ impl Dns {
 
     /// Remove an exact record; returns whether it existed.
     pub fn remove(&mut self, host: &str) -> bool {
-        self.exact.remove(&*normalize(host)).is_some()
+        let Some(sym) = self.names.get(&normalize(host)) else {
+            return false;
+        };
+        let removed = self.ips[sym.index()].take().is_some();
+        if removed {
+            self.live -= 1;
+        }
+        removed
     }
 
     /// Resolve a hostname (or dotted-quad literal) to an address.
@@ -50,7 +74,7 @@ impl Dns {
         if let Ok(ip) = IpAddr::parse_quad(&host) {
             return Some(ip);
         }
-        if let Some(&ip) = self.exact.get(&*host) {
+        if let Some(ip) = self.names.get(&host).and_then(|sym| self.ips[sym.index()]) {
             return Some(ip);
         }
         // Walk suffixes for wildcard matches: a.b.c → b.c → c.
@@ -66,17 +90,24 @@ impl Dns {
 
     /// Number of exact records.
     pub fn len(&self) -> usize {
-        self.exact.len()
+        self.live
     }
 
     /// Whether the zone is empty.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty() && self.wildcard.is_empty()
+        self.live == 0 && self.wildcard.is_empty()
     }
 
     /// All exact records, sorted by hostname.
     pub fn records(&self) -> impl Iterator<Item = (&str, IpAddr)> {
-        self.exact.iter().map(|(h, &ip)| (h.as_str(), ip))
+        let mut records: Vec<(&str, IpAddr)> = self
+            .names
+            .strings()
+            .zip(&self.ips)
+            .filter_map(|(host, ip)| ip.map(|ip| (host, ip)))
+            .collect();
+        records.sort_unstable_by_key(|&(host, _)| host);
+        records.into_iter()
     }
 }
 
@@ -150,6 +181,14 @@ mod tests {
         assert!(dns.remove("GONE.example"));
         assert!(!dns.remove("gone.example"));
         assert_eq!(dns.resolve("gone.example"), None);
+        assert_eq!((dns.len(), dns.records().count()), (0, 0));
+        // Registering a removed name again revives it at its new address.
+        dns.register("Gone.example.", "5.0.0.4".parse().unwrap());
+        assert_eq!(
+            dns.resolve("gone.example"),
+            Some("5.0.0.4".parse().unwrap())
+        );
+        assert_eq!(dns.len(), 1);
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Deterministic string interning for index labels.
+//! Deterministic string interning.
 //!
-//! Hostnames, country codes and ccTLD suffixes repeat heavily across a
-//! banner corpus; the index stores each distinct label once and
-//! refers to it by a dense [`Sym`]. Determinism contract: ids are
-//! assigned in insertion order (first-seen wins), so two indexes built
-//! from the same record stream intern identically, and all rendering
-//! paths sort by string — never by id or map order — before emitting.
+//! Two tables are built on it. The DNS zone ([`crate::dns::Dns`])
+//! stores each exact hostname once and keeps its address in a column
+//! indexed by the name's [`Sym`]. The scanner's scan index interns its
+//! labels: hostnames, country codes and ccTLD suffixes repeat heavily
+//! across a banner corpus, so it stores each distinct label once and
+//! refers to it by a dense [`Sym`].
+//!
+//! Determinism contract: ids are assigned in insertion order
+//! (first-seen wins), so two tables built from the same input stream
+//! intern identically, and all rendering paths sort by string — never
+//! by id or map order — before emitting.
 //!
 //! The table is a hand-rolled FNV-1a open-addressing map (no std
 //! `HashMap`, whose iteration order is seeded per-process and would
@@ -49,8 +54,8 @@ const EMPTY: Slot = Slot {
 const MIN_SLOTS: usize = 16;
 
 /// FNV-1a over the label bytes — stable across runs and platforms.
-/// Also used for sweep-plan fingerprints.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// The scanner also uses it for sweep-plan fingerprints.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -9,7 +9,9 @@
 //!
 //! * an IPv4 address space carved into prefixes owned by autonomous
 //!   systems ([`registry`]), each located in a country;
-//! * DNS ([`dns`]) mapping hostnames to addresses;
+//! * DNS ([`dns`]) mapping hostnames to addresses, its names held in
+//!   the deterministic string table ([`intern`]) that the scanner's
+//!   scan index shares;
 //! * hosts running HTTP [`service`]s on ports — origin sites, admin
 //!   consoles, vendor portals;
 //! * networks (ISPs) whose egress traffic traverses a chain of
@@ -63,6 +65,7 @@ pub mod dns;
 pub mod event;
 pub mod fault;
 pub mod flowlog;
+pub mod intern;
 pub mod internet;
 pub mod ip;
 pub mod middlebox;

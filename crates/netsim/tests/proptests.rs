@@ -8,6 +8,7 @@ use filterwatch_netsim::{
     Verdict,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A middlebox that tags responses with its index; optionally the one
@@ -98,6 +99,48 @@ proptest! {
             prop_assert_eq!(dns.resolve(name), Some(IpAddr(i as u32 + 1)));
         }
         prop_assert_eq!(dns.resolve("definitely-not-registered.example"), None);
+    }
+
+    /// Any sequence of registrations, re-registrations, removals and
+    /// revivals, each name spelled in mixed case with trailing dots,
+    /// leaves the zone agreeing with a `BTreeMap` model of its exact
+    /// records: resolution, counts and the hostname order of `records`.
+    #[test]
+    fn dns_matches_a_btreemap_model(
+        names in proptest::collection::btree_set("[a-z]{1,6}\\.[a-z]{2,3}", 1..6),
+        ops in proptest::collection::vec(
+            (0u8..3, any::<usize>(), any::<u32>(), 0usize..3, any::<u32>()),
+            0..40,
+        ),
+    ) {
+        let names: Vec<String> = names.into_iter().collect();
+        let mut dns = Dns::new();
+        let mut model: BTreeMap<String, IpAddr> = BTreeMap::new();
+        for (op, pick, upper, dots, ip) in ops {
+            let name = &names[pick % names.len()];
+            let spelled: String = name
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if upper >> (i % 32) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                .chain(std::iter::repeat('.').take(dots))
+                .collect();
+            // Two draws in three register, so names are re-registered
+            // and revived as often as they are removed.
+            if op < 2 {
+                dns.register(&spelled, IpAddr(ip));
+                model.insert(name.clone(), IpAddr(ip));
+            } else {
+                prop_assert_eq!(dns.remove(&spelled), model.remove(name).is_some(), "{:?}", spelled);
+            }
+            prop_assert_eq!(dns.len(), model.len());
+            prop_assert_eq!(dns.is_empty(), model.is_empty());
+            for name in &names {
+                prop_assert_eq!(dns.resolve(name), model.get(name).copied(), "{:?}", name);
+            }
+        }
+        let records: Vec<(&str, IpAddr)> = dns.records().collect();
+        let want: Vec<(&str, IpAddr)> = model.iter().map(|(name, &ip)| (name.as_str(), ip)).collect();
+        prop_assert_eq!(records, want);
     }
 
     /// The allocation-free quad parser reads arbitrary text exactly as

@@ -34,12 +34,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use filterwatch_netsim::intern::{fnv1a, Interner, Sym};
 use filterwatch_netsim::IpAddr;
 use filterwatch_pattern::Automaton;
 use parking_lot::Mutex;
 
 use crate::bitset::DenseBitSet;
-use crate::intern::{fnv1a, Interner, Sym};
 use crate::keywords::ProductKeywords;
 use crate::record::ScanRecord;
 

@@ -15,8 +15,8 @@
 //!   would record) and capturing status line + headers + a body snippet
 //!   per responsive endpoint;
 //! * [`ScanIndex`] — the resulting keyword-searchable index: interned
-//!   ([`intern`]), bitset-posted by country and hostname suffix
-//!   ([`bitset`]), incrementally ingestable via
+//!   ([`intern`], netsim's string table), bitset-posted by country and
+//!   hostname suffix ([`bitset`]), incrementally ingestable via
 //!   [`ScanIndex::apply_delta`], and queried by one batched keyword ×
 //!   ccTLD sweep whose plan is cached per keyword table;
 //! * [`keywords`] — the Table 2 keyword table per product;
@@ -36,7 +36,6 @@ pub mod census;
 pub mod dump;
 pub mod engine;
 pub mod index;
-pub mod intern;
 pub mod keywords;
 pub mod merge;
 mod record;
@@ -46,7 +45,7 @@ pub use bitset::DenseBitSet;
 pub use census::{enrich, CensusRecord, CensusSweep};
 pub use dump::{diff, IndexDiff};
 pub use engine::ScanEngine;
+pub use filterwatch_netsim::intern::{self, Interner, Sym};
 pub use index::{DeltaStats, IndexStats, ProductHits, ScanIndex};
-pub use intern::{Interner, Sym};
 pub use record::{RecordParts, ScanRecord};
 pub use synth::{synth_churn, synth_records, synth_records_with, SYNTH_COUNTRIES};

@@ -12,7 +12,7 @@
 //! fields: equality and `Clone` of the buffer are equality and `Clone`
 //! of the fields.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use filterwatch_netsim::{IpAddr, SimTime};
 
@@ -78,6 +78,15 @@ fn digits(n: u32) -> usize {
     n.checked_ilog10().map_or(1, |log| log as usize + 1)
 }
 
+/// Append `n` in decimal, as `{n}` formats it, without going through
+/// `core::fmt`: records are minted 10⁵ at a time.
+pub(crate) fn push_decimal(out: &mut String, n: u64) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}
+
 impl ScanRecord {
     /// Build a record from its parts, writing every text field once
     /// into one buffer of exactly the needed size.
@@ -102,8 +111,14 @@ impl ScanRecord {
             + parts.country.map_or(0, str::len)
             + 3;
         let mut text = String::with_capacity(len);
-        // Writing into a `String` cannot fail.
-        let _ = write!(text, "{} {}", parts.ip, parts.port);
+        for (i, octet) in parts.ip.octets().into_iter().enumerate() {
+            if i > 0 {
+                text.push('.');
+            }
+            push_decimal(&mut text, octet.into());
+        }
+        text.push(' ');
+        push_decimal(&mut text, parts.port.into());
         let mut starts = [0; 5];
         starts[PATH] = text.len();
         text.push_str(parts.path);

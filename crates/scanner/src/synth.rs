@@ -21,9 +21,7 @@
 //! identify-style sweeps over a synthetic corpus return non-trivial,
 //! seed-stable hit sets.
 
-use std::fmt::Write as _;
-
-use crate::record::{RecordParts, ScanRecord};
+use crate::record::{push_decimal, RecordParts, ScanRecord};
 use filterwatch_netsim::{IpAddr, SimTime};
 
 /// Country pool used by [`synth_records`]: `(country code, ccTLD)`,
@@ -91,6 +89,10 @@ const PLANTS: &[&str] = &[
 
 /// One record in `PLANT_EVERY` carries a planted keyword.
 const PLANT_EVERY: usize = 97;
+
+/// The decimal digits, for the single-digit numbers in hostnames and
+/// banners.
+const DIGITS: [&str; 10] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9"];
 
 /// SplitMix64: tiny, seedable, platform-stable. Good enough for corpus
 /// shaping; never used where statistical quality matters.
@@ -164,25 +166,26 @@ fn synth_record(
     } else {
         ([80u16, 8080, 443, 3128][rng.below(4)], "/")
     };
-    let isp = rng.below(8);
+    let isp = DIGITS[rng.below(8)];
     host.clear();
-    // Writing into a `String` cannot fail.
-    let _ = write!(host, "h{i}.isp{isp}.{cctld}");
+    host.push('h');
+    push_decimal(host, i as u64);
+    host.extend([".isp", isp, ".", cctld]);
     let server = rng.word();
     let via = rng.word();
+    // The draws keep this order, status through the last word:
+    // `tests/synth_pin.rs` pins the corpus the stream makes.
+    let status = ["200", "302", "401", "403"][rng.below(4)];
+    let reason = ["OK", "Found", "Unauthorized", "Forbidden"][rng.below(4)];
+    let major = DIGITS[1 + rng.below(9)];
+    let minor = DIGITS[rng.below(10)];
+    let cache = ["HIT", "MISS"][rng.below(2)];
+    let from = rng.word();
     banner.clear();
-    let _ = write!(
-        banner,
-        "HTTP/1.1 {} {}\r\nServer: {}/{}.{}\r\nVia: 1.1 {}\r\nX-Cache: {} from {}\r\n",
-        [200u16, 302, 401, 403][rng.below(4)],
-        ["OK", "Found", "Unauthorized", "Forbidden"][rng.below(4)],
-        server,
-        1 + rng.below(9),
-        rng.below(10),
-        via,
-        ["HIT", "MISS"][rng.below(2)],
-        rng.word(),
-    );
+    banner.extend(["HTTP/1.1 ", status, " ", reason, "\r\n"]);
+    banner.extend(["Server: ", server, "/", major, ".", minor, "\r\n"]);
+    banner.extend(["Via: 1.1 ", via, "\r\n"]);
+    banner.extend(["X-Cache: ", cache, " from ", from, "\r\n"]);
     if planted {
         banner.push_str("X-Notice: ");
         banner.push_str(PLANTS[(i / PLANT_EVERY) % PLANTS.len()]);

@@ -49,11 +49,19 @@ pub struct GeneratedDriver {
 
 impl GeneratedDriver {
     /// Rebuild the descriptor's generated world. Fails unless the
-    /// descriptor is `generated:<seed>`.
+    /// descriptor is `generated:<seed>`, with or without `:chaos`: a
+    /// generated campaign installs no causal tracer, so a `:trace`
+    /// flag is refused rather than silently recording nothing.
     pub fn new(descriptor: CampaignDescriptor) -> Result<GeneratedDriver, String> {
         if descriptor.kind != CampaignKind::Generated {
             return Err(format!(
                 "not a generated-campaign descriptor: {}",
+                descriptor.to_line()
+            ));
+        }
+        if descriptor.trace {
+            return Err(format!(
+                "generated campaigns record no trace; drop the trace flag: {}",
                 descriptor.to_line()
             ));
         }
@@ -175,6 +183,17 @@ mod tests {
     fn generated_descriptors_only() {
         let err = GeneratedDriver::new(CampaignDescriptor::new(CampaignKind::Demo, 5));
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn trace_flag_is_refused_by_name() {
+        let traced = CampaignDescriptor::new(CampaignKind::Generated, 5).with_trace();
+        match GeneratedDriver::new(traced) {
+            Ok(_) => panic!("a generated:5:trace descriptor built a driver"),
+            Err(err) => assert!(err.contains("trace flag: generated:5:trace"), "{err}"),
+        }
+        let chaos = CampaignDescriptor::new(CampaignKind::Generated, 5).with_chaos();
+        assert!(GeneratedDriver::new(chaos).is_ok());
     }
 
     #[test]

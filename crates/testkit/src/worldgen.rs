@@ -13,6 +13,7 @@
 //! studies run through `filterwatch_core::confirm` unchanged.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use filterwatch_core::world::{
@@ -288,6 +289,7 @@ const SCALE_SERVICE_STRIDE: usize = 64;
 fn add_scale_hosts(net: &mut Internet, plan: &ScenarioPlan) {
     let mut added = 0usize;
     let mut seq = 0u32;
+    let mut host = String::new();
     while added < plan.host_scale {
         let slot = DEPLOYABLE.start + (seq as usize % (DEPLOYABLE.end - DEPLOYABLE.start));
         let (code, _, tld) = COUNTRY_POOL[slot];
@@ -301,7 +303,9 @@ fn add_scale_hosts(net: &mut Internet, plan: &ScenarioPlan) {
         let batch = SCALE_HOSTS_PER_AS.min(plan.host_scale - added);
         for (k, ip) in p.iter().take(batch).enumerate() {
             let n = added + k;
-            let host = format!("www.scale{n}.{tld}");
+            host.clear();
+            // Writing into a `String` cannot fail.
+            let _ = write!(host, "www.scale{n}.{tld}");
             net.add_host(ip, nid, &[&host]);
             if n % SCALE_SERVICE_STRIDE == 0 {
                 net.add_service(

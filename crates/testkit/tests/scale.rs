@@ -41,6 +41,16 @@ fn scale_smoke_hundred_thousand_host_campaign() {
     plan.host_scale = 100_000;
     let gw = build_world(&plan);
     assert!(gw.net.host_count() >= 100_000, "{}", gw.net.host_count());
+    // Every scale host's name resolves to its address: the zone's name
+    // table has grown many times over to hold them all.
+    let mut scale_names = 0;
+    for host in gw.net.hosts() {
+        for name in host.hostnames.iter().filter(|h| h.starts_with("www.scale")) {
+            assert_eq!(gw.net.dns().resolve(name), Some(host.ip), "{name}");
+            scale_names += 1;
+        }
+    }
+    assert_eq!(scale_names, plan.host_scale);
     // One /24 per 32 scale hosts: a multi-thousand-AS topology.
     assert!(
         gw.net.registry().prefixes().len() >= 3_000,
