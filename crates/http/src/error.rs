@@ -1,28 +1,16 @@
-//! Error type shared by the HTTP parsers.
+//! Error type of the URL parser.
 
-/// An error raised while parsing a URL or an HTTP message.
+/// An error raised while parsing a URL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
     /// The URL text could not be parsed; the payload explains why.
     InvalidUrl(String),
-    /// The message head (request/status line or a header line) is malformed.
-    MalformedHead(String),
-    /// The bytes end before the message does (need more input).
-    Truncated,
-    /// A `Content-Length` header that is not a decimal integer.
-    BadContentLength(String),
-    /// The HTTP method token is not one we model.
-    UnknownMethod(String),
 }
 
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::InvalidUrl(why) => write!(f, "invalid URL: {why}"),
-            HttpError::MalformedHead(why) => write!(f, "malformed HTTP head: {why}"),
-            HttpError::Truncated => write!(f, "truncated HTTP message"),
-            HttpError::BadContentLength(v) => write!(f, "bad Content-Length: {v:?}"),
-            HttpError::UnknownMethod(m) => write!(f, "unknown HTTP method: {m:?}"),
         }
     }
 }
@@ -38,9 +26,5 @@ mod tests {
         assert!(HttpError::InvalidUrl("no host".into())
             .to_string()
             .contains("no host"));
-        assert!(HttpError::Truncated.to_string().contains("truncated"));
-        assert!(HttpError::BadContentLength("x".into())
-            .to_string()
-            .contains("Content-Length"));
     }
 }

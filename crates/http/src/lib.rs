@@ -1,7 +1,7 @@
-//! Minimal HTTP/1.1 model and wire codec for the filterwatch toolchain.
+//! Minimal HTTP/1.1 message model for the filterwatch toolchain.
 //!
 //! Every stage of the paper's methodology is an HTTP conversation:
-//! Shodan-style banner grabs read raw response heads, WhatWeb-style
+//! Shodan-style banner grabs read response heads, WhatWeb-style
 //! fingerprinting inspects headers/titles/redirects, measurement clients
 //! fetch URLs and compare bodies, and the vendor products themselves are
 //! HTTP middleboxes that answer with block pages. This crate provides the
@@ -11,18 +11,16 @@
 //!   case-insensitive multi-valued header semantics real products rely on;
 //! * [`Url`] — a pragmatic `http://host:port/path?query` parser (enough
 //!   for URL-filtering work: no userinfo, fragments stripped);
-//! * [`Request`] / [`Response`] — owned messages with builder APIs;
-//! * [`codec`] — byte-exact serialization and an incremental parser, so
-//!   scanners can work from captured bytes rather than structured objects;
+//! * [`Request`] / [`Response`] — owned messages with builder APIs, and
+//!   the banner text ([`Response::write_banner`]) a crawler records;
 //! * [`html`] — the few HTML inspection helpers fingerprinting needs
 //!   (title extraction, tiny page templating).
 //!
-//! The model is synchronous and allocation-friendly ([`bytes::Bytes`]
-//! bodies): the simulated Internet in `filterwatch-netsim` is
-//! deterministic and single-address-space, so there is no need for an
-//! async runtime.
+//! Messages never travel as bytes: the simulated Internet in
+//! `filterwatch-netsim` is deterministic and single-address-space, and
+//! hands these structured messages from service to middlebox to client.
+//! Bodies are `Arc<[u8]>`, so a clone bumps a refcount.
 
-pub mod codec;
 mod error;
 mod headers;
 pub mod html;

@@ -1,18 +1,14 @@
 //! HTTP request methods.
 
-use crate::HttpError;
-
 /// The subset of HTTP methods the toolchain uses.
 ///
-/// Measurement clients and scanners only ever issue `GET`/`HEAD`;
-/// vendor submission portals accept `POST`.
+/// Measurement clients and scanners only ever issue `GET`; vendor
+/// submission portals accept `POST`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Method {
     /// Retrieve a resource (the default).
     #[default]
     Get,
-    /// Retrieve only the head of a resource (banner grabbing).
-    Head,
     /// Submit a form (vendor URL-submission portals).
     Post,
 }
@@ -22,18 +18,7 @@ impl Method {
     pub fn as_str(&self) -> &'static str {
         match self {
             Method::Get => "GET",
-            Method::Head => "HEAD",
             Method::Post => "POST",
-        }
-    }
-
-    /// Parse a method token (case-sensitive, per RFC 9110).
-    pub fn parse(token: &str) -> Result<Self, HttpError> {
-        match token {
-            "GET" => Ok(Method::Get),
-            "HEAD" => Ok(Method::Head),
-            "POST" => Ok(Method::Post),
-            other => Err(HttpError::UnknownMethod(other.to_string())),
         }
     }
 }
@@ -47,18 +32,6 @@ impl std::fmt::Display for Method {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip() {
-        for m in [Method::Get, Method::Head, Method::Post] {
-            assert_eq!(Method::parse(m.as_str()).unwrap(), m);
-        }
-    }
-
-    #[test]
-    fn parse_is_case_sensitive() {
-        assert!(Method::parse("get").is_err());
-    }
 
     #[test]
     fn default_is_get() {

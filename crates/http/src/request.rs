@@ -1,6 +1,6 @@
 //! Owned HTTP request messages.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::{Headers, Method, Url};
 
@@ -12,11 +12,11 @@ pub struct Request {
     pub method: Method,
     /// Absolute target URL. Middleboxes categorize on this.
     pub url: Url,
-    /// Request headers. `Host` is derived from `url` when serialized if
-    /// absent here.
+    /// Request headers. [`host`](Self::host) derives `Host` from `url`
+    /// when absent here.
     pub headers: Headers,
     /// Request body (only used by `POST` submissions).
-    pub body: Bytes,
+    pub body: Arc<[u8]>,
 }
 
 impl Request {
@@ -26,17 +26,7 @@ impl Request {
             method: Method::Get,
             url,
             headers: Headers::new(),
-            body: Bytes::new(),
-        }
-    }
-
-    /// A `HEAD` request for `url` (banner grabs).
-    pub fn head(url: Url) -> Self {
-        Request {
-            method: Method::Head,
-            url,
-            headers: Headers::new(),
-            body: Bytes::new(),
+            body: Arc::from([]),
         }
     }
 
@@ -48,7 +38,7 @@ impl Request {
             method: Method::Post,
             url,
             headers,
-            body: Bytes::copy_from_slice(form.as_bytes()),
+            body: Arc::from(form.as_bytes()),
         }
     }
 

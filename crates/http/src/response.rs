@@ -1,8 +1,7 @@
 //! Owned HTTP response messages.
 
 use std::fmt::Write;
-
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::{Headers, Status};
 
@@ -15,7 +14,7 @@ pub struct Response {
     /// Response headers.
     pub headers: Headers,
     /// Response body.
-    pub body: Bytes,
+    pub body: Arc<[u8]>,
 }
 
 impl Response {
@@ -24,7 +23,7 @@ impl Response {
         Response {
             status,
             headers: Headers::new(),
-            body: Bytes::new(),
+            body: Arc::from([]),
         }
     }
 
@@ -36,7 +35,7 @@ impl Response {
         Response {
             status: Status::OK,
             headers,
-            body: Bytes::from(body),
+            body: Arc::from(body.into_bytes()),
         }
     }
 
@@ -48,7 +47,7 @@ impl Response {
         Response {
             status,
             headers,
-            body: Bytes::from(body),
+            body: Arc::from(body.into_bytes()),
         }
     }
 
@@ -59,7 +58,7 @@ impl Response {
         Response {
             status: Status::FOUND,
             headers,
-            body: Bytes::new(),
+            body: Arc::from([]),
         }
     }
 

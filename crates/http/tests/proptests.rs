@@ -1,9 +1,6 @@
-//! Property-based tests for the HTTP model and codec.
+//! Property-based tests for the HTTP model.
 
-use bytes::Bytes;
-use filterwatch_http::{
-    codec, registrable_domain, Headers, Method, Request, Response, Status, Url,
-};
+use filterwatch_http::{registrable_domain, Headers, Response, Status, Url};
 use proptest::prelude::*;
 
 fn host_strategy() -> impl Strategy<Value = String> {
@@ -118,49 +115,6 @@ proptest! {
         prop_assert!(host.ends_with(reg));
         prop_assert_eq!(reg.to_ascii_lowercase(), split_and_join(&host));
         prop_assert_eq!(registrable_domain(&host.to_ascii_lowercase()), split_and_join(&host));
-    }
-
-    /// Response encode → decode is the identity.
-    #[test]
-    fn response_codec_round_trip(code in 100u16..600, body in proptest::collection::vec(any::<u8>(), 0..200),
-                                 hname in "[A-Za-z][A-Za-z0-9-]{0,15}", hval in "[ -~]{0,40}") {
-        let mut resp = Response::new(Status(code));
-        // Header values are trimmed on parse; pre-trim for comparability.
-        let hval = hval.trim().to_string();
-        resp.headers.set(hname.clone(), hval.clone());
-        resp.body = Bytes::from(body.clone());
-        let wire = codec::encode_response(&resp);
-        let parsed = codec::decode_response(&wire).unwrap();
-        prop_assert_eq!(parsed.status.code(), code);
-        prop_assert_eq!(parsed.headers.get(&hname).map(str::to_string), Some(hval));
-        prop_assert_eq!(parsed.body.as_ref(), body.as_slice());
-    }
-
-    /// Request encode → decode preserves method, URL and body.
-    #[test]
-    fn request_codec_round_trip(host in host_strategy(), path in path_strategy(),
-                                body in "[a-z0-9=&]{0,60}", post in any::<bool>()) {
-        let url = Url::parse(&format!("http://{host}{path}")).unwrap();
-        let req = if post {
-            Request::post_form(url.clone(), &body)
-        } else {
-            Request::get(url.clone())
-        };
-        let wire = codec::encode_request(&req);
-        let parsed = codec::decode_request(&wire).unwrap();
-        prop_assert_eq!(parsed.method, if post { Method::Post } else { Method::Get });
-        prop_assert_eq!(parsed.url.host(), url.host());
-        prop_assert_eq!(parsed.url.path(), url.path());
-        if post {
-            prop_assert_eq!(parsed.body_text(), body);
-        }
-    }
-
-    /// The decoder never panics on arbitrary bytes.
-    #[test]
-    fn decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let _ = codec::decode_response(&bytes);
-        let _ = codec::decode_request(&bytes);
     }
 
     /// Headers: set-then-get returns the set value, case-insensitively.

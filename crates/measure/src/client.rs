@@ -89,11 +89,11 @@ impl Observation {
 
 /// The §4.1 measurement client: field + lab vantage points.
 ///
-/// By default the client is single-shot. [`with_resilience`]
-/// (`MeasurementClient::with_resilience`) layers on retries with
-/// backoff, per-vantage circuit breakers and quorum verdicts — all of
-/// [`test_url`](MeasurementClient::test_url) and the list helpers then
-/// route through the resilient path transparently.
+/// By default the client is single-shot.
+/// [`with_resilience`](MeasurementClient::with_resilience) layers on
+/// retries with backoff, per-vantage circuit breakers and quorum
+/// verdicts — all of [`test_url`](MeasurementClient::test_url) and the
+/// list helpers then route through the resilient path transparently.
 pub struct MeasurementClient {
     field: VantageId,
     lab: VantageId,
@@ -236,8 +236,9 @@ impl MeasurementClient {
     /// retryable transport failures back off (advancing the virtual
     /// clock, which is what lets retries outlast outage windows) and
     /// re-fetch, up to the attempt limit and retry budget. With the
-    /// default single-attempt policy this is exactly [`fetch`]
-    /// (`MeasurementClient::fetch`) — no clock movement, no extra work.
+    /// default single-attempt policy this is exactly
+    /// [`fetch`](MeasurementClient::fetch) — no clock movement, no extra
+    /// work.
     pub fn fetch_with_retries(&self, net: &Internet, vantage: VantageId, url: &Url) -> Observation {
         use std::sync::atomic::Ordering;
         let policy = &self.resilience.retry;

@@ -23,7 +23,6 @@ pub mod blockpage;
 pub mod client;
 pub mod resilience;
 pub mod similarity;
-pub mod stats;
 pub mod verdict;
 
 pub use blockpage::{BlockMatch, BlockPageLibrary};
@@ -33,5 +32,4 @@ pub use resilience::{
     ResilienceConfig, RetryPolicy,
 };
 pub use similarity::body_similarity;
-pub use stats::{to_csv, RunSummary};
 pub use verdict::{UrlVerdict, Verdict, VerdictLabel, VerdictLine};

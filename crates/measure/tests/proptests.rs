@@ -2,31 +2,7 @@
 
 use filterwatch_measure::blockpage::BlockPageLibrary;
 use filterwatch_measure::body_similarity;
-use filterwatch_measure::stats::{to_csv, RunSummary};
-use filterwatch_measure::verdict::{UrlVerdict, Verdict};
 use proptest::prelude::*;
-
-fn any_verdict() -> impl Strategy<Value = Verdict> {
-    prop_oneof![
-        Just(Verdict::Accessible),
-        "[a-z]{1,10}".prop_map(|p| Verdict::Blocked(filterwatch_measure::BlockMatch {
-            product: Some(p),
-            evidence: "sig".into(),
-        })),
-        Just(Verdict::Blocked(filterwatch_measure::BlockMatch {
-            product: None,
-            evidence: "generic".into(),
-        })),
-        (0.0f64..0.5).prop_map(|similarity| Verdict::Modified { similarity }),
-        Just(Verdict::Inaccessible {
-            field_error: "timeout".into()
-        }),
-        Just(Verdict::Unavailable {
-            lab_error: "dns-failure".into()
-        }),
-        "[a-z ]{1,20}".prop_map(|reason| Verdict::Inconclusive { reason }),
-    ]
-}
 
 proptest! {
     /// Similarity is symmetric, bounded, and 1 on identical inputs.
@@ -45,48 +21,6 @@ proptest! {
         let single = words.join(" ");
         let padded = words.join("  \n\t ");
         prop_assert_eq!(body_similarity(&single, &padded), 1.0);
-    }
-
-    /// Summary class counts always partition the tested total.
-    #[test]
-    fn summary_partitions(verdicts in proptest::collection::vec(any_verdict(), 0..40)) {
-        let list: Vec<UrlVerdict> = verdicts
-            .into_iter()
-            .enumerate()
-            .map(|(i, verdict)| UrlVerdict {
-                url: format!("http://u{i}.example/"),
-                verdict,
-            })
-            .collect();
-        let s = RunSummary::from_verdicts(&list);
-        prop_assert_eq!(
-            s.accessible + s.blocked + s.modified + s.inaccessible + s.unavailable
-                + s.inconclusive,
-            s.tested
-        );
-        let attributed: usize = s.by_product.values().sum();
-        prop_assert_eq!(attributed, s.blocked);
-        prop_assert!(s.block_rate() <= 1.0);
-    }
-
-    /// CSV export always yields header + one row per verdict, and every
-    /// row starts with the URL.
-    #[test]
-    fn csv_shape(verdicts in proptest::collection::vec(any_verdict(), 0..20)) {
-        let list: Vec<UrlVerdict> = verdicts
-            .into_iter()
-            .enumerate()
-            .map(|(i, verdict)| UrlVerdict {
-                url: format!("http://u{i}.example/"),
-                verdict,
-            })
-            .collect();
-        let csv = to_csv(&list);
-        let lines: Vec<&str> = csv.lines().collect();
-        prop_assert_eq!(lines.len(), list.len() + 1);
-        for (line, v) in lines[1..].iter().zip(&list) {
-            prop_assert!(line.starts_with(&v.url), "{line}");
-        }
     }
 
     /// Backoff is a pure function of (seed, label, attempt) and stays in

@@ -221,13 +221,6 @@ impl FaultProfile {
         )
     }
 
-    /// Builder-style: set the reset probability (validated).
-    pub fn try_with_resets(mut self, reset_prob: f64) -> Result<Self, FaultProfileError> {
-        check_prob("reset_prob", reset_prob)?;
-        self.reset_prob = reset_prob;
-        Ok(self)
-    }
-
     /// Builder-style: set the transient DNS failure probability
     /// (validated).
     pub fn try_with_dns_failures(mut self, dns_fail_prob: f64) -> Result<Self, FaultProfileError> {

@@ -267,12 +267,6 @@ impl Internet {
         &self.dns
     }
 
-    /// Mutable access to DNS (topology building and experiments that
-    /// register fresh researcher-controlled domains).
-    pub fn dns_mut(&mut self) -> &mut Dns {
-        &mut self.dns
-    }
-
     /// Add a network. The spec's prefixes should have been allocated from
     /// this world's registry so that geolocation agrees with topology.
     pub fn add_network(&mut self, spec: NetworkSpec) -> NetworkId {

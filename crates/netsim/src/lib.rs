@@ -20,9 +20,7 @@
 //! * vantage points ([`vantage`]) — "testers" attached to a network, from
 //!   which URL fetches originate (the field clients and the Toronto lab);
 //! * a virtual [`clock`](time) measured in seconds/days, so
-//!   submit-and-retest-in-3-days protocols run instantly, and a
-//!   `(time, seq)`-ordered [`event`] queue on it, where the
-//!   orchestrator parks campaign deadlines;
+//!   submit-and-retest-in-3-days protocols run instantly;
 //! * seeded randomness and per-network [`fault`] injection (packet drop,
 //!   TCP reset, transient DNS failure, truncation, latency jitter and
 //!   deterministic outage windows on the virtual clock), reproducing the
@@ -62,7 +60,6 @@
 //! ```
 
 pub mod dns;
-pub mod event;
 pub mod fault;
 pub mod flowlog;
 pub mod intern;
@@ -77,7 +74,6 @@ pub mod time;
 pub mod vantage;
 
 pub use dns::Dns;
-pub use event::{EventId, EventQueue};
 pub use fault::{Fault, FaultProfile, FaultProfileError, OutageWindow};
 pub use flowlog::{FlowDisposition, FlowRecord};
 pub use internet::{Host, Internet, Network, NetworkId, NetworkSpec};

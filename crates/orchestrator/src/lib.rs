@@ -13,8 +13,8 @@
 //! ```
 //!
 //! — driven by a virtual-time scheduler ([`Orchestrator`]) that runs
-//! many campaigns concurrently, parking `Wait` stages on a deadline
-//! [`EventQueue`](filterwatch_netsim::EventQueue) instead of blocking.
+//! many campaigns concurrently, parking `Wait` stages in a deadline
+//! map instead of blocking.
 //! Every stage transition writes a [`CampaignCheckpoint`] line through
 //! the workspace's one [`Wire`] codec; a campaign
 //! killed at any boundary restores via [`replay`] to byte-identical
@@ -35,7 +35,7 @@ pub mod stage;
 pub use checkpoint::{CampaignCheckpoint, CaseCkpt};
 pub use driver::{PaperDriver, StageDriver, StallPlan, StallingDriver, StepOutcome};
 pub use resume::{replay, ResumeError};
-pub use scheduler::{CampaignStatus, CrashPlan, Orchestrator, Outcome, WatchdogConfig};
+pub use scheduler::{CampaignStatus, CrashPlan, Orchestrator, Outcome};
 pub use stage::{CampaignDescriptor, CampaignKind, StageHead, StageState};
 
 use filterwatch_telemetry::wire::{Wire, WireError};

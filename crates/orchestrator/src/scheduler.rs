@@ -3,19 +3,20 @@
 //! Many campaigns, one loop: each scheduler *round* visits every
 //! runnable campaign in id order and executes at most one stage per
 //! campaign, subject to per-vantage rate limits. A campaign whose
-//! submission enters the vendor review period parks on a deadline
-//! [`EventQueue`] keyed by its absolute virtual-clock deadline; when a
-//! round finds nothing executable, the queue fires the earliest
-//! deadlines and the woken campaigns advance their own world clocks to
-//! the fired deadline. Every stage transition writes a checkpoint
+//! submission enters the vendor review period parks in a deadline map
+//! keyed by its absolute virtual-clock deadline and its park order;
+//! when a round finds nothing executable, every campaign parked on the
+//! earliest deadline wakes, in park order, and advances its own world
+//! clock to that deadline. Every stage transition writes a checkpoint
 //! line; [`CrashPlan`] stops the scheduler right after a chosen
 //! checkpoint, which is how the crash-recovery battery kills a
 //! campaign at every boundary. A watchdog (a [`CircuitBreaker`] per
-//! campaign counting stalled polls) quarantines wedged campaigns as
-//! `Inconclusive` instead of letting them stall the loop.
+//! campaign counting stalled polls) quarantines a campaign after
+//! `STALL_BUDGET` consecutive stalled polls as `Inconclusive` instead
+//! of letting it stall the loop.
 //!
 //! Everything is deterministic: campaigns are visited in id order,
-//! timers fire in `(deadline, insertion)` order, and rate limits defer
+//! timers fire in `(deadline, park order)` order, and rate limits defer
 //! work across rounds without ever touching a campaign's world clock —
 //! so scheduling policy can change *when* a stage runs but never what
 //! it measures.
@@ -23,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use filterwatch_measure::{BreakerConfig, BreakerState, CircuitBreaker};
-use filterwatch_netsim::{EventQueue, SimTime};
+use filterwatch_netsim::SimTime;
 use filterwatch_telemetry::wire::Wire;
 
 use crate::checkpoint::CampaignCheckpoint;
@@ -53,19 +54,16 @@ impl CrashPlan {
     }
 }
 
-/// Watchdog tuning: how many stalled polls a campaign may accumulate
-/// before it is quarantined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Consecutive stalled polls before quarantine.
-    pub stall_budget: u32,
-}
+/// Consecutive stalled polls after which the watchdog quarantines a
+/// campaign.
+const STALL_BUDGET: u32 = 3;
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig { stall_budget: 3 }
-    }
-}
+/// The watchdog's per-campaign breaker. It never lets a quarantined
+/// campaign half-open: the cooldown outlives any plausible run.
+const WATCHDOG: BreakerConfig = BreakerConfig {
+    failure_threshold: STALL_BUDGET,
+    cooldown_secs: u64::MAX / 2,
+};
 
 /// Where a campaign ended up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +96,7 @@ struct Slot<D> {
     driver: D,
     stage: StageState,
     status: CampaignStatus,
-    /// Whether the current `Wait` stage is already on the deadline queue.
+    /// Whether the current `Wait` stage is already in the deadline map.
     parked: bool,
     breaker: CircuitBreaker,
     checkpoints: Vec<String>,
@@ -107,10 +105,13 @@ struct Slot<D> {
 /// The scheduler over a fleet of campaign drivers.
 pub struct Orchestrator<D> {
     slots: Vec<Slot<D>>,
-    /// Parked `Wait` deadlines, by campaign id.
-    deadlines: EventQueue<usize>,
+    /// Parked `Wait` stages: `(deadline secs, park order)` to campaign
+    /// id, so campaigns parked on one deadline wake in the order they
+    /// parked.
+    deadlines: BTreeMap<(u64, u64), usize>,
+    /// Parks so far; the next park's order.
+    parks: u64,
     crash: CrashPlan,
-    watchdog: WatchdogConfig,
     /// Max stage executions per vantage per round (`None` = unlimited).
     rate_limit: Option<usize>,
     /// Scheduler rounds elapsed (the watchdog's clock).
@@ -132,7 +133,6 @@ impl<D: StageDriver> Orchestrator<D> {
 
     /// Schedule campaigns at explicit stages — the resume entry point.
     pub fn with_stages(drivers: Vec<(D, StageState)>) -> Orchestrator<D> {
-        let watchdog = WatchdogConfig::default();
         let slots = drivers
             .into_iter()
             .map(|(driver, stage)| Slot {
@@ -144,15 +144,15 @@ impl<D: StageDriver> Orchestrator<D> {
                 driver,
                 stage,
                 parked: false,
-                breaker: CircuitBreaker::new(breaker_config(&watchdog)),
+                breaker: CircuitBreaker::new(WATCHDOG),
                 checkpoints: Vec::new(),
             })
             .collect();
         Orchestrator {
             slots,
-            deadlines: EventQueue::new(),
+            deadlines: BTreeMap::new(),
+            parks: 0,
             crash: CrashPlan::none(),
-            watchdog,
             rate_limit: None,
             round: 0,
             checkpoint_seq: 0,
@@ -162,15 +162,6 @@ impl<D: StageDriver> Orchestrator<D> {
     /// Builder-style: arm a crash plan.
     pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
         self.crash = plan;
-        self
-    }
-
-    /// Builder-style: tune the watchdog stall budget.
-    pub fn with_watchdog(mut self, config: WatchdogConfig) -> Self {
-        self.watchdog = config;
-        for slot in &mut self.slots {
-            slot.breaker = CircuitBreaker::new(breaker_config(&config));
-        }
         self
     }
 
@@ -230,8 +221,8 @@ impl<D: StageDriver> Orchestrator<D> {
                 match stage {
                     StageState::Wait { deadline_secs, .. } => {
                         if !self.slots[id].parked {
-                            self.deadlines
-                                .schedule(SimTime::from_secs(deadline_secs), id);
+                            self.deadlines.insert((deadline_secs, self.parks), id);
+                            self.parks += 1;
                             self.slots[id].parked = true;
                         }
                         continue;
@@ -289,12 +280,21 @@ impl<D: StageDriver> Orchestrator<D> {
         }
     }
 
-    /// Fire the earliest deadline(s) on the queue, advancing the woken
+    /// Fire the earliest deadline in the map, advancing the woken
     /// campaigns' clocks. Returns a crash outcome if a checkpoint
     /// tripped the plan.
     fn fire_timers(&mut self) -> Option<Outcome> {
-        let deadline = self.deadlines.next_deadline()?;
-        for id in self.deadlines.pop_due(deadline) {
+        let (&(deadline, _), _) = self.deadlines.first_key_value()?;
+        // Every campaign parked on that deadline leaves the map, in
+        // park order, before any of them wakes.
+        let mut woken = Vec::new();
+        while let Some(entry) = self.deadlines.first_entry() {
+            if entry.key().0 != deadline {
+                break;
+            }
+            woken.push(entry.remove());
+        }
+        for id in woken {
             // A quarantined campaign may still have a timer in flight;
             // its wake is dropped.
             if self.slots[id].status != CampaignStatus::Running {
@@ -359,14 +359,5 @@ impl<D: StageDriver> Orchestrator<D> {
         self.slots
             .iter()
             .all(|s| s.status != CampaignStatus::Running)
-    }
-}
-
-fn breaker_config(watchdog: &WatchdogConfig) -> BreakerConfig {
-    BreakerConfig {
-        failure_threshold: watchdog.stall_budget,
-        // The watchdog never lets a quarantined campaign half-open:
-        // the cooldown outlives any plausible run.
-        cooldown_secs: u64::MAX / 2,
     }
 }

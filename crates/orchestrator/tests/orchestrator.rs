@@ -7,11 +7,14 @@
 //! must resume to byte-identical tables, and a wedged vantage must
 //! quarantine without stalling the campaigns scheduled around it.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use filterwatch_core::campaign::{Campaign, CampaignReport};
 use filterwatch_orchestrator::{
     resume_orchestrated, run_orchestrated, CampaignCheckpoint, CampaignDescriptor, CampaignKind,
-    CampaignStatus, CrashPlan, Orchestrator, Outcome, PaperDriver, ResumeError, StageState,
-    StallPlan, StallingDriver, WatchdogConfig,
+    CampaignStatus, CaseCkpt, CrashPlan, Orchestrator, Outcome, PaperDriver, ResumeError,
+    StageDriver, StageState, StallPlan, StallingDriver, StepOutcome,
 };
 use filterwatch_telemetry::wire::Wire;
 use filterwatch_trace::{render_profile, ProvenanceIndex, StepKind};
@@ -90,8 +93,7 @@ fn wedged_campaign_quarantines_without_stalling_others() {
     let mut orch = Orchestrator::with_stages(vec![
         (wedged, StageState::Identify),
         (healthy, StageState::Identify),
-    ])
-    .with_watchdog(WatchdogConfig { stall_budget: 3 });
+    ]);
     assert_eq!(orch.run(), Outcome::Complete);
 
     let statuses = orch.statuses();
@@ -120,6 +122,88 @@ fn wedged_campaign_quarantines_without_stalling_others() {
     let (identify, confirm) = sequential_tables(5);
     assert_eq!(rerun.identify_table(), identify);
     assert_eq!(rerun.confirm_table(), confirm);
+}
+
+/// A [`StageDriver`] wrapper that appends its campaign id to a shared
+/// log each time the scheduler fires its wait deadline.
+struct WakeLog<D> {
+    inner: D,
+    id: usize,
+    wakes: Rc<RefCell<Vec<usize>>>,
+}
+
+impl<D: StageDriver> StageDriver for WakeLog<D> {
+    fn descriptor(&self) -> &CampaignDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn case_count(&self) -> usize {
+        self.inner.case_count()
+    }
+
+    fn completed_cases(&self) -> usize {
+        self.inner.completed_cases()
+    }
+
+    fn now_secs(&self) -> u64 {
+        self.inner.now_secs()
+    }
+
+    fn execute(&mut self, stage: &StageState) -> StepOutcome {
+        self.inner.execute(stage)
+    }
+
+    fn wait_deadline_secs(&mut self, case: usize) -> u64 {
+        self.inner.wait_deadline_secs(case)
+    }
+
+    fn advance_to_secs(&mut self, deadline_secs: u64) {
+        self.inner.advance_to_secs(deadline_secs)
+    }
+
+    fn case_checkpoint(&self, case: usize) -> CaseCkpt {
+        self.inner.case_checkpoint(case)
+    }
+
+    fn stage_vantage(&self, stage: &StageState) -> Option<String> {
+        self.inner.stage_vantage(stage)
+    }
+
+    fn on_timer_fire(&mut self, case: usize, deadline_secs: u64) {
+        self.wakes.borrow_mut().push(self.id);
+        self.inner.on_timer_fire(case, deadline_secs)
+    }
+}
+
+/// Campaigns parked on one deadline wake in the order they parked, not
+/// in id order. Campaign 0 stalls one poll at its first submission, so
+/// campaign 1, at the same seed, parks on the same deadline first.
+#[test]
+fn same_deadline_wakes_in_park_order() {
+    let wakes = Rc::new(RefCell::new(Vec::new()));
+    let campaign = |id: usize, stalls: u64| WakeLog {
+        inner: StallingDriver::new(
+            PaperDriver::new(demo_descriptor(SEED)).expect("demo driver"),
+            StallPlan::at_stage(StageState::Submit { case: 0 }, stalls),
+        ),
+        id,
+        wakes: Rc::clone(&wakes),
+    };
+    let mut orch = Orchestrator::new(vec![campaign(0, 1), campaign(1, 0)]);
+    assert_eq!(orch.run(), Outcome::Complete);
+    assert_eq!(
+        orch.statuses(),
+        vec![CampaignStatus::Done, CampaignStatus::Done]
+    );
+
+    // A stall moves no clock, so both campaigns wrote the same
+    // checkpoints: they parked case 0 on one deadline.
+    assert_eq!(orch.checkpoints(0), orch.checkpoints(1));
+
+    // One wake per case per campaign; case 0's wakes in park order.
+    let wakes = wakes.borrow();
+    assert_eq!(wakes.len(), 8, "{wakes:?}");
+    assert_eq!(wakes[..2], [1, 0], "{wakes:?}");
 }
 
 #[test]

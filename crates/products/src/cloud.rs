@@ -148,12 +148,6 @@ impl VendorCloud {
         self.inner.lock().acceptance = rate;
     }
 
-    /// Override the review delay range (inclusive, days).
-    pub fn set_review_days(&self, min: u64, max: u64) {
-        assert!(min <= max);
-        self.inner.lock().review_days = (min, max);
-    }
-
     /// Register ground truth for a domain: what a reviewer visiting it
     /// would see. Called whenever an experiment or world builder stands
     /// up a site.

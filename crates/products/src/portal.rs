@@ -2,7 +2,7 @@
 //!
 //! The paper's confirmation lever is a *public web interface*: McAfee's
 //! TrustedSource URL ticketing, Blue Coat's Site Review, Netsweeper's
-//! "test-a-site" [20], Websense's CSI. [`SubmissionPortal`] models that
+//! "test-a-site" \[20\], Websense's CSI. [`SubmissionPortal`] models that
 //! front end: an HTTP form handler that derives the submitter's profile
 //! from the request itself — source address and contact e-mail — and
 //! files the submission with the vendor cloud.

@@ -23,7 +23,7 @@
 //! Everything hangs off a [`TelemetryHandle`]. A disabled handle is a
 //! `None` internally: every call is a branch on a null pointer and
 //! nothing is recorded, so instrumentation can stay unconditionally in
-//! hot paths ([`crates/bench/benches/telemetry.rs`] guards the cost).
+//! hot paths (`crates/bench/benches/telemetry.rs` guards the cost).
 //! Handles clone cheaply and share one collector, so the world, the
 //! scanner and the report renderer all see the same stream.
 //!
@@ -75,9 +75,6 @@ pub mod stage {
     /// A campaign parked on the orchestrator's deadline queue between
     /// submit and retest (spans the virtual wait).
     pub const SCHED_WAIT: &str = "sched.wait";
-    /// Orchestrator supervision: checkpoint writes, restores, timer
-    /// fires and quarantine decisions surface as events in this stage.
-    pub const SCHED: &str = "sched";
 }
 
 /// Append `secs` of virtual time the way the simulator's clock reads

@@ -45,7 +45,7 @@ fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Quote one CSV cell when it holds a comma, quote or newline.
-pub fn csv_escape(cell: &str) -> String {
+fn csv_escape(cell: &str) -> String {
     if cell.contains([',', '"', '\n']) {
         format!("\"{}\"", cell.replace('"', "\"\""))
     } else {

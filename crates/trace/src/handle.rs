@@ -16,8 +16,8 @@
 //!
 //! Fields arrive as `Display` values and the collector formats them
 //! into the event's one [`Fields`] buffer, and only for an event it
-//! records: a disabled handle or a sampled-out subtree formats nothing,
-//! so call sites pass their values as they are, with no guard.
+//! records: a disabled handle formats nothing, so call sites pass their
+//! values as they are, with no guard.
 
 use std::fmt::Display;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -32,9 +32,6 @@ use filterwatch_telemetry::Fields;
 pub enum TraceMode {
     /// No collector at all; zero overhead (the default).
     Off,
-    /// Record every 1-in-n sampled subtree (URL tests); campaign, case
-    /// and stage structure is always kept. `Sampled(1)` equals `Full`.
-    Sampled(u64),
     /// Record everything.
     Full,
 }
@@ -45,27 +42,20 @@ pub enum TraceMode {
 pub struct ScopeId(u32);
 
 impl ScopeId {
-    /// The no-op scope (disabled handle, or suppressed subtree root is
-    /// still a real scope — NONE only comes from a disabled handle).
+    /// The no-op scope; only a disabled handle returns it.
     pub const NONE: ScopeId = ScopeId(0);
-}
-
-struct OpenSpan {
-    recorded: bool,
-    event: TraceEvent,
 }
 
 struct State {
     events: Vec<TraceEvent>,
-    stack: Vec<OpenSpan>,
+    /// Open spans, innermost last.
+    stack: Vec<TraceEvent>,
     trace_seq: u64,
     next_span: u32,
-    sample_seq: u64,
 }
 
 struct Collector {
     seed: u64,
-    sample_every: u64,
     state: Mutex<State>,
 }
 
@@ -101,24 +91,17 @@ impl TraceHandle {
         TraceHandle { inner: None }
     }
 
-    /// A collector recording every subtree, deriving ids from `seed`.
+    /// A collector recording every span and point, deriving ids from
+    /// `seed`.
     pub fn enabled(seed: u64) -> TraceHandle {
-        TraceHandle::sampled(seed, 1)
-    }
-
-    /// A collector recording one in `sample_every` sampled subtrees
-    /// (see [`StepKind::is_sample_unit`]). `0` is treated as `1`.
-    pub fn sampled(seed: u64, sample_every: u64) -> TraceHandle {
         TraceHandle {
             inner: Some(Arc::new(Collector {
                 seed,
-                sample_every: sample_every.max(1),
                 state: Mutex::new(State {
                     events: Vec::new(),
                     stack: Vec::new(),
                     trace_seq: 0,
                     next_span: 0,
-                    sample_seq: 0,
                 }),
             })),
         }
@@ -128,7 +111,6 @@ impl TraceHandle {
     pub fn for_mode(mode: TraceMode, seed: u64) -> TraceHandle {
         match mode {
             TraceMode::Off => TraceHandle::disabled(),
-            TraceMode::Sampled(n) => TraceHandle::sampled(seed, n),
             TraceMode::Full => TraceHandle::enabled(seed),
         }
     }
@@ -150,52 +132,33 @@ impl TraceHandle {
             return ScopeId::NONE;
         };
         let mut state = collector.lock();
-        let parent_recorded = match state.stack.last() {
-            Some(top) => top.recorded,
+        let (trace, parent) = match state.stack.last() {
+            Some(top) => (top.trace, Some(top.span)),
             None => {
                 state.trace_seq += 1;
                 state.next_span = 0;
-                true
+                let trace = TraceId::derive(collector.seed, state.trace_seq, step.to_token());
+                (trace, None)
             }
         };
-        let trace = match state.stack.last() {
-            Some(top) => top.event.trace,
-            None => TraceId::derive(collector.seed, state.trace_seq, step.to_token()),
-        };
-        let recorded = parent_recorded
-            && (!step.is_sample_unit() || {
-                state.sample_seq += 1;
-                (state.sample_seq - 1) % collector.sample_every == 0
-            });
         state.next_span += 1;
         let span = SpanId(state.next_span);
-        let parent = state.stack.last().map(|top| top.event.span);
-        // Room for the fields `close` adds; a suppressed span formats
-        // nothing.
-        let fields = if recorded {
-            Fields::record(fields, 1)
-        } else {
-            Fields::new()
-        };
-        state.stack.push(OpenSpan {
-            recorded,
-            event: TraceEvent {
-                trace,
-                span,
-                parent,
-                at_secs,
-                end_secs: at_secs,
-                step,
-                fields,
-            },
+        state.stack.push(TraceEvent {
+            trace,
+            span,
+            parent,
+            at_secs,
+            end_secs: at_secs,
+            step,
+            // Room for the fields `close` adds.
+            fields: Fields::record(fields, 1),
         });
         ScopeId(span.0)
     }
 
     /// Close the span opened as `scope` at virtual time `end_secs`,
-    /// appending `extra_fields` to it first if it is recorded. Children
-    /// still open are closed at the same instant. Unknown or NONE
-    /// scopes are ignored.
+    /// appending `extra_fields` to it first. Children still open are
+    /// closed at the same instant. Unknown or NONE scopes are ignored.
     pub fn close(
         &self,
         scope: ScopeId,
@@ -210,27 +173,23 @@ impl TraceHandle {
         }
         let mut guard = collector.lock();
         let state = &mut *guard;
-        let Some(pos) = state
-            .stack
-            .iter()
-            .rposition(|open| open.event.span.0 == scope.0)
-        else {
+        let Some(pos) = state.stack.iter().rposition(|open| open.span.0 == scope.0) else {
             return;
         };
         // Innermost (leaked) children first, target last, all at the
         // same virtual instant.
-        for mut open in state.stack.drain(pos..).rev().filter(|open| open.recorded) {
-            if open.event.span.0 == scope.0 {
-                open.event.fields.push_all(extra_fields);
+        for mut open in state.stack.drain(pos..).rev() {
+            if open.span.0 == scope.0 {
+                open.fields.push_all(extra_fields);
             }
-            open.event.end_secs = end_secs.max(open.event.at_secs);
-            state.events.push(open.event);
+            open.end_secs = end_secs.max(open.at_secs);
+            state.events.push(open);
         }
     }
 
     /// Record a point event (a zero-duration leaf) under the currently
-    /// open span. Dropped when no recorded span is open — points never
-    /// start a trace of their own.
+    /// open span. Dropped when no span is open — points never start a
+    /// trace of their own.
     pub fn point(&self, step: StepKind, at_secs: u64, fields: &[(&'static str, &dyn Display)]) {
         let Some(collector) = &self.inner else {
             return;
@@ -239,11 +198,8 @@ impl TraceHandle {
         let Some(top) = state.stack.last() else {
             return;
         };
-        if !top.recorded {
-            return;
-        }
-        let trace = top.event.trace;
-        let parent = Some(top.event.span);
+        let trace = top.trace;
+        let parent = Some(top.span);
         state.next_span += 1;
         let span = SpanId(state.next_span);
         state.events.push(TraceEvent {
@@ -335,36 +291,6 @@ mod tests {
         assert_eq!(events[0].span, events[1].span);
     }
 
-    #[test]
-    fn sampling_suppresses_whole_subtrees() {
-        let t = TraceHandle::sampled(5, 2);
-        let root = t.open(StepKind::Campaign, 0, &[]);
-        for i in 0..4u64 {
-            let ut = t.open(StepKind::UrlTest, i, &[]);
-            // Suppressed subtrees drop their points.
-            t.point(StepKind::Verdict, i, &[]);
-            t.close(ut, i, &[]);
-        }
-        t.close(root, 10, &[]);
-        let events = t.take();
-        let url_tests = events
-            .iter()
-            .filter(|e| e.step == StepKind::UrlTest)
-            .count();
-        let verdicts = events
-            .iter()
-            .filter(|e| e.step == StepKind::Verdict)
-            .count();
-        assert_eq!(url_tests, 2);
-        assert_eq!(verdicts, 2);
-        // Every recorded non-root event's parent is itself recorded.
-        for e in &events {
-            if let Some(p) = e.parent {
-                assert!(events.iter().any(|other| other.span == p));
-            }
-        }
-    }
-
     /// A value that counts how often it is formatted.
     struct Counted<'a>(&'a Cell<usize>);
 
@@ -390,15 +316,9 @@ mod tests {
         subtree(&TraceHandle::disabled(), 0);
         assert_eq!(calls.get(), 0, "a disabled handle formatted a value");
 
-        // One in two url-tests is kept: the first is, the second is not.
-        let t = TraceHandle::sampled(5, 2);
+        // Recorded: each field once, those added at close included.
+        let t = TraceHandle::enabled(5);
         let root = t.open(StepKind::Campaign, 0, &[]);
-        let first = t.open(StepKind::UrlTest, 0, &[]);
-        t.close(first, 0, &[]);
-        subtree(&t, 1);
-        assert_eq!(calls.get(), 0, "a sampled-out subtree formatted a value");
-
-        // Kept: each field once, those added at close included.
         subtree(&t, 2);
         assert_eq!(calls.get(), 7);
         t.close(root, 3, &[("seed", &v)]);

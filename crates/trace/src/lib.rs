@@ -24,9 +24,8 @@
 //! - **Provenance** ([`ProvenanceIndex`]): query by URL, vantage or
 //!   verdict; `explain` renders the full causal chain behind any
 //!   verdict as byte-stable text (surfaced by the `tables` binary).
-//! - **Sampling** ([`TraceMode::Sampled`]): keep 1-in-n url-test
-//!   subtrees so full tracing can be dialed down at 10^5-host scale
-//!   while campaign/case/stage structure stays complete.
+//!
+//! A traced run ([`TraceMode::Full`]) records every span and point.
 
 pub mod event;
 pub mod handle;

@@ -87,17 +87,6 @@ filterwatch_telemetry::wire_enum! {
     }
 }
 
-impl StepKind {
-    /// Whether this step is a sampling unit: when the collector runs
-    /// with `sample_every = n`, only every n-th subtree rooted at a
-    /// sampled step is recorded. URL tests are the natural unit — at
-    /// 10^5-host scale they dominate the log, while campaign/case/stage
-    /// structure stays cheap and is always kept.
-    pub fn is_sample_unit(&self) -> bool {
-        matches!(self, StepKind::UrlTest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,14 +107,5 @@ mod tests {
             assert!(seen.insert(step.to_token()), "duplicate {step:?}");
         }
         assert_eq!(seen.len(), StepKind::ALL.len());
-    }
-
-    #[test]
-    fn only_url_tests_are_sample_units() {
-        let units: Vec<_> = StepKind::ALL
-            .iter()
-            .filter(|s| s.is_sample_unit())
-            .collect();
-        assert_eq!(units, vec![&StepKind::UrlTest]);
     }
 }

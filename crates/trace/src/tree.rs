@@ -76,8 +76,9 @@ pub fn build_forest(events: &[TraceEvent]) -> Forest<'_> {
 impl<'a> SpanTree<'a> {
     /// Link one trace's events, sorted by span id without repeats.
     fn link(trace: TraceId, nodes: Vec<&'a TraceEvent>) -> SpanTree<'a> {
-        // A parent missing from the log (e.g. a sampled-out or truncated
-        // ancestor) degrades gracefully to a root.
+        // A parent missing from the log (e.g. a truncated log, or a
+        // span still open when it was taken) degrades gracefully to a
+        // root.
         let parents: Vec<Option<usize>> = nodes
             .iter()
             .map(|e| e.parent.and_then(|p| position(&nodes, p)))

@@ -1,10 +1,11 @@
 //! Offline stand-in for `proptest`.
 //!
 //! Implements the subset of proptest's API that the filterwatch test
-//! suite uses: the [`Strategy`] trait with `prop_map`/`boxed`, ranges,
-//! tuples, [`Just`], `any::<T>()`, collection/option/char strategies, a
-//! regex-subset string strategy (`"[a-z]{1,8}"` and friends), the
-//! [`proptest!`] macro and the `prop_assert*` macros.
+//! suite uses: the [`Strategy`](strategy::Strategy) trait with
+//! `prop_map`/`boxed`, ranges, tuples, [`Just`](strategy::Just),
+//! `any::<T>()`, collection/option/char strategies, a regex-subset
+//! string strategy (`"[a-z]{1,8}"` and friends), the [`proptest!`]
+//! macro and the `prop_assert*` macros.
 //!
 //! Differences from upstream, by design:
 //!

@@ -105,27 +105,6 @@ fn trace_log_round_trips_and_reconstructs() {
     }
 }
 
-#[test]
-fn sampling_thins_url_tests_without_touching_tables() {
-    let (id_full, _, full) = traced_demo(TraceMode::Full);
-    let (id_sampled, _, sampled) = traced_demo(TraceMode::Sampled(4));
-    assert_eq!(id_full, id_sampled, "sampling changed the identify table");
-
-    let url_tests = |events: &[TraceEvent]| {
-        events
-            .iter()
-            .filter(|e| e.step == StepKind::UrlTest)
-            .count()
-    };
-    let all = url_tests(&full);
-    let kept = url_tests(&sampled);
-    assert!(kept > 0, "1-in-4 sampling kept nothing");
-    assert!(kept < all, "1-in-4 sampling kept all {all} url-tests");
-    // The campaign skeleton (root + stages) survives sampling.
-    assert!(sampled.iter().any(|e| e.step == StepKind::Campaign));
-    assert!(sampled.iter().any(|e| e.step == StepKind::Stage));
-}
-
 /// Tracing overhead stays within twice the untraced run. Wall-clock
 /// readings go through the telemetry collector's timed observation (the
 /// one sanctioned wall-clock site), one histogram label per run. Runs
